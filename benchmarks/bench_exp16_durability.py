@@ -16,13 +16,22 @@ the replay path:
   every record: the documented worst case, dominated by device sync
   latency rather than anything the engine does;
 * **recovery-replay** — opening a directory whose WAL holds single-row
-  commit records: recovered records per second.
+  commit records: recovered records per second;
+* **scaling-3000 / scaling-30000** — the write path must cost the same
+  whatever the table holds: median latency of an indexed point ``UPDATE``
+  and of a single-row ``DELETE`` of the *newest* row through
+  ``Connection.execute`` on a durable table of 3 000 and of 30 000 rows
+  under a hash and a sorted index, after ``ANALYZE`` and enough inserts
+  for its statistics to go stale (the state a write workload is always
+  in: feedback watches every statement, estimates come from the indexes).
 
 Acceptance: group-commit durable ingest sustains at least
-``MIN_DURABLE_RATIO`` of the in-memory row rate, and recovery replays at
-least ``MIN_REPLAY_RECORDS_PER_S`` records/s on the quick profile.
-fsync-always is reported (and must merely complete) — its throughput is
-a property of the disk, not a regression signal.
+``MIN_DURABLE_RATIO`` of the in-memory row rate, recovery replays at
+least ``MIN_REPLAY_RECORDS_PER_S`` records/s on the quick profile, and
+neither scaling latency grows by more than ``MAX_SCALING_RATIO`` from
+3 000 to 30 000 rows.  fsync-always is reported (and must merely
+complete) — its throughput is a property of the disk, not a regression
+signal.
 
 Run standalone (emits a JSON perf record):
 
@@ -36,6 +45,7 @@ or under pytest:
 from __future__ import annotations
 
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -47,12 +57,21 @@ from repro.datamodel.schema import Schema
 from repro.storage import FileStorageAdapter
 
 #: group-commit durable ingest must sustain at least this fraction of
-#: the in-memory executemany row rate
-MIN_DURABLE_RATIO = 0.5
+#: the in-memory executemany row rate (with the fsync on the WAL's flusher
+#: thread: 0.66-0.75 over ten warm quick runs, median 0.72 on the full
+#: profile, 0.57 on the worst cold standalone run; inline fsync measured
+#: 0.61-0.68 and 0.56 the same way)
+MIN_DURABLE_RATIO = 0.55
 #: recovery must replay at least this many WAL records per second
 MIN_REPLAY_RECORDS_PER_S = 10_000
+#: a point UPDATE / newest-row DELETE on 30 000 rows may take at most this
+#: many times what it takes on 3 000
+MAX_SCALING_RATIO = 2.0
+SCALING_SIZES = (3_000, 30_000)
 
 INSERT = "INSERT INTO Item (name, value) VALUES (:n, :v)"
+POINT_UPDATE = "UPDATE Item i SET name = :n WHERE i.value == :v"
+POINT_DELETE = "DELETE FROM Item i WHERE i.value == :v"
 
 
 def _fresh_connection(durability: str | None, fsync: str = "interval"):
@@ -151,6 +170,71 @@ def _recovery_case(n_records: int) -> dict:
         shutil.rmtree(path, ignore_errors=True)
 
 
+def _median_seconds(connection, statement: str, parameter_sets) -> float:
+    samples = []
+    for parameters in parameter_sets:
+        started = time.perf_counter()
+        cursor = connection.execute(statement, parameters)
+        samples.append(time.perf_counter() - started)
+        assert cursor.rowcount == 1, (statement, parameters)
+    return statistics.median(samples)
+
+
+def _scaling_case(n_rows: int, statements: int) -> dict:
+    """Point UPDATE and newest-row DELETE latency on *n_rows* rows."""
+    connection = _fresh_connection("wal")
+    try:
+        for base in range(0, n_rows, 1000):
+            connection.executemany(
+                INSERT, [{"n": f"item{i}", "v": i}
+                         for i in range(base, min(base + 1000, n_rows))])
+        connection.execute("CREATE HASH INDEX ON Item(value)")
+        connection.execute("CREATE SORTED INDEX ON Item(name)")
+        connection.execute("ANALYZE")
+        # drift past the statistics' staleness fraction
+        total = n_rows + n_rows // 3
+        connection.executemany(
+            INSERT, [{"n": f"item{i}", "v": i} for i in range(n_rows, total)])
+        started = time.perf_counter()
+        update = _median_seconds(
+            connection, POINT_UPDATE,
+            [{"n": f"renamed{i}", "v": (i * 7919) % total}
+             for i in range(statements)])
+        delete = _median_seconds(
+            connection, POINT_DELETE,
+            [{"v": total - 1 - i} for i in range(statements)])
+        elapsed = time.perf_counter() - started
+        counters = connection.database.storage.counters()
+    finally:
+        _teardown(connection)
+    return {
+        "case": f"scaling-{n_rows}",
+        "rows": n_rows,
+        "batch_size": 1,
+        "seconds": round(elapsed, 4),
+        "rows_per_s": round(2 * statements / elapsed, 1),
+        "wal_records": counters["wal_records"],
+        "wal_fsyncs": counters["wal_fsyncs"],
+        "update_us": round(update * 1e6, 1),
+        "delete_newest_us": round(delete * 1e6, 1),
+    }
+
+
+def _scaling_cases(statements: int, repeats: int = 2) -> list[dict]:
+    """Both table sizes, best-of-N on the ratio of each latency (a stall
+    on either side must not fail CI)."""
+    best: dict[int, dict] = {}
+    for _ in range(repeats):
+        for n_rows in SCALING_SIZES:
+            case = _scaling_case(n_rows, statements)
+            known = best.get(n_rows)
+            if known is not None:
+                for key in ("update_us", "delete_newest_us"):
+                    case[key] = min(case[key], known[key])
+            best[n_rows] = case
+    return [best[n_rows] for n_rows in SCALING_SIZES]
+
+
 def run_cases(quick: bool = False) -> list[dict]:
     n_rows = 2_000 if quick else 20_000
     batch_size = 100
@@ -166,6 +250,7 @@ def run_cases(quick: bool = False) -> list[dict]:
         _ingest_case("wal-fsync-always", "wal", "always",
                      n_always, batch_size, repeats=1),
         _recovery_case(n_recovery),
+        *_scaling_cases(statements=100 if quick else 400),
     ]
     return cases
 
@@ -174,6 +259,7 @@ def summarize(cases: list[dict]) -> dict:
     by_case = {case["case"]: case for case in cases}
     memory_rate = by_case["memory"]["rows_per_s"]
     durable_rate = by_case["wal-group-commit"]["rows_per_s"]
+    small, large = (by_case[f"scaling-{n_rows}"] for n_rows in SCALING_SIZES)
     return {
         "memory_rows_per_s": memory_rate,
         "group_commit_rows_per_s": durable_rate,
@@ -183,6 +269,11 @@ def summarize(cases: list[dict]) -> dict:
         "durable_ratio_target": MIN_DURABLE_RATIO,
         "replay_records_per_s": by_case["recovery-replay"]["rows_per_s"],
         "replay_target_per_s": MIN_REPLAY_RECORDS_PER_S,
+        "update_scaling_ratio": round(
+            large["update_us"] / small["update_us"], 2),
+        "delete_newest_scaling_ratio": round(
+            large["delete_newest_us"] / small["delete_newest_us"], 2),
+        "scaling_ratio_target": MAX_SCALING_RATIO,
     }
 
 
@@ -195,6 +286,10 @@ def check(record: dict) -> str | None:
     if replay < MIN_REPLAY_RECORDS_PER_S:
         return (f"recovery replays {replay} records/s "
                 f"(target ≥ {MIN_REPLAY_RECORDS_PER_S}/s)")
+    for name in ("update_scaling_ratio", "delete_newest_scaling_ratio"):
+        if record[name] > MAX_SCALING_RATIO:
+            return (f"{name} is {record[name]}x from {SCALING_SIZES[0]} to "
+                    f"{SCALING_SIZES[1]} rows (target ≤ {MAX_SCALING_RATIO}x)")
     return None
 
 
@@ -202,15 +297,18 @@ def check(record: dict) -> str | None:
 # pytest entry points
 # ----------------------------------------------------------------------
 def test_exp16_group_commit_keeps_half_the_ingest_rate(benchmark):
-    """Acceptance: durable group-commit ingest ≥ 0.5× in-memory, and
-    recovery replay ≥ 10k records/s (quick profile)."""
+    """Acceptance: durable group-commit ingest ≥ 0.55× in-memory, recovery
+    replay ≥ 10k records/s, point UPDATE / newest-row DELETE latency within
+    2× between 3 000 and 30 000 rows (quick profile)."""
     cases = run_cases(quick=True)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     summary = summarize(cases)
     print("\nEXP-16 durable ingest and recovery (quick):")
     print(format_table(cases))
     print(f"durable ratio: {summary['durable_ratio']}x, replay: "
-          f"{summary['replay_records_per_s']} records/s")
+          f"{summary['replay_records_per_s']} records/s, scaling: UPDATE "
+          f"{summary['update_scaling_ratio']}x, DELETE of newest "
+          f"{summary['delete_newest_scaling_ratio']}x")
     assert check(summary) is None, check(summary)
 
 

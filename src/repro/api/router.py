@@ -336,12 +336,9 @@ class StatementRouter:
         return applied
 
     def _apply_delete(self, targets) -> list[OID]:
-        applied: list[OID] = []
-        for oid in targets:
-            if not self.database.exists(oid):
-                continue  # deleted since the targets were resolved
-            self.database.delete(oid)
-            applied.append(oid)
+        # objects deleted since the targets were resolved are skipped
+        applied = [oid for oid in targets if self.database.exists(oid)]
+        self.database.delete_many(applied)
         return applied
 
     # ------------------------------------------------------------------

@@ -9,7 +9,7 @@ performs so that query plans can be compared quantitatively.
 from __future__ import annotations
 
 import threading
-from collections import defaultdict
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Optional
@@ -20,6 +20,7 @@ from repro.datamodel.objects import DatabaseObject
 from repro.datamodel.oid import OID, OIDAllocator
 from repro.datamodel.partitions import (
     DEFAULT_PARTITIONS,
+    CreationOrder,
     ExtensionPartitions,
     PartitionStatistics,
 )
@@ -151,7 +152,9 @@ class Database:
         self.schema = schema
         self.name = name
         self._objects: dict[OID, DatabaseObject] = {}
-        self._extensions: dict[str, list[OID]] = defaultdict(list)
+        #: shallow class extensions, in creation order
+        self._extensions: dict[str, CreationOrder] = defaultdict(
+            CreationOrder)
         self.partitions = ExtensionPartitions(n_partitions)
         self._allocator = OIDAllocator()
         self.indexes = IndexRegistry()
@@ -548,11 +551,11 @@ class Database:
         if extension is not None:
             try:
                 extension.remove(oid)
-            except ValueError:  # pragma: no cover - defensive
+            except KeyError:  # pragma: no cover - defensive
                 pass
         try:
             self.partitions.remove(class_name, oid)
-        except ValueError:  # pragma: no cover - defensive
+        except KeyError:  # pragma: no cover - defensive
             pass
         self._allocator.release_last(class_name, oid.serial)
 
@@ -711,79 +714,116 @@ class Database:
         reference later raises :class:`ObjectNotFoundError`, exactly like
         any unknown OID.
         """
-        obj = self.get(oid)
-        class_name = obj.class_name
-        owners = set(self._class_and_ancestors(class_name))
+        self.delete_many((oid,))
+
+    def delete_many(self, oids: Iterable[OID]) -> None:
+        """Bulk delete: one maintenance pass for a statement's targets.
+
+        Leaves the database exactly as calling :meth:`delete` per OID in
+        order would, but the ancestor chain, the index/text-index targets
+        and the statistics note are resolved once per class instead of once
+        per object, and the whole batch is one commit scope (one WAL
+        record): an unknown OID or an index-maintenance error mid-batch
+        undoes every object already removed.  The data version advances by
+        the number of deleted objects.
+        """
+        maintenance: dict[str, tuple] = {}
+
+        def targets_for(class_name: str) -> tuple:
+            targets = maintenance.get(class_name)
+            if targets is None:
+                owners = set(self._class_and_ancestors(class_name))
+                indexes = [(index.property_name, index)
+                           for index in self.indexes.all()
+                           if index.class_name in owners]
+                engines = [(prop, engine) for (owner, prop), engine
+                           in self._text_indexes.items() if owner in owners]
+                targets = maintenance[class_name] = (
+                    indexes, engines, self._extensions[class_name],
+                    self.partitions.for_class(class_name),
+                    self._removed.setdefault(class_name, []))
+            return targets
+
+        objects = self._objects
         with self.commit_scope() as scope:
             ts = scope.ts
-            if scope.ops is not None:
-                scope.ops.append(("delete", class_name, oid.serial))
-            self._mlog.append((ts, class_name, oid))
+            ops = scope.ops
+            mlog = self._mlog
             # Index/text removals are undone entry-by-entry: the loops can
             # fail part-way, and re-inserting entries that were never
             # removed would corrupt the indexes.
-            removed_entries: list[tuple[Any, str, Any]] = []
-            scope.undo.append(
-                lambda: self._undo_index_removals(removed_entries))
-            for prop_name, value in list(obj.values.items()):
-                if value is None:
-                    continue  # None values are never in hash/sorted indexes
-                for owner in owners:
-                    index = self.indexes.get(owner, prop_name)
-                    if index is not None:
+            removed_entries: list[tuple[Any, Any, Any]] = []
+            deleted: list[DatabaseObject] = []
+            scope.undo.append(lambda: self._undo_deletes(deleted,
+                                                         removed_entries))
+            for oid in oids:
+                obj = objects.get(oid)
+                if obj is None:
+                    raise ObjectNotFoundError(f"no object with OID {oid}")
+                class_name = obj.class_name
+                values = obj.values
+                indexes, engines, extension, partitioned, tombstones = \
+                    targets_for(class_name)
+                if ops is not None:
+                    ops.append(("delete", class_name, oid.serial))
+                mlog.append((ts, class_name, oid))
+                for prop, index in indexes:
+                    value = values.get(prop)
+                    if value is not None:  # None values are never indexed
                         index.remove(value, oid)
                         removed_entries.append((index, value, oid))
-            # Text indexes are keyed by OID alone, so removal must not
-            # depend on the current property value (which may be None now).
-            for (owner, prop_name), engine in self._text_indexes.items():
-                if owner in owners:
-                    content = obj.values.get(prop_name)
+                # Text indexes are keyed by OID alone, so removal must not
+                # depend on the current property value (which may be None).
+                for prop, engine in engines:
+                    content = values.get(prop)
                     engine.remove(oid)
                     if content is not None:
                         removed_entries.append((engine, None, (oid, content)))
-            # Preserve the final version for pinned readers, then mark the
-            # object's end *before* unlinking it so a concurrent snapshot
-            # read that misses ``_objects`` finds the end marker.
-            chain = self._history.setdefault(oid, [])
-            chain.append((obj.begin_ts, dict(obj.values)))
-            self._ends[oid] = (obj.created_ts, ts)
-            self._removed.setdefault(class_name, []).append(
-                (oid, obj.created_ts, ts))
-            extension = self._extensions[class_name]
-            extension_pos = extension.index(oid)
-            partition_pos = self.partitions.position_of(class_name, oid)
-            del self._objects[oid]
-            extension.remove(oid)
-            self.partitions.remove(class_name, oid)
-            scope.undo.append(lambda: self._undo_delete(
-                class_name, oid, obj, extension_pos, partition_pos))
-            self.statistics.record_object_deleted()
-            self.versions.data += 1
-            scope.undo.append(lambda: self._unsettle_deleted())
-            self._note_stats_mutation(class_name)
+                # Preserve the final version for pinned readers, then mark
+                # the object's end *before* unlinking it so a concurrent
+                # snapshot read that misses ``_objects`` finds the marker.
+                self._history.setdefault(oid, []).append(
+                    (obj.begin_ts, dict(values)))
+                self._ends[oid] = (obj.created_ts, ts)
+                tombstones.append((oid, obj.created_ts, ts))
+                del objects[oid]
+                extension.remove(oid)
+                partitioned.remove(oid)
+                deleted.append(obj)
+            # Counters settle once, after the loop: an abort part-way has
+            # nothing of them to take back.
+            self.statistics.objects_deleted += len(deleted)
+            self.versions.data += len(deleted)
+            for class_name, count in Counter(
+                    obj.class_name for obj in deleted).items():
+                self._note_stats_mutation(class_name, count)
+            settled = len(deleted)
+            scope.undo.append(lambda: self._unsettle_deleted(settled))
 
-    def _undo_index_removals(
-            self, removed_entries: list[tuple[Any, str, Any]]) -> None:
+    def _undo_deletes(self, deleted: list[DatabaseObject],
+                      removed_entries: list[tuple[Any, Any, Any]]) -> None:
+        """Take back the deletes of one :meth:`delete_many` call (aborted
+        scope): index entries one by one, then the objects."""
         for target, value, payload in reversed(removed_entries):
             if value is None:  # text engine: payload is (oid, content)
                 oid, content = payload
                 target.index_text(oid, str(content))
             else:
                 target.insert(value, payload)
+        for obj in reversed(deleted):
+            oid = obj.oid
+            class_name = obj.class_name
+            self._objects[oid] = obj
+            self._ends.pop(oid, None)
+            removed = self._removed.get(class_name)
+            if removed and removed[-1][0] == oid:
+                removed.pop()
+            self._extensions[class_name].restore(oid)
+            self.partitions.restore(class_name, oid)
 
-    def _undo_delete(self, class_name: str, oid: OID, obj: DatabaseObject,
-                     extension_pos: int, partition_pos: int) -> None:
-        self._objects[oid] = obj
-        self._ends.pop(oid, None)
-        removed = self._removed.get(class_name)
-        if removed and removed[-1][0] == oid:
-            removed.pop()
-        self._extensions[class_name].insert(extension_pos, oid)
-        self.partitions.restore(class_name, oid, partition_pos)
-
-    def _unsettle_deleted(self) -> None:
-        self.statistics.objects_deleted -= 1
-        self.versions.data -= 1
+    def _unsettle_deleted(self, count: int) -> None:
+        self.statistics.objects_deleted -= count
+        self.versions.data -= count
 
     def get(self, oid: OID) -> DatabaseObject:
         try:

@@ -34,11 +34,17 @@ class HashIndex:
         self.class_name = class_name
         self.property_name = property_name
         self._entries: dict[Any, set[OID]] = defaultdict(set)
+        #: entries across all buckets, maintained by insert/remove so the
+        #: cost model's ``len(index)`` never walks the buckets
+        self._size = 0
         self.lookup_count = 0
 
     # -- maintenance ----------------------------------------------------
     def insert(self, key: Any, oid: OID) -> None:
-        self._entries[self._normalize(key)].add(oid)
+        bucket = self._entries[self._normalize(key)]
+        if oid not in bucket:
+            bucket.add(oid)
+            self._size += 1
 
     def remove(self, key: Any, oid: OID) -> None:
         normalized = self._normalize(key)
@@ -48,6 +54,7 @@ class HashIndex:
                 f"cannot remove {oid} from index "
                 f"{self.class_name}.{self.property_name}: entry missing")
         bucket.discard(oid)
+        self._size -= 1
         if not bucket:
             del self._entries[normalized]
 
@@ -59,13 +66,13 @@ class HashIndex:
     def lookup(self, key: Any) -> set[OID]:
         """Return the OIDs whose indexed property equals *key*."""
         self.lookup_count += 1
-        return set(self._entries.get(self._normalize(key), set()))
+        return set(self._entries.get(self._normalize(key), ()))
 
     def keys(self) -> Iterator[Any]:
         return iter(self._entries.keys())
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._entries.values())
+        return self._size
 
     def distinct_keys(self) -> int:
         return len(self._entries)
@@ -83,44 +90,107 @@ class HashIndex:
         return f"HashIndex({self.class_name}.{self.property_name}, {len(self)} entries)"
 
 
+def _last_key(block: tuple[list, list]) -> Any:
+    return block[0][-1]
+
+
+def _last_entry(block: tuple[list, list]) -> tuple[Any, OID]:
+    return block[0][-1], block[1][-1]
+
+
 class SortedIndex:
     """Ordered index supporting equality and range lookups.
 
-    Implemented as a sorted list of ``(key, OID)`` pairs; sufficient for the
-    moderate database sizes the benchmarks use while keeping the lookup
-    pattern (logarithmic positioning + contiguous scan) realistic.
+    Entries are ``(key, OID)`` pairs in lexicographic order, held in bounded
+    blocks of two parallel lists (keys, OIDs): positioning is a binary
+    search over the blocks' last entries and another inside one block, and
+    an insert or remove shifts at most one block, so maintenance cost does
+    not grow with the index.
+
+    Writers change a block's membership in place but never split, merge or
+    drop a block a reader may hold: those build new lists and rebind
+    ``_blocks``, so a snapshot reader that fetched the old list keeps
+    seeing whole blocks.
     """
 
     kind = "sorted"
+    #: a block splits above twice this many entries and is folded into a
+    #: neighbour below half of it
+    BLOCK = 512
 
     def __init__(self, class_name: str, property_name: str):
         self.class_name = class_name
         self.property_name = property_name
-        self._keys: list[Any] = []
-        self._oids: list[OID] = []
+        self._blocks: list[tuple[list[Any], list[OID]]] = []
+        self._size = 0
         self.lookup_count = 0
 
     # -- maintenance ----------------------------------------------------
     def insert(self, key: Any, oid: OID) -> None:
-        position = bisect.bisect_left(self._keys, key)
-        # Skip forward over equal keys to keep insertion stable.
-        while position < len(self._keys) and self._keys[position] == key and \
-                self._oids[position] < oid:
-            position += 1
-        self._keys.insert(position, key)
-        self._oids.insert(position, oid)
+        blocks = self._blocks
+        if not blocks:
+            self._blocks = [([key], [oid])]
+            self._size = 1
+            return
+        at = min(bisect.bisect_left(blocks, (key, oid), key=_last_entry),
+                 len(blocks) - 1)
+        keys, oids = blocks[at]
+        position, _ = self._slot(keys, oids, key, oid)
+        keys.insert(position, key)
+        oids.insert(position, oid)
+        self._size += 1
+        if len(keys) > 2 * self.BLOCK:
+            half = len(keys) // 2
+            self._blocks = (blocks[:at]
+                            + [(keys[:half], oids[:half]),
+                               (keys[half:], oids[half:])]
+                            + blocks[at + 1:])
 
     def remove(self, key: Any, oid: OID) -> None:
-        position = bisect.bisect_left(self._keys, key)
-        while position < len(self._keys) and self._keys[position] == key:
-            if self._oids[position] == oid:
-                del self._keys[position]
-                del self._oids[position]
+        blocks = self._blocks
+        at = bisect.bisect_left(blocks, (key, oid), key=_last_entry)
+        if at < len(blocks):
+            keys, oids = blocks[at]
+            position, present = self._slot(keys, oids, key, oid)
+            if present:
+                self._size -= 1
+                if len(keys) > self.BLOCK // 2 or (
+                        len(blocks) == 1 and len(keys) > 1):
+                    del keys[position]
+                    del oids[position]
+                else:
+                    self._fold(at, position)
                 return
-            position += 1
         raise IndexError_(
             f"cannot remove {oid} from index "
             f"{self.class_name}.{self.property_name}: entry missing")
+
+    @staticmethod
+    def _slot(keys: list, oids: list, key: Any, oid: OID) -> tuple[int, bool]:
+        """Where ``(key, oid)`` sits, or belongs, in one block, and whether
+        it is there: the run of equal keys is ordered by OID."""
+        low = bisect.bisect_left(keys, key)
+        high = bisect.bisect_right(keys, key, low)
+        position = bisect.bisect_left(oids, oid, low, high)
+        return position, position < high and oids[position] == oid
+
+    def _fold(self, at: int, position: int) -> None:
+        """Drop entry *position* of the small block *at* by folding what is
+        left of it into a neighbour (rebinding, see the class docstring)."""
+        blocks = self._blocks
+        keys, oids = blocks[at]
+        keys = keys[:position] + keys[position + 1:]
+        oids = oids[:position] + oids[position + 1:]
+        if len(blocks) == 1:
+            self._blocks = [(keys, oids)] if keys else []
+        elif at == 0:
+            self._blocks = ([(keys + blocks[1][0], oids + blocks[1][1])]
+                            + blocks[2:])
+        else:
+            before = blocks[at - 1]
+            self._blocks = (blocks[:at - 1]
+                            + [(before[0] + keys, before[1] + oids)]
+                            + blocks[at + 1:])
 
     def update(self, old_key: Any, new_key: Any, oid: OID) -> None:
         self.remove(old_key, oid)
@@ -129,35 +199,55 @@ class SortedIndex:
     # -- queries --------------------------------------------------------
     def lookup(self, key: Any) -> set[OID]:
         self.lookup_count += 1
-        lo = bisect.bisect_left(self._keys, key)
-        hi = bisect.bisect_right(self._keys, key)
-        return set(self._oids[lo:hi])
+        return self._between(key, False, key, True)
 
     def range(self, low: Any = None, high: Any = None,
               include_low: bool = True, include_high: bool = True) -> set[OID]:
         """Return OIDs whose key falls into ``[low, high]`` (open-ended when
         a bound is ``None``)."""
         self.lookup_count += 1
-        if low is None:
-            lo = 0
-        else:
-            lo = (bisect.bisect_left(self._keys, low) if include_low
-                  else bisect.bisect_right(self._keys, low))
-        if high is None:
-            hi = len(self._keys)
-        else:
-            hi = (bisect.bisect_right(self._keys, high) if include_high
-                  else bisect.bisect_left(self._keys, high))
-        return set(self._oids[lo:hi])
+        return self._between(low, not include_low, high, include_high)
+
+    def _between(self, low: Any, after_low: bool,
+                 high: Any, after_high: bool) -> set[OID]:
+        """OIDs from the first entry at (*after_low*: past) key *low* up to
+        the first entry at (*after_high*: past) key *high*."""
+        blocks = self._blocks
+        first, start = ((0, 0) if low is None
+                        else self._position(blocks, low, after_low))
+        last, stop = ((len(blocks), 0) if high is None
+                      else self._position(blocks, high, after_high))
+        if first >= last:
+            if first > last or first == len(blocks):
+                return set()
+            return set(blocks[first][1][start:stop])
+        found = set(blocks[first][1][start:])
+        for _, oids in blocks[first + 1:last]:
+            found.update(oids)
+        if last < len(blocks):
+            found.update(blocks[last][1][:stop])
+        return found
+
+    @staticmethod
+    def _position(blocks: list, key: Any, after: bool) -> tuple[int, int]:
+        """``(block, offset)`` of the first entry whose key is ``>= key``
+        (``> key`` when *after*); ``(len(blocks), 0)`` past the end."""
+        find = bisect.bisect_right if after else bisect.bisect_left
+        at = find(blocks, key, key=_last_key)
+        if at == len(blocks):
+            return at, 0
+        return at, find(blocks[at][0], key)
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return self._size
 
     def min_key(self) -> Optional[Any]:
-        return self._keys[0] if self._keys else None
+        blocks = self._blocks
+        return blocks[0][0][0] if blocks else None
 
     def max_key(self) -> Optional[Any]:
-        return self._keys[-1] if self._keys else None
+        blocks = self._blocks
+        return blocks[-1][0][-1] if blocks else None
 
     def __str__(self) -> str:
         return f"SortedIndex({self.class_name}.{self.property_name}, {len(self)} entries)"

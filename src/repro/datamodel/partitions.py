@@ -12,6 +12,12 @@ therefore the ordered merge of a parallel scan) are reproducible across
 processes regardless of ``PYTHONHASHSEED``.  Within a partition OIDs stay in
 creation order.
 
+Both the shallow extension of a class and each of its partitions are
+:class:`CreationOrder` sequences: serials are allocated in creation order,
+so an OID is found by binary search instead of a scan, and the sequence is
+cut into bounded blocks so that removing one never shifts more than a block
+— appending and removing cost the same however large the class is.
+
 Partitions are maintained eagerly by the database on every create and
 delete; property writes do not move objects (the partitioning key is the
 OID, not a value) but are counted in the per-partition statistics, which the
@@ -20,15 +26,85 @@ cost model and benchmarks can consult for skew.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import operator
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.datamodel.oid import OID
 
 __all__ = ["DEFAULT_PARTITIONS", "PartitionStatistics", "PartitionedExtension",
-           "ExtensionPartitions"]
+           "ExtensionPartitions", "CreationOrder"]
 
 #: default number of partitions per class extension
 DEFAULT_PARTITIONS = 8
+
+
+_serial = operator.attrgetter("serial")
+
+
+def _first_serial(block: list[OID]) -> int:
+    return block[0].serial
+
+
+class CreationOrder:
+    """The OIDs of one class in creation (= serial) order.
+
+    Iterating — ``list(sequence)`` — copies the current membership in one
+    uninterruptible step (the blocks are chained by C code), which is what
+    lets snapshot readers copy an extension while a writer works.
+    """
+
+    __slots__ = ("_blocks", "_size")
+    #: OIDs per block: what one removal shifts at most
+    BLOCK = 1024
+
+    def __init__(self) -> None:
+        self._blocks: list[list[OID]] = []
+        self._size = 0
+
+    def append(self, oid: OID) -> None:
+        """Add a newly created *oid* (its serial is the largest so far)."""
+        blocks = self._blocks
+        if blocks and len(blocks[-1]) < self.BLOCK:
+            blocks[-1].append(oid)
+        else:
+            blocks.append([oid])
+        self._size += 1
+
+    def remove(self, oid: OID) -> None:
+        """Drop *oid* (``KeyError`` when it is not a member)."""
+        blocks = self._blocks
+        at = bisect.bisect_right(blocks, oid.serial, key=_first_serial) - 1
+        if at >= 0:
+            block = blocks[at]
+            position = bisect.bisect_left(block, oid.serial, key=_serial)
+            if position < len(block) and block[position] == oid:
+                if len(block) == 1:
+                    del blocks[at]
+                else:
+                    del block[position]
+                self._size -= 1
+                return
+        raise KeyError(oid)
+
+    def restore(self, oid: OID) -> None:
+        """Put a removed *oid* back at its creation-order position (the
+        undo of :meth:`remove` when a commit scope aborts)."""
+        blocks = self._blocks
+        if not blocks:
+            blocks.append([oid])
+        else:
+            at = bisect.bisect_right(blocks, oid.serial, key=_first_serial)
+            bisect.insort(blocks[max(at - 1, 0)], oid, key=_serial)
+        self._size += 1
+
+    def __iter__(self) -> Iterator[OID]:
+        return itertools.chain.from_iterable(self._blocks)
+
+    def __len__(self) -> int:
+        return self._size
 
 
 @dataclass
@@ -55,7 +131,7 @@ class PartitionedExtension:
             raise ValueError("n_partitions must be positive")
         self.class_name = class_name
         self.n_partitions = n_partitions
-        self._partitions: list[list[OID]] = [[] for _ in range(n_partitions)]
+        self._partitions = [CreationOrder() for _ in range(n_partitions)]
         self._statistics = [PartitionStatistics() for _ in range(n_partitions)]
 
     def partition_of(self, oid: OID) -> int:
@@ -74,6 +150,7 @@ class PartitionedExtension:
         return index
 
     def remove(self, oid: OID) -> int:
+        """Drop *oid* from its partition (``KeyError`` when it is absent)."""
         index = self.partition_of(oid)
         self._partitions[index].remove(oid)
         stats = self._statistics[index]
@@ -81,19 +158,15 @@ class PartitionedExtension:
         stats.removes += 1
         return index
 
-    def position_of(self, oid: OID) -> int:
-        """The OID's position within its partition (for positional undo)."""
-        return self._partitions[self.partition_of(oid)].index(oid)
+    def restore(self, oid: OID) -> None:
+        """Put *oid* back, cancelling an earlier :meth:`remove`.
 
-    def restore(self, oid: OID, position: int) -> None:
-        """Reinsert *oid* at *position*, cancelling an earlier :meth:`remove`.
-
-        Used by the commit-scope undo path: restoring at the recorded
-        position keeps creation order (and therefore parallel-scan merge
-        order) identical to the pre-scope state.
+        Used by the commit-scope undo path: the OID returns to its
+        creation-order position, so partition contents (and therefore
+        parallel-scan merge order) are identical to the pre-scope state.
         """
         index = self.partition_of(oid)
-        self._partitions[index].insert(position, oid)
+        self._partitions[index].restore(oid)
         stats = self._statistics[index]
         stats.size += 1
         stats.removes -= 1
@@ -153,11 +226,8 @@ class ExtensionPartitions:
     def remove(self, class_name: str, oid: OID) -> None:
         self.for_class(class_name).remove(oid)
 
-    def position_of(self, class_name: str, oid: OID) -> int:
-        return self.for_class(class_name).position_of(oid)
-
-    def restore(self, class_name: str, oid: OID, position: int) -> None:
-        self.for_class(class_name).restore(oid, position)
+    def restore(self, class_name: str, oid: OID) -> None:
+        self.for_class(class_name).restore(oid)
 
     def record_write(self, class_name: str, oid: OID) -> None:
         self.for_class(class_name).record_write(oid)

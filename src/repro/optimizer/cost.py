@@ -25,6 +25,7 @@ Estimates are drawn from three tiers, best available wins:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -282,6 +283,32 @@ class CostModel:
         cost = sum(c.cost for c in children) + 1000.0
         cardinality = max((c.cardinality for c in children), default=1.0)
         return CostEstimate(cost, cardinality)
+
+    def estimate_subtrees(self, plan: PhysicalOperator
+                          ) -> dict[int, CostEstimate]:
+        """The estimate of every operator of *plan*, keyed by ``id(node)``.
+
+        :meth:`estimate` recomputes a node's children on every call, so
+        asking it node by node is quadratic in the plan's depth; here every
+        operator is estimated exactly once.  The memo lives on a private
+        shallow copy of the model (sharing its caches) whose ``estimate``
+        the recursive calls resolve to, so concurrent estimations on the
+        shared model are unaffected.
+        """
+        memo: dict[int, CostEstimate] = {}
+        model = copy.copy(self)
+        estimate = type(self).estimate
+
+        def memoized(node: PhysicalOperator) -> CostEstimate:
+            known = memo.get(id(node))
+            if known is None:
+                known = memo[id(node)] = estimate(model, node)
+            return known
+
+        model.estimate = memoized  # type: ignore[method-assign]
+        for node in walk_physical(plan):  # root first: children hit the memo
+            memoized(node)
+        return memo
 
     # ------------------------------------------------------------------
     # parallel operators

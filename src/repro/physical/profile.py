@@ -112,6 +112,11 @@ class PlanProfile:
         counters.rows += rows
         counters.seconds += seconds
 
+    def reset(self) -> None:
+        """Forget every counter, so one profiled executable can watch
+        another execution from zero."""
+        self._counters.clear()
+
     def actual_rows(self, plan: PhysicalOperator) -> int:
         """Rows *plan* produced (0 when it never ran)."""
         entry = self._counters.get(id(plan))
@@ -173,11 +178,12 @@ def divergent_operators(plan: PhysicalOperator, profile: PlanProfile,
     zero actual against any estimate is starvation, not misestimation.
     """
     divergences: list[dict] = []
+    estimates = cost_model.estimate_subtrees(plan)
 
     def visit(node: PhysicalOperator) -> None:
         counters = profile.counters_for(node)
         if counters.opens > 0:
-            estimated = cost_model.estimate(node).cardinality
+            estimated = estimates[id(node)].cardinality
             low = max(min(estimated, counters.rows), 1.0)
             high = max(estimated, counters.rows, 1.0)
             ratio = high / low

@@ -82,13 +82,17 @@ class CachedPlan:
     prepare_seconds: float = 0.0
     optimize_seconds: float = 0.0
     executions: int = 0
+    #: the instrumented twin of ``executable`` (which is always the plain
+    #: build), compiled the first time feedback watches this plan and
+    #: reused, with its profile reset, every time it is armed again
+    profiled_executable: Optional[PreparedExecutable] = None
     #: armed profile watching the next execution for estimate/actual
-    #: divergence (None once consumed by the feedback check — the
-    #: executable is then swapped back to an uninstrumented build)
+    #: divergence: ``profiled_executable``'s while armed, None once the
+    #: feedback check consumed it
     feedback_profile: Optional[PlanProfile] = None
-    #: the data version the profile was armed under; data drift past it
-    #: re-arms profiling so post-drift executions are watched again
-    feedback_data_version: int = 0
+    #: the data version the profile was last armed under (None: never);
+    #: data drift past it arms again, so post-drift executions are watched
+    feedback_data_version: Optional[int] = None
 
 
 class PlanCache:

@@ -623,12 +623,12 @@ class QueryService:
         analyze_seconds = time.perf_counter() - started
 
         entry, cache_hit = self._entry_for(statement)
-        self._rearm_feedback(entry)
+        executable = self._watched_executable(entry)
         before = self.database.work_snapshot()
         run_started = time.perf_counter()
         with self._read_scope(at):
             with child_span("execute") as execute_span:
-                rows = entry.executable.run(bindings)
+                rows = executable.run(bindings)
                 if execute_span is not None:
                     execute_span.annotate(rows=len(rows))
         execute_seconds = time.perf_counter() - run_started
@@ -743,8 +743,7 @@ class QueryService:
             physical = optimization.best_plan
         else:
             physical = naive_implementation(translation.plan)
-        profile = self._arm_feedback_profile(statement.optimize)
-        executable = prepare_plan(physical, self.database, profile=profile)
+        executable = prepare_plan(physical, self.database)
         prepare_seconds = time.perf_counter() - started
 
         if replan:
@@ -767,51 +766,49 @@ class QueryService:
             knowledge_version=self._knowledge_version,
             object_count=object_count,
             prepare_seconds=prepare_seconds,
-            optimize_seconds=optimize_seconds,
-            feedback_profile=profile,
-            feedback_data_version=data_version)
+            optimize_seconds=optimize_seconds)
 
     # ------------------------------------------------------------------
     # adaptive feedback re-optimization
     # ------------------------------------------------------------------
-    def _arm_feedback_profile(self, optimize: bool) -> Optional[PlanProfile]:
-        """A fresh profile when the next execution should be watched for
-        estimate/actual divergence, else None (feedback off, naive plan, or
-        no ANALYZE statistics to correct)."""
-        if not self.adaptive_feedback or not optimize:
-            return None
-        catalog = getattr(self.database, "stats_catalog", None)
-        if catalog is None or not catalog.analyzed_classes():
-            return None
-        return PlanProfile()
+    def _watched_executable(self, entry: CachedPlan) -> PreparedExecutable:
+        """The executable the next ``execute()`` of *entry* runs: the plain
+        build, or the profiled twin while feedback watches the plan.
 
-    def _rearm_feedback(self, entry: CachedPlan) -> None:
-        """Re-instrument a cached plan once data drifted past the version
-        its profile was armed under.
-
-        The plan cache tolerates drift below its re-optimize fraction, so a
-        plan can legitimately keep running while the data underneath it
-        changes — re-arming makes the first post-drift execution observable
-        again, which is what lets feedback catch drift-induced
-        misestimation the staleness heuristics let through."""
-        if entry.feedback_profile is not None or not entry.optimize:
-            return
-        if entry.feedback_data_version == self.database.versions.data:
-            return
-        profile = self._arm_feedback_profile(entry.optimize)
-        if profile is None:
-            return
-        entry.feedback_profile = profile
-        entry.feedback_data_version = self.database.versions.data
-        entry.executable = prepare_plan(entry.physical_plan, self.database,
-                                        profile=profile)
+        Feedback watches the first execution of every cost-based plan and
+        the first after each data change: the plan cache tolerates drift
+        below its re-optimize fraction, so a plan can legitimately keep
+        running while the data underneath it changes, and watching the
+        first post-drift execution is what lets feedback catch the
+        misestimation the staleness heuristics let through.  Arming costs a
+        profile reset (plus, once per cached plan, compiling the twin); it
+        needs ANALYZE statistics — without them every estimate is a schema
+        default and corrections would chase noise.  Cursor streams never
+        come through here: they always run the plain build.
+        """
+        if entry.feedback_profile is None:
+            data_version = self.database.versions.data
+            if (entry.feedback_data_version == data_version
+                    or not entry.optimize or not self.adaptive_feedback):
+                return entry.executable
+            catalog = self._stats_catalog()
+            if catalog is None or not catalog.analyzed_classes():
+                return entry.executable
+            profiled = entry.profiled_executable
+            if profiled is None:
+                profiled = entry.profiled_executable = prepare_plan(
+                    entry.physical_plan, self.database, profile=PlanProfile())
+            profiled.profile.reset()
+            entry.feedback_profile = profiled.profile
+            entry.feedback_data_version = data_version
+        return entry.profiled_executable
 
     def _maybe_apply_feedback(self, entry: CachedPlan) -> None:
         """Consume one profiled execution: feed material estimate/actual
         divergences back into the statistics catalog and trigger a replan.
 
-        The armed profile is always consumed (the executable reverts to an
-        uninstrumented build, so steady-state executions pay no counter
+        The armed profile is always consumed (the next execution runs the
+        plain build again, so steady-state executions pay no counter
         overhead); when a divergent operator yields a material correction,
         the stats version bump invalidates every plan optimized against the
         pre-feedback estimates and the next execution replans."""
@@ -820,8 +817,7 @@ class QueryService:
             return
         with child_span("feedback") as span:
             entry.feedback_profile = None
-            entry.executable = prepare_plan(entry.physical_plan, self.database)
-            catalog = getattr(self.database, "stats_catalog", None)
+            catalog = self._stats_catalog()
             if catalog is None:
                 return
             cost_model = self._optimizer.cost_model
@@ -1276,9 +1272,8 @@ class RowStream:
         # registration holds back version-chain pruning until _finish.
         self._snapshot_ts = database.acquire_snapshot(at)
         self._released = False
-        # Capture the executable: adaptive feedback may swap a fresh build
-        # into the cache entry mid-stream, and bindings must be activated
-        # on the same environment the open iterator reads from.
+        # A stream always runs the plain build (feedback only ever watches
+        # one-shot executions): no per-row instrumentation on a cursor.
         self._executable = entry.executable
         self._iterator = self._executable.open()
         self._exhausted = False

@@ -42,7 +42,7 @@ from typing import Any, Optional
 
 from repro.datamodel.oid import OID
 from repro.errors import ServiceError
-from repro.storage.checkpoint import restore_checkpoint, serialize_checkpoint
+from repro.storage.checkpoint import checkpoint_chunks, restore_checkpoint
 from repro.storage.encoding import decode_type, decode_values, encode_values
 from repro.storage.wal import WriteAheadLog
 
@@ -128,6 +128,9 @@ class FileStorageAdapter(StorageAdapter):
         self.wal = WriteAheadLog(os.path.join(path, "wal.log"),
                                  fsync=fsync,
                                  flush_interval_ms=flush_interval_ms)
+        # every barrier reports here, from the committing thread (policy
+        # ``always``, explicit flushes) or the WAL's group-commit flusher
+        self.wal.on_fsync = self._observe_fsync
         self.checkpoint_path = os.path.join(path, "checkpoint.json")
         #: commits between automatic checkpoints (0/None disables)
         self.checkpoint_interval = checkpoint_interval
@@ -140,6 +143,7 @@ class FileStorageAdapter(StorageAdapter):
                           "checkpoints_completed": 0,
                           "recovery_replayed_records": 0,
                           "recovery_discarded_bytes": 0}
+        self._counters_lock = threading.Lock()  # the flusher counts too
         self._registry = None
         self._slow_log = None
         self._tracer = None
@@ -185,7 +189,7 @@ class FileStorageAdapter(StorageAdapter):
         """Flush + fsync pending appends (clean-close durability)."""
         with self._lock:
             if not self._closed:
-                self._observe_fsync(self.wal.flush(fsync=True))
+                self.wal.flush(fsync=True)
 
     def _append(self, payload: dict[str, Any]) -> None:
         with self._lock:
@@ -193,18 +197,15 @@ class FileStorageAdapter(StorageAdapter):
                 raise ServiceError(
                     "storage adapter is closed — cannot append to the WAL")
             started = time.perf_counter()
-            nbytes, fsync_seconds = self.wal.append(payload)
+            nbytes, _ = self.wal.append(payload)
             append_seconds = time.perf_counter() - started
         self._inc("wal_records", 1)
         self._inc("wal_bytes", nbytes)
         histogram = self._instruments.get("append")
         if histogram is not None:
             histogram.observe(append_seconds)
-        self._observe_fsync(fsync_seconds)
 
     def _observe_fsync(self, fsync_seconds: float) -> None:
-        if fsync_seconds <= 0.0:
-            return
         self._inc("wal_fsyncs", 1)
         histogram = self._instruments.get("fsync")
         if histogram is not None:
@@ -237,12 +238,11 @@ class FileStorageAdapter(StorageAdapter):
             with span:
                 ts = database.clock.published
                 with database.snapshot_scope(ts):
-                    state = serialize_checkpoint(database, self._base_classes)
-                    body = json.dumps(state, separators=(",", ":"),
-                                      ensure_ascii=False).encode("utf-8")
                     tmp_path = self.checkpoint_path + ".tmp"
                     with open(tmp_path, "wb") as handle:
-                        handle.write(body)
+                        for chunk in checkpoint_chunks(database,
+                                                       self._base_classes):
+                            handle.write(chunk.encode("utf-8"))
                         handle.flush()
                         os.fsync(handle.fileno())
                     os.replace(tmp_path, self.checkpoint_path)
@@ -428,7 +428,8 @@ class FileStorageAdapter(StorageAdapter):
     def _inc(self, name: str, amount: int) -> None:
         if not amount:
             return
-        self._counters[name] += amount
+        with self._counters_lock:
+            self._counters[name] += amount
         counter = self._instruments.get(name)
         if counter is not None:
             counter.inc(amount)

@@ -20,15 +20,30 @@ schema module alone, as of one pinned commit timestamp:
 The writer holds the service's write gate, so the live structures *are*
 the state at ``clock.published`` — MVCC readers keep running against
 their own snapshots throughout.
+
+On disk a checkpoint is one compact JSON object (format 1)::
+
+    {"format": 1, "commit_ts": ..., "name": ..., "classes": [...],
+     "objects": {class: [[serial, values], ...]}, "allocators": {...},
+     "indexes": [...], "analyzed": [...]}
+
+It is produced as a stream of text pieces (:func:`checkpoint_chunks`), a
+bounded number of rows at a time, so writing it never holds the whole
+state — as a dict, a string or its bytes — in memory next to the
+database.  The file parses with a plain ``json.loads``.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import functools
+import itertools
+import json
+from typing import Any, Iterator
 
 from repro.datamodel.objects import DatabaseObject
 from repro.datamodel.oid import OID
-from repro.datamodel.schema import PropertyDef
+from repro.datamodel.schema import PropertyDef, Schema
+from repro.datamodel.types import BOOL, INT, REAL, STRING
 from repro.errors import ServiceError
 from repro.storage.encoding import (
     decode_type,
@@ -37,13 +52,34 @@ from repro.storage.encoding import (
     encode_values,
 )
 
-__all__ = ["CHECKPOINT_FORMAT", "serialize_checkpoint", "restore_checkpoint"]
+__all__ = ["CHECKPOINT_FORMAT", "checkpoint_chunks", "restore_checkpoint"]
 
 CHECKPOINT_FORMAT = 1
+#: objects serialized per piece of the stream
+ROWS_PER_CHUNK = 1024
+
+_dumps = functools.partial(json.dumps, separators=(",", ":"),
+                           ensure_ascii=False)
+_SCALAR_TYPES = frozenset({STRING, INT, REAL, BOOL})
 
 
-def serialize_checkpoint(database, base_classes: set[str]) -> dict[str, Any]:
-    """Snapshot *database* at ``clock.published`` (write gate held)."""
+def _holds_scalars_only(schema: Schema, class_name: str) -> bool:
+    """True when every property of *class_name*, inherited ones included,
+    is declared with a primitive type.  Every write validated its values
+    against those types, so a row of such a class is its own encoding."""
+    current: Any = class_name
+    while current is not None:
+        class_def = schema.get_class(current)
+        if any(prop.vml_type not in _SCALAR_TYPES
+               for prop in class_def.properties.values()):
+            return False
+        current = class_def.superclass
+    return True
+
+
+def checkpoint_chunks(database, base_classes: set[str]) -> Iterator[str]:
+    """Snapshot *database* at ``clock.published`` (write gate held) as the
+    pieces of one JSON text — see the module docstring for the layout."""
     schema = database.schema
     classes: list[list[Any]] = []
     for name, class_def in schema.classes.items():
@@ -52,28 +88,43 @@ def serialize_checkpoint(database, base_classes: set[str]) -> dict[str, Any]:
         props = [[prop.name, encode_type(prop.vml_type), prop.target_class]
                  for prop in class_def.properties.values()]
         classes.append([name, class_def.superclass, props])
-    objects: dict[str, list[list[Any]]] = {}
-    for class_name in schema.classes:
-        extension = database._extensions.get(class_name)
-        if not extension:
-            continue
-        rows = [[oid.serial, encode_values(database._objects[oid].values)]
-                for oid in extension]
-        objects[class_name] = rows
-    indexes = [[index.class_name, index.property_name, index.kind]
-               for index in database.indexes.all()]
-    indexes.extend([class_name, prop, "text"]
-                   for (class_name, prop), _ in database.text_indexes())
-    return {
+    head = {
         "format": CHECKPOINT_FORMAT,
         "commit_ts": database.clock.published,
         "name": database.name,
         "classes": classes,
-        "objects": objects,
+    }
+    yield _dumps(head)[:-1] + ',"objects":{'
+    objects = database._objects
+    class_separator = ""
+    for class_name in schema.classes:
+        extension = database._extensions.get(class_name)
+        if not extension:
+            continue
+        yield f"{class_separator}{_dumps(class_name)}:["
+        class_separator = ","
+        row_separator = ""
+        as_is = _holds_scalars_only(schema, class_name)
+        oids = iter(extension)
+        while chunk := list(itertools.islice(oids, ROWS_PER_CHUNK)):
+            if as_is:
+                rows = [[oid.serial, objects[oid].values] for oid in chunk]
+            else:
+                rows = [[oid.serial, encode_values(objects[oid].values)]
+                        for oid in chunk]
+            yield row_separator + _dumps(rows)[1:-1]
+            row_separator = ","
+        yield "]"
+    indexes = [[index.class_name, index.property_name, index.kind]
+               for index in database.indexes.all()]
+    indexes.extend([class_name, prop, "text"]
+                   for (class_name, prop), _ in database.text_indexes())
+    tail = {
         "allocators": database.oid_counters(),
         "indexes": indexes,
         "analyzed": list(database.stats_catalog.analyzed_classes()),
     }
+    yield "}," + _dumps(tail)[1:]
 
 
 def restore_checkpoint(database, state: dict[str, Any]) -> None:

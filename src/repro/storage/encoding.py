@@ -37,8 +37,11 @@ from repro.datamodel.types import (
 )
 from repro.errors import ServiceError
 
-__all__ = ["encode_value", "decode_value", "encode_type", "decode_type"]
+__all__ = ["encode_value", "decode_value", "encode_values", "decode_values",
+           "encode_type", "decode_type"]
 
+#: exact types that are their own encoding (in both directions)
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 _PRIMITIVES = {"STRING": STRING, "INT": INT, "REAL": REAL, "BOOL": BOOL,
                "ANY": ANY}
 
@@ -89,12 +92,21 @@ def decode_value(payload: Any) -> Any:
 
 
 def encode_values(values: dict[str, Any]) -> dict[str, Any]:
-    """Encode a property-value mapping (property names are plain strings)."""
+    """Encode a property-value mapping (property names are plain strings).
+
+    A mapping of scalars only — the common row — is its own encoding and is
+    returned as is, not copied: callers serialize the result and drop it.
+    """
+    if _SCALARS.issuperset(map(type, values.values())):
+        return values
     return {prop: encode_value(value) for prop, value in values.items()}
 
 
 def decode_values(payload: dict[str, Any]) -> dict[str, Any]:
-    """Invert :func:`encode_values`."""
+    """Invert :func:`encode_values` (a scalar-only *payload* is returned as
+    is: callers hand the parsed record over and keep no other reference)."""
+    if _SCALARS.issuperset(map(type, payload.values())):
+        return payload
     return {prop: decode_value(value) for prop, value in payload.items()}
 
 

@@ -12,9 +12,12 @@ Fsync policy decides when an append becomes durable:
 
 * ``always`` — fsync after every record (one fsync per commit scope);
 * ``interval`` — group commit: data is written and flushed to the OS on
-  every append, but fsync runs only when ``flush_interval_ms`` has passed
-  since the last one, amortizing the disk barrier over a burst of
-  commits;
+  every append (a crash of the process loses nothing acknowledged), and a
+  background flusher thread fsyncs once per ``flush_interval_ms`` window
+  while unsynced appends exist, amortizing the disk barrier over a burst
+  of commits and bounding what a crash of the machine can lose to one
+  window of wall time — also when the burst is followed by idleness.  The
+  thread starts with the first append and ends with :meth:`close`;
 * ``never`` — leave durability to the OS page cache (fastest; a crash
   may lose the tail even of acknowledged commits).
 
@@ -33,7 +36,7 @@ import struct
 import threading
 import time
 import zlib
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.errors import ServiceError
 
@@ -90,7 +93,15 @@ class WriteAheadLog:
         self.flush_interval = max(flush_interval_ms, 0.0) / 1000.0
         self._lock = threading.RLock()
         self._file: Optional[io.BufferedWriter] = None
-        self._last_fsync = time.monotonic()
+        # group commit (``interval``): appends mark the log dirty and wake
+        # the flusher, which owns the fsync
+        self._wake = threading.Condition(self._lock)
+        self._dirty = False
+        self._flusher: Optional[threading.Thread] = None
+        self._flusher_error: Optional[OSError] = None
+        #: called with the seconds each fsync barrier took, on whichever
+        #: thread ran it (the adapter's telemetry hook)
+        self.on_fsync: Optional[Callable[[float], None]] = None
         #: counters the adapter folds into its telemetry
         self.records_appended = 0
         self.bytes_appended = 0
@@ -103,11 +114,16 @@ class WriteAheadLog:
         """Append one record; returns ``(bytes_written, fsync_seconds)``.
 
         The record is written and flushed to the OS unconditionally;
-        whether an fsync follows is the policy's call.  ``fsync_seconds``
-        is 0.0 when no barrier ran.
+        whether an fsync follows inline (``always``), in the background
+        within one window (``interval``) or not at all is the policy's
+        call.  ``fsync_seconds`` is 0.0 when no barrier ran inline.
         """
         frame = encode_record(payload)
         with self._lock:
+            if self._flusher_error is not None:
+                raise ServiceError(
+                    f"write-ahead log {self.path!r}: background fsync "
+                    f"failed: {self._flusher_error}") from self._flusher_error
             handle = self._handle()
             handle.write(frame)
             handle.flush()
@@ -116,10 +132,14 @@ class WriteAheadLog:
             fsync_seconds = 0.0
             if self.fsync_policy == "always":
                 fsync_seconds = self._fsync(handle)
-            elif self.fsync_policy == "interval":
-                now = time.monotonic()
-                if now - self._last_fsync >= self.flush_interval:
-                    fsync_seconds = self._fsync(handle)
+            elif self.fsync_policy == "interval" and not self._dirty:
+                self._dirty = True
+                if self._flusher is None:
+                    self._flusher = threading.Thread(
+                        target=self._flush_loop, name="repro-wal-flusher",
+                        daemon=True)
+                    self._flusher.start()
+                self._wake.notify()
         return len(frame), fsync_seconds
 
     def flush(self, fsync: bool = True) -> float:
@@ -131,11 +151,64 @@ class WriteAheadLog:
             return self._fsync(self._file) if fsync else 0.0
 
     def _fsync(self, handle) -> float:
+        """Barrier on the committing thread (lock held)."""
+        self._dirty = False
         started = time.perf_counter()
         os.fsync(handle.fileno())
-        self.fsyncs += 1
-        self._last_fsync = time.monotonic()
-        return time.perf_counter() - started
+        return self._count_fsync(time.perf_counter() - started)
+
+    def _count_fsync(self, seconds: float) -> float:
+        with self._lock:
+            self.fsyncs += 1
+        if self.on_fsync is not None:
+            self.on_fsync(seconds)
+        return seconds
+
+    def _flush_loop(self) -> None:
+        """The group-commit flusher: one fsync per window while dirty.
+
+        The barrier runs on a duplicate of the log's descriptor with the
+        lock released (``os.fsync`` also releases the GIL), so appends
+        never wait for the disk and :meth:`truncate` / :meth:`close` may
+        close the log's own handle at any moment.  An ``OSError`` ends the
+        thread and is raised by the next :meth:`append`: a log that cannot
+        be made durable must not keep acknowledging commits.
+        """
+        me = threading.current_thread()
+        try:
+            while self._flusher is me:
+                descriptor = self._await_window(me)
+                if descriptor is None:
+                    continue
+                try:
+                    started = time.perf_counter()
+                    os.fsync(descriptor)
+                    seconds = time.perf_counter() - started
+                finally:
+                    os.close(descriptor)
+                self._count_fsync(seconds)
+        except OSError as exc:
+            with self._lock:
+                self._flusher_error = exc
+                if self._flusher is me:
+                    self._flusher = None
+
+    def _await_window(self, me: threading.Thread) -> Optional[int]:
+        """Sleep until the log is dirty and one window has passed; returns a
+        duplicate descriptor to fsync, or None when there is nothing to do
+        (this thread was retired by :meth:`close`, or an inline barrier or
+        a truncate got there first)."""
+        with self._lock:
+            while self._flusher is me and not self._dirty:
+                self._wake.wait()
+            if self._flusher is me:
+                # the window: commits landing meanwhile share the barrier
+                self._wake.wait(self.flush_interval)
+            if self._flusher is not me or not self._dirty \
+                    or self._file is None:
+                return None
+            self._dirty = False
+            return os.dup(self._file.fileno())
 
     def _handle(self) -> io.BufferedWriter:
         if self._file is None:
@@ -173,6 +246,7 @@ class WriteAheadLog:
                 handle.truncate(length)
                 handle.flush()
                 os.fsync(handle.fileno())
+            self._dirty = False
 
     def size(self) -> int:
         """Current on-disk length in bytes (buffered data flushed first)."""
@@ -184,11 +258,16 @@ class WriteAheadLog:
                 return 0
 
     def close(self) -> None:
-        """Flush, fsync and release the file handle (idempotent)."""
+        """Flush, fsync, release the file handle and end the flusher
+        thread (idempotent; a later append starts over)."""
         with self._lock:
             if self._file is not None:
                 self.flush(fsync=True)
             self._close_handle()
+            flusher, self._flusher = self._flusher, None
+            self._wake.notify_all()
+        if flusher is not None:
+            flusher.join()
 
     def _close_handle(self) -> None:
         if self._file is not None:

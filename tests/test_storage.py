@@ -4,7 +4,9 @@ Covers the record format (length-prefix + CRC, torn-tail detection), the
 value/type codec, end-to-end durability through the statement API (DML,
 executemany batches, transactions, DDL, ANALYZE), explicit and automatic
 checkpoints, the crash window between checkpoint rename and WAL truncate,
-fsync policies, clean-close flush semantics, watermark-driven version
+fsync policies and the group-commit flusher thread (idle-tail durability,
+its lifetime, races with checkpoint/close), the streamed checkpoint's
+format compatibility, clean-close flush semantics, watermark-driven version
 pruning under pin pressure, and the storage telemetry surfaced through
 ``Connection.metrics()``.
 """
@@ -14,6 +16,9 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import sys
+import threading
+import time
 
 import pytest
 
@@ -30,11 +35,14 @@ from repro.storage import (
     encode_record,
     read_records,
 )
+from repro.storage import checkpoint as checkpoint_module
 from repro.storage.encoding import (
     decode_type,
     decode_value,
+    decode_values,
     encode_type,
     encode_value,
+    encode_values,
 )
 
 QUERY = "ACCESS [n: i.name, v: i.value] FROM i IN Item"
@@ -137,6 +145,160 @@ def test_fsync_policy_always_vs_never(tmp_path):
 # ----------------------------------------------------------------------
 # value / type codec
 # ----------------------------------------------------------------------
+def _flusher_threads() -> set[threading.Thread]:
+    return {thread for thread in threading.enumerate()
+            if thread.name == "repro-wal-flusher"}
+
+
+def test_interval_policy_fsyncs_an_idle_tail(tmp_path):
+    """Group commit must not wait for the *next* append: the last commits
+    before an idle period become durable within a few windows."""
+    window = 0.02
+    wal = WriteAheadLog(str(tmp_path / "wal.log"), fsync="interval",
+                        flush_interval_ms=window * 1000)
+    try:
+        assert wal.append({"ts": 1})[1] == 0.0  # no barrier on this thread
+        deadline = time.monotonic() + 200 * window  # slack for a slow disk
+        while wal.fsyncs == 0 and time.monotonic() < deadline:
+            time.sleep(window)
+        assert wal.fsyncs == 1
+        time.sleep(3 * window)
+        assert wal.fsyncs == 1  # clean again: an idle log costs no barriers
+        wal.append({"ts": 2})
+        deadline = time.monotonic() + 200 * window
+        while wal.fsyncs == 1 and time.monotonic() < deadline:
+            time.sleep(window)
+        assert wal.fsyncs == 2
+    finally:
+        wal.close()
+    assert [r["ts"] for r in wal.read_all()[0]] == [1, 2]
+
+
+def test_flusher_thread_lifetime(tmp_path):
+    """No commit, no thread; every close ends the thread it started."""
+    # other tests' databases may still be open (and flushing) in this process
+    others = _flusher_threads()
+    threads_before = threading.active_count()
+    writer = durable(tmp_path / "store", wal_fsync="interval")
+    writer.execute("CREATE CLASS Item (name: STRING, value: INT)")
+    assert len(_flusher_threads() - others) == 1  # the DDL record's
+    writer.close()
+    writer.database.close()
+    assert _flusher_threads() == others
+    reader = durable(tmp_path / "store", wal_fsync="interval")
+    assert rows(reader) == []
+    assert _flusher_threads() == others  # recovery and reads append nothing
+    reader.close()
+    reader.database.close()
+
+    for i in range(200):
+        wal = WriteAheadLog(str(tmp_path / f"wal-{i % 4}.log"),
+                            fsync="interval", flush_interval_ms=0.5)
+        wal.append({"ts": i})
+        assert len(_flusher_threads() - others) == 1
+        wal.close()
+        wal.close()  # idempotent
+    assert _flusher_threads() == others
+    assert threading.active_count() == threads_before
+
+
+def test_flusher_feeds_adapter_telemetry(tmp_path):
+    connection = durable(tmp_path, wal_fsync="interval", slow_query_ms=0.0)
+    seed_items(connection, 5)
+    storage = connection.database.storage
+    deadline = time.monotonic() + 5.0
+    while (storage.counters()["wal_fsyncs"] == 0
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    assert storage.counters()["wal_fsyncs"] >= 1
+    exported = connection.metrics()
+    assert exported["counters"]["repro_wal_fsyncs"] >= 1
+    assert exported["histograms"]["repro_wal_fsync_seconds"]["count"] >= 1
+    connection.close()
+    connection.database.close()
+
+
+def test_failed_background_fsync_surfaces_on_the_next_append(tmp_path, monkeypatch):
+    """A log that cannot be made durable must stop acknowledging commits."""
+    wal = WriteAheadLog(str(tmp_path / "wal.log"), fsync="interval",
+                        flush_interval_ms=0.5)
+    real_fsync = os.fsync
+
+    def failing_fsync(descriptor):
+        if threading.current_thread().name == "repro-wal-flusher":
+            raise OSError(5, "Input/output error")
+        real_fsync(descriptor)
+
+    monkeypatch.setattr("repro.storage.wal.os.fsync", failing_fsync)
+    wal.append({"ts": 1})
+    flusher = wal._flusher
+    flusher.join(timeout=10)
+    assert not flusher.is_alive()
+    with pytest.raises(ServiceError, match="background fsync failed"):
+        wal.append({"ts": 2})
+    assert wal.fsyncs == 0
+    wal.close()
+
+
+def test_flusher_races_checkpoint_and_close(tmp_path):
+    """200 rounds of commits racing checkpoints (which truncate the log and
+    close its handle under the flusher) and WAL closes (which end and
+    restart it): nothing raises, every acknowledged row is recovered."""
+    others = _flusher_threads()
+    errors: list[BaseException] = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for round_number in range(200):
+            path = str(tmp_path / f"store-{round_number % 8}")
+            shutil.rmtree(path, ignore_errors=True)
+            database = static_database()
+            adapter = FileStorageAdapter(path, fsync="interval",
+                                         flush_interval_ms=0.05,
+                                         checkpoint_interval=0)
+            database.attach_storage(adapter)
+            gate = threading.Lock()  # the service's write gate, in small
+            acknowledged: list[int] = []
+
+            def writer(worker: int) -> None:
+                try:
+                    for step in range(4):
+                        value = worker * 10 + step
+                        with gate:
+                            database.create("Item", name="row", value=value)
+                            acknowledged.append(value)
+                except BaseException as exc:  # asserted on below
+                    errors.append(exc)
+
+            writers = [threading.Thread(target=writer, args=(worker,))
+                       for worker in range(3)]  # more workers than cores
+            for thread in writers:
+                thread.start()
+            for step in range(3):
+                with gate:
+                    if (round_number + step) % 3 == 0:
+                        adapter.wal.close()  # next append restarts it
+                    else:
+                        adapter.checkpoint()
+            for thread in writers:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert errors == []
+            database.close()
+
+            recovered = static_database()
+            recovered.attach_storage(FileStorageAdapter(
+                path, fsync="never", checkpoint_interval=0))
+            values = sorted(recovered.get(oid).get("value")
+                            for oid in recovered.extension("Item"))
+            assert values == sorted(acknowledged)
+            assert len(values) == 12
+            recovered.close()
+    finally:
+        sys.setswitchinterval(interval)
+    assert _flusher_threads() == others
+
+
 def test_value_codec_round_trip():
     values = {
         "scalar": 42,
@@ -161,6 +323,22 @@ def test_value_codec_rejects_unknown_types():
         encode_value(object())
     with pytest.raises(ServiceError):
         decode_value({"$nope": 1})
+
+
+def test_values_codec_scalar_rows_skip_the_per_value_pass():
+    scalars = {"a": 1, "b": "two", "c": 3.5, "d": True, "e": None}
+    assert encode_values(scalars) is scalars
+    assert decode_values(scalars) is scalars
+    rich = {"a": 1, "ref": OID("C", 7), "tags": {OID("C", 1)}, "pair": (1, 2)}
+    encoded = encode_values(rich)
+    assert encoded is not rich
+    assert json.loads(json.dumps(encoded)) == encoded
+    assert decode_values(json.loads(json.dumps(encoded))) == rich
+
+    class Loud(str):
+        """A subclass is not assumed to be its own encoding."""
+
+    assert encode_values({"s": Loud("x")}) == {"s": "x"}
 
 
 def test_type_codec_round_trip():
@@ -454,6 +632,146 @@ def test_corrupt_checkpoint_is_refused(tmp_path):
 
     with pytest.raises(ServiceError, match="corrupt checkpoint"):
         durable(tmp_path)
+
+
+def _format_1_state(database, base_classes=()) -> dict:
+    """The checkpoint as the pre-streaming writer built it: one state dict,
+    serialized with one ``json.dumps`` — the reference for the format."""
+    classes = [[name, class_def.superclass,
+                [[prop.name, encode_type(prop.vml_type), prop.target_class]
+                 for prop in class_def.properties.values()]]
+               for name, class_def in database.schema.classes.items()
+               if name not in base_classes]
+    objects = {}
+    for class_name in database.schema.classes:
+        extension = database.extension(class_name, deep=False)
+        if extension:
+            objects[class_name] = [
+                [oid.serial, {prop: encode_value(value) for prop, value
+                              in database.get(oid).values.items()}]
+                for oid in extension]
+    indexes = [[index.class_name, index.property_name, index.kind]
+               for index in database.indexes.all()]
+    indexes.extend([class_name, prop, "text"]
+                   for (class_name, prop), _ in database.text_indexes())
+    return {"format": 1, "commit_ts": database.clock.published,
+            "name": database.name, "classes": classes, "objects": objects,
+            "allocators": database.oid_counters(), "indexes": indexes,
+            "analyzed": list(database.stats_catalog.analyzed_classes())}
+
+
+def _rich_store(tmp_path, rows_per_class: int = 40):
+    """Refs, sets, tuples, a dynamic subclass, all three index kinds."""
+    connection = durable(tmp_path, checkpoint_interval=0)
+    connection.execute("CREATE CLASS Doc (title: STRING, rank: INT)")
+    connection.execute("CREATE CLASS Memo ISA Doc (body: STRING, "
+                       "about: Doc, refs: {Memo}, extra: ANY)")
+    connection.executemany(
+        "INSERT INTO Doc (title, rank) VALUES (:t, :r)",
+        [{"t": f"doc \u00e9 {i}", "r": i} for i in range(rows_per_class)])
+    connection.executemany(
+        "INSERT INTO Memo (title, rank, body) VALUES (:t, :r, :b)",
+        [{"t": f"memo {i}", "r": i, "b": f"body \"{i}\" words"}
+         for i in range(rows_per_class)])
+    database = connection.database
+    docs = database.extension("Doc", deep=False)
+    memos = database.extension("Memo", deep=False)
+    for i, memo in enumerate(memos[:10]):
+        database.update(memo, about=docs[i], refs={memos[i - 1], memos[i - 2]},
+                        extra=(i, "pair", (1.5, None)))
+    database.delete(docs[-1])
+    for ddl in ("CREATE HASH INDEX ON Doc(title)",
+                "CREATE SORTED INDEX ON Doc(rank)",
+                "CREATE TEXT INDEX ON Memo(body)", "ANALYZE"):
+        connection.execute(ddl)
+    return connection
+
+
+def _logical_state(database) -> dict:
+    state = _format_1_state(database)
+    state.pop("commit_ts")
+    return state
+
+
+def test_streamed_checkpoint_is_byte_identical_to_format_1(tmp_path, monkeypatch):
+    monkeypatch.setattr(checkpoint_module, "ROWS_PER_CHUNK", 7)
+    connection = _rich_store(tmp_path)
+    expected = json.dumps(_format_1_state(connection.database),
+                          separators=(",", ":"), ensure_ascii=False)
+    connection.checkpoint()
+    written = (tmp_path / "checkpoint.json").read_bytes()
+    assert written == expected.encode("utf-8")
+    assert json.loads(written)["format"] == 1  # one plain JSON document
+    before = _logical_state(connection.database)
+    connection.close()
+    connection.database.close()
+
+    reopened = durable(tmp_path)
+    assert reopened.database.storage.counters()[
+        "recovery_replayed_records"] == 0  # all from the checkpoint
+    assert _logical_state(reopened.database) == before
+    memo = sorted(reopened.database.extension("Memo", deep=False))[3]
+    assert reopened.database.value(memo, "extra") == (3, "pair", (1.5, None))
+    assert len(reopened.database.value(memo, "refs")) == 2
+    reopened.close()
+
+
+def test_checkpoint_written_by_the_old_writer_restores_identically(tmp_path):
+    """Forward compatibility: a ``checkpoint.json`` produced by one
+    ``json.dumps`` of the whole state loads exactly like a streamed one."""
+    connection = _rich_store(tmp_path / "old")
+    database = connection.database
+    before = _logical_state(database)
+    old_bytes = json.dumps(_format_1_state(database), separators=(",", ":"),
+                           ensure_ascii=False).encode("utf-8")
+    connection.close()
+    database.close()
+    os.makedirs(tmp_path / "new")
+    (tmp_path / "new" / "checkpoint.json").write_bytes(old_bytes)
+
+    reopened = durable(tmp_path / "new")
+    assert _logical_state(reopened.database) == before
+    reopened.close()
+
+
+def test_writer_killed_mid_stream_leaves_the_old_checkpoint(tmp_path, monkeypatch):
+    connection = durable(tmp_path, checkpoint_interval=0)
+    seed_items(connection, 30)
+    connection.checkpoint()
+    connection.execute("INSERT INTO Item (name, value) VALUES ('late', 99)")
+    expected = rows(connection)
+    old_checkpoint = (tmp_path / "checkpoint.json").read_bytes()
+    wal_size = os.path.getsize(tmp_path / "wal.log")
+    assert wal_size > 0
+
+    chunks = checkpoint_module.checkpoint_chunks
+
+    def dying(database, base_classes):
+        for count, chunk in enumerate(chunks(database, base_classes)):
+            if count == 2:
+                raise KeyboardInterrupt  # the process dies here
+            yield chunk
+
+    monkeypatch.setattr("repro.storage.adapter.checkpoint_chunks", dying)
+    monkeypatch.setattr(checkpoint_module, "ROWS_PER_CHUNK", 4)
+    with pytest.raises(KeyboardInterrupt):
+        connection.checkpoint()
+    monkeypatch.undo()
+    # what a kill leaves behind: a truncated temp file, nothing else moved
+    assert os.path.getsize(tmp_path / "checkpoint.json.tmp") > 0
+    with pytest.raises(ValueError):
+        json.loads((tmp_path / "checkpoint.json.tmp").read_bytes())
+    assert (tmp_path / "checkpoint.json").read_bytes() == old_checkpoint
+    assert os.path.getsize(tmp_path / "wal.log") == wal_size
+    connection.close()
+    connection.database.close()
+
+    reopened = durable(tmp_path)
+    assert rows(reopened) == expected
+    reopened.checkpoint()  # the next checkpoint overwrites the debris
+    assert json.loads((tmp_path / "checkpoint.json").read_bytes())[
+        "objects"]["Item"][-1][1] == {"name": "late", "value": 99}
+    reopened.close()
 
 
 # ----------------------------------------------------------------------

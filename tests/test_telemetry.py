@@ -112,10 +112,13 @@ def test_span_tree_feedback_replan():
     assert feedback.attributes["applied"] is True
     assert feedback.attributes["divergences"] >= 1
     replanned = spans[-1]
-    # the replanned statement is a full cache miss; its fresh build arms
-    # profiling again, so a no-op feedback check (and the executable swap's
-    # compile) trails the lifecycle
-    assert replanned.names()[:len(MISS_GOLDEN)] == MISS_GOLDEN
+    # the replanned statement is a full cache miss; feedback watches the
+    # fresh plan's first execution, so the profiled twin's compile joins the
+    # plain build's and a no-op feedback check trails the lifecycle
+    assert replanned.names() == [*MISS_GOLDEN[:-1], "compile", "execute",
+                                 "feedback"]
+    assert [span.attributes["profiled"] for span in replanned.children
+            if span.name == "compile"] == [False, True]
     assert replanned.find("optimize").attributes["replan"] is True
     assert service.metrics.plans_reoptimized >= 1
 
