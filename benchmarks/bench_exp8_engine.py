@@ -1,17 +1,20 @@
-"""EXP-8 — Compiled pipelined engine vs the seed interpreter.
+"""EXP-8 — Compiled pipelined engine vs the reference interpreter.
 
-The seed executor interpreted physical plans: every operator materialized
-its input into a list and ``evaluate()`` re-walked the expression tree per
-row.  The production engine (:mod:`repro.physical.executor`) compiles every
-expression once per plan and streams rows through generator operators.
-This experiment executes *identical physical plans* under both engines on
-the exp1/exp2/exp5 workloads and reports the wall-clock speedup; the
-logical work counters are engine-independent, so any difference is pure
-engine overhead.
+The reference interpreter materializes every operator's input into a list
+and ``evaluate()`` re-walks the expression tree per row.  The one compiled
+engine (:mod:`repro.physical.executor`) compiles a plan once into a tree of
+generator factories over pre-compiled expression closures —
+``execute_plan`` is ``prepare_plan(...).run()`` — and streams rows through
+them.  This experiment executes *identical physical plans* under both on
+the exp1/exp2/exp5 workloads.
 
-Expected shape: ≥2× on the scan-and-filter heavy exp2 naive plan (per-row
-expression overhead dominates), smaller but consistent wins on plans whose
-time is spent inside method implementations (exp5's nested-loop join).
+What is **gated** (``--check``, and the pytest twins) is what repeats on any
+host: identical row lists and identical ``work_snapshot()`` deltas on every
+case — the interpreter is the oracle.  The wall-clock speed-up is *reported*
+(typically ≥2× on the scan-and-filter heavy exp2 naive plan, smaller on
+plans whose time is spent inside method implementations) but not asserted:
+a ratio of two timings flakes with host speed, and timing comparisons
+belong to ``perf/compare.py``.
 
 Run standalone (emits a JSON perf record):
 
@@ -34,10 +37,6 @@ from repro.physical.interpreter import execute_plan_interpreted
 from repro.physical.naive import naive_implementation
 from repro.workloads import motivating_query, same_document_join_query
 
-#: the exp2 acceptance threshold: compiled must be at least this much faster
-#: than the seed interpreter on the exp2 naive workload
-EXP2_MIN_SPEEDUP = 2.0
-
 
 def _physical_plan(session, query_text: str, optimize: bool):
     translation = session.translate(query_text)
@@ -46,16 +45,25 @@ def _physical_plan(session, query_text: str, optimize: bool):
     return naive_implementation(translation.plan)
 
 
+def _counted(engine, plan, database) -> tuple[list, dict]:
+    """Run *plan* under *engine*: its rows and its work-counter delta
+    (rounded: the cost-unit counters are running float sums)."""
+    before = database.work_snapshot()
+    rows = engine(plan, database)
+    after = database.work_snapshot()
+    return rows, {key: round(after[key] - before.get(key, 0.0), 6)
+                  for key in after}
+
+
 def _measure_case(name: str, n_documents: int, query_text: str,
                   optimize: bool, rounds: int) -> dict:
     session = semantic_session(n_documents)
     database = session.database
     plan = _physical_plan(session, query_text, optimize)
 
-    interpreted_rows = execute_plan_interpreted(plan, database)
-    compiled_rows = execute_plan(plan, database)
-    assert compiled_rows == interpreted_rows, \
-        f"{name}: engines disagree on the result rows"
+    interpreted_rows, interpreted_work = _counted(execute_plan_interpreted,
+                                                  plan, database)
+    compiled_rows, compiled_work = _counted(execute_plan, plan, database)
 
     interpreted = _best_of(lambda: execute_plan_interpreted(plan, database),
                            rounds)
@@ -65,6 +73,8 @@ def _measure_case(name: str, n_documents: int, query_text: str,
         "n_documents": n_documents,
         "optimized_plan": optimize,
         "rows": len(compiled_rows),
+        "rows_identical": compiled_rows == interpreted_rows,
+        "work_identical": compiled_work == interpreted_work,
         "interpreted_ms": round(interpreted * 1000, 3),
         "compiled_ms": round(compiled * 1000, 3),
         "speedup": round(interpreted / compiled, 2) if compiled > 0 else float("inf"),
@@ -97,46 +107,47 @@ def run_cases(quick: bool = False) -> list[dict]:
 def summarize(cases: list[dict]) -> dict:
     exp2 = next(case for case in cases if case["case"] == "exp2-speedup-naive")
     return {
-        "exp2_speedup": exp2["speedup"],
-        "exp2_speedup_target": EXP2_MIN_SPEEDUP,
+        "exp2_speedup": exp2["speedup"],  # reported, not gated
+        "diverging_cases": [case["case"] for case in cases
+                            if not (case["rows_identical"]
+                                    and case["work_identical"])],
     }
 
 
 def check(record: dict) -> str | None:
-    if record["exp2_speedup"] < EXP2_MIN_SPEEDUP:
-        return (f"exp2 speedup {record['exp2_speedup']}x is below the "
-                f"{EXP2_MIN_SPEEDUP}x target")
+    if record["diverging_cases"]:
+        return ("compiled engine and interpreter disagree on rows or work "
+                f"counters in: {', '.join(record['diverging_cases'])}")
     return None
 
 
 # ----------------------------------------------------------------------
 # pytest entry points
 # ----------------------------------------------------------------------
-def test_exp8_compiled_engine_at_least_2x_on_exp2(benchmark):
-    """Acceptance: ≥2× wall-clock on the exp2 speedup workload."""
+def test_exp8_engines_agree_on_the_exp2_plan(benchmark):
+    """Acceptance: identical rows and work counters on the exp2 speedup
+    workload; the speed-up is printed for the record."""
     session = semantic_session(SCALING_SIZES[-1])
     database = session.database
     plan = _physical_plan(session, motivating_query().text, optimize=False)
 
-    assert execute_plan(plan, database) == execute_plan_interpreted(plan, database)
+    assert (_counted(execute_plan, plan, database)
+            == _counted(execute_plan_interpreted, plan, database))
     interpreted = _best_of(lambda: execute_plan_interpreted(plan, database), 7)
-    compiled = benchmark.pedantic(lambda: execute_plan(plan, database),
-                                  rounds=7, iterations=1)
-    compiled_best = _best_of(lambda: execute_plan(plan, database), 7)
-    del compiled  # pedantic returns the last call's result, timing is separate
-
-    speedup = interpreted / compiled_best
+    benchmark.pedantic(lambda: execute_plan(plan, database),
+                       rounds=7, iterations=1)
+    compiled = _best_of(lambda: execute_plan(plan, database), 7)
     print(f"\nEXP-8 exp2 naive plan: interpreted={interpreted * 1000:.2f}ms "
-          f"compiled={compiled_best * 1000:.2f}ms speedup={speedup:.2f}x")
-    assert speedup >= EXP2_MIN_SPEEDUP
+          f"compiled={compiled * 1000:.2f}ms "
+          f"speedup={interpreted / compiled:.2f}x")
 
 
 def test_exp8_engines_agree_on_all_workload_cases(benchmark):
-    cases = run_cases(quick=True)  # row equality is asserted per case
+    cases = run_cases(quick=True)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     print("\nEXP-8 engine comparison (quick):")
     print(format_table(cases))
-    assert all(case["speedup"] > 0 for case in cases)
+    assert check(summarize(cases)) is None
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ motivating query) is executed many times with rotating bind values:
 
 * **full-pipeline** — one :class:`~repro.session.Session`, each request pays
   parse → analyze → translate → optimize → compile → execute (the optimizer
-  itself is generated once; regenerating it per request was the old
-  ``run_query`` behaviour and would be an unfair baseline);
+  itself is generated once; regenerating it per request would be an unfair
+  baseline);
 * **prepared** — one :class:`~repro.service.QueryService`, each request
   resolves the statement from the text cache, the optimized + compiled plan
   from the plan cache, binds the parameters and runs the compiled closures;

@@ -28,7 +28,7 @@ Quickstart (the unified statement API)::
     connection.execute("INSERT INTO Document (title) VALUES (?)", ["new"])
 """
 
-from repro.engine import open_service, open_session, run_query
+from repro.engine import open_service, open_session
 from repro.errors import ReproError
 from repro.service.service import QueryService
 from repro.session import QueryResult, Session
@@ -36,7 +36,7 @@ from repro.api.connection import Connection, Cursor, connect
 from repro.api.router import StatementResult
 from repro.storage import FileStorageAdapter, MemoryAdapter, StorageAdapter
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "connect",
@@ -47,7 +47,6 @@ __all__ = [
     "FileStorageAdapter",
     "open_session",
     "open_service",
-    "run_query",
     "Session",
     "QueryService",
     "QueryResult",

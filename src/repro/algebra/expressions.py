@@ -166,7 +166,7 @@ class Parameter(Expression):
     supplied at execution time — either by substitution
     (:func:`bind_parameters`, used by the interpretive paths) or by the
     compiled engine's binding environment
-    (:class:`repro.service.prepared.BindingEnv`).
+    (:class:`repro.physical.executor.BindingEnv`).
 
     ``key`` is the canonical name: positional parameters use their decimal
     position (``"1"``, ``"2"``, …), named parameters their identifier.

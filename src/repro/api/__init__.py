@@ -4,7 +4,7 @@ Two layers live here:
 
 * :mod:`repro.api.router` — the :class:`~repro.api.router.StatementRouter`
   that every entry point (``Session.execute``, ``QueryService.execute``,
-  ``run_query``, the facade below) shares for statement classification,
+  the facade below) shares for statement classification,
   DML execution and DDL dispatch;
 * :mod:`repro.api.connection` — the PEP-249-flavored facade:
   :func:`~repro.api.connection.connect` returning a

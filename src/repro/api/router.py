@@ -1,7 +1,7 @@
 """The statement router: one dispatch path for queries, DML and DDL.
 
 Every public entry point of the library — ``Session.execute``,
-``QueryService.execute``, ``run_query`` and the PEP-249-flavored
+``QueryService.execute`` and the PEP-249-flavored
 ``Connection``/``Cursor`` facade — parses statements here and shares one
 classification + mutation code path.  What differs between the owners is
 only *how queries run*: the router delegates query execution to a

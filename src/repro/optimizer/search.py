@@ -25,6 +25,7 @@ from typing import Optional
 
 from repro.algebra.operators import LogicalOperator
 from repro.algebra.printer import format_inline
+from repro.algebra.translate import TranslationResult, translate_query
 from repro.algebra.visitors import positions_with_nodes, replace_at
 from repro.datamodel.database import Database
 from repro.datamodel.schema import Schema
@@ -34,10 +35,12 @@ from repro.optimizer.joingraph import JoinOrder, enumerate_join_order
 from repro.optimizer.rules import RuleContext, RuleSet
 from repro.optimizer.statistics import OptimizerStatistics
 from repro.optimizer.trace import OptimizationTrace
+from repro.physical.naive import naive_implementation
 from repro.physical.plans import PhysicalOperator
-from repro.telemetry.spans import annotate_current
+from repro.telemetry.spans import annotate_current, child_span
 
-__all__ = ["OptimizerOptions", "OptimizationResult", "Optimizer"]
+__all__ = ["OptimizerOptions", "OptimizationResult", "Optimizer",
+           "plan_query"]
 
 
 @dataclass(frozen=True)
@@ -313,3 +316,23 @@ class Optimizer:
                 f"no implementation rule applies to {plan.describe()}")
         memo[plan] = best
         return best
+
+
+def plan_query(analyzed, optimizer: Optimizer, optimize: bool = True,
+               **span_attributes) -> tuple[TranslationResult,
+                                           Optional[OptimizationResult],
+                                           PhysicalOperator]:
+    """Translate an analyzed query and choose its physical plan — the one
+    planning step every statement entry point (session, service, EXPLAIN)
+    shares.
+
+    With ``optimize=False`` the canonical logical plan is lowered one-to-one
+    (the paper's "straightforward evaluation") and the optimization result
+    is None.  *span_attributes* annotate the ``optimize`` trace span.
+    """
+    translation = translate_query(analyzed)
+    if not optimize:
+        return translation, None, naive_implementation(translation.plan)
+    with child_span("optimize", **span_attributes):
+        optimization = optimizer.optimize(translation.plan)
+    return translation, optimization, optimization.best_plan

@@ -1,27 +1,41 @@
-"""Compiled, pipelined execution of physical plans.
+"""The compiled, pipelined execution engine: compile once, execute many.
 
-This is the production engine: each operator becomes a generator that pulls
-rows from its input (Volcano-style pipelining), so Filter→Map→Project
-chains stream without materializing intermediate lists, and every
-expression parameter is compiled once per :func:`execute_plan` call by
-:mod:`repro.physical.compiler` instead of being re-interpreted per row.
+:func:`prepare_plan` translates a physical plan *once* into a tree of
+generator factories whose expressions are already compiled closures
+(:mod:`repro.physical.compiler`); each :meth:`PreparedExecutable.run` only
+instantiates fresh iterators.  Operators pull rows from their inputs
+(Volcano-style pipelining), so Filter→Map→Project chains stream without
+materializing intermediate lists.  :func:`execute_plan` is the one-shot
+spelling of the same engine — ``prepare_plan(...).run()`` — and the
+reference interpreter (:mod:`repro.physical.interpreter`) is the
+independent oracle both are differentially tested against.
 
-The public contract is unchanged from the seed interpreter (retained in
-:mod:`repro.physical.interpreter` as the differential-testing reference):
-``execute_plan`` returns a list of rows — mappings from references to
-values — with the algebra's set semantics: duplicate elimination happens at
-projections, unions and set scans, while the other operators preserve
-distinctness of their inputs.  Row order and database work counters match
-the reference engine.
+Bind parameters compile into reads from a :class:`BindingEnv`, a
+thread-local cell the executable fills for the duration of one ``run`` —
+many threads can execute the same prepared plan concurrently with different
+bindings.  Everything that touches database *state* (extensions, index
+lookups, probe-set construction) is evaluated per run, never at prepare
+time, so a prepared plan stays correct across data changes; only DDL
+(dropping an index a plan scans) can break it, which the plan cache's
+version counters guard against.
+
+The contract is the interpreter's: a list of rows — mappings from
+references to values — with the algebra's set semantics (duplicate
+elimination at projections, unions and set scans; the other operators
+preserve distinctness of their inputs).  Row order, work counters and error
+messages match the reference engine.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import defaultdict
-from typing import Any, Iterator
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, Mapping, Optional
 
 from repro.algebra.expressions import Expression
 from repro.datamodel.database import Database
+from repro.datamodel.versioning import current_pin
 from repro.errors import ExecutionError
 from repro.physical.compiler import ExpressionCompiler
 from repro.physical.evaluator import EMPTY_ROW, make_hashable
@@ -57,292 +71,559 @@ from repro.physical.plans import (
 )
 from repro.telemetry.spans import child_span
 
-__all__ = ["execute_plan", "Row"]
+__all__ = ["BindingEnv", "PreparedExecutable", "Row", "execute_plan",
+           "prepare_plan"]
 
 Row = dict[str, Any]
+#: a generator factory: each call opens a fresh row iterator
+Source = Callable[[], Iterator[Row]]
+
+
+class BindingEnv:
+    """Thread-local bind-parameter values for one prepared plan.
+
+    The compiled closures capture :meth:`resolve`; :meth:`push`/
+    :meth:`restore` bracket one execution, saving the previous cell so that
+    a method implementation that re-enters the service on the same thread
+    does not clobber the outer execution's bindings.
+    """
+
+    __slots__ = ("_local",)
+
+    def __init__(self) -> None:
+        self._local = threading.local()
+
+    def push(self, bindings: Optional[Mapping[str, Any]]) -> Any:
+        previous = getattr(self._local, "bindings", None)
+        self._local.bindings = bindings
+        return previous
+
+    def restore(self, previous: Any) -> None:
+        self._local.bindings = previous
+
+    def current(self) -> Optional[Mapping[str, Any]]:
+        """The bindings active on the calling thread (for propagation into
+        parallel worker threads)."""
+        return getattr(self._local, "bindings", None)
+
+    def resolve(self, key: str) -> Any:
+        bindings = getattr(self._local, "bindings", None)
+        if bindings is None or key not in bindings:
+            display = f"?{key}" if key.isdigit() else f":{key}"
+            raise ExecutionError(
+                f"bind parameter {display} has no bound value")
+        return bindings[key]
+
+
+class PreparedExecutable:
+    """A physical plan with all expressions compiled, ready to run.
+
+    *profile* (a :class:`repro.physical.profile.PlanProfile`) enables the
+    per-operator EXPLAIN ANALYZE counters.  A profiled executable shares its
+    profile across runs (counters accumulate), so the service builds a fresh
+    instance per ``EXPLAIN ANALYZE`` instead of profiling cached plans.
+    """
+
+    def __init__(self, plan: PhysicalOperator, database: Database,
+                 profile=None):
+        self.plan = plan
+        self.database = database
+        self.profile = profile
+        self._env = BindingEnv()
+        compiler = ExpressionCompiler(database,
+                                      parameter_resolver=self._env.resolve,
+                                      profile=profile)
+        with child_span("compile", profiled=profile is not None):
+            self._root = _build(plan, database, compiler, self._env)
+
+    def run(self, bindings: Optional[Mapping[str, Any]] = None) -> list[Row]:
+        """Execute the plan with *bindings* and return the result rows.
+
+        The result is fully materialized before the bindings are released,
+        so the returned list never depends on the (thread-local) environment.
+        """
+        with self.binding_scope(bindings):
+            return list(self._root())
+
+    def open(self) -> Iterator[Row]:
+        """A fresh, *lazy* row iterator over the plan (the streaming feed
+        behind the statement API's cursor).
+
+        The iterator performs no database work until it is advanced, and it
+        is **unbracketed**: the caller must activate the bindings around
+        every advance via :meth:`binding_scope`, e.g.::
+
+            rows = executable.open()
+            with executable.binding_scope({"n": 3}):
+                first = next(rows)
+
+        This keeps the thread-local binding cell scoped to the moments the
+        plan actually evaluates, so interleaved ``run`` calls (or other
+        streams) on the same thread cannot observe a foreign binding set.
+        """
+        return self._root()
+
+    @contextmanager
+    def binding_scope(self, bindings: Optional[Mapping[str, Any]]):
+        """Activate *bindings* on the calling thread for the ``with`` body."""
+        previous = self._env.push(bindings)
+        try:
+            yield
+        finally:
+            self._env.restore(previous)
+
+
+def prepare_plan(plan: PhysicalOperator, database: Database,
+                 profile=None) -> PreparedExecutable:
+    """Compile *plan* once for repeated execution against *database*.
+
+    With *profile* the executable runs instrumented (see
+    :class:`PreparedExecutable`) — the service uses this to watch the first
+    execution of a plan for estimate/actual divergence.
+    """
+    return PreparedExecutable(plan, database, profile=profile)
 
 
 def execute_plan(plan: PhysicalOperator, database: Database,
                  profile=None) -> list[Row]:
-    """Execute *plan* against *database* and return the result rows.
+    """Compile and execute *plan* once: ``prepare_plan(...).run()``.
 
-    *profile* (a :class:`repro.physical.profile.PlanProfile`) enables
-    per-operator row/open/elapsed instrumentation — the EXPLAIN ANALYZE
-    counters.  Profiling wraps every operator's iterator; work counters and
-    results are unaffected.
+    *profile* (a :class:`repro.physical.profile.PlanProfile`) enables the
+    per-operator row/open/elapsed counters; work counters and results are
+    unaffected.  A plan with unbound
+    :class:`~repro.algebra.expressions.Parameter` leaves raises on
+    evaluation, exactly like the interpreter.
     """
-    compiler = ExpressionCompiler(database, profile=profile)
+    executable = prepare_plan(plan, database, profile)
     with child_span("execute", engine="compiled") as span:
-        rows = list(_open(plan, database, compiler))
+        rows = executable.run()
         if span is not None:
             span.annotate(rows=len(rows))
     return rows
 
 
-def _open(plan: PhysicalOperator, database: Database,
-          compiler: ExpressionCompiler) -> Iterator[Row]:
-    """Open *plan* as a row iterator (expressions compiled once)."""
+# ----------------------------------------------------------------------
+# builders: compile at build time, touch database state at run time
+# ----------------------------------------------------------------------
+def _build(plan: PhysicalOperator, database: Database,
+           compiler: ExpressionCompiler,
+           env: BindingEnv) -> Source:
     builder = _BUILDERS.get(type(plan))
     if builder is None:
         raise ExecutionError(f"unknown physical operator {plan!r}")
-    iterator = builder(plan, database, compiler)
-    if compiler.profile is not None:
-        return compiler.profile.wrap(plan, iterator)
-    return iterator
+    source = builder(plan, database, compiler, env)
+    profile = compiler.profile
+    if profile is None:
+        return source
+
+    def profiled() -> Iterator[Row]:
+        return profile.wrap(plan, source())
+
+    return profiled
 
 
 # ----------------------------------------------------------------------
-# access paths
+# access paths.  Index resolution is written once per lookup kind and
+# shared by the sequential and the parallel scan: require the index,
+# resolve the key/bounds, count the lookup, return OIDs in OID order — all
+# at run time (the index handle is resolved per execution: DDL between
+# runs is guarded by the plan cache's index version, but stay defensive).
 # ----------------------------------------------------------------------
+def _eq_lookup(plan: IndexEqScan, database: Database,
+               compiler: ExpressionCompiler) -> Callable[[], list]:
+    if isinstance(plan.key, Expression):
+        # Expression keys (bind parameters) are resolved once per execution.
+        key_fn = compiler.compile(plan.key)
+    else:
+        constant_key = plan.key
+        key_fn = lambda row: constant_key  # noqa: E731 - tiny constant closure
+
+    def lookup() -> list:
+        index = _require_index(plan, database)
+        key = key_fn(EMPTY_ROW)
+        database.statistics.record_index_lookup()
+        return sorted(index.lookup(key))
+
+    return lookup
+
+
+def _range_lookup(plan: IndexRangeScan,
+                  database: Database) -> Callable[[], list]:
+    def lookup() -> list:
+        index = _require_index(plan, database)
+        if index.kind != "sorted":
+            raise ExecutionError(
+                f"{plan.describe()} requires a sorted index, found "
+                f"{index.kind!r}")
+        database.statistics.record_index_lookup()
+        return sorted(index.range(plan.low, plan.high,
+                                  include_low=plan.include_low,
+                                  include_high=plan.include_high))
+
+    return lookup
+
+
+def _leaf_scan(ref: str, elements: Callable[[], Any]) -> Source:
+    """One ``{ref: element}`` row per element *elements* yields at run time
+    (the body every sequential access path shares)."""
+    def run() -> Iterator[Row]:
+        for element in elements():
+            yield {ref: element}
+
+    return run
+
+
 def _class_scan(plan: ClassScan, database: Database,
-                compiler: ExpressionCompiler) -> Iterator[Row]:
-    ref = plan.ref
-    for oid in database.extension(plan.class_name):
-        yield {ref: oid}
+                compiler: ExpressionCompiler,
+                env: BindingEnv) -> Source:
+    class_name = plan.class_name
+    return _leaf_scan(plan.ref, lambda: database.extension(class_name))
 
 
 def _index_eq_scan(plan: IndexEqScan, database: Database,
-                   compiler: ExpressionCompiler) -> Iterator[Row]:
-    index = _require_index(plan, database)
-    key = plan.key
-    if isinstance(key, Expression):
-        # Expression keys (bind parameters) are resolved once per execution.
-        key = compiler.compile(key)(EMPTY_ROW)
-    database.statistics.record_index_lookup()
-    ref = plan.ref
-    for oid in sorted(index.lookup(key)):
-        yield {ref: oid}
+                   compiler: ExpressionCompiler,
+                   env: BindingEnv) -> Source:
+    return _leaf_scan(plan.ref, _eq_lookup(plan, database, compiler))
 
 
 def _index_range_scan(plan: IndexRangeScan, database: Database,
-                      compiler: ExpressionCompiler) -> Iterator[Row]:
-    index = _require_index(plan, database)
-    if index.kind != "sorted":
-        raise ExecutionError(
-            f"{plan.describe()} requires a sorted index, found "
-            f"{index.kind!r}")
-    database.statistics.record_index_lookup()
-    ref = plan.ref
-    oids = index.range(plan.low, plan.high,
-                       include_low=plan.include_low,
-                       include_high=plan.include_high)
-    for oid in sorted(oids):
-        yield {ref: oid}
+                      compiler: ExpressionCompiler,
+                      env: BindingEnv) -> Source:
+    return _leaf_scan(plan.ref, _range_lookup(plan, database))
 
 
 def _expression_set_scan(plan: ExpressionSetScan, database: Database,
-                         compiler: ExpressionCompiler) -> Iterator[Row]:
-    value = compiler.compile(plan.expression)(EMPTY_ROW)
-    ref = plan.ref
-    for element in _iterate_set(value, plan):
-        yield {ref: element}
+                         compiler: ExpressionCompiler,
+                         env: BindingEnv) -> Source:
+    value_fn = compiler.compile(plan.expression)
+    return _leaf_scan(plan.ref,
+                      lambda: _iterate_set(value_fn(EMPTY_ROW), plan))
 
 
 # ----------------------------------------------------------------------
 # streaming unary operators
 # ----------------------------------------------------------------------
 def _filter(plan: Filter, database: Database,
-            compiler: ExpressionCompiler) -> Iterator[Row]:
+            compiler: ExpressionCompiler,
+            env: BindingEnv) -> Source:
     predicate = compiler.compile_predicate(plan.condition)
-    for row in _open(plan.input, database, compiler):
-        if predicate(row):
-            yield row
+    source = _build(plan.input, database, compiler, env)
+
+    def run() -> Iterator[Row]:
+        for row in source():
+            if predicate(row):
+                yield row
+
+    return run
 
 
 def _set_probe_filter(plan: SetProbeFilter, database: Database,
-                      compiler: ExpressionCompiler) -> Iterator[Row]:
-    # The probe set is reference-free; build it once (always, matching the
-    # reference engine's work counters even for empty inputs).
-    value = compiler.compile(plan.set_expression)(EMPTY_ROW)
-    members = {make_hashable(v) for v in _iterate_set(value, plan)}
+                      compiler: ExpressionCompiler,
+                      env: BindingEnv) -> Source:
+    value_fn = compiler.compile(plan.set_expression)
+    source = _build(plan.input, database, compiler, env)
     ref = plan.ref
-    for row in _open(plan.input, database, compiler):
-        if make_hashable(row.get(ref)) in members:
-            yield row
+
+    def run() -> Iterator[Row]:
+        # The probe set depends on database state (and possibly parameters):
+        # build it per execution — always, matching the reference engine's
+        # work counters even for empty inputs.
+        members = {make_hashable(v)
+                   for v in _iterate_set(value_fn(EMPTY_ROW), plan)}
+        for row in source():
+            if make_hashable(row.get(ref)) in members:
+                yield row
+
+    return run
 
 
 def _map_eval(plan: MapEval, database: Database,
-              compiler: ExpressionCompiler) -> Iterator[Row]:
+              compiler: ExpressionCompiler,
+              env: BindingEnv) -> Source:
     expression = compiler.compile(plan.expression)
+    source = _build(plan.input, database, compiler, env)
     ref = plan.ref
-    for row in _open(plan.input, database, compiler):
-        yield {**row, ref: expression(row)}
+
+    def run() -> Iterator[Row]:
+        for row in source():
+            yield {**row, ref: expression(row)}
+
+    return run
 
 
 def _flatten_eval(plan: FlattenEval, database: Database,
-                  compiler: ExpressionCompiler) -> Iterator[Row]:
+                  compiler: ExpressionCompiler,
+                  env: BindingEnv) -> Source:
     expression = compiler.compile(plan.expression)
+    source = _build(plan.input, database, compiler, env)
     ref = plan.ref
-    for row in _open(plan.input, database, compiler):
-        value = expression(row)
-        for element in _iterate_set(value, plan, allow_none=True):
-            yield {**row, ref: element}
+
+    def run() -> Iterator[Row]:
+        for row in source():
+            for element in _iterate_set(expression(row), plan, allow_none=True):
+                yield {**row, ref: element}
+
+    return run
 
 
 def _project(plan: ProjectOp, database: Database,
-             compiler: ExpressionCompiler) -> Iterator[Row]:
+             compiler: ExpressionCompiler,
+             env: BindingEnv) -> Source:
     kept = plan.kept  # sorted by construction, so keys make a stable dedup key
-    seen: set[Any] = set()
-    for row in _open(plan.input, database, compiler):
-        key = tuple(make_hashable(row.get(ref)) for ref in kept)
-        if key not in seen:
-            seen.add(key)
-            yield {ref: row.get(ref) for ref in kept}
+    source = _build(plan.input, database, compiler, env)
+
+    def run() -> Iterator[Row]:
+        seen: set[Any] = set()
+        for row in source():
+            key = tuple(make_hashable(row.get(ref)) for ref in kept)
+            if key not in seen:
+                seen.add(key)
+                yield {ref: row.get(ref) for ref in kept}
+
+    return run
 
 
 # ----------------------------------------------------------------------
-# joins (build side materialized once, probe side streamed)
+# joins (build side materialized once per run, probe side streamed)
 # ----------------------------------------------------------------------
 def _nested_loop_join(plan: NestedLoopJoin, database: Database,
-                      compiler: ExpressionCompiler) -> Iterator[Row]:
+                      compiler: ExpressionCompiler,
+                      env: BindingEnv) -> Source:
     predicate = compiler.compile_predicate(plan.condition)
-    right_rows = list(_open(plan.right, database, compiler))
-    for left_row in _open(plan.left, database, compiler):
-        for right_row in right_rows:
-            combined = {**left_row, **right_row}
-            if predicate(combined):
-                yield combined
+    left_source = _build(plan.left, database, compiler, env)
+    right_source = _build(plan.right, database, compiler, env)
+
+    def run() -> Iterator[Row]:
+        right_rows = list(right_source())
+        for left_row in left_source():
+            for right_row in right_rows:
+                combined = {**left_row, **right_row}
+                if predicate(combined):
+                    yield combined
+
+    return run
 
 
 def _hash_join(plan: HashJoin, database: Database,
-               compiler: ExpressionCompiler) -> Iterator[Row]:
+               compiler: ExpressionCompiler,
+               env: BindingEnv) -> Source:
     left_key = compiler.compile(plan.left_key)
     right_key = compiler.compile(plan.right_key)
-    table: dict[Any, list[Row]] = defaultdict(list)
-    for right_row in _open(plan.right, database, compiler):
-        table[make_hashable(right_key(right_row))].append(right_row)
-    for left_row in _open(plan.left, database, compiler):
-        matches = table.get(make_hashable(left_key(left_row)))
-        if matches:
-            for right_row in matches:
-                yield {**left_row, **right_row}
+    left_source = _build(plan.left, database, compiler, env)
+    right_source = _build(plan.right, database, compiler, env)
+
+    def run() -> Iterator[Row]:
+        table: dict[Any, list[Row]] = defaultdict(list)
+        for right_row in right_source():
+            table[make_hashable(right_key(right_row))].append(right_row)
+        for left_row in left_source():
+            matches = table.get(make_hashable(left_key(left_row)))
+            if matches:
+                for right_row in matches:
+                    yield {**left_row, **right_row}
+
+    return run
 
 
 def _index_nested_loop_join(plan: IndexNestedLoopJoin, database: Database,
-                            compiler: ExpressionCompiler) -> Iterator[Row]:
-    index = _require_index(plan, database)
+                            compiler: ExpressionCompiler,
+                            env: BindingEnv) -> Source:
     left_key = compiler.compile(plan.left_key)
+    left_source = _build(plan.left, database, compiler, env)
     ref = plan.ref
-    statistics = database.statistics
-    for left_row in _open(plan.left, database, compiler):
-        statistics.record_index_lookup()
-        # OID-sorted probe result, matching IndexEqScan's deterministic order.
-        for oid in sorted(index.lookup(left_key(left_row))):
-            yield {**left_row, ref: oid}
+
+    def run() -> Iterator[Row]:
+        index = _require_index(plan, database)
+        statistics = database.statistics
+        for left_row in left_source():
+            statistics.record_index_lookup()
+            # OID-sorted probe result, matching IndexEqScan's order.
+            for oid in sorted(index.lookup(left_key(left_row))):
+                yield {**left_row, ref: oid}
+
+    return run
 
 
 def _natural_merge_join(plan: NaturalMergeJoin, database: Database,
-                        compiler: ExpressionCompiler) -> Iterator[Row]:
+                        compiler: ExpressionCompiler,
+                        env: BindingEnv) -> Source:
     common = plan.common_refs()
-    right_rows = list(_open(plan.right, database, compiler))
-    if not common:
-        # Degenerates to a cartesian product, as in the logical algebra.
-        for left_row in _open(plan.left, database, compiler):
-            for right_row in right_rows:
-                yield {**left_row, **right_row}
-        return
-    table: dict[Any, list[Row]] = defaultdict(list)
-    for right_row in right_rows:
-        key = tuple(make_hashable(right_row.get(ref)) for ref in common)
-        table[key].append(right_row)
-    for left_row in _open(plan.left, database, compiler):
-        key = tuple(make_hashable(left_row.get(ref)) for ref in common)
-        matches = table.get(key)
-        if matches:
-            for right_row in matches:
-                yield {**left_row, **right_row}
+    left_source = _build(plan.left, database, compiler, env)
+    right_source = _build(plan.right, database, compiler, env)
+
+    def run() -> Iterator[Row]:
+        right_rows = list(right_source())
+        if not common:
+            # Degenerates to a cartesian product, as in the logical algebra.
+            for left_row in left_source():
+                for right_row in right_rows:
+                    yield {**left_row, **right_row}
+            return
+        table: dict[Any, list[Row]] = defaultdict(list)
+        for right_row in right_rows:
+            key = tuple(make_hashable(right_row.get(ref)) for ref in common)
+            table[key].append(right_row)
+        for left_row in left_source():
+            key = tuple(make_hashable(left_row.get(ref)) for ref in common)
+            matches = table.get(key)
+            if matches:
+                for right_row in matches:
+                    yield {**left_row, **right_row}
+
+    return run
 
 
 # ----------------------------------------------------------------------
 # set operators (streaming dedup)
 # ----------------------------------------------------------------------
 def _union(plan: UnionOp, database: Database,
-           compiler: ExpressionCompiler) -> Iterator[Row]:
-    seen: set[Any] = set()
-    for side in (plan.left, plan.right):
-        for row in _open(side, database, compiler):
-            key = make_hashable(row)
-            if key not in seen:
-                seen.add(key)
-                yield row
+           compiler: ExpressionCompiler,
+           env: BindingEnv) -> Source:
+    left_source = _build(plan.left, database, compiler, env)
+    right_source = _build(plan.right, database, compiler, env)
+
+    def run() -> Iterator[Row]:
+        seen: set[Any] = set()
+        for source in (left_source, right_source):
+            for row in source():
+                key = make_hashable(row)
+                if key not in seen:
+                    seen.add(key)
+                    yield row
+
+    return run
 
 
 def _diff(plan: DiffOp, database: Database,
-          compiler: ExpressionCompiler) -> Iterator[Row]:
-    right_keys = {make_hashable(row)
-                  for row in _open(plan.right, database, compiler)}
-    seen: set[Any] = set()
-    for row in _open(plan.left, database, compiler):
-        key = make_hashable(row)
-        if key in seen:
-            continue
-        seen.add(key)
-        if key not in right_keys:
-            yield row
+          compiler: ExpressionCompiler,
+          env: BindingEnv) -> Source:
+    left_source = _build(plan.left, database, compiler, env)
+    right_source = _build(plan.right, database, compiler, env)
+
+    def run() -> Iterator[Row]:
+        right_keys = {make_hashable(row) for row in right_source()}
+        seen: set[Any] = set()
+        for row in left_source():
+            key = make_hashable(row)
+            if key in seen:
+                continue
+            seen.add(key)
+            if key not in right_keys:
+                yield row
+
+    return run
 
 
 # ----------------------------------------------------------------------
-# parallel operators (morsel-driven, ordered merge; shared bodies live in
-# repro.physical.parallel so the prepared engine stays in lock-step)
+# parallel operators (morsel-driven, ordered merge; the morsel bodies live
+# in repro.physical.parallel).  Every worker re-pushes the run thread's
+# bindings and re-activates its snapshot pin, so compiled Parameter
+# closures resolve, and version chains read, correctly off-thread.
 # ----------------------------------------------------------------------
-def _parallel_scan(plan: ParallelScan, database: Database,
-                   compiler: ExpressionCompiler) -> Iterator[Row]:
+def _bound_worker(env: BindingEnv
+                  ) -> Callable[[Callable[[list], list]], Callable[[list], list]]:
+    """A worker wrapper propagating the submitting thread's bindings and
+    snapshot pin, so every morsel observes the same snapshot (and resolves
+    the same parameters) as the coordinating statement."""
+    bindings = env.current()
+    pin = current_pin()
+
+    def wrap(work: Callable[[list], list]) -> Callable[[list], list]:
+        def bound(morsel: list) -> list:
+            previous = env.push(bindings)
+            try:
+                if pin is not None:
+                    with pin.activate():
+                        return work(morsel)
+                return work(morsel)
+            finally:
+                env.restore(previous)
+
+        return bound
+
+    return wrap
+
+
+def _parallel_oid_scan(plan: ParallelScan | ParallelIndexEqScan
+                       | ParallelIndexRangeScan,
+                       batches: Callable[[], Any],
+                       compiler: ExpressionCompiler,
+                       env: BindingEnv) -> Source:
+    """The shared body of the three parallel scans: *batches* produces the
+    OID batches at run time, the residual predicate runs over morsels."""
     predicate = (compiler.compile_predicate(plan.condition)
                  if plan.condition is not None else None)
-    partitions = database.extension_partitions(plan.class_name)
-    return iter(run_filter_morsels(partitions, predicate, plan.ref,
-                                   plan.degree))
+    ref = plan.ref
+    degree = plan.degree
+
+    def run() -> Iterator[Row]:
+        yield from run_filter_morsels(batches(), predicate, ref, degree,
+                                      wrap=_bound_worker(env))
+
+    return run
+
+
+def _parallel_scan(plan: ParallelScan, database: Database,
+                   compiler: ExpressionCompiler,
+                   env: BindingEnv) -> Source:
+    class_name = plan.class_name
+    return _parallel_oid_scan(
+        plan, lambda: database.extension_partitions(class_name),
+        compiler, env)
 
 
 def _parallel_index_eq_scan(plan: ParallelIndexEqScan, database: Database,
-                            compiler: ExpressionCompiler) -> Iterator[Row]:
-    index = _require_index(plan, database)
-    key = plan.key
-    if isinstance(key, Expression):
-        key = compiler.compile(key)(EMPTY_ROW)
-    database.statistics.record_index_lookup()
-    predicate = (compiler.compile_predicate(plan.condition)
-                 if plan.condition is not None else None)
-    return iter(run_filter_morsels([sorted(index.lookup(key))], predicate,
-                                   plan.ref, plan.degree))
+                            compiler: ExpressionCompiler,
+                            env: BindingEnv) -> Source:
+    lookup = _eq_lookup(plan, database, compiler)
+    return _parallel_oid_scan(plan, lambda: [lookup()], compiler, env)
 
 
-def _parallel_index_range_scan(plan: ParallelIndexRangeScan, database: Database,
-                               compiler: ExpressionCompiler) -> Iterator[Row]:
-    index = _require_index(plan, database)
-    if index.kind != "sorted":
-        raise ExecutionError(
-            f"{plan.describe()} requires a sorted index, found "
-            f"{index.kind!r}")
-    database.statistics.record_index_lookup()
-    oids = index.range(plan.low, plan.high,
-                       include_low=plan.include_low,
-                       include_high=plan.include_high)
-    predicate = (compiler.compile_predicate(plan.condition)
-                 if plan.condition is not None else None)
-    return iter(run_filter_morsels([sorted(oids)], predicate,
-                                   plan.ref, plan.degree))
+def _parallel_index_range_scan(plan: ParallelIndexRangeScan,
+                               database: Database,
+                               compiler: ExpressionCompiler,
+                               env: BindingEnv) -> Source:
+    lookup = _range_lookup(plan, database)
+    return _parallel_oid_scan(plan, lambda: [lookup()], compiler, env)
 
 
 def _parallel_map(plan: ParallelMap, database: Database,
-                  compiler: ExpressionCompiler) -> Iterator[Row]:
+                  compiler: ExpressionCompiler,
+                  env: BindingEnv) -> Source:
     expression = compiler.compile(plan.expression)
-    rows = list(_open(plan.input, database, compiler))
-    return iter(run_map_morsels(rows, expression, plan.ref, plan.degree))
+    source = _build(plan.input, database, compiler, env)
+    ref = plan.ref
+    degree = plan.degree
+
+    def run() -> Iterator[Row]:
+        rows = list(source())
+        yield from run_map_morsels(rows, expression, ref, degree,
+                                   wrap=_bound_worker(env))
+
+    return run
 
 
 def _parallel_hash_join(plan: ParallelHashJoin, database: Database,
-                        compiler: ExpressionCompiler) -> Iterator[Row]:
+                        compiler: ExpressionCompiler,
+                        env: BindingEnv) -> Source:
     left_key = compiler.compile(plan.left_key)
     right_key = compiler.compile(plan.right_key)
+    left_source = _build(plan.left, database, compiler, env)
+    right_source = _build(plan.right, database, compiler, env)
     degree = plan.degree
-    # Build side first, then probe side: the sequential HashJoin's work
-    # ordering, so statistics interleave the same way.
-    right_rows = list(_open(plan.right, database, compiler))
-    right_keys = run_key_morsels(right_rows, right_key, degree)
-    left_rows = list(_open(plan.left, database, compiler))
-    left_keys = run_key_morsels(left_rows, left_key, degree)
-    return merge_hash_join(left_rows, left_keys, right_rows, right_keys)
+
+    def run() -> Iterator[Row]:
+        wrap = _bound_worker(env)
+        # Build side first, then probe side: the sequential HashJoin's work
+        # ordering, so statistics interleave the same way.
+        right_rows = list(right_source())
+        right_keys = run_key_morsels(right_rows, right_key, degree, wrap=wrap)
+        left_rows = list(left_source())
+        left_keys = run_key_morsels(left_rows, left_key, degree, wrap=wrap)
+        yield from merge_hash_join(left_rows, left_keys,
+                                   right_rows, right_keys)
+
+    return run
 
 
 _BUILDERS = {

@@ -4,18 +4,19 @@ This module preserves the original interpretive executor: every operator
 fully materializes its input into a list of rows and every expression is
 evaluated by the recursive tree-walking :mod:`repro.physical.evaluator`.
 
-It is retained for two purposes:
+It is retained as the *independent oracle* of the one compiled engine in
+:mod:`repro.physical.executor`: the differential suites
+(``tests/test_property_based.py``, ``tests/test_fuzz_differential.py``) and
+the engine benchmark (``benchmarks/bench_exp8_engine.py``) hold the engine
+to this module's rows, row order and work counters on identical physical
+plans, and ``tests/test_compiled_engine.py`` fails when an operator is
+known to one of the two only.  It therefore shares no operator code with
+the engine.
 
-* as the *semantic reference* the compiled pipelined engine in
-  :mod:`repro.physical.executor` is differentially tested against
-  (``tests/test_property_based.py``), and
-* as the baseline of the engine benchmark
-  (``benchmarks/bench_exp8_engine.py``), which quantifies what compilation
-  and pipelining buy on identical physical plans.
-
-Production code should use :func:`repro.physical.executor.execute_plan`;
-both entry points implement exactly the same list-of-Row contract with set
-semantics (duplicate elimination at projections, unions and set scans).
+Production code should use :func:`repro.physical.executor.execute_plan` /
+``prepare_plan``; both engines implement exactly the same list-of-Row
+contract with set semantics (duplicate elimination at projections, unions
+and set scans).
 
 The helpers ``_iterate_set``, ``_distinct`` and ``_require_index`` are
 imported by the compiled engine and the restricted executor so that the

@@ -15,6 +15,11 @@ Scheduling notes:
   that re-enters the service and executes another parallel plan) is run
   inline instead — submitting would risk exhausting the pool with tasks
   that all wait on each other.
+* Every operator body below takes a required ``wrap`` — the compiled
+  engine's worker wrapper, which re-pushes the coordinating statement's
+  thread-local bindings and re-activates its snapshot pin on the pool
+  thread.  There is no unwrapped path: a morsel never reads a different
+  snapshot than the statement that dispatched it.
 * Exceptions raised in a worker propagate to the caller unchanged, after
   all morsels of the batch have settled; the first failure in submission
   order wins.  ``BaseException`` on the waiting thread (KeyboardInterrupt)
@@ -143,9 +148,9 @@ def process_morsels(morsels: Sequence[Sequence[Item]],
 
 
 # ----------------------------------------------------------------------
-# shared operator bodies (used by the compiled executor and the prepared
-# executables; `wrap` lets the prepared engine re-push thread-local
-# bindings inside each worker)
+# operator bodies of the compiled engine's parallel builders; `wrap`
+# re-pushes the statement's thread-local bindings and snapshot pin inside
+# each worker (see repro.physical.executor._bound_worker)
 # ----------------------------------------------------------------------
 Row = dict[str, Any]
 WorkerWrap = Callable[[Callable[[list], list]], Callable[[list], list]]
@@ -154,7 +159,7 @@ WorkerWrap = Callable[[Callable[[list], list]], Callable[[list], list]]
 def run_filter_morsels(oid_batches: Sequence[Sequence[Any]],
                        predicate: Optional[Callable[[Row], bool]],
                        ref: str, degree: int,
-                       wrap: Optional[WorkerWrap] = None) -> list[Row]:
+                       wrap: WorkerWrap) -> list[Row]:
     """Emit ``{ref: oid}`` rows for the OIDs passing *predicate*, evaluated
     over morsels in parallel; batch (partition) order is preserved."""
     morsels: list[list[Any]] = []
@@ -169,29 +174,25 @@ def run_filter_morsels(oid_batches: Sequence[Sequence[Any]],
             rows = ({ref: oid} for oid in morsel)
             return [row for row in rows if predicate(row)]
 
-    return process_morsels(morsels, wrap(work) if wrap else work, degree)
+    return process_morsels(morsels, wrap(work), degree)
 
 
 def run_map_morsels(rows: Sequence[Row], expression: Callable[[Row], Any],
-                    ref: str, degree: int,
-                    wrap: Optional[WorkerWrap] = None) -> list[Row]:
+                    ref: str, degree: int, wrap: WorkerWrap) -> list[Row]:
     """Extend every row with ``ref = expression(row)``, in input order."""
     def work(morsel):
         return [{**row, ref: expression(row)} for row in morsel]
 
-    return process_morsels(make_morsels(rows, degree),
-                           wrap(work) if wrap else work, degree)
+    return process_morsels(make_morsels(rows, degree), wrap(work), degree)
 
 
 def run_key_morsels(rows: Sequence[Row], key: Callable[[Row], Any],
-                    degree: int,
-                    wrap: Optional[WorkerWrap] = None) -> list[Any]:
+                    degree: int, wrap: WorkerWrap) -> list[Any]:
     """Hashable join keys for *rows*, evaluated in parallel, in row order."""
     def work(morsel):
         return [make_hashable(key(row)) for row in morsel]
 
-    return process_morsels(make_morsels(rows, degree),
-                           wrap(work) if wrap else work, degree)
+    return process_morsels(make_morsels(rows, degree), wrap(work), degree)
 
 
 def merge_hash_join(left_rows: Sequence[Row], left_keys: Sequence[Any],

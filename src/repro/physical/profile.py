@@ -5,32 +5,30 @@ execution, how often the operator was opened, how many rows it produced,
 and how much wall-clock time was spent pulling those rows (*inclusive* of
 the operator's children, the conventional EXPLAIN ANALYZE accounting).
 
-All three execution engines thread an optional profile through their
-operator builders:
-
-* the compiled executor (:func:`repro.physical.executor.execute_plan`),
-* the prepared executables (:class:`repro.service.prepared.
-  PreparedExecutable`), and
-* the reference interpreter (:func:`repro.physical.interpreter.
-  execute_plan_interpreted`),
-
-so estimated-vs-actual reports can be produced for any plan on any engine.
+Both execution engines thread an optional profile through their operator
+dispatch — the compiled engine (:func:`repro.physical.executor.
+prepare_plan` / ``execute_plan``) and the reference interpreter
+(:func:`repro.physical.interpreter.execute_plan_interpreted`) — so
+estimated-vs-actual reports can be produced for any plan on either.
 :func:`render_explain_analyze` renders the plan tree with the cost model's
 estimates next to the measured counters; :func:`estimated_vs_actual`
 returns the same comparison as structured records (the differential fuzz
-harness' sanity oracle).
+harness' sanity oracle); :func:`explain_analyze` is the EXPLAIN ANALYZE
+runner every statement entry point shares.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, Mapping, Optional
 
+from repro.datamodel.database import Database
+from repro.physical.executor import prepare_plan
 from repro.physical.plans import PhysicalOperator
 
 __all__ = ["OperatorCounters", "PlanProfile", "ExplainReport",
-           "estimated_vs_actual", "divergent_operators",
+           "estimated_vs_actual", "divergent_operators", "explain_analyze",
            "profile_summary", "render_explain_analyze"]
 
 
@@ -229,8 +227,12 @@ def profile_summary(plan: PhysicalOperator, profile: PlanProfile,
 def render_explain_analyze(plan: PhysicalOperator, profile: PlanProfile,
                            cost_model=None) -> str:
     """Render the plan tree with estimated and measured counters per node."""
+    return _render_records(estimated_vs_actual(plan, profile, cost_model))
+
+
+def _render_records(records: list[dict]) -> str:
     lines = []
-    for record in estimated_vs_actual(plan, profile, cost_model):
+    for record in records:
         indent = "  " * record["depth"]
         if record["estimated_rows"] is None:
             estimate = ""
@@ -242,3 +244,23 @@ def render_explain_analyze(plan: PhysicalOperator, profile: PlanProfile,
             f"opens={record['opens']}, "
             f"time={record['seconds'] * 1000.0:.3f}ms]")
     return "\n".join(lines)
+
+
+def explain_analyze(plan: PhysicalOperator, database: Database,
+                    bindings: Optional[Mapping[str, Any]],
+                    cost_model=None) -> tuple[str, list[dict]]:
+    """Run *plan* — exactly the plan an EXPLAIN displays — under a fresh
+    profile and return the rendered ``runtime profile`` section plus the
+    structured records it was rendered from.
+
+    The plan may carry unbound :class:`~repro.algebra.expressions.Parameter`
+    leaves, so it runs as an executable with *bindings* active (never
+    through a value-substituting pipeline, which could re-optimize to a
+    different plan than the one shown).  Snapshot scoping is the caller's.
+    """
+    profile = PlanProfile()
+    rows = prepare_plan(plan, database, profile).run(bindings)
+    records = estimated_vs_actual(plan, profile, cost_model)
+    report = _render_records(records)
+    indented = "\n".join("  " + line for line in report.splitlines())
+    return f"runtime profile ({len(rows)} rows):\n{indented}", records

@@ -3,10 +3,11 @@
 The optimizer pays for semantic optimization once per query *shape*; this
 package makes that a service-level guarantee:
 
-* :mod:`repro.service.prepared` — compile a physical plan once into an
-  executable whose expressions are closures over a thread-local binding
-  environment, so one plan serves many executions with different
-  bind-parameter values;
+* the executable itself is the physical layer's: :func:`repro.physical.
+  executor.prepare_plan` compiles a plan once into closures over a
+  thread-local binding environment, so one plan serves many executions
+  with different bind-parameter values (``repro.service.prepared``
+  re-exports it for existing imports);
 * :mod:`repro.service.fingerprint` — normalized structural fingerprints of
   analyzed queries (the plan-cache key);
 * :mod:`repro.service.cache` — an LRU plan cache validated against the
@@ -19,7 +20,7 @@ package makes that a service-level guarantee:
 from repro.service.cache import CachedPlan, CacheStatistics, PlanCache
 from repro.service.concurrency import ReadWriteLock
 from repro.service.fingerprint import query_fingerprint
-from repro.service.prepared import BindingEnv, PreparedExecutable, prepare_plan
+from repro.physical.executor import BindingEnv, PreparedExecutable, prepare_plan
 from repro.service.service import (
     PreparedQuery,
     QueryMetrics,

@@ -2,7 +2,7 @@
 
 A cached entry bundles everything the service needs to execute a query
 shape: the analyzed query, the chosen logical/physical plans, the
-:class:`~repro.service.prepared.PreparedExecutable`, and the version
+:class:`~repro.physical.executor.PreparedExecutable`, and the version
 snapshot it was prepared under.  Lookups validate the snapshot against the
 database's :class:`~repro.datamodel.database.VersionClock` and the
 service's knowledge version:
@@ -33,9 +33,9 @@ from typing import Hashable, Optional
 from repro.algebra.operators import LogicalOperator
 from repro.datamodel.database import Database
 from repro.optimizer.search import OptimizationResult
+from repro.physical.executor import PreparedExecutable
 from repro.physical.plans import PhysicalOperator
 from repro.physical.profile import PlanProfile
-from repro.service.prepared import PreparedExecutable
 from repro.vql.analyzer import AnalyzedQuery
 
 __all__ = ["CachedPlan", "CacheStatistics", "PlanCache"]

@@ -29,7 +29,7 @@ class ReadWriteLock:
     The read side is reentrant: a thread already holding a read lock may
     acquire it again even while a writer is queued — otherwise a query
     whose method implementation re-enters the service on the same thread
-    (the nested-execution case :class:`~repro.service.prepared.BindingEnv`
+    (the nested-execution case :class:`~repro.physical.executor.BindingEnv`
     supports) would deadlock against a waiting writer.  A thread holding
     the *write* lock may also acquire the read side (the commit path runs
     WHERE-queries while applying a batch); true write reentrancy and

@@ -31,7 +31,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -45,23 +44,20 @@ from repro.datamodel.versioning import current_pin
 from repro.api.transaction import Transaction
 from repro.errors import (ServiceError, TransactionConflictError,
                           TransactionError)
-from repro.algebra.translate import translate_query
 from repro.optimizer.generator import OptimizerGenerator
 from repro.optimizer.knowledge import SchemaKnowledge
-from repro.optimizer.search import OptimizationResult, OptimizerOptions
-from repro.physical.executor import Row
-from repro.physical.naive import naive_implementation
+from repro.optimizer.search import OptimizerOptions, plan_query
+from repro.physical.evaluator import make_hashable
+from repro.physical.executor import PreparedExecutable, Row, prepare_plan
 from repro.physical.parallel import default_parallelism
 from repro.physical.plans import (Filter, HashJoin, IndexNestedLoopJoin,
                                   describe_physical_tree)
 from repro.physical.profile import (ExplainReport, PlanProfile,
-                                    divergent_operators, estimated_vs_actual,
-                                    profile_summary, render_explain_analyze)
+                                    divergent_operators, explain_analyze,
+                                    profile_summary)
 from repro.service.cache import CachedPlan, PlanCache
 from repro.service.concurrency import ReadWriteLock
 from repro.service.fingerprint import cache_key, query_fingerprint
-from repro.service.prepared import PreparedExecutable, prepare_plan
-from repro.session import QueryResult
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.slowlog import SlowQueryLog
 from repro.telemetry.spans import (NOOP_SPAN, Tracer, activation,
@@ -71,20 +67,6 @@ from repro.vql.bindings import ParameterValues, resolve_bindings
 
 __all__ = ["PreparedQuery", "QueryMetrics", "QueryService",
            "ServiceMetrics", "ServiceResult"]
-
-
-def _warn_legacy_index_ddl(alias: str, replacement: str) -> None:
-    """One deprecation warning per legacy per-kind index-DDL alias call.
-
-    The supported paths are the generic ``create_index``/``drop_index``
-    methods (or the VQL statements ``CREATE [HASH|SORTED|TEXT] INDEX`` /
-    ``DROP [TEXT] INDEX`` through any statement entry point); the per-kind
-    aliases survive one more release for source compatibility.
-    """
-    warnings.warn(
-        f"QueryService.{alias} is deprecated; use QueryService.{replacement} "
-        "or the CREATE/DROP INDEX statements instead",
-        DeprecationWarning, stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -124,15 +106,11 @@ class QueryMetrics:
 
 
 class ServiceMetrics:
-    """Aggregated service counters (thread-safe).
-
-    .. deprecated:: since the telemetry subsystem this class is a *facade*
-       over a :class:`repro.telemetry.metrics.MetricsRegistry` — the old
-       sum-only attributes (``queries``, ``cache_hits``,
-       ``total_execute_seconds``, …) and :meth:`snapshot` keep working, but
-       new code should read the registry's exports
-       (``service.registry.export()`` / ``Connection.metrics()``), which
-       additionally carry latency percentiles and per-statement stats.
+    """The service's instruments in a :class:`~repro.telemetry.metrics.
+    MetricsRegistry` (thread-safe): the ``record*`` methods write them,
+    :meth:`snapshot` reads the sums, and the registry's exports
+    (``service.registry.export()`` / ``Connection.metrics()``) additionally
+    carry latency percentiles and per-statement stats.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
@@ -173,63 +151,6 @@ class ServiceMetrics:
             "repro_txn_conflicts_total",
             "transaction commits aborted by first-writer-wins conflicts")
 
-    # -- legacy attribute surface (reads the registry) ------------------
-    @property
-    def queries(self) -> int:
-        return int(self._queries.value)
-
-    @property
-    def cache_hits(self) -> int:
-        return int(self._cache_hits.value)
-
-    @property
-    def cache_misses(self) -> int:
-        return int(self._cache_misses.value)
-
-    @property
-    def errors(self) -> int:
-        return int(self._errors.value)
-
-    @property
-    def statements_prepared(self) -> int:
-        return int(self._statements_prepared.value)
-
-    @property
-    def plans_reoptimized(self) -> int:
-        return int(self._plans_reoptimized.value)
-
-    @property
-    def feedback_evictions(self) -> int:
-        return int(self._feedback_evictions.value)
-
-    @property
-    def total_execute_seconds(self) -> float:
-        return self._execute.sum
-
-    @property
-    def total_prepare_seconds(self) -> float:
-        return self._prepare.sum
-
-    @property
-    def total_optimize_seconds(self) -> float:
-        return self._optimize.sum
-
-    @property
-    def txn_begins(self) -> int:
-        return int(self._txn_begins.value)
-
-    @property
-    def txn_commits(self) -> int:
-        return int(self._txn_commits.value)
-
-    @property
-    def txn_rollbacks(self) -> int:
-        return int(self._txn_rollbacks.value)
-
-    @property
-    def txn_conflicts(self) -> int:
-        return int(self._txn_conflicts.value)
-
     # -- recording ------------------------------------------------------
     def record_txn_begin(self) -> None:
         self._txn_begins.inc()
@@ -253,8 +174,7 @@ class ServiceMetrics:
         self._errors.inc()
 
     def set_statements_prepared(self, count: int) -> None:
-        """Locked setter for the statement-cache size gauge (the former
-        bare attribute assignment raced concurrent executions)."""
+        """Locked setter for the statement-cache size gauge."""
         self._statements_prepared.set(count)
 
     def record(self, metrics: QueryMetrics) -> None:
@@ -263,8 +183,8 @@ class ServiceMetrics:
             self._cache_hits.inc()
         else:
             self._cache_misses.inc()
-            # prepare/optimize histograms only see misses, preserving the
-            # legacy sum semantics (hits contributed 0.0 to the old totals)
+            # prepare/optimize histograms only see misses (a hit prepared
+            # nothing)
             self._prepare.observe(metrics.prepare_seconds)
             self._optimize.observe(metrics.optimize_seconds)
         self._analyze.observe(metrics.analyze_seconds)
@@ -274,23 +194,24 @@ class ServiceMetrics:
                                            metrics.total_seconds)
 
     def snapshot(self) -> dict[str, float]:
-        queries = self.queries
+        queries = int(self._queries.value)
+        cache_hits = int(self._cache_hits.value)
         return {
             "queries": queries,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "errors": self.errors,
-            "statements_prepared": self.statements_prepared,
-            "plans_reoptimized": self.plans_reoptimized,
-            "feedback_evictions": self.feedback_evictions,
-            "hit_rate": (self.cache_hits / queries if queries else 0.0),
-            "total_execute_seconds": self.total_execute_seconds,
-            "total_prepare_seconds": self.total_prepare_seconds,
-            "total_optimize_seconds": self.total_optimize_seconds,
-            "txn_begins": self.txn_begins,
-            "txn_commits": self.txn_commits,
-            "txn_rollbacks": self.txn_rollbacks,
-            "txn_conflicts": self.txn_conflicts,
+            "cache_hits": cache_hits,
+            "cache_misses": int(self._cache_misses.value),
+            "errors": int(self._errors.value),
+            "statements_prepared": int(self._statements_prepared.value),
+            "plans_reoptimized": int(self._plans_reoptimized.value),
+            "feedback_evictions": int(self._feedback_evictions.value),
+            "hit_rate": (cache_hits / queries if queries else 0.0),
+            "total_execute_seconds": self._execute.sum,
+            "total_prepare_seconds": self._prepare.sum,
+            "total_optimize_seconds": self._optimize.sum,
+            "txn_begins": int(self._txn_begins.value),
+            "txn_commits": int(self._txn_commits.value),
+            "txn_rollbacks": int(self._txn_rollbacks.value),
+            "txn_conflicts": int(self._txn_conflicts.value),
         }
 
 
@@ -315,21 +236,10 @@ class ServiceResult:
         return [row.get(self.output_ref) for row in self.rows]
 
     def value_set(self) -> set[Any]:
-        from repro.physical.evaluator import make_hashable
         return {make_hashable(value) for value in self.values}
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def as_query_result(self) -> QueryResult:
-        """Adapt to the session-level :class:`QueryResult` shape."""
-        return QueryResult(
-            rows=self.rows,
-            output_ref=self.output_ref,
-            physical_plan=self.plan.physical_plan,
-            logical_plan=self.plan.logical_plan,
-            optimization=self.plan.optimization,
-            work=dict(self.work))
 
 
 QueryInput = Union[str, PreparedQuery]
@@ -637,10 +547,9 @@ class QueryService:
 
         # The slow-query decision must capture the armed profile's
         # estimate-vs-actual records *before* the feedback check consumes it.
-        slow = self.slow_log.would_log(execute_seconds)
         profile_records = None
-        if (slow and entry.feedback_profile is not None
-                and len(entry.feedback_profile)):
+        if (entry.feedback_profile is not None and len(entry.feedback_profile)
+                and self.slow_log.would_log(execute_seconds)):
             profile_records = profile_summary(
                 entry.physical_plan, entry.feedback_profile,
                 cost_model=self._optimizer.cost_model)
@@ -654,21 +563,37 @@ class QueryService:
             prepare_seconds=0.0 if cache_hit else entry.prepare_seconds,
             optimize_seconds=0.0 if cache_hit else entry.optimize_seconds,
             execute_seconds=execute_seconds)
-        self.metrics.record(metrics)
-        annotate_current(fingerprint=entry.fingerprint, cache_hit=cache_hit,
-                         rows=len(rows))
-        if slow:
+        self._finish_statement(statement, entry, bindings, metrics,
+                               current_span(),
+                               profile_records=profile_records)
+        return ServiceResult(rows=rows, output_ref=entry.output_ref,
+                             metrics=metrics, plan=entry, work=work)
+
+    def _finish_statement(self, statement: PreparedQuery, entry: CachedPlan,
+                          bindings: Optional[dict], metrics: QueryMetrics,
+                          span, error: Optional[BaseException] = None,
+                          profile_records: Optional[list] = None) -> None:
+        """Account one finished query statement — the single tail behind
+        ``execute()`` and a cursor's row stream: service metrics (an
+        *error* counts as a failed statement, not an executed one), the
+        statement span's annotations, the slow-query log."""
+        if error is None:
+            self.metrics.record(metrics)
+        else:
+            self.metrics.record_error()
+        if span is not None:
+            span.annotate(fingerprint=entry.fingerprint,
+                          cache_hit=metrics.cache_hit, rows=metrics.rows)
+        if self.slow_log.would_log(metrics.execute_seconds):
             self.slow_log.record(
                 text=statement.text or f"<prepared {entry.fingerprint}>",
                 fingerprint=entry.fingerprint,
-                seconds=execute_seconds,
+                seconds=metrics.execute_seconds,
                 parameters=bindings,
                 plan=describe_physical_tree(entry.physical_plan),
-                cache_hit=cache_hit,
-                rows=len(rows),
+                cache_hit=metrics.cache_hit,
+                rows=metrics.rows,
                 profile=profile_records)
-        return ServiceResult(rows=rows, output_ref=entry.output_ref,
-                             metrics=metrics, plan=entry, work=work)
 
     def run_concurrent(self, requests: Iterable[tuple[QueryInput,
                                                       ParameterValues]],
@@ -732,19 +657,13 @@ class QueryService:
 
         replan = statement.fingerprint in self._feedback_replans
         started = time.perf_counter()
-        translation = translate_query(statement.analyzed)
-        optimization: Optional[OptimizationResult] = None
-        optimize_seconds = 0.0
-        if statement.optimize:
-            optimize_started = time.perf_counter()
-            with child_span("optimize", replan=replan):
-                optimization = self._optimizer.optimize(translation.plan)
-            optimize_seconds = time.perf_counter() - optimize_started
-            physical = optimization.best_plan
-        else:
-            physical = naive_implementation(translation.plan)
+        translation, optimization, physical = plan_query(
+            statement.analyzed, self._optimizer, statement.optimize,
+            replan=replan)
         executable = prepare_plan(physical, self.database)
         prepare_seconds = time.perf_counter() - started
+        optimize_seconds = (optimization.statistics.optimization_seconds
+                            if optimization is not None else 0.0)
 
         if replan:
             self._feedback_replans.discard(statement.fingerprint)
@@ -946,9 +865,8 @@ class QueryService:
     def create_index(self, class_name: str, prop: str, kind: str = "hash"):
         """Create a ``hash``/``sorted``/``text`` index under the write gate.
 
-        One generic entry point (backed by :mod:`repro.datamodel.ddl`)
-        replaces the former per-kind pass-throughs; the legacy names below
-        remain as aliases.
+        The one index-DDL entry point, backed by :mod:`repro.datamodel.ddl`
+        (like the ``CREATE [HASH|SORTED|TEXT] INDEX`` statements).
         """
         with self._gate.write_locked():
             return ddl.create_index(self.database, kind, class_name, prop)
@@ -970,29 +888,6 @@ class QueryService:
             return None
         with self._gate.write_locked():
             return storage.checkpoint()
-
-    # legacy aliases for the generic index DDL above
-    def create_hash_index(self, class_name: str, prop: str):
-        """Deprecated alias for ``create_index(..., kind="hash")``."""
-        _warn_legacy_index_ddl("create_hash_index", 'create_index(..., kind="hash")')
-        return self.create_index(class_name, prop, kind="hash")
-
-    def create_sorted_index(self, class_name: str, prop: str):
-        """Deprecated alias for ``create_index(..., kind="sorted")``."""
-        _warn_legacy_index_ddl("create_sorted_index",
-                               'create_index(..., kind="sorted")')
-        return self.create_index(class_name, prop, kind="sorted")
-
-    def create_text_index(self, class_name: str, prop: str):
-        """Deprecated alias for ``create_index(..., kind="text")``."""
-        _warn_legacy_index_ddl("create_text_index",
-                               'create_index(..., kind="text")')
-        return self.create_index(class_name, prop, kind="text")
-
-    def drop_text_index(self, class_name: str, prop: str) -> None:
-        """Deprecated alias for ``drop_index(..., text=True)``."""
-        _warn_legacy_index_ddl("drop_text_index", "drop_index(..., text=True)")
-        self.drop_index(class_name, prop, text=True)
 
     # ------------------------------------------------------------------
     # transactions (deferred-write MVCC, first-writer-wins)
@@ -1157,33 +1052,23 @@ class QueryService:
             analyze_seconds=analyze_seconds,
             prepare_seconds=0.0 if cache_hit else entry.prepare_seconds,
             optimize_seconds=0.0 if cache_hit else entry.optimize_seconds)
-        if span is not None:
-            span.annotate(fingerprint=entry.fingerprint, cache_hit=cache_hit)
 
-        def record(stream: "RowStream") -> None:
-            # streamed executions enter the service metrics once, when the
-            # stream exhausts or is closed (rows = what was consumed)
+        def finish(stream: "RowStream",
+                   error: Optional[BaseException]) -> None:
+            # streamed executions are accounted once, when the stream
+            # exhausts, fails or is closed (rows = what was consumed)
             metrics.rows = stream.consumed
             metrics.execute_seconds = stream.fetch_seconds
-            self.metrics.record(metrics)
             if span is not None:
                 # the accumulated fetch time becomes a post-hoc child, so
                 # streamed trees read like the one-shot path's
                 span.child_event("execute", stream.fetch_seconds,
                                  rows=stream.consumed)
-                span.annotate(rows=stream.consumed)
-            self.tracer.finish(span)
-            if self.slow_log.would_log(stream.fetch_seconds):
-                self.slow_log.record(
-                    text=statement.text or f"<prepared {entry.fingerprint}>",
-                    fingerprint=entry.fingerprint,
-                    seconds=stream.fetch_seconds,
-                    parameters=bindings,
-                    plan=describe_physical_tree(entry.physical_plan),
-                    cache_hit=cache_hit,
-                    rows=stream.consumed)
+            self._finish_statement(statement, entry, bindings, metrics, span,
+                                   error=error)
+            self.tracer.finish(span, error=error)
 
-        return RowStream(self.database, entry, bindings, on_finish=record,
+        return RowStream(self.database, entry, bindings, on_finish=finish,
                          at=at)
 
     # ------------------------------------------------------------------
@@ -1215,33 +1100,16 @@ class QueryService:
                       + describe_physical_tree(entry.physical_plan, depth=1))
         records: Optional[list[dict]] = None
         if analyze:
-            profile_text, records = self._runtime_profile(entry, parameters)
+            # A *fresh* profiled executable runs the entry's plan (cached
+            # executables stay unprofiled — the counters are per-diagnostic,
+            # not per-cache-entry) under a snapshot pin like any query.
+            bindings = resolve_bindings(entry.analyzed.parameters, parameters)
+            with self._read_scope():
+                profile_text, records = explain_analyze(
+                    entry.physical_plan, self.database, bindings,
+                    self._optimizer.cost_model)
             report += "\n" + profile_text
         return ExplainReport(report, records)
-
-    def _runtime_profile(self, entry: CachedPlan,
-                         parameters: ParameterValues
-                         ) -> tuple[str, list[dict]]:
-        """Run the cached plan's shape under instrumentation.
-
-        A *fresh* profiled executable is built from the entry's physical
-        plan (cached executables stay unprofiled — the counters are
-        per-diagnostic, not per-cache-entry), and executed under a snapshot
-        pin like any query.  Returns the rendered report plus the
-        structured estimated-vs-actual records it was rendered from.
-        """
-        bindings = resolve_bindings(entry.analyzed.parameters, parameters)
-        profile = PlanProfile()
-        executable = PreparedExecutable(entry.physical_plan, self.database,
-                                        profile=profile)
-        with self._read_scope():
-            rows = executable.run(bindings)
-        records = estimated_vs_actual(entry.physical_plan, profile,
-                                      cost_model=self._optimizer.cost_model)
-        report = render_explain_analyze(entry.physical_plan, profile,
-                                        cost_model=self._optimizer.cost_model)
-        indented = "\n".join("  " + line for line in report.splitlines())
-        return f"runtime profile ({len(rows)} rows):\n{indented}", records
 
     def __str__(self) -> str:
         return (f"QueryService({self.database}, {len(self.cache)} cached "
@@ -1293,25 +1161,35 @@ class RowStream:
         return self._snapshot_ts
 
     def fetch(self, n: int) -> list[Row]:
-        """Return up to *n* further rows (an empty list once exhausted)."""
+        """Return up to *n* further rows (an empty list once exhausted).
+
+        An exception raised by the plan ends the statement as an *error*:
+        the generator is dead after it, so the stream finishes (snapshot
+        released, span closed, error counted) and later fetches return
+        ``[]`` — exactly what the same failure costs through ``execute()``.
+        """
         if self._exhausted or n <= 0:
             return []
         rows: list[Row] = []
         iterator = self._iterator
         started = time.perf_counter()
-        finished = False
-        with self._database.pin_snapshot(self._snapshot_ts):
-            with self._executable.binding_scope(self._bindings):
-                for _ in range(n):
-                    try:
-                        rows.append(next(iterator))
-                    except StopIteration:
-                        self._exhausted = True
-                        finished = True
-                        break
+        try:
+            with self._database.pin_snapshot(self._snapshot_ts):
+                with self._executable.binding_scope(self._bindings):
+                    for _ in range(n):
+                        try:
+                            rows.append(next(iterator))
+                        except StopIteration:
+                            self._exhausted = True
+                            break
+        except BaseException as exc:
+            self._exhausted = True
+            self.fetch_seconds += time.perf_counter() - started
+            self._finish(error=exc)
+            raise
         self.fetch_seconds += time.perf_counter() - started
         self.consumed += len(rows)
-        if finished:
+        if self._exhausted:
             self._finish()
         return rows
 
@@ -1329,10 +1207,10 @@ class RowStream:
             self._iterator.close()
             self._finish()
 
-    def _finish(self) -> None:
+    def _finish(self, error: Optional[BaseException] = None) -> None:
         if not self._released:
             self._released = True
             self._database.release_snapshot(self._snapshot_ts)
         if self._on_finish is not None:
             callback, self._on_finish = self._on_finish, None
-            callback(self)
+            callback(self, error)

@@ -16,24 +16,20 @@ from repro.algebra.printer import format_tree
 from repro.algebra.translate import TranslationResult, translate_query
 from repro.api.router import StatementRouter
 from repro.datamodel.database import Database
-from repro.errors import ReproError
 from repro.optimizer.generator import OptimizerGenerator
 from repro.optimizer.knowledge import SchemaKnowledge
 from repro.optimizer.search import (
     OptimizationResult,
     Optimizer,
     OptimizerOptions,
+    plan_query,
 )
 from repro.physical.evaluator import make_hashable
 from repro.physical.executor import Row, execute_plan
 from repro.physical.parallel import default_parallelism
-from repro.physical.naive import naive_implementation
 from repro.physical.plans import PhysicalOperator, describe_physical_tree
-from repro.physical.profile import (ExplainReport, PlanProfile,
-                                    estimated_vs_actual,
-                                    render_explain_analyze)
-from repro.service.prepared import PreparedExecutable
-from repro.telemetry.spans import Tracer, child_span
+from repro.physical.profile import ExplainReport, explain_analyze
+from repro.telemetry.spans import Tracer
 from repro.vql.analyzer import AnalyzedQuery, analyze_query
 from repro.vql.ast import Query
 from repro.vql.bindings import ParameterValues, bind_query, resolve_bindings
@@ -163,16 +159,8 @@ class Session:
                           optimize: bool = True) -> QueryResult:
         """The per-call query pipeline (the router's query runner)."""
         with self.tracer.span("statement", api="session") as span:
-            analyzed = self._bind(analyzed, parameters)
-            translation = translate_query(analyzed)
-            optimization: Optional[OptimizationResult] = None
-            if optimize:
-                with child_span("optimize"):
-                    optimization = self.optimizer.optimize(translation.plan)
-                physical = optimization.best_plan
-            else:
-                physical = naive_implementation(translation.plan)
-
+            translation, optimization, physical = plan_query(
+                self._bind(analyzed, parameters), self.optimizer, optimize)
             before = self.database.work_snapshot()
             rows = execute_plan(physical, self.database)
             after = self.database.work_snapshot()
@@ -234,50 +222,27 @@ class Session:
     def _explain_analyzed(self, analyzed: AnalyzedQuery,
                           optimize: bool = True, analyze: bool = False,
                           parameters: ParameterValues = None) -> str:
-        translation = translate_query(analyzed)
+        translation, optimization, physical = plan_query(
+            analyzed, self.optimizer, optimize)
         lines = [
             "query:",
             _indent(str(analyzed.query)),
             "canonical logical plan:",
             _indent(format_tree(translation.plan)),
         ]
-        if optimize:
-            optimization = self.optimizer.optimize(translation.plan)
+        if optimization is not None:
             lines.append(optimization.explain())
-            physical = optimization.best_plan
         else:
-            physical = naive_implementation(translation.plan)
             lines.append("naive physical plan:")
             lines.append(_indent(describe_physical_tree(physical)))
         records = None
         if analyze:
-            profile_text, records = self._runtime_profile(analyzed, physical,
-                                                          parameters)
+            profile_text, records = explain_analyze(
+                physical, self.database,
+                resolve_bindings(analyzed.parameters, parameters),
+                self.optimizer.cost_model)
             lines.append(profile_text)
         return ExplainReport("\n".join(lines), records)
-
-    def _runtime_profile(self, analyzed: AnalyzedQuery,
-                         physical: PhysicalOperator,
-                         parameters: ParameterValues) -> tuple[str, list]:
-        """Execute *physical* — exactly the plan the report displays — under
-        instrumentation (EXPLAIN ANALYZE).
-
-        The plan may carry unbound :class:`Parameter` leaves, so it runs as
-        a prepared executable with the resolved bindings active rather than
-        through the parameter-substituting one-shot pipeline (which could
-        re-optimize to a different plan than the one shown).
-        """
-        bindings = resolve_bindings(analyzed.parameters, parameters)
-        profile = PlanProfile()
-        executable = PreparedExecutable(physical, self.database,
-                                        profile=profile)
-        rows = executable.run(bindings)
-        records = estimated_vs_actual(physical, profile,
-                                      cost_model=self.optimizer.cost_model)
-        report = render_explain_analyze(physical, profile,
-                                        cost_model=self.optimizer.cost_model)
-        return (f"runtime profile ({len(rows)} rows):\n"
-                f"{_indent(report)}"), records
 
     def trace(self, query: QueryLike, limit: Optional[int] = 50) -> str:
         """Render the optimization trace (the Section 7 demonstrator)."""

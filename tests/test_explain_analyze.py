@@ -15,7 +15,7 @@ import pytest
 
 from repro import connect, open_service, open_session
 from repro.errors import VQLSyntaxError
-from repro.physical.executor import execute_plan
+from repro.physical.executor import execute_plan, prepare_plan
 from repro.physical.interpreter import execute_plan_interpreted
 from repro.physical.plans import ParallelScan
 from repro.physical.profile import (
@@ -23,7 +23,6 @@ from repro.physical.profile import (
     estimated_vs_actual,
     render_explain_analyze,
 )
-from repro.service.prepared import prepare_plan
 from repro.vql.parser import parse_expression, parse_statement
 from repro.workloads import generate_document_database
 
@@ -59,7 +58,10 @@ class TestExplainRendering:
         session = open_session(indexed_db)
         via_statement = session.execute("EXPLAIN " + INDEXED_QUERY)
         assert via_statement.kind == "explain"
-        assert via_statement.description == session.explain(INDEXED_QUERY)
+        # two optimizer runs: everything but the wall-clock token repeats
+        timeless = [re.sub(r"time=[\d.]+s", "time=", report) for report in
+                    (via_statement.description, session.explain(INDEXED_QUERY))]
+        assert timeless[0] == timeless[1]
 
     def test_explain_cannot_nest(self):
         with pytest.raises(VQLSyntaxError):
@@ -169,7 +171,7 @@ class TestProfileEngines:
         session = open_session(indexed_db)
         plan = self.query_plan(session)
         profile = PlanProfile()
-        from repro.service.prepared import PreparedExecutable
+        from repro.physical.executor import PreparedExecutable
         executable = PreparedExecutable(plan, indexed_db, profile=profile)
         first = executable.run()
         executable.run()

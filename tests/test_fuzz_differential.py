@@ -30,7 +30,7 @@ import pytest
 
 from repro.algebra.translate import translate_query
 from repro.physical.evaluator import make_hashable
-from repro.physical.executor import execute_plan
+from repro.physical.executor import execute_plan, prepare_plan
 from repro.physical.interpreter import execute_plan_interpreted
 from repro.physical.naive import naive_implementation
 from repro.physical.plans import (
@@ -43,7 +43,6 @@ from repro.physical.plans import (
     ParallelScan,
     PhysicalOperator,
 )
-from repro.service.prepared import prepare_plan
 from repro.session import Session
 from repro.workloads import document_knowledge, generate_document_database
 

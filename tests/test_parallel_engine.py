@@ -17,7 +17,7 @@ import pytest
 from repro.datamodel.partitions import PartitionedExtension
 from repro.errors import AlgebraError, ReproError
 from repro.physical.evaluator import make_hashable
-from repro.physical.executor import execute_plan
+from repro.physical.executor import execute_plan, prepare_plan
 from repro.physical.interpreter import execute_plan_interpreted
 from repro.physical.parallel import (
     default_parallelism,
@@ -34,7 +34,6 @@ from repro.physical.plans import (
     ParallelScan,
     uses_parallelism,
 )
-from repro.service.prepared import prepare_plan
 from repro.service.service import QueryService
 from repro.session import Session
 from repro.vql.parser import parse_expression
@@ -259,6 +258,83 @@ class TestParallelOperators:
                                     ClassScan("q", "Paragraph"), 4)
         assert (execute_plan(sequential, small_db)
                 == execute_plan(parallel, small_db))
+
+
+# ----------------------------------------------------------------------
+# the snapshot pin reaches morsel workers on every entry point
+# ----------------------------------------------------------------------
+class TestSnapshotPinReachesWorkers:
+    """Workers run on pool threads, where the coordinating statement's
+    thread-local pin is not visible unless the engine re-activates it.  The
+    one-shot entry point used to skip that: under a pin it read the
+    *latest* versions while the prepared engine and the interpreter read
+    the snapshot."""
+
+    @pytest.fixture()
+    def rewritten(self, small_db):
+        """(database, snapshot ts): every paragraph rewritten after *ts*."""
+        ts = small_db.acquire_snapshot()
+        for oid in small_db.extension("Paragraph"):
+            small_db.update(oid, number=999, content="rewritten")
+        yield small_db, ts
+        small_db.release_snapshot(ts)
+
+    @staticmethod
+    def all_engines(plan, database):
+        return (execute_plan(plan, database),
+                prepare_plan(plan, database).run(),
+                execute_plan_interpreted(plan, database))
+
+    def test_parallel_scan(self, rewritten):
+        database, ts = rewritten
+        plan = ParallelScan("p", "Paragraph",
+                            condition=parse_expression("p.number == 999"),
+                            degree=4)
+        with database.pin_snapshot(ts):
+            one_shot, prepared, interpreted = self.all_engines(plan, database)
+        assert one_shot == prepared == interpreted == []
+        latest = execute_plan(plan, database)
+        assert len(latest) == len(database.extension("Paragraph")) > 8
+
+    def test_parallel_map(self, rewritten):
+        database, ts = rewritten
+        plan = ParallelMap("n", parse_expression("p.number"),
+                           ClassScan("p", "Paragraph"), degree=4)
+        with database.pin_snapshot(ts):
+            one_shot, prepared, interpreted = self.all_engines(plan, database)
+        assert one_shot == prepared == interpreted
+        assert all(row["n"] != 999 for row in one_shot)
+
+    def test_parallel_hash_join(self, rewritten):
+        database, ts = rewritten
+        plan = ParallelHashJoin(parse_expression("p.number"),
+                                parse_expression("q.number"),
+                                ClassScan("p", "Paragraph"),
+                                ClassScan("q", "Paragraph"), 4)
+        with database.pin_snapshot(ts):
+            one_shot, prepared, interpreted = self.all_engines(plan, database)
+        assert one_shot == prepared == interpreted
+        # at the latest version every key is 999: the full cross product
+        assert len(one_shot) < len(execute_plan(plan, database))
+
+    def test_session_under_a_pin(self, rewritten):
+        database, ts = rewritten
+        # without its (unversioned) text engine the external method reads
+        # the content property, which the pin does version
+        database.drop_text_index("Paragraph", "content")
+        query = ("ACCESS p FROM p IN Paragraph "
+                 "WHERE p->contains_string('word0005')")
+        knowledge = document_knowledge(database.schema)
+        parallel = Session(database, knowledge=knowledge,
+                           exclude_tags=("semantic",), parallelism=4)
+        sequential = Session(database, knowledge=knowledge,
+                             exclude_tags=("semantic",), parallelism=1)
+        assert uses_parallelism(parallel.optimize(query).best_plan)
+        with database.pin_snapshot(ts):
+            pinned = parallel.execute(query)
+            reference = sequential.execute(query)
+        assert pinned.value_set() == reference.value_set() != set()
+        assert parallel.execute(query).rows == []  # latest: all rewritten
 
 
 # ----------------------------------------------------------------------

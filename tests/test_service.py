@@ -72,7 +72,7 @@ def test_one_cached_plan_serves_every_binding():
                                     parameters=[QUERY_TERM, title])
         assert result.value_set() == reference.value_set()
     assert len(service.cache) == 1
-    assert service.metrics.cache_hits == len(titles)
+    assert service.metrics.snapshot()["cache_hits"] == len(titles)
 
 
 def test_shape_normalization_shares_cache_entries():
@@ -255,8 +255,9 @@ def test_concurrent_execution_matches_serial_results():
     for (query, parameters), result in zip(requests, results):
         reference = session.execute(query, parameters=parameters)
         assert result.value_set() == reference.value_set()
-    assert service.metrics.queries == len(requests)
-    assert service.metrics.cache_hits >= len(requests) - 1
+    snapshot = service.metrics.snapshot()
+    assert snapshot["queries"] == len(requests)
+    assert snapshot["cache_hits"] >= len(requests) - 1
 
 
 def test_concurrent_mixed_shapes_share_the_cache():
@@ -275,7 +276,7 @@ def test_concurrent_mixed_shapes_share_the_cache():
 
 
 # ----------------------------------------------------------------------
-# metrics and the engine-level one-shot path
+# metrics and the naive flag
 # ----------------------------------------------------------------------
 def test_service_metrics_snapshot_accounts_for_hits_and_misses():
     service = fresh_service(fresh_database())
@@ -290,36 +291,15 @@ def test_service_metrics_snapshot_accounts_for_hits_and_misses():
     assert snapshot["total_optimize_seconds"] > 0.0
 
 
-def test_run_query_reuses_a_cached_service_per_database():
-    from repro.engine import _service_for, run_query
+def test_service_naive_flag_lowers_the_canonical_plan():
     database = fresh_database()
-    knowledge = document_knowledge(database.schema)
-
-    first = run_query(database, NUMBER_QUERY, knowledge=knowledge,
-                      parameters=[2])
-    second = run_query(database, NUMBER_QUERY, knowledge=knowledge,
-                       parameters=[3])
-    assert first.output_ref == "p"
-    service = _service_for(database, knowledge)
-    assert service is _service_for(database, knowledge)
-    assert service.metrics.queries == 2
-    assert service.metrics.cache_hits == 1  # same shape, second call hit
-
-    reference = fresh_session(database).execute(
-        "ACCESS p FROM p IN Paragraph WHERE p.number == 3")
-    assert second.value_set() == reference.value_set()
-
-
-def test_run_query_naive_flag_still_works():
-    from repro.engine import run_query
-    database = fresh_database()
-    knowledge = document_knowledge(database.schema)
-    optimized = run_query(database, NUMBER_QUERY, knowledge=knowledge,
-                          parameters=[2])
-    naive = run_query(database, NUMBER_QUERY, knowledge=knowledge,
-                      optimize=False, parameters=[2])
+    service = fresh_service(database)
+    optimized = service.execute(NUMBER_QUERY, [2])
+    naive = service.execute(NUMBER_QUERY, [2], optimize=False)
+    assert naive.output_ref == "p"
     assert naive.value_set() == optimized.value_set()
-    assert naive.optimization is None
+    assert naive.plan.optimization is None
+    assert optimized.plan.optimization is not None
 
 
 def test_explain_describes_the_cached_plan():
@@ -328,33 +308,27 @@ def test_explain_describes_the_cached_plan():
     assert "physical plan" in text or "naive plan" in text
 
 
-def test_run_query_picks_up_knowledge_added_in_place():
+def test_sync_knowledge_picks_up_knowledge_added_in_place():
     """Knowledge add()ed directly to the shared object after the service was
-    cached must still reach the optimizer (the pre-service behaviour)."""
-    from repro.engine import _service_for, run_query
+    built reaches the optimizer on the next ``sync_knowledge()``."""
     database = fresh_database()
     knowledge = document_knowledge(database.schema)
-    run_query(database, NUMBER_QUERY, knowledge=knowledge, parameters=[2])
-    version_before = _service_for(database, knowledge)._knowledge_version
+    service = QueryService(database, knowledge=knowledge)
+    service.execute(NUMBER_QUERY, [2])
+    version_before = service._knowledge_version
+    assert not service.sync_knowledge()
 
     knowledge.add(ConditionImplication(
         class_name="Paragraph", variable="p",
         antecedent="p->wordCount() > 200",
         consequent="p IS-IN Paragraph->largeParagraphs()",
         name="in-place-implication"))
-    result = run_query(database, NUMBER_QUERY, knowledge=knowledge,
-                       parameters=[2])
-    service = _service_for(database, knowledge)
+    assert service.sync_knowledge()
+    result = service.execute(NUMBER_QUERY, [2])
     assert service._knowledge_version == version_before + 1
+    assert not result.metrics.cache_hit  # the version bump evicted the plan
     assert result.value_set() == fresh_session(database).execute(
         "ACCESS p FROM p IN Paragraph WHERE p.number == 2").value_set()
-
-
-def test_service_cache_for_run_query_is_bounded():
-    from repro.engine import _MAX_CACHED_SERVICES, _SERVICES, run_query
-    for _ in range(_MAX_CACHED_SERVICES + 3):
-        run_query(fresh_database(2), "ACCESS d FROM d IN Document")
-    assert len(_SERVICES) <= _MAX_CACHED_SERVICES
 
 
 def test_read_lock_is_reentrant_while_a_writer_waits():

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import open_session, run_query
+from repro import open_service, open_session
 from repro.errors import WorkloadError
 from repro.workloads import (
     DocumentWorkloadConfig,
@@ -72,9 +72,8 @@ class TestSession:
     def test_engine_helpers(self, doc_database, doc_knowledge):
         session = open_session(doc_database, knowledge=doc_knowledge)
         assert session.execute("ACCESS d.title FROM d IN Document").values
-        result = run_query(doc_database,
-                           "ACCESS d.title FROM d IN Document",
-                           knowledge=doc_knowledge)
+        service = open_service(doc_database, knowledge=doc_knowledge)
+        result = service.execute("ACCESS d.title FROM d IN Document")
         assert TARGET_TITLE in set(result.values)
 
 

@@ -2,7 +2,7 @@
 
 Covers the statement grammar and analyzer, the router's dispatch through
 each entry point (``Session.execute``, ``QueryService.execute``,
-``run_query``, ``connect()``), DML planned through the optimizer (index
+``connect()``), DML planned through the optimizer (index
 access paths, bind parameters, plan-cache reuse), the bulk datamodel paths
 (``Database.update``, ``Database.create_many``) and the streaming cursor.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import QueryService, Session, connect, run_query
+from repro import QueryService, Session, connect
 from repro.api.router import StatementResult, StatementRouter
 from repro.datamodel.database import Database
 from repro.errors import (
@@ -208,7 +208,7 @@ class TestStatementAnalyzer:
 
 
 # ----------------------------------------------------------------------
-# the three legacy entry points converge on the router
+# the three entry points converge on the router
 # ----------------------------------------------------------------------
 class TestEntryPointConvergence:
     STATEMENT = "INSERT INTO Document (title) VALUES (:t)"
@@ -226,10 +226,10 @@ class TestEntryPointConvergence:
         assert isinstance(result, StatementResult)
         assert database.value(result.lastoid, "title") == "q"
 
-    def test_run_query_executes_dml(self, database):
-        result = run_query(database, self.STATEMENT, parameters={"t": "r"})
-        assert isinstance(result, StatementResult)
-        assert database.value(result.lastoid, "title") == "r"
+    def test_connection_executes_dml(self, database):
+        cursor = connect(database).execute(self.STATEMENT, {"t": "r"})
+        assert cursor.rowcount == 1
+        assert database.value(cursor.lastoid, "title") == "r"
 
     def test_all_entry_points_agree_on_queries(self, database):
         text = "ACCESS d.title FROM d IN Document WHERE d.title == :t"
@@ -239,8 +239,6 @@ class TestEntryPointConvergence:
         connection = connect(database, service=service)
         expected = session.execute(text, parameters=parameters).value_set()
         assert service.execute(text, parameters).value_set() == expected
-        assert run_query(database, text,
-                         parameters=parameters).value_set() == expected
         cursor = connection.execute(text, parameters)
         assert set(cursor.fetchall()) == {v for v in expected}
 
@@ -646,6 +644,51 @@ class TestConnectionCursor:
         # the statement cache revalidates on the schema version, so the
         # handle is rebuilt from a fresh analysis
         assert after.analyzed is not before.analyzed
+
+
+# ----------------------------------------------------------------------
+# an error raised mid-fetch is accounted like the same error in execute()
+# ----------------------------------------------------------------------
+class TestStreamErrorAccounting:
+    FAILING = ("ACCESS p.number / (p.number - p.number) "
+               "FROM p IN Paragraph WHERE p.number > :n")
+
+    @staticmethod
+    def assert_failed_statement(service, statements):
+        """*statements* failed statements so far: counted as errors (never
+        as executed queries), snapshot released, span closed as an error."""
+        snapshot = service.metrics.snapshot()
+        assert snapshot["errors"] == statements
+        assert snapshot["queries"] == 0
+        assert service.database._oldest_pin() is None  # chains prunable
+        spans = service.tracer.recent()
+        assert len(spans) == statements
+        assert spans[-1].status == "error"
+        assert "ZeroDivisionError" in spans[-1].error
+
+    def test_through_the_service_stream(self, database):
+        service = QueryService(database, tracing=True)
+        with pytest.raises(ZeroDivisionError):
+            service.execute(self.FAILING, {"n": 0})
+        self.assert_failed_statement(service, 1)  # the reference behaviour
+        stream = service.stream(self.FAILING, {"n": 0})
+        with pytest.raises(ZeroDivisionError):
+            stream.fetch(1)
+        assert stream.exhausted
+        assert stream.fetch(1) == [] and stream.drain() == []
+        stream.close()  # finished once: closing accounts nothing further
+        self.assert_failed_statement(service, 2)
+
+    def test_through_the_cursor(self, database):
+        connection = connect(database, tracing=True)
+        cursor = connection.cursor()
+        cursor.execute(self.FAILING, {"n": 0})
+        with pytest.raises(ZeroDivisionError):
+            cursor.fetchone()
+        assert cursor.exhausted
+        assert cursor.fetchone() is None and cursor.fetchall() == []
+        cursor.close()
+        self.assert_failed_statement(connection.service, 1)
 
 
 # ----------------------------------------------------------------------

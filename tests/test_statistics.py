@@ -249,7 +249,7 @@ class TestAnalyzeStatement:
                        "VALUES ('x', 1)")
         assert cursor.statement_report is None
 
-    def test_analyze_through_session_and_run_query(self):
+    def test_analyze_through_session(self):
         database = skewed_database(n=30)
         session = open_session(database)
         result = session.execute("ANALYZE Reading")
@@ -349,24 +349,9 @@ class TestInformedCostModel:
 
 
 # ----------------------------------------------------------------------
-# deprecation of the legacy per-kind index DDL aliases
+# the service's one index-DDL entry point
 # ----------------------------------------------------------------------
-class TestLegacyIndexDdlDeprecation:
-    def test_service_aliases_warn_but_work(self):
-        database = skewed_database(n=10)
-        from repro import open_service
-        service = open_service(database)
-        with pytest.deprecated_call():
-            service.create_hash_index("Reading", "category")
-        with pytest.deprecated_call():
-            service.create_sorted_index("Reading", "score")
-        assert database.indexes.get("Reading", "category") is not None
-        assert database.indexes.get("Reading", "score") is not None
-        with pytest.deprecated_call():
-            service.create_text_index("Reading", "note")
-        with pytest.deprecated_call():
-            service.drop_text_index("Reading", "note")
-
+class TestServiceIndexDdl:
     def test_generic_entry_point_does_not_warn(self, recwarn):
         database = skewed_database(n=10)
         from repro import open_service

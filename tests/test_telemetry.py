@@ -120,14 +120,14 @@ def test_span_tree_feedback_replan():
     assert [span.attributes["profiled"] for span in replanned.children
             if span.name == "compile"] == [False, True]
     assert replanned.find("optimize").attributes["replan"] is True
-    assert service.metrics.plans_reoptimized >= 1
+    assert service.metrics.snapshot()["plans_reoptimized"] >= 1
 
 
 def test_error_statement_spans_and_counter():
     service = traced_service()
     with pytest.raises(ReproError):
         service.execute("ACCESS p FROM p IN NoSuchClass")
-    assert service.metrics.errors == 1
+    assert service.metrics.snapshot()["errors"] == 1
     (span,) = service.tracer.recent()
     assert span.status == "error"
     assert "NoSuchClass" in span.error
@@ -190,12 +190,42 @@ def test_morsel_dispatch_child_span():
 
 
 def test_session_statement_spans():
-    session = Session(fresh_database(), tracing=True)
+    # the session runs the service's engine: compile is its own stage
+    session = Session(fresh_database(), tracing=True, parallelism=1)
     result = session.execute(QUERY, parameters=PARAMS)
     (span,) = session.tracer.recent()
-    assert span.names()[:2] == ["statement", "optimize"]
-    assert "execute" in span.names()
+    assert span.names() == ["statement", "optimize", "compile", "execute"]
     assert span.attributes["rows"] == len(result)
+    assert span.find("compile").attributes == {"profiled": False}
+    assert span.find("execute").attributes == {"engine": "compiled",
+                                               "rows": len(result)}
+    session.execute_naive(QUERY, parameters=PARAMS)
+    assert session.tracer.recent()[-1].names() == ["statement", "compile",
+                                                   "execute"]
+
+
+def test_execute_and_drained_stream_are_accounted_alike():
+    """One finisher behind both paths: same span children and annotations,
+    same service metrics."""
+    service = traced_service()
+    result = service.execute(QUERY, parameters=PARAMS)
+    rows = service.stream(QUERY, parameters=PARAMS).drain()
+    assert rows == result.rows
+    executed, streamed = service.tracer.recent()
+    assert executed.names() == MISS_GOLDEN
+    assert streamed.names() == HIT_GOLDEN
+    for span in (executed, streamed):
+        assert span.status == "ok"
+        assert span.attributes["rows"] == len(rows)
+        assert span.attributes["fingerprint"] == result.metrics.fingerprint
+        assert span.find("execute").attributes == {"rows": len(rows)}
+    assert executed.attributes["cache_hit"] is False
+    assert streamed.attributes["cache_hit"] is True
+    snapshot = service.metrics.snapshot()
+    assert (snapshot["queries"], snapshot["cache_hits"],
+            snapshot["errors"]) == (2, 1, 0)
+    execute = service.registry.histogram("repro_execute_seconds").snapshot()
+    assert execute["count"] == 2
 
 
 # ----------------------------------------------------------------------
@@ -303,9 +333,9 @@ def test_per_fingerprint_top_statements():
 
 
 # ----------------------------------------------------------------------
-# the service facade
+# the service's instruments
 # ----------------------------------------------------------------------
-def test_service_metrics_facade_snapshot_keys():
+def test_service_metrics_snapshot_keys():
     service = QueryService(fresh_database())
     service.execute(QUERY, parameters=PARAMS)
     service.execute(QUERY, parameters=PARAMS)
@@ -316,7 +346,7 @@ def test_service_metrics_facade_snapshot_keys():
     assert snapshot["errors"] == 0
     assert snapshot["hit_rate"] == 0.5
     assert snapshot["total_execute_seconds"] > 0.0
-    assert service.metrics.total_prepare_seconds > 0.0
+    assert snapshot["total_prepare_seconds"] > 0.0
     assert isinstance(service.metrics, ServiceMetrics)
 
 
@@ -337,7 +367,7 @@ def test_statements_prepared_setter_is_locked():
     for thread in threads:
         thread.join()
     assert not errors
-    assert metrics.statements_prepared in (0, 1, 2, 3)
+    assert metrics.snapshot()["statements_prepared"] in (0, 1, 2, 3)
 
 
 def test_concurrent_histogram_counts_every_statement():
@@ -346,7 +376,7 @@ def test_concurrent_histogram_counts_every_statement():
     results = service.run_concurrent(requests, workers=6)
     assert len(results) == 24
     execute = service.registry.histogram("repro_execute_seconds").snapshot()
-    assert execute["count"] == 24 == service.metrics.queries
+    assert execute["count"] == 24 == service.metrics.snapshot()["queries"]
     assert sum(execute["buckets"].values()) >= 24  # cumulative buckets
     top = service.registry.top_statements(1)
     assert top[0]["count"] == 24

@@ -216,8 +216,9 @@ class TestTransactions:
         authors = set(connect(database, service=service).execute(
             "ACCESS d.author FROM d IN Document").fetchall())
         assert authors == {"first winner"}
-        assert service.metrics.txn_conflicts == 1
-        assert service.metrics.txn_commits == 1
+        snapshot = service.metrics.snapshot()
+        assert snapshot["txn_conflicts"] == 1
+        assert snapshot["txn_commits"] == 1
 
     def test_delete_by_other_transaction_conflicts(self, database):
         service = QueryService(database)
