@@ -199,6 +199,9 @@ class SortedIndex:
     # -- queries --------------------------------------------------------
     def lookup(self, key: Any) -> set[OID]:
         self.lookup_count += 1
+        if key is None:
+            # NULLs are never indexed (and None reads as "unbounded" below)
+            return set()
         return self._between(key, False, key, True)
 
     def range(self, low: Any = None, high: Any = None,

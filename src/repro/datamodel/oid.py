@@ -10,7 +10,8 @@ sorted for deterministic output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -25,6 +26,20 @@ class OID:
 
     def __repr__(self) -> str:
         return f"OID({self.class_name!r}, {self.serial})"
+
+
+_OID_ORDER = attrgetter("class_name", "serial")
+
+
+def sorted_oids(oids: Iterable[OID]) -> list[OID]:
+    """*oids* as a list in OID order — the order every index access path
+    emits its matches in.
+
+    Same order as ``sorted(oids)``, but keyed: the dataclass-generated
+    ``__lt__`` builds two tuples in Python per comparison, the key function
+    builds one per element in C.
+    """
+    return sorted(oids, key=_OID_ORDER)
 
 
 class OIDAllocator:

@@ -7,6 +7,14 @@ associativity and commutativity of join or interchangeability of selection
 and join."  This module provides that predefined rule set for our general
 algebra, plus the implementation rules mapping logical operators to the
 physical algorithms of :mod:`repro.physical.plans`.
+
+Index access paths take *bind-time* keys and bounds: ``a.prop OP :p``
+matches like ``a.prop OP const`` and the :class:`Parameter` travels into
+the scan, which resolves it per execution — so a cached, parameterized
+statement gets the access path its literal twin gets.  Values only known
+at execution cannot be compared while a rule runs: constant bounds on one
+side of a range still merge into the tightest one, but a side holds at most
+one bound, and every further conjunct on it stays in the residual filter.
 """
 
 from __future__ import annotations
@@ -322,8 +330,7 @@ def _property_comparison(conjunct: Expression, ref: str,
     Returns ``(prop, op, value)`` with the comparison oriented so that the
     property is on the left, or ``None``.  With *allow_parameter* a bind
     parameter also matches and is returned as the :class:`Parameter`
-    expression itself — only equality scans can defer key resolution to
-    execution time, range bounds must be comparable during rule application.
+    expression itself: the index scans resolve it at execution time.
     """
     if not isinstance(conjunct, BinaryOp):
         return None
@@ -385,9 +392,15 @@ def _implement_select_index_eq(plan: LogicalOperator,
 def _match_index_range(plan: LogicalOperator, ctx: RuleContext
                        ) -> Optional[tuple[Get, str, object, object, bool, bool,
                                            Optional[Expression]]]:
-    """Match a selection over a sorted-indexed property, merging all range
+    """Match a selection over a sorted-indexed property, merging the range
     conjuncts on the same property into one interval.  Returns ``(get, prop,
-    low, high, include_low, include_high, residual)``."""
+    low, high, include_low, include_high, residual)``.
+
+    Constant bounds on one side merge into the tightest.  A bind parameter
+    cannot be ranked against anything before execution, so a side takes the
+    first bound it meets and, once a parameter is involved, leaves every
+    later conjunct on that side to the residual filter — whichever bound
+    the scan got, the result is the same."""
     if not isinstance(plan, Select) or not isinstance(plan.input, Get):
         return None
     if ctx.database is None:
@@ -398,7 +411,7 @@ def _match_index_range(plan: LogicalOperator, ctx: RuleContext
     # Pick the first property with a sorted index and at least one bound.
     target_prop: Optional[str] = None
     for part in parts:
-        match = _property_comparison(part, get.ref)
+        match = _property_comparison(part, get.ref, allow_parameter=True)
         if match is None or match[1] == "==":
             continue
         index = ctx.database.indexes.get(get.class_name, match[0])
@@ -412,14 +425,20 @@ def _match_index_range(plan: LogicalOperator, ctx: RuleContext
     include_low = include_high = True
     residual: list[Expression] = []
     for part in parts:
-        match = _property_comparison(part, get.ref)
+        match = _property_comparison(part, get.ref, allow_parameter=True)
         if match is None or match[0] != target_prop or match[1] == "==":
             residual.append(part)
             continue
         _, op, value = match
         bound_inclusive = op in ("<=", ">=")
+        lower = op in (">", ">=")
+        current = low if lower else high
+        if current is not None and (isinstance(current, Expression)
+                                    or isinstance(value, Expression)):
+            residual.append(part)
+            continue
         try:
-            if op in (">", ">="):
+            if lower:
                 if low is None or value > low or (value == low and not bound_inclusive):
                     low, include_low = value, bound_inclusive
             else:
@@ -438,9 +457,10 @@ def _implement_select_index_range(plan: LogicalOperator,
                                   _children: tuple[PhysicalOperator, ...],
                                   ctx: RuleContext
                                   ) -> Optional[Iterable[PhysicalOperator]]:
-    """select<a.prop < const AND ...>(get<a, C>) → index_range_scan over a
-    sorted index, merging all range conjuncts on the same property into one
-    interval and keeping the remaining conjuncts as a residual filter."""
+    """select<a.prop < bound AND ...>(get<a, C>) → index_range_scan over a
+    sorted index (*bound* a constant or a bind parameter), merging the range
+    conjuncts on the same property into one interval and keeping the
+    remaining conjuncts as a residual filter."""
     match = _match_index_range(plan, ctx)
     if match is None:
         return None

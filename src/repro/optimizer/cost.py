@@ -407,19 +407,31 @@ class CostModel:
         return cardinality
 
     def _index_range_cardinality(self, plan: IndexRangeScan) -> float:
-        """Expected matches of a range index lookup (histogram-interpolated
-        when statistics are fresh, flat default otherwise)."""
+        """Expected matches of a range index lookup.
+
+        An interval between two plan-time values is read off the histogram
+        when statistics are fresh.  Otherwise each bounded side contributes
+        what :meth:`condition_selectivity` gives the equivalent filter
+        conjunct — the histogram for a plan-time value, the flat default
+        for a bind parameter (or without statistics) — so the index plan
+        and the filter plan of one predicate carry the same cardinality."""
         size = self.extension_size(plan.class_name)
         stats = self.property_statistics(plan.class_name, plan.prop)
-        concrete = not (isinstance(plan.low, Expression)
-                        or isinstance(plan.high, Expression))
-        if stats is not None and concrete:
+        bounds = ((">=", plan.low), ("<=", plan.high))
+        if stats is not None and not any(isinstance(bound, Expression)
+                                         for _, bound in bounds):
             selectivity = stats.selectivity_range(plan.low, plan.high)
             if selectivity is not None:
                 return max(size * selectivity, 1.0)
-        selectivity = self.RANGE_SELECTIVITY
-        if plan.low is not None and plan.high is not None:
-            selectivity *= self.RANGE_SELECTIVITY
+        selectivity = 1.0
+        for op, bound in bounds:
+            if bound is None:
+                continue
+            side = None
+            if stats is not None and not isinstance(bound, Expression):
+                side = stats.selectivity_cmp(op, bound)
+            selectivity *= (self.RANGE_SELECTIVITY if side is None
+                            else min(max(side, 0.0), 1.0))
         return max(size * selectivity, 1.0)
 
     def property_statistics(self, class_name: Optional[str],

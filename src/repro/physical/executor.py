@@ -39,7 +39,12 @@ from repro.datamodel.versioning import current_pin
 from repro.errors import ExecutionError
 from repro.physical.compiler import ExpressionCompiler
 from repro.physical.evaluator import EMPTY_ROW, make_hashable
-from repro.physical.interpreter import _iterate_set, _require_index
+from repro.physical.interpreter import (
+    _eq_oids,
+    _iterate_set,
+    _range_oids,
+    _require_index,
+)
 from repro.physical.parallel import (
     merge_hash_join,
     run_filter_morsels,
@@ -228,37 +233,39 @@ def _build(plan: PhysicalOperator, database: Database,
 # resolve the key/bounds, count the lookup, return OIDs in OID order — all
 # at run time (the index handle is resolved per execution: DDL between
 # runs is guarded by the plan cache's index version, but stay defensive).
+# Keys and bounds are resolved on the calling thread, before any morsel
+# fans out: the BindingEnv is thread-local.
 # ----------------------------------------------------------------------
+def _run_time_value(value: Any, compiler: ExpressionCompiler
+                    ) -> Callable[[Mapping[str, Any]], Any]:
+    """A scan key or bound as a closure over the (empty) row: Expression
+    values (bind parameters) compile once and resolve once per execution,
+    plan-time values are captured."""
+    if isinstance(value, Expression):
+        return compiler.compile(value)
+    return lambda row: value
+
+
 def _eq_lookup(plan: IndexEqScan, database: Database,
                compiler: ExpressionCompiler) -> Callable[[], list]:
-    if isinstance(plan.key, Expression):
-        # Expression keys (bind parameters) are resolved once per execution.
-        key_fn = compiler.compile(plan.key)
-    else:
-        constant_key = plan.key
-        key_fn = lambda row: constant_key  # noqa: E731 - tiny constant closure
+    key_fn = _run_time_value(plan.key, compiler)
 
     def lookup() -> list:
         index = _require_index(plan, database)
-        key = key_fn(EMPTY_ROW)
-        database.statistics.record_index_lookup()
-        return sorted(index.lookup(key))
+        return _eq_oids(plan, database, index, key_fn(EMPTY_ROW))
 
     return lookup
 
 
-def _range_lookup(plan: IndexRangeScan,
-                  database: Database) -> Callable[[], list]:
+def _range_lookup(plan: IndexRangeScan, database: Database,
+                  compiler: ExpressionCompiler) -> Callable[[], list]:
+    low_fn = _run_time_value(plan.low, compiler)
+    high_fn = _run_time_value(plan.high, compiler)
+
     def lookup() -> list:
-        index = _require_index(plan, database)
-        if index.kind != "sorted":
-            raise ExecutionError(
-                f"{plan.describe()} requires a sorted index, found "
-                f"{index.kind!r}")
-        database.statistics.record_index_lookup()
-        return sorted(index.range(plan.low, plan.high,
-                                  include_low=plan.include_low,
-                                  include_high=plan.include_high))
+        index = _require_index(plan, database, kind="sorted")
+        return _range_oids(plan, database, index,
+                           low_fn(EMPTY_ROW), high_fn(EMPTY_ROW))
 
     return lookup
 
@@ -289,7 +296,7 @@ def _index_eq_scan(plan: IndexEqScan, database: Database,
 def _index_range_scan(plan: IndexRangeScan, database: Database,
                       compiler: ExpressionCompiler,
                       env: BindingEnv) -> Source:
-    return _leaf_scan(plan.ref, _range_lookup(plan, database))
+    return _leaf_scan(plan.ref, _range_lookup(plan, database, compiler))
 
 
 def _expression_set_scan(plan: ExpressionSetScan, database: Database,
@@ -434,11 +441,9 @@ def _index_nested_loop_join(plan: IndexNestedLoopJoin, database: Database,
 
     def run() -> Iterator[Row]:
         index = _require_index(plan, database)
-        statistics = database.statistics
         for left_row in left_source():
-            statistics.record_index_lookup()
             # OID-sorted probe result, matching IndexEqScan's order.
-            for oid in sorted(index.lookup(left_key(left_row))):
+            for oid in _eq_oids(plan, database, index, left_key(left_row)):
                 yield {**left_row, ref: oid}
 
     return run
@@ -583,7 +588,7 @@ def _parallel_index_range_scan(plan: ParallelIndexRangeScan,
                                database: Database,
                                compiler: ExpressionCompiler,
                                env: BindingEnv) -> Source:
-    lookup = _range_lookup(plan, database)
+    lookup = _range_lookup(plan, database, compiler)
     return _parallel_oid_scan(plan, lambda: [lookup()], compiler, env)
 
 

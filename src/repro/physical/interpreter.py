@@ -18,19 +18,21 @@ Production code should use :func:`repro.physical.executor.execute_plan` /
 contract with set semantics (duplicate elimination at projections, unions
 and set scans).
 
-The helpers ``_iterate_set``, ``_distinct`` and ``_require_index`` are
-imported by the compiled engine and the restricted executor so that the
-set-coercion and index-lookup semantics are defined in exactly one place.
+The helpers ``_iterate_set``, ``_distinct``, ``_require_index``,
+``_eq_oids`` and ``_range_oids`` are imported by the compiled engine and the
+restricted executor so that the set-coercion and index-lookup semantics —
+including what a NULL key or bound means — are defined in exactly one place.
 """
 
 from __future__ import annotations
 
 import time
 from collections import defaultdict
-from typing import Any
+from typing import Any, Optional
 
 from repro.algebra.expressions import Expression
 from repro.datamodel.database import Database
+from repro.datamodel.oid import OID, sorted_oids
 from repro.errors import ExecutionError
 from repro.physical.evaluator import (
     EMPTY_ROW,
@@ -120,13 +122,11 @@ def _interpret_node(plan: PhysicalOperator, database: Database,
 
     if isinstance(plan, IndexEqScan):
         index = _require_index(plan, database)
-        key = plan.key
-        if isinstance(key, Expression):
-            # Expression keys (bind parameters) are resolved per execution;
-            # an unbound Parameter raises, as everywhere in this engine.
-            key = evaluate(key, EMPTY_ROW, database)
-        database.statistics.record_index_lookup()
-        rows = [{plan.ref: oid} for oid in sorted(index.lookup(key))]
+        # Expression keys and bounds (bind parameters) are resolved per
+        # execution; an unbound Parameter raises, as everywhere in this engine.
+        rows = [{plan.ref: oid}
+                for oid in _eq_oids(plan, database, index,
+                                    _resolve(plan.key, database))]
         # The parallel variant only adds a residual predicate on top of the
         # identical lookup semantics (same for the range scan below).
         if isinstance(plan, ParallelIndexEqScan) and plan.condition is not None:
@@ -135,16 +135,11 @@ def _interpret_node(plan: PhysicalOperator, database: Database,
         return rows
 
     if isinstance(plan, IndexRangeScan):
-        index = _require_index(plan, database)
-        if index.kind != "sorted":
-            raise ExecutionError(
-                f"{plan.describe()} requires a sorted index, found "
-                f"{index.kind!r}")
-        database.statistics.record_index_lookup()
-        oids = index.range(plan.low, plan.high,
-                           include_low=plan.include_low,
-                           include_high=plan.include_high)
-        rows = [{plan.ref: oid} for oid in sorted(oids)]
+        index = _require_index(plan, database, kind="sorted")
+        rows = [{plan.ref: oid}
+                for oid in _range_oids(plan, database, index,
+                                       _resolve(plan.low, database),
+                                       _resolve(plan.high, database))]
         if isinstance(plan, ParallelIndexRangeScan) and plan.condition is not None:
             rows = [row for row in rows
                     if evaluate_predicate(plan.condition, row, database)]
@@ -184,8 +179,7 @@ def _interpret_node(plan: PhysicalOperator, database: Database,
         result = []
         for left_row in left_rows:
             key = evaluate(plan.left_key, left_row, database)
-            database.statistics.record_index_lookup()
-            for oid in sorted(index.lookup(key)):
+            for oid in _eq_oids(plan, database, index, key):
                 result.append({**left_row, plan.ref: oid})
         return result
 
@@ -254,15 +248,66 @@ def _interpret_node(plan: PhysicalOperator, database: Database,
     raise ExecutionError(f"unknown physical operator {plan!r}")
 
 
-def _require_index(plan: IndexEqScan | IndexRangeScan, database: Database):
+def _resolve(value: Any, database: Database) -> Any:
+    """A scan key or bound at execution time: expressions are evaluated
+    (they are row-free), plan-time values pass through."""
+    if isinstance(value, Expression):
+        return evaluate(value, EMPTY_ROW, database)
+    return value
+
+
+def _require_index(plan: IndexEqScan | IndexRangeScan | IndexNestedLoopJoin,
+                   database: Database, kind: Optional[str] = None):
     index = database.indexes.get(plan.class_name, plan.prop)
     if index is None:
         raise ExecutionError(
             f"{plan.describe()} needs an index on "
             f"{plan.class_name}.{plan.prop}, but none is registered")
+    if kind is not None and index.kind != kind:
+        raise ExecutionError(
+            f"{plan.describe()} requires a {kind} index, found "
+            f"{index.kind!r}")
     # When the calling thread is pinned to a snapshot, wrap the index so
     # lookups answer as of that snapshot (the raw index otherwise).
     return database.index_view(index)
+
+
+def _eq_oids(plan: IndexEqScan | IndexNestedLoopJoin, database: Database,
+             index, key: Any) -> list[OID]:
+    """The objects of ``plan.class_name`` whose ``plan.prop`` equals *key*,
+    in OID order, charged as one index lookup.
+
+    NULLs are never indexed, yet ``NULL == NULL`` holds in the evaluator:
+    a NULL key is answered the way the filter plan answers it — by the
+    objects of the extension whose property is NULL, charged as an
+    extension scan (plus its property reads) instead of an index lookup.
+    """
+    if key is None:
+        prop = plan.prop
+        return sorted_oids(oid for oid in database.extension(plan.class_name)
+                           if database.value(oid, prop) is None)
+    database.statistics.record_index_lookup()
+    return sorted_oids(index.lookup(key))
+
+
+def _range_oids(plan: IndexRangeScan, database: Database, index,
+                low: Any, high: Any) -> list[OID]:
+    """The objects inside the scan's interval with its bounds resolved to
+    *low*/*high*, in OID order, charged as one index lookup.
+
+    ``None`` means open-ended only for a side the plan leaves open; a bound
+    that *resolved* to NULL matches nothing, because ``x >= NULL`` is false
+    in the evaluator (the index would read it as "no bound").  Crossed
+    bounds select nothing; a bound the keys cannot be compared with raises
+    the ``TypeError`` the per-row comparison raises.
+    """
+    database.statistics.record_index_lookup()
+    if ((low is None and plan.low is not None)
+            or (high is None and plan.high is not None)):
+        return []
+    return sorted_oids(index.range(low, high,
+                                   include_low=plan.include_low,
+                                   include_high=plan.include_high))
 
 
 def _iterate_set(value: Any, plan: PhysicalOperator,

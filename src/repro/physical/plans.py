@@ -121,8 +121,15 @@ class IndexRangeScan(PhysicalOperator):
     """Range lookup in a sorted index on one property.
 
     Produces the instances of *class_name* whose *prop* falls into the
-    interval described by ``low``/``high`` (``None`` means open-ended),
-    in OID order.  Requires a :class:`~repro.datamodel.indexes.SortedIndex`."""
+    interval described by ``low``/``high``, in OID order.  Requires a
+    :class:`~repro.datamodel.indexes.SortedIndex`.
+
+    A bound is ``None`` (that side is open-ended), a plain value fixed at
+    plan time, or — like :attr:`IndexEqScan.key` — an
+    :class:`~repro.algebra.expressions.Expression` (a bind parameter) that
+    the engines resolve once per execution.  A bound *expression* that
+    resolves to NULL closes the interval instead of opening it: the scan
+    yields no rows, as ``x >= NULL`` holds for no ``x``."""
 
     ref: str
     class_name: str
@@ -145,7 +152,14 @@ class IndexRangeScan(PhysicalOperator):
         low_bracket = "[" if self.include_low else "("
         high_bracket = "]" if self.include_high else ")"
         return (f"index_range_scan<{self.ref}, {self.class_name}.{self.prop} IN "
-                f"{low_bracket}{self.low!r}, {self.high!r}{high_bracket}>")
+                f"{low_bracket}{_bound_text(self.low)}, "
+                f"{_bound_text(self.high)}{high_bracket}>")
+
+
+def _bound_text(bound: Any) -> str:
+    """A range bound as EXPLAIN prints it: ``:lo`` for a bind parameter (as
+    ``select<...>`` prints it), the ``repr`` of a plan-time value."""
+    return str(bound) if isinstance(bound, Expression) else repr(bound)
 
 
 @cached_hash

@@ -34,6 +34,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.api.router import StatementRouter
@@ -1170,18 +1171,14 @@ class RowStream:
         """
         if self._exhausted or n <= 0:
             return []
-        rows: list[Row] = []
-        iterator = self._iterator
         started = time.perf_counter()
         try:
             with self._database.pin_snapshot(self._snapshot_ts):
                 with self._executable.binding_scope(self._bindings):
-                    for _ in range(n):
-                        try:
-                            rows.append(next(iterator))
-                        except StopIteration:
-                            self._exhausted = True
-                            break
+                    rows: list[Row] = list(islice(self._iterator, n))
+            # (a stream holding exactly n more rows is found exhausted by
+            # the next fetch)
+            self._exhausted = len(rows) < n
         except BaseException as exc:
             self._exhausted = True
             self.fetch_seconds += time.perf_counter() - started

@@ -5,7 +5,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algebra.expressions import BinaryOp, ClassExtent, Const, Var
+from repro.algebra.expressions import (
+    BinaryOp,
+    ClassExtent,
+    Const,
+    Parameter,
+    Var,
+)
 from repro.algebra.operators import Get, Project, Select
 from repro.datamodel.database import Database
 from repro.datamodel.schema import ClassDef, PropertyDef, Schema
@@ -13,7 +19,7 @@ from repro.datamodel.types import INT, STRING
 from repro.errors import ExecutionError
 from repro.physical.compiler import ExpressionCompiler
 from repro.physical.evaluator import evaluate
-from repro.physical.executor import execute_plan
+from repro.physical.executor import execute_plan, prepare_plan
 from repro.physical.interpreter import execute_plan_interpreted
 from repro.physical.naive import naive_implementation
 from repro.physical.plans import (
@@ -327,6 +333,11 @@ class TestOperatorCoverage:
                 and cls is not plans.PhysicalOperator
                 and cls.__module__ == plans.__name__}
 
+    #: the values the samples' bind parameters stand for: the engine runs
+    #: a sample under these bindings, the interpreter — which runs on fully
+    #: bound plans — the sample with them substituted
+    BINDINGS = {"lo": 2, "hi": 4}
+
     @staticmethod
     def sample_plans():
         from repro.physical import plans as P
@@ -337,6 +348,12 @@ class TestOperatorCoverage:
         ones = P.Filter(parse_expression("p.number == 1"), scan_p)
         join_keys = (number, parse_expression("q.number"))
         return [
+            P.IndexRangeScan("p", "Paragraph", "number",
+                             low=Parameter("lo"), high=Parameter("hi")),
+            P.ParallelIndexRangeScan("p", "Paragraph", "number",
+                                     low=Parameter("lo"), high=4,
+                                     include_high=False,
+                                     condition=residual, degree=4),
             scan_p,
             P.IndexEqScan("p", "Paragraph", "number", 1),
             P.IndexRangeScan("p", "Paragraph", "number", low=2, high=4),
@@ -377,15 +394,18 @@ class TestOperatorCoverage:
         assert [path.name for path in tables] == ["executor.py"]
 
     def test_both_engines_accept_every_operator(self):
+        from test_bind_time_access_paths import bind_plan
+
         database = generate_document_database(n_documents=3)
         database.create_sorted_index("Paragraph", "number")
         samples = self.sample_plans()
         assert {type(plan) for plan in samples} == self.concrete_operators()
         for plan in samples:
             before = database.work_snapshot()
-            interpreted = execute_plan_interpreted(plan, database)
+            interpreted = execute_plan_interpreted(
+                bind_plan(plan, self.BINDINGS), database)
             between = database.work_snapshot()
-            compiled = execute_plan(plan, database)
+            compiled = prepare_plan(plan, database).run(self.BINDINGS)
             after = database.work_snapshot()
             assert compiled == interpreted, plan.describe()
             assert interpreted, plan.describe()  # not vacuous

@@ -28,6 +28,7 @@ from collections import Counter
 
 import pytest
 
+from repro.algebra.expressions import Parameter
 from repro.algebra.translate import translate_query
 from repro.physical.evaluator import make_hashable
 from repro.physical.executor import execute_plan, prepare_plan
@@ -37,11 +38,13 @@ from repro.physical.plans import (
     ClassScan,
     Filter,
     HashJoin,
+    IndexRangeScan,
     MapEval,
     ParallelHashJoin,
     ParallelMap,
     ParallelScan,
     PhysicalOperator,
+    walk_physical,
 )
 from repro.session import Session
 from repro.workloads import document_knowledge, generate_document_database
@@ -170,6 +173,44 @@ class QueryGenerator:
         # keep just the parameters the final query actually references
         return {name: value for name, value in self.parameters.items()
                 if re.search(rf":{name}\b", text)}
+
+    # -- parameterized ranges over a sorted-indexed property -------------
+    def _bound(self, prop: str, op: str, value) -> str:
+        """One range conjunct, mostly against a fresh bind parameter (the
+        bound is only known at execution), sometimes against a literal."""
+        if value is not None and self.rng.random() < 0.25:
+            return f"{prop} {op} {value}"
+        name = f"r{len(self.parameters)}"
+        self.parameters[name] = value
+        return f"{prop} {op} :{name}"
+
+    def generate_range(self) -> tuple[str, dict[str, object]]:
+        """A selection on ``Paragraph.number`` by bind-time range bounds:
+        one- and two-sided, a parameter mixed with a constant or a second
+        parameter on the same side, NULL and crossed bounds, and — half the
+        time — a method-bearing residual, so that the parallel index rule
+        has something to spread over morsels."""
+        self.parameters = {}
+        rng = self.rng
+        draw = lambda: rng.choice((*NUMBERS, *NUMBERS, None))  # noqa: E731
+        sides = rng.choice(("low", "high", "both", "both", "both"))
+        parts = []
+        if sides != "high":
+            parts.append(self._bound("p.number", rng.choice((">", ">=")), draw()))
+        if sides != "low":
+            parts.append(self._bound("p.number", rng.choice(("<", "<=")), draw()))
+        if rng.random() < 0.35:  # a second bound on one side
+            parts.append(self._bound("p.number",
+                                     rng.choice((">", ">=", "<", "<=")), draw()))
+        if rng.random() < 0.5:
+            parts.append(rng.choice((
+                f"p->contains_string({self._term()})",
+                f"p->wordCount() > {self._number()}")))
+        rng.shuffle(parts)
+        access = rng.choice(("p", "p.number"))
+        text = (f"ACCESS {access} FROM p IN Paragraph WHERE "
+                + " AND ".join(f"({part})" for part in parts))
+        return text, self._used_parameters(text)
 
     # -- multi-way join queries ------------------------------------------
     #: 3–5-relation equi-join topologies over the document schema's
@@ -322,6 +363,74 @@ def test_generator_is_deterministic():
         assert first.generate() == second.generate()
     for _ in range(10):
         assert first.generate_multijoin() == second.generate_multijoin()
+    for _ in range(10):
+        assert first.generate_range() == second.generate_range()
+
+
+# ----------------------------------------------------------------------
+# bind-time range bounds: the plan is made before the values are known
+# ----------------------------------------------------------------------
+RANGE_SEEDS = (17, 71)
+
+
+@pytest.fixture(scope="module")
+def range_services():
+    """Plan-caching services (sequential, parallel) over a database with a
+    sorted index on ``Paragraph.number`` — unlike ``Session.execute``, the
+    service optimizes with the parameters still unbound.  The parallel one
+    has the structural rules only: with the semantic rewrites a
+    ``contains_string`` residual becomes a set probe and nothing
+    method-bearing is left for the parallel index rule."""
+    from repro.service.service import QueryService
+
+    database = generate_document_database(n_documents=2)
+    database.create_sorted_index("Paragraph", "number")
+    knowledge = document_knowledge(database.schema)
+    return database, {
+        "sequential": QueryService(database, knowledge=knowledge,
+                                   parallelism=1),
+        "parallel": QueryService(database, knowledge=knowledge,
+                                 exclude_tags=("semantic",),
+                                 parallelism=DEGREE),
+    }
+
+
+@pytest.mark.parametrize("seed", RANGE_SEEDS)
+def test_fuzz_parameterized_range_differential_batch(seed, range_services):
+    """Cached plans with bind-time range bounds — index range scans,
+    sequential and parallel — equal the interpreter on the naive plan of
+    the same query with the values substituted, for every binding."""
+    from test_bind_time_access_paths import bind_plan
+
+    database, services = range_services
+    session = Session(database, parallelism=1)
+    generator = QueryGenerator(random.Random(seed))
+    cases = max(N_CASES // (4 * len(RANGE_SEEDS)), 1)
+    scans = Counter()
+    non_empty = 0
+    for _ in range(cases):
+        text, parameters = generator.generate_range()
+        bound = Session._bind(session.analyze(text), parameters or None)
+        naive_plan = naive_implementation(translate_query(bound).plan)
+        oracle = multiset(execute_plan_interpreted(naive_plan, database))
+        non_empty += bool(oracle)
+        for name, service in services.items():
+            result = service.execute(text, parameters or None)
+            assert multiset(result.rows) == oracle, \
+                f"{name} service diverges: {text!r} {parameters!r}"
+            plan = result.plan.physical_plan
+            assert multiset(execute_plan_interpreted(
+                bind_plan(plan, parameters), database)) == oracle, \
+                f"interpreter on the {name} plan diverges: {text!r}"
+            for node in walk_physical(plan):
+                if isinstance(node, IndexRangeScan) and (
+                        isinstance(node.low, Parameter)
+                        or isinstance(node.high, Parameter)):
+                    scans[type(node).__name__] += 1
+    assert non_empty >= cases // 10
+    # the generator must reach the operators this batch is about
+    assert scans["IndexRangeScan"] >= cases // 2
+    assert scans["ParallelIndexRangeScan"] >= 1
 
 
 # ----------------------------------------------------------------------

@@ -72,6 +72,8 @@ class TestSortedIndex:
         index = self.build()
         assert index.lookup(3) == {oid(3), oid(4)}
         assert index.lookup(7) == set()
+        # NULLs are never indexed; None means "unbounded" only in range()
+        assert index.lookup(None) == set()
 
     def test_range_inclusive_exclusive(self):
         index = self.build()

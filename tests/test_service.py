@@ -602,3 +602,139 @@ def test_feedback_needs_analyzed_statistics():
         service.execute(FEEDBACK_QUERY)
     assert service.metrics.snapshot()["feedback_evictions"] == 0
     assert database.stats_catalog.correction_count() == 0
+
+
+# ----------------------------------------------------------------------
+# bind-time range bounds: one cached index plan serves every interval
+# ----------------------------------------------------------------------
+RANGE_QUERY = ("ACCESS e.eid FROM e IN Event "
+               "WHERE e.amount >= :lo AND e.amount < :hi")
+N_EVENTS = 400
+
+
+def _event_amount(eid: int) -> int:
+    return (eid * 37) % N_EVENTS  # a permutation of 0..399
+
+
+def _event_service(**kwargs) -> QueryService:
+    """Event(eid, amount) with a sorted index on ``amount``, analyzed."""
+    from repro.datamodel.database import Database
+    from repro.datamodel.schema import ClassDef, PropertyDef, Schema
+    from repro.datamodel.types import INT
+
+    schema = Schema("events")
+    event = ClassDef("Event")
+    event.add_property(PropertyDef("eid", INT))
+    event.add_property(PropertyDef("amount", INT))
+    schema.add_class(event)
+    database = Database(schema, name="events")
+    database.create_many("Event", [{"eid": eid, "amount": _event_amount(eid)}
+                                   for eid in range(N_EVENTS)])
+    database.create_sorted_index("Event", "amount")
+    service = QueryService(database, **kwargs)
+    service.execute("ANALYZE")
+    return service
+
+
+def _events_between(low: int, high: int) -> list[int]:
+    return sorted(eid for eid in range(N_EVENTS)
+                  if low <= _event_amount(eid) < high)
+
+
+def test_one_cached_range_plan_serves_200_bindings():
+    service = _event_service()
+    misses_before = service.cache.snapshot()["misses"]
+    for i in range(200):
+        low, width = (i * 7) % N_EVENTS, 4 + i % 90
+        result = service.execute(RANGE_QUERY, {"lo": low, "hi": low + width})
+        assert sorted(result.values) == _events_between(low, low + width)
+    assert service.cache.snapshot()["misses"] == misses_before + 1
+    assert "index_range_scan<e, Event.amount IN [:lo, :hi)>" in [
+        node.describe() for node in walk_physical(result.plan.physical_plan)]
+    assert "index_range_scan" in service.explain(RANGE_QUERY)
+
+
+def test_dropping_the_sorted_index_replans_the_range_to_a_class_scan():
+    service = _event_service()
+    bindings = {"lo": 100, "hi": 160}
+    indexed = service.execute(RANGE_QUERY, bindings)
+    assert "index_range_scan" in service.explain(RANGE_QUERY)
+    service.drop_index("Event", "amount")
+    scanned = service.execute(RANGE_QUERY, bindings)
+    assert not scanned.metrics.cache_hit
+    report = service.explain(RANGE_QUERY)
+    assert "class_scan" in report and "index_range_scan" not in report
+    assert sorted(scanned.values) == sorted(indexed.values) \
+        == _events_between(100, 160)
+
+
+def test_interleaved_range_streams_keep_their_own_bounds():
+    service = _event_service()
+    first = service.stream(RANGE_QUERY, {"lo": 0, "hi": 40})
+    second = service.stream(RANGE_QUERY, {"lo": 200, "hi": 230})
+    rows_first, rows_second = [], []
+    while not (first.exhausted and second.exhausted):
+        rows_first.extend(first.fetch(3))
+        rows_second.extend(second.fetch(5))
+    assert sorted(row["__result"] for row in rows_first) == \
+        _events_between(0, 40)
+    assert sorted(row["__result"] for row in rows_second) == \
+        _events_between(200, 230)
+
+
+def test_range_under_a_pinned_snapshot_answers_as_of_the_snapshot():
+    service = _event_service()
+    database = service.database
+    bindings = {"lo": 100, "hi": 150}
+    service.execute(RANGE_QUERY, bindings)  # plan cached before the writes
+    ts = database.acquire_snapshot()
+    try:
+        by_eid = {database.value(oid, "eid"): oid
+                  for oid in database.extension("Event")}
+        inside = _events_between(100, 150)
+        outside = _events_between(300, 320)
+        for eid in inside[:10]:        # move out of the interval
+            database.update(by_eid[eid], amount=390)
+        for eid in outside[:5]:        # move into the interval
+            database.update(by_eid[eid], amount=120)
+        database.delete(by_eid[inside[10]])
+        with database.pin_snapshot(ts):
+            pinned = service.execute(RANGE_QUERY, bindings)
+            naive = service.execute(RANGE_QUERY, bindings, optimize=False)
+        assert sorted(pinned.values) == sorted(naive.values) == inside
+        latest = service.execute(RANGE_QUERY, bindings)
+        assert sorted(latest.values) == sorted(inside[11:] + outside[:5])
+    finally:
+        database.release_snapshot(ts)
+
+
+def test_explain_analyze_reports_the_parameterized_range_scan():
+    from repro.physical.executor import prepare_plan
+    from repro.physical.plans import IndexRangeScan
+    from repro.physical.profile import (PlanProfile, divergent_operators,
+                                        estimated_vs_actual)
+
+    service = _event_service()
+    report = service.explain(RANGE_QUERY, analyze=True,
+                             parameters={"lo": 10, "hi": 60})
+    assert "index_range_scan<e, Event.amount IN [:lo, :hi)>" in report
+    scan_line = next(line for line in str(report).splitlines()
+                     if "index_range_scan" in line and "actual" in line)
+    assert "actual rows=50" in scan_line
+    # 0.3 × 0.3 × 400: the flat default on both unknown sides
+    assert "estimated rows=36.0" in scan_line
+
+    # the estimate/actual helpers take Expression bounds as they are
+    plan = service.execute(RANGE_QUERY, {"lo": 0, "hi": 1}).plan.physical_plan
+    scan = next(node for node in walk_physical(plan)
+                if isinstance(node, IndexRangeScan))
+    profile = PlanProfile()
+    rows = prepare_plan(plan, service.database, profile=profile).run(
+        {"lo": 0, "hi": 1})
+    assert len(rows) == 1
+    cost_model = service._optimizer.cost_model
+    records = estimated_vs_actual(plan, profile, cost_model=cost_model)
+    record = next(r for r in records if r["operator"] == scan.describe())
+    assert (record["estimated_rows"], record["actual_rows"]) == (36.0, 1)
+    divergent = divergent_operators(plan, profile, cost_model, threshold=10.0)
+    assert scan in [d["operator"] for d in divergent]

@@ -14,6 +14,7 @@ import pytest
 from repro import QueryService, Session, connect
 from repro.api.router import StatementResult, StatementRouter
 from repro.datamodel.database import Database
+from repro.datamodel.schema import Schema
 from repro.errors import (
     BindingError,
     ServiceError,
@@ -315,6 +316,51 @@ class TestDML:
         connection = connect(database)
         with pytest.raises(BindingError):
             connection.execute("INSERT INTO Document (title) VALUES (:t)")
+
+    def test_parameterized_range_dml_takes_the_sorted_index(self):
+        """UPDATE/DELETE plan their WHERE-query through the same planner:
+        bind-time range bounds reach the sorted index, no extension scan."""
+        connection = connect(Database(Schema("dml")))
+        connection.execute(
+            "CREATE CLASS Entry (eid: INT, amount: INT, tag: STRING)")
+        connection.executemany(
+            "INSERT INTO Entry (eid, amount) VALUES (:e, :a)",
+            [{"e": eid, "a": (eid * 37) % 300} for eid in range(300)])
+        connection.execute("CREATE SORTED INDEX ON Entry(amount)")
+        connection.execute("ANALYZE")
+        database = connection.service.database
+        update = ("UPDATE Entry e SET tag = 'hit' "
+                  "WHERE e.amount >= :lo AND e.amount < :hi")
+        delete = "DELETE FROM Entry e WHERE e.amount >= :lo AND e.amount < :hi"
+        for text in (update, delete):
+            assert "index_range_scan<e, Entry.amount IN [:lo, :hi)>" in \
+                connection.explain(text)
+
+        before = database.work_snapshot()
+        assert connection.execute(update, {"lo": 40, "hi": 70}).rowcount == 30
+        assert connection.execute(update, {"lo": 70, "hi": 40}).rowcount == 0
+        assert connection.execute(update, {"lo": None, "hi": 40}).rowcount == 0
+        assert connection.execute(delete, {"lo": 100, "hi": 120}).rowcount == 20
+        after = database.work_snapshot()
+        assert after["extension_scans"] == before["extension_scans"]
+        assert after["index_lookups"] - before["index_lookups"] == 4
+
+        tagged = connection.execute(
+            "ACCESS e.amount FROM e IN Entry WHERE e.tag == 'hit'").fetchall()
+        assert sorted(tagged) == list(range(40, 70))
+        assert len(database.extension("Entry")) == 280
+
+        # two open cursors on the one cached plan keep their own bounds
+        select = ("ACCESS e.amount FROM e IN Entry "
+                  "WHERE e.amount >= :lo AND e.amount < :hi")
+        low_cursor = connection.execute(select, {"lo": 0, "hi": 12})
+        high_cursor = connection.execute(select, {"lo": 90, "hi": 130})
+        low_rows, high_rows = [], []
+        for _ in range(7):
+            low_rows.extend(low_cursor.fetchmany(2))
+            high_rows.extend(high_cursor.fetchmany(3))
+        assert sorted(low_rows) == list(range(12))
+        assert sorted(high_rows) == [*range(90, 100), *range(120, 130)]
 
     def test_executemany_update_reuses_one_cached_plan(self, database):
         service = QueryService(database)
