@@ -1,31 +1,40 @@
-"""One-pass compilation of algebra expressions into Python closures.
+"""One-pass compilation of algebra expressions into column closures.
 
 The interpretive evaluator (:mod:`repro.physical.evaluator`) re-walks the
 expression tree with an ``isinstance`` dispatch chain for every input row.
 This module translates an expression once per plan into a closure
-``Row -> value`` so that per-row evaluation is a direct chain of calls:
+``Batch -> list`` (:mod:`repro.physical.batch`): one call evaluates the
+expression for every row of a column batch, so per-row work is a loop over
+lists inside one closure instead of a chain of calls:
 
 * **constant hoisting** — subexpressions that are reference-free and touch
   no database state (no property reads, method calls or extents) are folded
   to a value at compile time;
-* **pre-bound dispatch** — property reads and method calls resolve their
-  target once per receiver class via :meth:`Database.property_reader` /
-  :meth:`Database.instance_invoker` instead of re-resolving per row (the
-  same statistics are charged, so work counters match the interpreter);
+* **batched property reads** — a property path reads a whole column through
+  :meth:`Database.property_batch_reader`, which resolves the snapshot pin
+  once per batch; method calls resolve their target once per receiver class
+  via :meth:`Database.instance_invoker` (the same statistics are charged,
+  so work counters match the interpreter);
 * **specialized predicates** — comparisons against constants capture the
   constant directly, and ``IS-IN`` against a constant collection probes a
-  prebuilt hashed set.
+  prebuilt hashed set;
+* **short-circuit by selection** — ``AND``/``OR`` evaluate their right
+  operand only on the rows the left operand leaves undecided, so method
+  calls and property reads are charged exactly as row-at-a-time evaluation
+  charges them.
 
 Compilation itself performs *no* database work and raises no errors the
 interpreter would not raise: anything that can fail at runtime (unknown
-methods, bad operand types) fails on first evaluation, exactly as the
-interpreter fails on the first row.
+methods, bad operand types) fails on evaluation.  When a batch fails, the
+closure :meth:`ExpressionCompiler.compile` returns re-evaluates the batch
+row by row to raise the exception of the *first* failing row — the one the
+interpreter raises.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Mapping
+from typing import Any, Callable
 
 from repro.algebra.expressions import (
     BinaryOp,
@@ -45,27 +54,43 @@ from repro.algebra.expressions import (
 from repro.datamodel.database import Database
 from repro.datamodel.oid import OID
 from repro.errors import ExecutionError
+from repro.physical.batch import UNIT, Batch
 from repro.physical.evaluator import (
     EMPTY_ROW,
     _access_property,
     _as_set,
     _invoke_method,
     evaluate,
-    make_hashable,
+    hashable_values,
 )
 
 __all__ = ["CompiledExpr", "ExpressionCompiler"]
 
-CompiledExpr = Callable[[Mapping[str, Any]], Any]
+#: a compiled expression: the value of every row of a batch, in row order
+CompiledExpr = Callable[[Batch], list]
 
 _COLLECTIONS = (set, frozenset, list, tuple)
 _DATABASE_NODES = (PropertyAccess, MethodCall, ClassMethodCall, ClassExtent)
+#: exact types of the IS-IN containers the fast path accepts
+_CONTAINER_TYPES = {*_COLLECTIONS, dict}
 
 _COMPARATORS = {
     "<": operator.lt,
     "<=": operator.le,
     ">": operator.gt,
     ">=": operator.ge,
+}
+_ARITHMETIC = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
+_SET_OPERATORS = {
+    "IS-SUBSET": set.issubset,
+    "INTERSECT": operator.and_,
+    "UNION": operator.or_,
+    "DIFF": operator.sub,
 }
 
 
@@ -77,12 +102,35 @@ def _is_pure(expression: Expression) -> bool:
                    for node in walk(expression))
 
 
-def _truthy(value: Any) -> bool:
-    return value is not None and bool(value)
+def _first_failure(column: CompiledExpr) -> CompiledExpr:
+    """Guard *column* so that a failing batch raises the exception of its
+    first failing row, as row-at-a-time evaluation would: the batch is
+    re-evaluated one row at a time (work counters of a failed statement
+    are not part of the contract)."""
+    def guarded(batch: Batch) -> list:
+        try:
+            return column(batch)
+        except Exception:
+            if batch.length > 1:
+                for row in range(batch.length):
+                    try:
+                        column(batch.take((row,)))
+                    except Exception as first:
+                        raise first from None
+            raise
+
+    return guarded
+
+
+def _select(values: list, truth: bool) -> list[int]:
+    """Positions of the *values* whose truthiness is *truth*."""
+    if truth:
+        return [row for row, value in enumerate(values) if value]
+    return [row for row, value in enumerate(values) if not value]
 
 
 class ExpressionCompiler:
-    """Compiles expressions into closures bound to one database.
+    """Compiles expressions into column closures bound to one database.
 
     ``parameter_resolver`` supplies bind-parameter values at evaluation time
     (``key -> value``); the service layer passes a thread-local binding
@@ -107,22 +155,31 @@ class ExpressionCompiler:
     # public API
     # ------------------------------------------------------------------
     def compile(self, expression: Expression) -> CompiledExpr:
-        """Compile *expression* into a ``Row -> value`` closure."""
-        folded = self._fold(expression)
-        if folded is not None:
-            return folded
-        return self._compile(expression)
+        """Compile *expression* into a ``Batch -> list`` closure.
 
-    def compile_predicate(self, expression: Expression
-                          ) -> Callable[[Mapping[str, Any]], bool]:
-        """Compile a boolean condition (``None`` counts as false)."""
-        compiled = self.compile(expression)
+        A predicate compiles the same way: a row satisfies it when its
+        value is truthy (``None`` counts as false).
+        """
+        column = self._column(expression)
+        if hasattr(column, "constant_value") or isinstance(expression, Var):
+            return column  # fails on no row, or on every row alike
+        return _first_failure(column)
 
-        def predicate(row: Mapping[str, Any]) -> bool:
-            value = compiled(row)
-            return value is not None and bool(value)
-
-        return predicate
+    def compile_scalar(self, expression: Expression) -> Callable[[], Any]:
+        """Compile a row-free expression (a scan key, an index bound, a set
+        expression) into a closure evaluating it once, per execution (on
+        the one-row batch :data:`~repro.physical.batch.UNIT`, whose first
+        failing row is its only row: no guard needed).  Bind parameters and
+        constants — the usual keys — resolve directly."""
+        resolver = self._parameter_resolver
+        if isinstance(expression, Parameter) and resolver is not None:
+            key = expression.key
+            return lambda: resolver(key)
+        column = self._column(expression)
+        if hasattr(column, "constant_value"):
+            value = column.constant_value
+            return lambda: value
+        return lambda: column(UNIT)[0]
 
     # ------------------------------------------------------------------
     # constant hoisting
@@ -138,8 +195,8 @@ class ExpressionCompiler:
             # evaluation time, not at compile time.
             return None
 
-        def constant(row: Mapping[str, Any]) -> Any:
-            return value
+        def constant(batch: Batch) -> list:
+            return [value] * batch.length
 
         constant.constant_value = value  # type: ignore[attr-defined]
         return constant
@@ -154,10 +211,13 @@ class ExpressionCompiler:
     # ------------------------------------------------------------------
     # node compilation
     # ------------------------------------------------------------------
-    def _compile(self, expression: Expression) -> CompiledExpr:
+    def _column(self, expression: Expression) -> CompiledExpr:
+        folded = self._fold(expression)
+        if folded is not None:
+            return folded
         if isinstance(expression, Const):
             value = expression.value
-            return lambda row: value
+            return lambda batch: [value] * batch.length
         if isinstance(expression, Var):
             return self._compile_var(expression)
         if isinstance(expression, Parameter):
@@ -165,7 +225,8 @@ class ExpressionCompiler:
         if isinstance(expression, ClassExtent):
             extension = self._database.extension
             class_name = expression.class_name
-            return lambda row: set(extension(class_name))
+            return lambda batch: [set(extension(class_name))
+                                  for _ in range(batch.length)]
         if isinstance(expression, PropertyAccess):
             return self._compile_property(expression)
         if isinstance(expression, MethodCall):
@@ -177,24 +238,30 @@ class ExpressionCompiler:
         if isinstance(expression, UnaryOp):
             return self._compile_unary(expression)
         if isinstance(expression, TupleConstructor):
-            fields = [(name, self.compile(value))
-                      for name, value in expression.fields]
-            return lambda row: {name: fn(row) for name, fn in fields}
+            return self._compile_tuple(expression)
         if isinstance(expression, SetConstructor):
-            elements = [self.compile(element)
+            elements = [self._column(element)
                         for element in expression.elements]
-            return lambda row: {make_hashable(fn(row)) for fn in elements}
+
+            def build_sets(batch: Batch) -> list:
+                if not elements:
+                    return [set() for _ in range(batch.length)]
+                return [set(hashable_values(values))
+                        for values in zip(*[fn(batch) for fn in elements])]
+
+            return build_sets
         # Unknown nodes fall back to the interpreter so that any error is
         # raised at evaluation time, like the reference engine does.
         database = self._database
-        return lambda row: evaluate(expression, row, database)
+        return lambda batch: [evaluate(expression, row, database)
+                              for row in batch.rows()]
 
     def _compile_var(self, expression: Var) -> CompiledExpr:
         name = expression.name
 
-        def read_var(row: Mapping[str, Any]) -> Any:
+        def read_var(batch: Batch) -> list:
             try:
-                return row[name]
+                return batch.columns[name]
             except KeyError:
                 raise ExecutionError(
                     f"reference {name!r} is not bound in the input tuple"
@@ -208,37 +275,62 @@ class ExpressionCompiler:
         if resolver is None:
             message = f"bind parameter {expression} has no bound value"
 
-            def unbound(row: Mapping[str, Any]) -> Any:
+            def unbound(batch: Batch) -> list:
                 raise ExecutionError(message)
 
             return unbound
-        return lambda row: resolver(key)
+        return lambda batch: [resolver(key)] * batch.length
+
+    def _compile_tuple(self, expression: TupleConstructor) -> CompiledExpr:
+        names = [name for name, _ in expression.fields]
+        values = [self._column(value) for _, value in expression.fields]
+
+        def build_tuples(batch: Batch) -> list:
+            # one dict per row, zipping the field columns
+            columns = [fn(batch) for fn in values]
+            if not columns:
+                return [{} for _ in range(batch.length)]
+            return [dict(zip(names, row)) for row in zip(*columns)]
+
+        return build_tuples
 
     def _compile_property(self, expression: PropertyAccess) -> CompiledExpr:
-        base = self.compile(expression.base)
+        base = self._column(expression.base)
         prop = expression.prop
         database = self._database
-        readers: dict[str, Callable[[OID], Any]] = {}
+        read_oids = database.property_batch_reader(prop)
 
-        def read_property(row: Mapping[str, Any]) -> Any:
-            obj = base(row)
-            if isinstance(obj, OID):
-                reader = readers.get(obj.class_name)
-                if reader is None:
-                    reader = database.property_reader(obj.class_name, prop)
-                    readers[obj.class_name] = reader
-                return reader(obj)
-            if obj is None:
-                return None
-            if isinstance(obj, _COLLECTIONS):
-                return _access_property(obj, prop, database)
-            raise ExecutionError(
-                f"cannot access property {prop!r} on non-object value {obj!r}")
+        def read_property(batch: Batch) -> list:
+            objs = base(batch)
+            try:
+                return read_oids(objs)
+            except TypeError:
+                pass  # not all OIDs (the reader charged nothing)
+            # Mixed column: NULL receivers read NULL, collections lift the
+            # read over their members, OIDs still read as one batch.
+            values: list = [None] * len(objs)
+            positions: list[int] = []
+            oids: list[OID] = []
+            for row, obj in enumerate(objs):
+                if isinstance(obj, OID):
+                    positions.append(row)
+                    oids.append(obj)
+                elif obj is None:
+                    continue
+                elif isinstance(obj, _COLLECTIONS):
+                    values[row] = _access_property(obj, prop, database)
+                else:
+                    raise ExecutionError(
+                        f"cannot access property {prop!r} on non-object "
+                        f"value {obj!r}")
+            for row, value in zip(positions, read_oids(oids)):
+                values[row] = value
+            return values
 
         return read_property
 
     def _compile_method_call(self, expression: MethodCall) -> CompiledExpr:
-        receiver = self.compile(expression.receiver)
+        receiver = self._column(expression.receiver)
         method = expression.method
         database = self._database
         invokers: dict[str, Callable[[Any, tuple], Any]] = {}
@@ -249,57 +341,57 @@ class ExpressionCompiler:
         folded_args = [self._const_value(arg) for arg in expression.args]
         if all(is_const for is_const, _ in folded_args):
             const_args = tuple(value for _, value in folded_args)
+            arg_fns = None
+        else:
+            arg_fns = [self._column(arg) for arg in expression.args]
 
-            def call_method_const(row: Mapping[str, Any]) -> Any:
-                obj = receiver(row)
+        def call_method(batch: Batch) -> list:
+            objs = receiver(batch)
+            if arg_fns is None:
+                arg_rows: Any = [const_args] * len(objs)
+            elif arg_fns:
+                arg_rows = list(zip(*[fn(batch) for fn in arg_fns]))
+            else:
+                arg_rows = [()] * len(objs)
+            values = []
+            append = values.append
+            for obj, args in zip(objs, arg_rows):
                 if isinstance(obj, OID):
                     invoke = invokers.get(obj.class_name)
                     if invoke is None:
-                        invoke = database.instance_invoker(obj.class_name, method)
+                        invoke = database.instance_invoker(obj.class_name,
+                                                           method)
                         invokers[obj.class_name] = invoke
-                    return invoke(obj, const_args)
-                if obj is None:
-                    return None
-                if isinstance(obj, _COLLECTIONS):
-                    return _invoke_method(obj, method, list(const_args), database)
-                raise ExecutionError(
-                    f"cannot invoke method {method!r} on non-object value {obj!r}")
-
-            return call_method_const
-
-        arg_fns = tuple(self.compile(arg) for arg in expression.args)
-
-        def call_method(row: Mapping[str, Any]) -> Any:
-            obj = receiver(row)
-            args = tuple(fn(row) for fn in arg_fns)
-            if isinstance(obj, OID):
-                invoke = invokers.get(obj.class_name)
-                if invoke is None:
-                    invoke = database.instance_invoker(obj.class_name, method)
-                    invokers[obj.class_name] = invoke
-                return invoke(obj, args)
-            if obj is None:
-                return None
-            if isinstance(obj, _COLLECTIONS):
-                return _invoke_method(obj, method, list(args), database)
-            raise ExecutionError(
-                f"cannot invoke method {method!r} on non-object value {obj!r}")
+                    append(invoke(obj, args))
+                elif obj is None:
+                    append(None)
+                elif isinstance(obj, _COLLECTIONS):
+                    append(_invoke_method(obj, method, list(args), database))
+                else:
+                    raise ExecutionError(
+                        f"cannot invoke method {method!r} on non-object "
+                        f"value {obj!r}")
+            return values
 
         return call_method
 
     def _compile_class_method_call(self, expression: ClassMethodCall
                                    ) -> CompiledExpr:
-        arg_fns = tuple(self.compile(arg) for arg in expression.args)
+        arg_fns = [self._column(arg) for arg in expression.args]
         class_name = expression.class_name
         method = expression.method
         database = self._database
         cell: list[Callable[[Any, tuple], Any]] = []
 
-        def call_class_method(row: Mapping[str, Any]) -> Any:
-            args = tuple(fn(row) for fn in arg_fns)
+        def call_class_method(batch: Batch) -> list:
+            if arg_fns:
+                arg_rows: Any = zip(*[fn(batch) for fn in arg_fns])
+            else:
+                arg_rows = [()] * batch.length
             if not cell:
                 cell.append(database.class_invoker(class_name, method))
-            return cell[0](class_name, args)
+            invoke = cell[0]
+            return [invoke(class_name, args) for args in arg_rows]
 
         return call_class_method
 
@@ -308,83 +400,78 @@ class ExpressionCompiler:
     # ------------------------------------------------------------------
     def _compile_binary(self, expression: BinaryOp) -> CompiledExpr:
         op = expression.op
-        if op == "AND":
-            left = self.compile(expression.left)
-            right = self.compile(expression.right)
-            return lambda row: _truthy(left(row)) and _truthy(right(row))
-        if op == "OR":
-            left = self.compile(expression.left)
-            right = self.compile(expression.right)
-            return lambda row: _truthy(left(row)) or _truthy(right(row))
+        if op in ("AND", "OR"):
+            return self._compile_connective(expression)
 
-        left = self.compile(expression.left)
-        # Fold the right operand once; the non-const paths below still need
-        # it as a closure, which for a folded value is a plain capture.
+        left = self._column(expression.left)
         right_is_const, right_value = self._const_value(expression.right)
-        if right_is_const:
-            captured = right_value
-
-            def right(row: Mapping[str, Any], _value=captured) -> Any:
-                return _value
-        else:
-            right = self.compile(expression.right)
+        right = self._column(expression.right)
 
         if op == "==":
             if right_is_const:
-                return lambda row: left(row) == right_value
-            return lambda row: left(row) == right(row)
+                return lambda batch: [value == right_value
+                                      for value in left(batch)]
+            return lambda batch: [a == b for a, b in
+                                  zip(left(batch), right(batch))]
         if op == "!=":
             if right_is_const:
-                return lambda row: left(row) != right_value
-            return lambda row: left(row) != right(row)
+                return lambda batch: [value != right_value
+                                      for value in left(batch)]
+            return lambda batch: [a != b for a, b in
+                                  zip(left(batch), right(batch))]
 
         if op in _COMPARATORS:
             compare = _COMPARATORS[op]
             if right_is_const and right_value is not None:
-                def compare_const(row: Mapping[str, Any]) -> bool:
-                    value = left(row)
-                    return value is not None and compare(value, right_value)
-                return compare_const
-
-            def compare_general(row: Mapping[str, Any]) -> bool:
-                left_value = left(row)
-                right_value = right(row)
-                if left_value is None or right_value is None:
-                    return False
-                return compare(left_value, right_value)
-
-            return compare_general
+                return lambda batch: [value is not None
+                                      and compare(value, right_value)
+                                      for value in left(batch)]
+            return lambda batch: [a is not None and b is not None
+                                  and compare(a, b)
+                                  for a, b in zip(left(batch), right(batch))]
 
         if op == "IS-IN":
             return self._compile_membership(left, right,
                                             right_is_const, right_value)
 
-        if op == "IS-SUBSET":
-            return lambda row: _as_set(left(row)).issubset(_as_set(right(row)))
-        if op == "INTERSECT":
-            return lambda row: _as_set(left(row)) & _as_set(right(row))
-        if op == "UNION":
-            return lambda row: _as_set(left(row)) | _as_set(right(row))
-        if op == "DIFF":
-            return lambda row: _as_set(left(row)) - _as_set(right(row))
+        if op in _SET_OPERATORS:
+            combine = _SET_OPERATORS[op]
+            return lambda batch: [combine(_as_set(a), _as_set(b)) for a, b
+                                  in zip(left(batch), right(batch))]
 
-        if op in ("+", "-", "*", "/"):
-            arithmetic = {"+": operator.add, "-": operator.sub,
-                          "*": operator.mul, "/": operator.truediv}[op]
+        if op in _ARITHMETIC:
+            arithmetic = _ARITHMETIC[op]
+            return lambda batch: [None if a is None or b is None
+                                  else arithmetic(a, b)
+                                  for a, b in zip(left(batch), right(batch))]
 
-            def compute(row: Mapping[str, Any]) -> Any:
-                left_value = left(row)
-                right_value = right(row)
-                if left_value is None or right_value is None:
-                    return None
-                return arithmetic(left_value, right_value)
-
-            return compute
-
-        def unknown(row: Mapping[str, Any]) -> Any:
+        def unknown(batch: Batch) -> list:
             raise ExecutionError(f"unknown binary operator {op!r}")
 
         return unknown
+
+    def _compile_connective(self, expression: BinaryOp) -> CompiledExpr:
+        """``AND`` / ``OR``: the right operand runs only on the rows whose
+        left value leaves the result open (truthy for AND, falsy for OR)."""
+        left = self._column(expression.left)
+        right = self._column(expression.right)
+        # AND is decided (False) by a falsy left value, OR (True) by a
+        # truthy one; the remaining rows take the right operand's truth.
+        open_on = expression.op == "AND"
+
+        def connective(batch: Batch) -> list:
+            left_values = left(batch)
+            undecided = _select(left_values, open_on)
+            if len(undecided) == batch.length:
+                return [bool(value) for value in right(batch)]
+            result = [not open_on] * batch.length
+            if undecided:
+                for row, value in zip(undecided,
+                                      right(batch.take(undecided))):
+                    result[row] = bool(value)
+            return result
+
+        return connective
 
     def _compile_membership(self, left: CompiledExpr, right: CompiledExpr,
                             right_is_const: bool, right_value: Any
@@ -396,39 +483,54 @@ class ExpressionCompiler:
             except TypeError:
                 members = None
             if members is not None:
-                def probe(row: Mapping[str, Any]) -> bool:
-                    value = left(row)
+                def probe_one(value: Any) -> bool:
                     try:
                         return value in members
                     except TypeError:
                         # unhashable probe values fall back to the linear
                         # semantics of the original collection
                         return value in right_value
+
+                def probe(batch: Batch) -> list:
+                    values = left(batch)
+                    try:
+                        return [value in members for value in values]
+                    except TypeError:
+                        return [probe_one(value) for value in values]
+
                 return probe
 
-        def membership(row: Mapping[str, Any]) -> bool:
-            # Evaluate the probe value first, like the interpreter, so that
-            # any database work on the left side is charged identically.
-            value = left(row)
-            container = right(row)
+        def contains(value: Any, container: Any) -> bool:
             if container is None:
                 return False
             if not isinstance(container, (*_COLLECTIONS, dict)):
                 raise ExecutionError(
-                    f"right operand of IS-IN is not a collection: {container!r}")
+                    f"right operand of IS-IN is not a collection: "
+                    f"{container!r}")
             return value in container
+
+        def membership(batch: Batch) -> list:
+            # The probe values are evaluated first, like the interpreter, so
+            # that any database work on the left side is charged identically.
+            values = left(batch)
+            containers = right(batch)
+            if set(map(type, containers)) <= _CONTAINER_TYPES:
+                return [value in container
+                        for value, container in zip(values, containers)]
+            return [contains(value, container)
+                    for value, container in zip(values, containers)]
 
         return membership
 
     def _compile_unary(self, expression: UnaryOp) -> CompiledExpr:
-        operand = self.compile(expression.operand)
+        operand = self._column(expression.operand)
         if expression.op == "NOT":
-            return lambda row: not _truthy(operand(row))
+            return lambda batch: [not value for value in operand(batch)]
         if expression.op == "-":
-            return lambda row: -operand(row)
+            return lambda batch: [-value for value in operand(batch)]
         op = expression.op
 
-        def unknown(row: Mapping[str, Any]) -> Any:
+        def unknown(batch: Batch) -> list:
             raise ExecutionError(f"unknown unary operator {op!r}")
 
         return unknown

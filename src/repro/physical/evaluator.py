@@ -13,7 +13,7 @@ implements the paper's conventions:
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.algebra.expressions import (
     BinaryOp,
@@ -33,7 +33,8 @@ from repro.datamodel.database import Database
 from repro.datamodel.oid import OID
 from repro.errors import ExecutionError
 
-__all__ = ["evaluate", "evaluate_predicate", "make_hashable", "EMPTY_ROW"]
+__all__ = ["evaluate", "evaluate_predicate", "make_hashable",
+           "hashable_values", "EMPTY_ROW"]
 
 EMPTY_ROW: Mapping[str, Any] = {}
 
@@ -208,12 +209,29 @@ def _as_set(value: Any) -> set:
     return {value}
 
 
+#: value types that are their own hashable representation (checked by exact
+#: type first: the common case costs one set probe, not an isinstance chain)
+_ATOMIC_TYPES = frozenset({int, str, float, bool, type(None), OID})
+
+
 def make_hashable(value: Any) -> Any:
     """Convert a value into a hashable representation for deduplication."""
+    if type(value) in _ATOMIC_TYPES:
+        return value
     if isinstance(value, dict):
-        return tuple(sorted((key, make_hashable(val)) for key, val in value.items()))
+        if set(map(type, value.values())) <= _ATOMIC_TYPES:
+            # keys are distinct, so sorting the items never compares values
+            return tuple(sorted(value.items()))
+        return tuple(sorted(zip(value, map(make_hashable, value.values()))))
     if isinstance(value, (set, frozenset)):
-        return frozenset(make_hashable(v) for v in value)
+        return frozenset(hashable_values(value))
     if isinstance(value, (list, tuple)):
-        return tuple(make_hashable(v) for v in value)
+        return tuple(hashable_values(value))
     return value
+
+
+def hashable_values(values: Iterable[Any]) -> list[Any]:
+    """:func:`make_hashable` of every element of *values*, in order (atomic
+    elements pass through without a call)."""
+    return [value if type(value) in _ATOMIC_TYPES else make_hashable(value)
+            for value in values]

@@ -1,14 +1,20 @@
-"""The compiled, pipelined execution engine: compile once, execute many.
+"""The compiled, batch-at-a-time execution engine: compile once, execute many.
 
 :func:`prepare_plan` translates a physical plan *once* into a tree of
-generator factories whose expressions are already compiled closures
+generator factories whose expressions are already compiled column closures
 (:mod:`repro.physical.compiler`); each :meth:`PreparedExecutable.run` only
-instantiates fresh iterators.  Operators pull rows from their inputs
-(Volcano-style pipelining), so Filter→Map→Project chains stream without
-materializing intermediate lists.  :func:`execute_plan` is the one-shot
-spelling of the same engine — ``prepare_plan(...).run()`` — and the
-reference interpreter (:mod:`repro.physical.interpreter`) is the
-independent oracle both are differentially tested against.
+instantiates fresh iterators.  Operators pull **column batches**
+(:class:`repro.physical.batch.Batch`: a row count plus ``ref -> list``
+columns) from their inputs: leaf scans cut their OIDs into batches of at
+most :data:`~repro.physical.batch.BATCH_SIZE` rows, filters select rows of
+a batch, maps add a column, joins and flattening re-cut their fan-out to
+the same bound — so Filter→Map→Project chains stream batch by batch
+without materializing intermediate lists.  Row dicts are built only where
+rows leave the engine (:meth:`PreparedExecutable.run` and ``open``).
+:func:`execute_plan` is the one-shot spelling of the same engine —
+``prepare_plan(...).run()`` — and the row-at-a-time reference interpreter
+(:mod:`repro.physical.interpreter`) is the independent oracle both are
+differentially tested against.
 
 Bind parameters compile into reads from a :class:`BindingEnv`, a
 thread-local cell the executable fills for the duration of one ``run`` —
@@ -22,23 +28,24 @@ version counters guard against.
 The contract is the interpreter's: a list of rows — mappings from
 references to values — with the algebra's set semantics (duplicate
 elimination at projections, unions and set scans; the other operators
-preserve distinctness of their inputs).  Row order, work counters and error
-messages match the reference engine.
+preserve distinctness of their inputs).  Row order, work counters and the
+first failing row's error within an operator match the reference engine.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import defaultdict
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Mapping, Optional
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from repro.algebra.expressions import Expression
 from repro.datamodel.database import Database
 from repro.datamodel.versioning import current_pin
 from repro.errors import ExecutionError
+from repro.physical.batch import Batch, concat, regroup, split
 from repro.physical.compiler import ExpressionCompiler
-from repro.physical.evaluator import EMPTY_ROW, make_hashable
+from repro.physical.evaluator import hashable_values
 from repro.physical.interpreter import (
     _eq_oids,
     _iterate_set,
@@ -46,7 +53,6 @@ from repro.physical.interpreter import (
     _require_index,
 )
 from repro.physical.parallel import (
-    merge_hash_join,
     run_filter_morsels,
     run_key_morsels,
     run_map_morsels,
@@ -80,8 +86,8 @@ __all__ = ["BindingEnv", "PreparedExecutable", "Row", "execute_plan",
            "prepare_plan"]
 
 Row = dict[str, Any]
-#: a generator factory: each call opens a fresh row iterator
-Source = Callable[[], Iterator[Row]]
+#: a generator factory: each call opens a fresh batch iterator
+Source = Callable[[], Iterator[Batch]]
 
 
 class BindingEnv:
@@ -147,8 +153,11 @@ class PreparedExecutable:
         The result is fully materialized before the bindings are released,
         so the returned list never depends on the (thread-local) environment.
         """
+        rows: list[Row] = []
         with self.binding_scope(bindings):
-            return list(self._root())
+            for batch in self._root():
+                rows += batch.rows()
+        return rows
 
     def open(self) -> Iterator[Row]:
         """A fresh, *lazy* row iterator over the plan (the streaming feed
@@ -165,8 +174,11 @@ class PreparedExecutable:
         This keeps the thread-local binding cell scoped to the moments the
         plan actually evaluates, so interleaved ``run`` calls (or other
         streams) on the same thread cannot observe a foreign binding set.
+        The plan advances one batch at a time: an advance that exhausts the
+        current batch computes the next one, so a consumer that stops early
+        has paid for at most one batch beyond the rows it took.
         """
-        return self._root()
+        return _rows(self._root())
 
     @contextmanager
     def binding_scope(self, bindings: Optional[Mapping[str, Any]]):
@@ -176,6 +188,15 @@ class PreparedExecutable:
             yield
         finally:
             self._env.restore(previous)
+
+
+def _rows(batches: Iterator[Batch]) -> Iterator[Row]:
+    """The rows of *batches*, built one batch at a time.  A generator, so
+    closing it early closes the operator tree beneath it."""
+    try:
+        yield from chain.from_iterable(map(Batch.rows, batches))
+    finally:
+        batches.close()
 
 
 def prepare_plan(plan: PhysicalOperator, database: Database,
@@ -221,10 +242,82 @@ def _build(plan: PhysicalOperator, database: Database,
     if profile is None:
         return source
 
-    def profiled() -> Iterator[Row]:
+    def profiled() -> Iterator[Batch]:
         return profile.wrap(plan, source())
 
     return profiled
+
+
+# ----------------------------------------------------------------------
+# batch helpers shared by the operators below
+# ----------------------------------------------------------------------
+def _selected(batch: Batch, keep: list[int]) -> Optional[Batch]:
+    """*batch* restricted to the rows at *keep* (None when empty)."""
+    if len(keep) == batch.length:
+        return batch
+    return batch.take(keep) if keep else None
+
+
+def _joined(left: Batch, right: Batch,
+            matches: Iterable[tuple[int, list[int]]]) -> Iterator[Batch]:
+    """``{**left_row, **right_row}`` for every (left row, matching right
+    rows) pair of *matches*, in order, cut into bounded batches."""
+    for left_rows, right_rows in regroup(matches):
+        yield Batch(len(left_rows), {**left.gather(left_rows),
+                                     **right.gather(right_rows)})
+
+
+def _extended(batch: Batch, ref: str,
+              matches: Iterable[tuple[int, list]]) -> Iterator[Batch]:
+    """``{**row, ref: value}`` for every (row, values) pair of *matches*,
+    in order, cut into bounded batches."""
+    for rows, values in regroup(matches):
+        yield Batch(len(rows), {**batch.gather(rows), ref: values})
+
+
+def _hash_table(keys: Iterable[Any]) -> dict[Any, list[int]]:
+    """Row positions per hashable key, in row order (the build side)."""
+    table: dict[Any, list[int]] = {}
+    for row, key in enumerate(keys):
+        bucket = table.get(key)
+        if bucket is None:
+            table[key] = [row]
+        else:
+            bucket.append(row)
+    return table
+
+
+def _probe(table: dict[Any, list[int]], keys: Iterable[Any]
+           ) -> Iterator[tuple[int, list[int]]]:
+    """(probe row, matching build rows) for every probe row with matches."""
+    get = table.get
+    for row, key in enumerate(keys):
+        matches = get(key)
+        if matches:
+            yield row, matches
+
+
+def _row_keys(batch: Batch) -> list[Any]:
+    """One key per row equating rows exactly when ``make_hashable`` of
+    their dicts is equal (the set-operator duplicate test)."""
+    names = tuple(sorted(batch.columns))
+    if not names:
+        return [(names, ())] * batch.length
+    hashed = [hashable_values(batch.columns[name]) for name in names]
+    return [(names, values) for values in zip(*hashed)]
+
+
+def _hashed_column(batch: Batch, ref: str) -> list[Any]:
+    """``make_hashable(row.get(ref))`` for every row of *batch*."""
+    column = batch.columns.get(ref)
+    if column is None:
+        return [None] * batch.length
+    return hashable_values(column)
+
+
+def _common_keys(batch: Batch, refs: tuple[str, ...]) -> Iterable[Any]:
+    """The natural-join key of every row: its hashed values of *refs*."""
+    return zip(*[_hashed_column(batch, ref) for ref in refs])
 
 
 # ----------------------------------------------------------------------
@@ -237,13 +330,12 @@ def _build(plan: PhysicalOperator, database: Database,
 # fans out: the BindingEnv is thread-local.
 # ----------------------------------------------------------------------
 def _run_time_value(value: Any, compiler: ExpressionCompiler
-                    ) -> Callable[[Mapping[str, Any]], Any]:
-    """A scan key or bound as a closure over the (empty) row: Expression
-    values (bind parameters) compile once and resolve once per execution,
-    plan-time values are captured."""
+                    ) -> Callable[[], Any]:
+    """A scan key or bound: Expression values (bind parameters) compile
+    once and resolve once per execution, plan-time values are captured."""
     if isinstance(value, Expression):
-        return compiler.compile(value)
-    return lambda row: value
+        return compiler.compile_scalar(value)
+    return lambda: value
 
 
 def _eq_lookup(plan: IndexEqScan, database: Database,
@@ -252,7 +344,7 @@ def _eq_lookup(plan: IndexEqScan, database: Database,
 
     def lookup() -> list:
         index = _require_index(plan, database)
-        return _eq_oids(plan, database, index, key_fn(EMPTY_ROW))
+        return _eq_oids(plan, database, index, key_fn())
 
     return lookup
 
@@ -264,18 +356,18 @@ def _range_lookup(plan: IndexRangeScan, database: Database,
 
     def lookup() -> list:
         index = _require_index(plan, database, kind="sorted")
-        return _range_oids(plan, database, index,
-                           low_fn(EMPTY_ROW), high_fn(EMPTY_ROW))
+        return _range_oids(plan, database, index, low_fn(), high_fn())
 
     return lookup
 
 
-def _leaf_scan(ref: str, elements: Callable[[], Any]) -> Source:
-    """One ``{ref: element}`` row per element *elements* yields at run time
-    (the body every sequential access path shares)."""
-    def run() -> Iterator[Row]:
-        for element in elements():
-            yield {ref: element}
+def _leaf_scan(ref: str, elements: Callable[[], list]) -> Source:
+    """The elements *elements* returns at run time as a ``ref`` column, in
+    batches of at most BATCH_SIZE rows (the body every sequential access
+    path shares)."""
+    def run() -> Iterator[Batch]:
+        values = elements()
+        yield from split(Batch(len(values), {ref: values}))
 
     return run
 
@@ -302,9 +394,8 @@ def _index_range_scan(plan: IndexRangeScan, database: Database,
 def _expression_set_scan(plan: ExpressionSetScan, database: Database,
                          compiler: ExpressionCompiler,
                          env: BindingEnv) -> Source:
-    value_fn = compiler.compile(plan.expression)
-    return _leaf_scan(plan.ref,
-                      lambda: _iterate_set(value_fn(EMPTY_ROW), plan))
+    value_fn = compiler.compile_scalar(plan.expression)
+    return _leaf_scan(plan.ref, lambda: _iterate_set(value_fn(), plan))
 
 
 # ----------------------------------------------------------------------
@@ -313,13 +404,15 @@ def _expression_set_scan(plan: ExpressionSetScan, database: Database,
 def _filter(plan: Filter, database: Database,
             compiler: ExpressionCompiler,
             env: BindingEnv) -> Source:
-    predicate = compiler.compile_predicate(plan.condition)
+    predicate = compiler.compile(plan.condition)
     source = _build(plan.input, database, compiler, env)
 
-    def run() -> Iterator[Row]:
-        for row in source():
-            if predicate(row):
-                yield row
+    def run() -> Iterator[Batch]:
+        for batch in source():
+            kept = _selected(batch, [row for row, value
+                                     in enumerate(predicate(batch)) if value])
+            if kept is not None:
+                yield kept
 
     return run
 
@@ -327,19 +420,21 @@ def _filter(plan: Filter, database: Database,
 def _set_probe_filter(plan: SetProbeFilter, database: Database,
                       compiler: ExpressionCompiler,
                       env: BindingEnv) -> Source:
-    value_fn = compiler.compile(plan.set_expression)
+    value_fn = compiler.compile_scalar(plan.set_expression)
     source = _build(plan.input, database, compiler, env)
     ref = plan.ref
 
-    def run() -> Iterator[Row]:
+    def run() -> Iterator[Batch]:
         # The probe set depends on database state (and possibly parameters):
         # build it per execution — always, matching the reference engine's
         # work counters even for empty inputs.
-        members = {make_hashable(v)
-                   for v in _iterate_set(value_fn(EMPTY_ROW), plan)}
-        for row in source():
-            if make_hashable(row.get(ref)) in members:
-                yield row
+        members = set(hashable_values(_iterate_set(value_fn(), plan)))
+        for batch in source():
+            kept = _selected(batch, [row for row, key
+                                     in enumerate(_hashed_column(batch, ref))
+                                     if key in members])
+            if kept is not None:
+                yield kept
 
     return run
 
@@ -351,9 +446,10 @@ def _map_eval(plan: MapEval, database: Database,
     source = _build(plan.input, database, compiler, env)
     ref = plan.ref
 
-    def run() -> Iterator[Row]:
-        for row in source():
-            yield {**row, ref: expression(row)}
+    def run() -> Iterator[Batch]:
+        for batch in source():
+            yield Batch(batch.length,
+                        {**batch.columns, ref: expression(batch)})
 
     return run
 
@@ -365,10 +461,11 @@ def _flatten_eval(plan: FlattenEval, database: Database,
     source = _build(plan.input, database, compiler, env)
     ref = plan.ref
 
-    def run() -> Iterator[Row]:
-        for row in source():
-            for element in _iterate_set(expression(row), plan, allow_none=True):
-                yield {**row, ref: element}
+    def run() -> Iterator[Batch]:
+        for batch in source():
+            yield from _extended(batch, ref, (
+                (row, _iterate_set(value, plan, allow_none=True))
+                for row, value in enumerate(expression(batch))))
 
     return run
 
@@ -379,13 +476,28 @@ def _project(plan: ProjectOp, database: Database,
     kept = plan.kept  # sorted by construction, so keys make a stable dedup key
     source = _build(plan.input, database, compiler, env)
 
-    def run() -> Iterator[Row]:
+    def run() -> Iterator[Batch]:
         seen: set[Any] = set()
-        for row in source():
-            key = tuple(make_hashable(row.get(ref)) for ref in kept)
-            if key not in seen:
-                seen.add(key)
-                yield {ref: row.get(ref) for ref in kept}
+        for batch in source():
+            length = batch.length
+            columns = batch.columns
+            # a reference the rows do not bind projects to NULL
+            projected = {name: columns[name] if name in columns
+                         else [None] * length for name in kept}
+            if len(kept) == 1:
+                keys: Iterable[Any] = hashable_values(projected[kept[0]])
+            elif kept:
+                keys = zip(*map(hashable_values, projected.values()))
+            else:
+                keys = [()] * length
+            fresh = []
+            for row, key in enumerate(keys):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(row)
+            if fresh:
+                batch = Batch(length, projected)
+                yield batch if len(fresh) == length else batch.take(fresh)
 
     return run
 
@@ -396,17 +508,23 @@ def _project(plan: ProjectOp, database: Database,
 def _nested_loop_join(plan: NestedLoopJoin, database: Database,
                       compiler: ExpressionCompiler,
                       env: BindingEnv) -> Source:
-    predicate = compiler.compile_predicate(plan.condition)
+    predicate = compiler.compile(plan.condition)
     left_source = _build(plan.left, database, compiler, env)
     right_source = _build(plan.right, database, compiler, env)
 
-    def run() -> Iterator[Row]:
-        right_rows = list(right_source())
-        for left_row in left_source():
-            for right_row in right_rows:
-                combined = {**left_row, **right_row}
-                if predicate(combined):
-                    yield combined
+    def run() -> Iterator[Batch]:
+        right = concat(right_source())
+        every_right_row = range(right.length)
+        for left in left_source():
+            if not right.length:
+                continue
+            for pairs in _joined(left, right, ((row, every_right_row)
+                                               for row in range(left.length))):
+                kept = _selected(pairs, [row for row, value
+                                         in enumerate(predicate(pairs))
+                                         if value])
+                if kept is not None:
+                    yield kept
 
     return run
 
@@ -419,15 +537,14 @@ def _hash_join(plan: HashJoin, database: Database,
     left_source = _build(plan.left, database, compiler, env)
     right_source = _build(plan.right, database, compiler, env)
 
-    def run() -> Iterator[Row]:
-        table: dict[Any, list[Row]] = defaultdict(list)
-        for right_row in right_source():
-            table[make_hashable(right_key(right_row))].append(right_row)
-        for left_row in left_source():
-            matches = table.get(make_hashable(left_key(left_row)))
-            if matches:
-                for right_row in matches:
-                    yield {**left_row, **right_row}
+    def run() -> Iterator[Batch]:
+        right_batches = list(right_source())
+        right = concat(right_batches)
+        table = _hash_table(key for batch in right_batches
+                            for key in hashable_values(right_key(batch)))
+        for left in left_source():
+            yield from _joined(left, right, _probe(
+                table, hashable_values(left_key(left))))
 
     return run
 
@@ -439,12 +556,13 @@ def _index_nested_loop_join(plan: IndexNestedLoopJoin, database: Database,
     left_source = _build(plan.left, database, compiler, env)
     ref = plan.ref
 
-    def run() -> Iterator[Row]:
+    def run() -> Iterator[Batch]:
         index = _require_index(plan, database)
-        for left_row in left_source():
+        for left in left_source():
             # OID-sorted probe result, matching IndexEqScan's order.
-            for oid in _eq_oids(plan, database, index, left_key(left_row)):
-                yield {**left_row, ref: oid}
+            yield from _extended(left, ref, (
+                (row, _eq_oids(plan, database, index, key))
+                for row, key in enumerate(left_key(left))))
 
     return run
 
@@ -456,24 +574,16 @@ def _natural_merge_join(plan: NaturalMergeJoin, database: Database,
     left_source = _build(plan.left, database, compiler, env)
     right_source = _build(plan.right, database, compiler, env)
 
-    def run() -> Iterator[Row]:
-        right_rows = list(right_source())
-        if not common:
-            # Degenerates to a cartesian product, as in the logical algebra.
-            for left_row in left_source():
-                for right_row in right_rows:
-                    yield {**left_row, **right_row}
-            return
-        table: dict[Any, list[Row]] = defaultdict(list)
-        for right_row in right_rows:
-            key = tuple(make_hashable(right_row.get(ref)) for ref in common)
-            table[key].append(right_row)
-        for left_row in left_source():
-            key = tuple(make_hashable(left_row.get(ref)) for ref in common)
-            matches = table.get(key)
-            if matches:
-                for right_row in matches:
-                    yield {**left_row, **right_row}
+    def run() -> Iterator[Batch]:
+        right = concat(right_source())
+        # Without common references the join degenerates to a cartesian
+        # product, as in the logical algebra: every key is ().
+        table = _hash_table(_common_keys(right, common) if common
+                            else [()] * right.length)
+        for left in left_source():
+            keys = (_common_keys(left, common) if common
+                    else [()] * left.length)
+            yield from _joined(left, right, _probe(table, keys))
 
     return run
 
@@ -487,14 +597,18 @@ def _union(plan: UnionOp, database: Database,
     left_source = _build(plan.left, database, compiler, env)
     right_source = _build(plan.right, database, compiler, env)
 
-    def run() -> Iterator[Row]:
+    def run() -> Iterator[Batch]:
         seen: set[Any] = set()
         for source in (left_source, right_source):
-            for row in source():
-                key = make_hashable(row)
-                if key not in seen:
-                    seen.add(key)
-                    yield row
+            for batch in source():
+                fresh = []
+                for row, key in enumerate(_row_keys(batch)):
+                    if key not in seen:
+                        seen.add(key)
+                        fresh.append(row)
+                kept = _selected(batch, fresh)
+                if kept is not None:
+                    yield kept
 
     return run
 
@@ -505,16 +619,21 @@ def _diff(plan: DiffOp, database: Database,
     left_source = _build(plan.left, database, compiler, env)
     right_source = _build(plan.right, database, compiler, env)
 
-    def run() -> Iterator[Row]:
-        right_keys = {make_hashable(row) for row in right_source()}
+    def run() -> Iterator[Batch]:
+        right_keys = {key for batch in right_source()
+                      for key in _row_keys(batch)}
         seen: set[Any] = set()
-        for row in left_source():
-            key = make_hashable(row)
-            if key in seen:
-                continue
-            seen.add(key)
-            if key not in right_keys:
-                yield row
+        for batch in left_source():
+            fresh = []
+            for row, key in enumerate(_row_keys(batch)):
+                if key in seen:
+                    continue
+                seen.add(key)
+                if key not in right_keys:
+                    fresh.append(row)
+            kept = _selected(batch, fresh)
+            if kept is not None:
+                yield kept
 
     return run
 
@@ -556,14 +675,15 @@ def _parallel_oid_scan(plan: ParallelScan | ParallelIndexEqScan
                        env: BindingEnv) -> Source:
     """The shared body of the three parallel scans: *batches* produces the
     OID batches at run time, the residual predicate runs over morsels."""
-    predicate = (compiler.compile_predicate(plan.condition)
+    predicate = (compiler.compile(plan.condition)
                  if plan.condition is not None else None)
     ref = plan.ref
     degree = plan.degree
 
-    def run() -> Iterator[Row]:
-        yield from run_filter_morsels(batches(), predicate, ref, degree,
-                                      wrap=_bound_worker(env))
+    def run() -> Iterator[Batch]:
+        oids = run_filter_morsels(batches(), predicate, ref, degree,
+                                  wrap=_bound_worker(env))
+        yield from split(Batch(len(oids), {ref: oids}))
 
     return run
 
@@ -600,10 +720,11 @@ def _parallel_map(plan: ParallelMap, database: Database,
     ref = plan.ref
     degree = plan.degree
 
-    def run() -> Iterator[Row]:
-        rows = list(source())
-        yield from run_map_morsels(rows, expression, ref, degree,
-                                   wrap=_bound_worker(env))
+    def run() -> Iterator[Batch]:
+        whole = concat(source())
+        values = run_map_morsels(whole, expression, degree,
+                                 wrap=_bound_worker(env))
+        yield from split(Batch(whole.length, {**whole.columns, ref: values}))
 
     return run
 
@@ -617,16 +738,16 @@ def _parallel_hash_join(plan: ParallelHashJoin, database: Database,
     right_source = _build(plan.right, database, compiler, env)
     degree = plan.degree
 
-    def run() -> Iterator[Row]:
+    def run() -> Iterator[Batch]:
         wrap = _bound_worker(env)
         # Build side first, then probe side: the sequential HashJoin's work
         # ordering, so statistics interleave the same way.
-        right_rows = list(right_source())
-        right_keys = run_key_morsels(right_rows, right_key, degree, wrap=wrap)
-        left_rows = list(left_source())
-        left_keys = run_key_morsels(left_rows, left_key, degree, wrap=wrap)
-        yield from merge_hash_join(left_rows, left_keys,
-                                   right_rows, right_keys)
+        right = concat(right_source())
+        table = _hash_table(run_key_morsels(right, right_key, degree,
+                                            wrap=wrap))
+        left = concat(left_source())
+        left_keys = run_key_morsels(left, left_key, degree, wrap=wrap)
+        yield from _joined(left, right, _probe(table, left_keys))
 
     return run
 

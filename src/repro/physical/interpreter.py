@@ -318,7 +318,11 @@ def _iterate_set(value: Any, plan: PhysicalOperator,
             return []
         raise ExecutionError(
             f"{plan.describe()} evaluated to None instead of a set")
-    if isinstance(value, (set, frozenset, list, tuple)):
+    if isinstance(value, (set, frozenset)):
+        # Set elements are distinct hashables, which make_hashable maps to
+        # distinct keys: the dedup pass below could drop nothing.
+        return list(value)
+    if isinstance(value, (list, tuple)):
         seen: set[Any] = set()
         elements: list[Any] = []
         for element in value:

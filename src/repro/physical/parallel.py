@@ -39,15 +39,15 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Any, Callable, Optional, Sequence, TypeVar
 
-from repro.physical.evaluator import make_hashable
+from repro.physical.batch import Batch
+from repro.physical.evaluator import hashable_values
 from repro.telemetry.spans import child_span
 
 __all__ = ["DEFAULT_MORSEL_SIZE", "MAX_WORKERS", "default_parallelism",
            "make_morsels", "process_morsels", "worker_pool",
-           "run_filter_morsels", "run_map_morsels", "run_key_morsels",
-           "merge_hash_join"]
+           "run_filter_morsels", "run_map_morsels", "run_key_morsels"]
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
@@ -148,63 +148,50 @@ def process_morsels(morsels: Sequence[Sequence[Item]],
 
 
 # ----------------------------------------------------------------------
-# operator bodies of the compiled engine's parallel builders; `wrap`
-# re-pushes the statement's thread-local bindings and snapshot pin inside
-# each worker (see repro.physical.executor._bound_worker)
+# operator bodies of the compiled engine's parallel builders, over column
+# batches (repro.physical.batch); `wrap` re-pushes the statement's
+# thread-local bindings and snapshot pin inside each worker (see
+# repro.physical.executor._bound_worker)
 # ----------------------------------------------------------------------
-Row = dict[str, Any]
 WorkerWrap = Callable[[Callable[[list], list]], Callable[[list], list]]
 
 
 def run_filter_morsels(oid_batches: Sequence[Sequence[Any]],
-                       predicate: Optional[Callable[[Row], bool]],
+                       predicate: Optional[Callable[[Batch], list]],
                        ref: str, degree: int,
-                       wrap: WorkerWrap) -> list[Row]:
-    """Emit ``{ref: oid}`` rows for the OIDs passing *predicate*, evaluated
-    over morsels in parallel; batch (partition) order is preserved."""
+                       wrap: WorkerWrap) -> list[Any]:
+    """The OIDs whose ``{ref: oid}`` row passes *predicate* (all of them
+    without one), evaluated over morsels in parallel; batch (partition)
+    order is preserved."""
+    if predicate is None:
+        return [oid for batch in oid_batches for oid in batch]
     morsels: list[list[Any]] = []
     for batch in oid_batches:
         morsels.extend(make_morsels(batch, degree))
 
-    if predicate is None:
-        def work(morsel):
-            return [{ref: oid} for oid in morsel]
-    else:
-        def work(morsel):
-            rows = ({ref: oid} for oid in morsel)
-            return [row for row in rows if predicate(row)]
+    def work(morsel):
+        passed = predicate(Batch(len(morsel), {ref: morsel}))
+        return [oid for oid, keep in zip(morsel, passed) if keep]
 
     return process_morsels(morsels, wrap(work), degree)
 
 
-def run_map_morsels(rows: Sequence[Row], expression: Callable[[Row], Any],
-                    ref: str, degree: int, wrap: WorkerWrap) -> list[Row]:
-    """Extend every row with ``ref = expression(row)``, in input order."""
-    def work(morsel):
-        return [{**row, ref: expression(row)} for row in morsel]
-
-    return process_morsels(make_morsels(rows, degree), wrap(work), degree)
-
-
-def run_key_morsels(rows: Sequence[Row], key: Callable[[Row], Any],
+def run_map_morsels(batch: Batch, expression: Callable[[Batch], list],
                     degree: int, wrap: WorkerWrap) -> list[Any]:
-    """Hashable join keys for *rows*, evaluated in parallel, in row order."""
+    """``expression``'s value for every row of *batch*, in row order."""
     def work(morsel):
-        return [make_hashable(key(row)) for row in morsel]
+        return expression(batch.take(morsel))
 
-    return process_morsels(make_morsels(rows, degree), wrap(work), degree)
+    return process_morsels(make_morsels(range(batch.length), degree),
+                           wrap(work), degree)
 
 
-def merge_hash_join(left_rows: Sequence[Row], left_keys: Sequence[Any],
-                    right_rows: Sequence[Row], right_keys: Sequence[Any]
-                    ) -> Iterator[Row]:
-    """Sequential build + probe over pre-evaluated keys; output order
-    matches the sequential hash join (left order × right insertion order)."""
-    table: dict[Any, list[Row]] = {}
-    for row, key in zip(right_rows, right_keys):
-        table.setdefault(key, []).append(row)
-    for left_row, key in zip(left_rows, left_keys):
-        matches = table.get(key)
-        if matches:
-            for right_row in matches:
-                yield {**left_row, **right_row}
+def run_key_morsels(batch: Batch, key: Callable[[Batch], list],
+                    degree: int, wrap: WorkerWrap) -> list[Any]:
+    """Hashable join keys for the rows of *batch*, evaluated in parallel,
+    in row order."""
+    def work(morsel):
+        return hashable_values(key(batch.take(morsel)))
+
+    return process_morsels(make_morsels(range(batch.length), degree),
+                           wrap(work), degree)

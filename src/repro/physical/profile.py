@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Optional
 
 from repro.datamodel.database import Database
+from repro.physical.batch import Batch
 from repro.physical.executor import prepare_plan
 from repro.physical.plans import PhysicalOperator
 
@@ -81,25 +82,26 @@ class PlanProfile:
         return entry[1]
 
     def wrap(self, plan: PhysicalOperator,
-             iterator: Iterator[Any]) -> Iterator[Any]:
-        """Wrap *iterator* so rows and (inclusive) time are counted."""
+             batches: Iterator[Batch]) -> Iterator[Batch]:
+        """Wrap the batch iterator *batches* so rows (the batches' lengths)
+        and (inclusive) time are counted, one clock read per batch."""
         counters = self.counters_for(plan)
         counters.opens += 1
-        return self._count(iterator, counters)
+        return self._count(batches, counters)
 
     @staticmethod
-    def _count(iterator: Iterator[Any],
-               counters: OperatorCounters) -> Iterator[Any]:
+    def _count(batches: Iterator[Batch],
+               counters: OperatorCounters) -> Iterator[Batch]:
         while True:
             started = time.perf_counter()
             try:
-                row = next(iterator)
+                batch = next(batches)
             except StopIteration:
                 counters.seconds += time.perf_counter() - started
                 return
             counters.seconds += time.perf_counter() - started
-            counters.rows += 1
-            yield row
+            counters.rows += batch.length
+            yield batch
 
     def record(self, plan: PhysicalOperator, rows: int,
                seconds: float) -> None:

@@ -17,6 +17,7 @@ from repro.datamodel.database import Database
 from repro.datamodel.schema import ClassDef, PropertyDef, Schema
 from repro.datamodel.types import INT, STRING
 from repro.errors import ExecutionError
+from repro.physical.batch import Batch
 from repro.physical.compiler import ExpressionCompiler
 from repro.physical.evaluator import evaluate
 from repro.physical.executor import execute_plan, prepare_plan
@@ -42,6 +43,13 @@ from repro.workloads import (
 # ----------------------------------------------------------------------
 # expression compiler
 # ----------------------------------------------------------------------
+def on_row(compiled, row):
+    """A compiled (column) expression's value for the one-row batch *row*."""
+    values = compiled(Batch(1, {name: [value] for name, value in row.items()}))
+    assert len(values) == 1
+    return values[0]
+
+
 class TestExpressionCompiler:
     @pytest.mark.parametrize("text,row", [
         ("1 + 2 * 3", {}),
@@ -58,7 +66,7 @@ class TestExpressionCompiler:
     def test_compiled_agrees_with_interpreter(self, doc_database, text, row):
         expression = parse_expression(text)
         compiled = ExpressionCompiler(doc_database).compile(expression)
-        assert compiled(row) == evaluate(expression, row, doc_database)
+        assert on_row(compiled, row) == evaluate(expression, row, doc_database)
 
     def test_property_and_method_access(self, doc_database):
         paragraph = doc_database.extension("Paragraph")[0]
@@ -67,38 +75,38 @@ class TestExpressionCompiler:
                      "(p->document()).title"):
             expression = parse_expression(text)
             compiled = ExpressionCompiler(doc_database).compile(expression)
-            assert compiled(row) == evaluate(expression, row, doc_database)
+            assert on_row(compiled, row) == evaluate(expression, row, doc_database)
 
     def test_lifted_access_over_sets(self, doc_database):
         document = doc_database.extension("Document")[0]
         row = {"d": document}
         expression = parse_expression("d.sections.paragraphs")
         compiled = ExpressionCompiler(doc_database).compile(expression)
-        assert compiled(row) == evaluate(expression, row, doc_database)
+        assert on_row(compiled, row) == evaluate(expression, row, doc_database)
 
     def test_constant_subexpressions_are_hoisted(self, doc_database):
         compiled = ExpressionCompiler(doc_database).compile(
             parse_expression("1 + 2 * 3"))
         assert compiled.constant_value == 7
-        assert compiled({}) == 7
+        assert on_row(compiled, {}) == 7
 
     def test_failing_pure_expression_raises_at_evaluation(self, doc_database):
         expression = parse_expression("1 / 0")
         # Compilation must not raise; evaluation fails like the interpreter.
         compiled = ExpressionCompiler(doc_database).compile(expression)
         with pytest.raises(ZeroDivisionError):
-            compiled({})
+            on_row(compiled, {})
 
     def test_membership_against_constant_collection(self, doc_database):
         expression = BinaryOp("IS-IN", Var("x"), Const([1, 2, 3]))
         compiled = ExpressionCompiler(doc_database).compile(expression)
-        assert compiled({"x": 2}) is True
-        assert compiled({"x": 9}) is False
+        assert on_row(compiled, {"x": 2}) is True
+        assert on_row(compiled, {"x": 9}) is False
 
     def test_unbound_reference_raises(self, doc_database):
         compiled = ExpressionCompiler(doc_database).compile(Var("missing"))
         with pytest.raises(ExecutionError):
-            compiled({})
+            on_row(compiled, {})
 
     def test_compiled_work_counters_match_interpreter(self, doc_database):
         expression = parse_expression("(p->document()).title")
@@ -110,7 +118,7 @@ class TestExpressionCompiler:
         interpreted = doc_database.work_snapshot()
 
         doc_database.reset_statistics()
-        ExpressionCompiler(doc_database).compile(expression)(row)
+        on_row(ExpressionCompiler(doc_database).compile(expression), row)
         compiled = doc_database.work_snapshot()
 
         assert compiled == interpreted
