@@ -53,6 +53,7 @@ __all__ = [
     "properties_used",
     "parameters_used",
     "bind_parameters",
+    "with_hints",
 ]
 
 #: comparison operators of the restricted algebra's θ parameter
@@ -170,9 +171,18 @@ class Parameter(Expression):
 
     ``key`` is the canonical name: positional parameters use their decimal
     position (``"1"``, ``"2"``, …), named parameters their identifier.
+
+    ``hint`` is a *costing hint*, not a binding: the literal a synthetic
+    parameter replaced when the plan cache auto-parameterized a statement
+    (:func:`repro.service.fingerprint.generalize`).  The cost model prices
+    the plan with it where it would read a constant; it takes no part in
+    equality or hashing, so every value of one statement shape shares one
+    plan-cache key.  ``None`` means no hint (NULL literals are never
+    auto-parameterized).
     """
 
     key: str
+    hint: Any = field(default=None, compare=False, hash=False, repr=False)
 
     @property
     def is_positional(self) -> bool:
@@ -418,6 +428,22 @@ def bind_parameters(expr: Expression, bindings: Mapping[str, Any]) -> Expression
     if not children:
         return expr
     new_children = [bind_parameters(child, bindings) for child in children]
+    if all(new is old for new, old in zip(new_children, children)):
+        return expr
+    return expr.rebuild(new_children)
+
+
+def with_hints(expr: Expression, hints: Mapping[str, Any]) -> Expression:
+    """Give every :class:`Parameter` whose key appears in *hints* that
+    value as its costing hint (the expression stays equal to *expr*)."""
+    if isinstance(expr, Parameter):
+        if expr.key in hints:
+            return Parameter(expr.key, hint=hints[expr.key])
+        return expr
+    children = expr.children()
+    if not children:
+        return expr
+    new_children = [with_hints(child, hints) for child in children]
     if all(new is old for new, old in zip(new_children, children)):
         return expr
     return expr.rebuild(new_children)

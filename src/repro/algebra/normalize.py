@@ -11,8 +11,7 @@ followed by a projection that removes the intermediate references again
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.algebra.expressions import (
     BinaryOp,

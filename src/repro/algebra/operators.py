@@ -15,7 +15,7 @@ fresh reference for map/flat, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from repro.algebra.expressions import Expression, cached_hash, free_vars
 from repro.errors import AlgebraError

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from repro.algebra.expressions import COMPARISON_OPS, Const, Expression
+from repro.algebra.expressions import COMPARISON_OPS, Const
 from repro.algebra.operators import LogicalOperator, references_of
 from repro.errors import AlgebraError
 

@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.algebra.expressions import (
     ClassExtent,
     Const,
-    Expression,
     Var,
     free_vars,
 )

@@ -27,7 +27,6 @@ from repro.datamodel.partitions import (
 from repro.datamodel.schema import (
     ClassDef,
     MethodDef,
-    MethodKind,
     PropertyDef,
     Schema,
 )

@@ -202,7 +202,12 @@ class SortedIndex:
         if key is None:
             # NULLs are never indexed (and None reads as "unbounded" below)
             return set()
-        return self._between(key, False, key, True)
+        try:
+            return self._between(key, False, key, True)
+        except TypeError:
+            # the keys are mutually ordered, so one they cannot be ordered
+            # against equals none of them (``==`` never raises)
+            return set()
 
     def range(self, low: Any = None, high: Any = None,
               include_low: bool = True, include_high: bool = True) -> set[OID]:

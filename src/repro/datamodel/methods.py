@@ -22,7 +22,7 @@ the VML class definitions printed in the paper.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable
 
 from repro.datamodel.oid import OID
 from repro.errors import MethodInvocationError

@@ -11,7 +11,7 @@ used by the VQL analyzer and the algebra translator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro.errors import TypeMismatchError
 

@@ -83,6 +83,20 @@ __all__ = ["CostEstimate", "CostModel"]
 #: sentinel for comparison values unknown at planning time (bind parameters)
 _UNKNOWN_VALUE = object()
 
+
+def _plan_time_value(operand: object) -> object:
+    """What planning knows of a comparison operand, index key or range
+    bound: a constant's value, an auto-parameter's costing hint (priced
+    exactly like the literal it replaced), a plain plan-time value as is —
+    else ``_UNKNOWN_VALUE``."""
+    if isinstance(operand, Const):
+        return operand.value
+    if isinstance(operand, Parameter) and operand.hint is not None:
+        return operand.hint
+    if isinstance(operand, Expression):
+        return _UNKNOWN_VALUE
+    return operand
+
 #: comparison operators flipped so the property lands on the left side
 _FLIPPED_COMPARISON = {"==": "==", "!=": "!=",
                        "<": ">", "<=": ">=", ">": "<", ">=": "<="}
@@ -393,11 +407,12 @@ class CostModel:
         size = self.extension_size(plan.class_name)
         stats = self.property_statistics(plan.class_name, plan.prop)
         if stats is not None:
-            if isinstance(plan.key, Expression):
+            key = _plan_time_value(plan.key)
+            if key is _UNKNOWN_VALUE:
                 # Bind-parameter keys: value unknown, use the average bucket.
                 selectivity = stats.selectivity_unknown_eq()
             else:
-                selectivity = stats.selectivity_eq(plan.key)
+                selectivity = stats.selectivity_eq(key)
             return max(size * selectivity, 1.0)
         cardinality = max(size * self.EQUALITY_SELECTIVITY, 1.0)
         index = (self.database.indexes.get(plan.class_name, plan.prop)
@@ -409,26 +424,27 @@ class CostModel:
     def _index_range_cardinality(self, plan: IndexRangeScan) -> float:
         """Expected matches of a range index lookup.
 
-        An interval between two plan-time values is read off the histogram
-        when statistics are fresh.  Otherwise each bounded side contributes
-        what :meth:`condition_selectivity` gives the equivalent filter
-        conjunct — the histogram for a plan-time value, the flat default
-        for a bind parameter (or without statistics) — so the index plan
-        and the filter plan of one predicate carry the same cardinality."""
+        An interval between two plan-time values (or costing hints) is read
+        off the histogram when statistics are fresh.  Otherwise each bounded
+        side contributes what :meth:`condition_selectivity` gives the
+        equivalent filter conjunct — the histogram for a plan-time value,
+        the flat default for a bind parameter (or without statistics) — so
+        the index plan and the filter plan of one predicate carry the same
+        cardinality."""
         size = self.extension_size(plan.class_name)
         stats = self.property_statistics(plan.class_name, plan.prop)
-        bounds = ((">=", plan.low), ("<=", plan.high))
-        if stats is not None and not any(isinstance(bound, Expression)
-                                         for _, bound in bounds):
-            selectivity = stats.selectivity_range(plan.low, plan.high)
+        low, high = _plan_time_value(plan.low), _plan_time_value(plan.high)
+        if (stats is not None and low is not _UNKNOWN_VALUE
+                and high is not _UNKNOWN_VALUE):
+            selectivity = stats.selectivity_range(low, high)
             if selectivity is not None:
                 return max(size * selectivity, 1.0)
         selectivity = 1.0
-        for op, bound in bounds:
+        for op, bound in ((">=", low), ("<=", high)):
             if bound is None:
                 continue
             side = None
-            if stats is not None and not isinstance(bound, Expression):
+            if stats is not None and bound is not _UNKNOWN_VALUE:
                 side = stats.selectivity_cmp(op, bound)
             selectivity *= (self.RANGE_SELECTIVITY if side is None
                             else min(max(side, 0.0), 1.0))
@@ -852,8 +868,9 @@ class CostModel:
                               ) -> Optional[tuple[PropertyStatistics, object,
                                                   str]]:
         """Resolve ``ref.prop OP const`` (either orientation) to that
-        property's fresh statistics, the comparison value (``_UNKNOWN_VALUE``
-        for bind parameters) and the property-on-the-left operator."""
+        property's fresh statistics, the comparison value (an
+        auto-parameter's costing hint; ``_UNKNOWN_VALUE`` for other bind
+        parameters) and the property-on-the-left operator."""
         if source is None or self.catalog is None:
             return None
         ref_classes = self._ref_class_map(source)
@@ -872,8 +889,6 @@ class CostModel:
             stats = self.property_statistics(class_name, prop_side.prop)
             if stats is None:
                 continue
-            if isinstance(value_side, Const):
-                return stats, value_side.value, oriented_op
-            if isinstance(value_side, Parameter):
-                return stats, _UNKNOWN_VALUE, oriented_op
+            if isinstance(value_side, (Const, Parameter)):
+                return stats, _plan_time_value(value_side), oriented_op
         return None

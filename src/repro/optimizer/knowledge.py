@@ -34,12 +34,12 @@ from repro.algebra.expressions import (
     BinaryOp,
     Const,
     Expression,
-    MethodCall,
     PropertyAccess,
     Var,
     conjuncts,
     free_vars,
     make_conjunction,
+    walk,
 )
 from repro.algebra.operators import (
     ExpressionSource,
@@ -176,6 +176,10 @@ class ExpressionEquivalence:
         names = (free_vars(self.left) | free_vars(self.right))
         return {name: None for name in names}
 
+    def pattern_expressions(self) -> tuple[Expression, ...]:
+        """The expressions this declaration's rules match and instantiate."""
+        return (self.left, self.right)
+
     def derive_rules(self, schema: Schema) -> RuleSet:
         """Compile into bidirectional parameter-rewriting rules."""
         rules = RuleSet(self.name)
@@ -283,6 +287,10 @@ class ConditionImplication:
                 f"{self.kind} {self.name!r}: consequent does not mention "
                 f"{self.variable!r}")
 
+    def pattern_expressions(self) -> tuple[Expression, ...]:
+        """The expressions this declaration's rule matches and adds."""
+        return (self.antecedent, self.consequent)
+
     def derive_rules(self, schema: Schema) -> RuleSet:
         rules = RuleSet(self.name)
         antecedent = resolve_class_references(self.antecedent, schema, set())
@@ -359,11 +367,20 @@ class QueryMethodEquivalence:
         if not self.name:
             self.name = f"query-method[{self.method_call}]"
 
+    def _parsed_query(self):
+        return parse_query(self.query) if isinstance(self.query, str) \
+            else self.query
+
+    def pattern_expressions(self) -> tuple[Expression, ...]:
+        """The query's clauses (the pattern) and the method call."""
+        query = self._parsed_query()
+        where = () if query.where is None else (query.where,)
+        return (query.access, *(decl.source for decl in query.ranges),
+                *where, self.method_call)
+
     def derive_rules(self, schema: Schema) -> RuleSet:
         rules = RuleSet(self.name)
-        query = self.query
-        if isinstance(query, str):
-            query = parse_query(query)
+        query = self._parsed_query()
         # Free variables of the query that are not range variables are the
         # equivalence's parameters; pre-bind them so the analyzer accepts the
         # parametrized query.
@@ -551,6 +568,18 @@ class SchemaKnowledge:
         for item in self.items():
             rules.extend(item.derive_rules(self.schema))
         return rules
+
+    def pattern_constants(self) -> frozenset:
+        """The values of the literal constants in the declarations'
+        patterns — I1's ``wordCount() > 40``, U2's ``gpa >= 3.5``.  A rule
+        matches these literally (``40`` also matches ``40.0``, as Python
+        equality does), so the plan cache keeps a statement's equal literal
+        a literal instead of a bind parameter
+        (:func:`repro.service.fingerprint.generalize`)."""
+        return frozenset(node.value for item in self.items()
+                         for expression in item.pattern_expressions()
+                         for node in walk(expression)
+                         if isinstance(node, Const))
 
     def __len__(self) -> int:
         return len(self.items())

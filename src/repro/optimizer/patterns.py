@@ -16,7 +16,6 @@ general algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Optional
 
 from repro.algebra.expressions import (

@@ -17,7 +17,7 @@ experiment (EXP-3) disables each semantic-knowledge kind through its tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.algebra.expressions import Expression

@@ -20,10 +20,11 @@ The physically interesting nodes for the paper's experiments are:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Any, Mapping, Optional, Sequence
 
-from repro.algebra.expressions import Expression, cached_hash, free_vars
+from repro.algebra.expressions import (Expression, cached_hash, free_vars,
+                                       with_hints)
 from repro.errors import AlgebraError
 
 __all__ = [
@@ -52,6 +53,7 @@ __all__ = [
     "walk_physical",
     "describe_physical_tree",
     "uses_parallelism",
+    "with_plan_hints",
 ]
 
 
@@ -112,7 +114,8 @@ class IndexEqScan(PhysicalOperator):
         return (self.ref,)
 
     def describe(self) -> str:
-        return f"index_eq_scan<{self.ref}, {self.class_name}.{self.prop} == {self.key!r}>"
+        return (f"index_eq_scan<{self.ref}, {self.class_name}.{self.prop} == "
+                f"{_bound_text(self.key)}>")
 
 
 @cached_hash
@@ -157,8 +160,9 @@ class IndexRangeScan(PhysicalOperator):
 
 
 def _bound_text(bound: Any) -> str:
-    """A range bound as EXPLAIN prints it: ``:lo`` for a bind parameter (as
-    ``select<...>`` prints it), the ``repr`` of a plan-time value."""
+    """An index key or range bound as EXPLAIN prints it: ``:lo`` for a bind
+    parameter (as ``select<...>`` prints it), the ``repr`` of a plan-time
+    value."""
     return str(bound) if isinstance(bound, Expression) else repr(bound)
 
 
@@ -610,6 +614,25 @@ def walk_physical(plan: PhysicalOperator):
     yield plan
     for child in plan.inputs():
         yield from walk_physical(child)
+
+
+def with_plan_hints(plan: PhysicalOperator,
+                    hints: Mapping[str, Any]) -> PhysicalOperator:
+    """*plan* with every bind parameter it carries — in its own fields and
+    in its inputs' — given its costing hint from *hints* (see
+    :func:`~repro.algebra.expressions.with_hints`): an equal plan, priced
+    for other values."""
+    changes = {}
+    for spec in fields(plan):
+        value = getattr(plan, spec.name)
+        if isinstance(value, Expression):
+            changes[spec.name] = with_hints(value, hints)
+    if changes:
+        plan = replace(plan, **changes)
+    if plan.inputs():
+        plan = plan.with_inputs([with_plan_hints(child, hints)
+                                 for child in plan.inputs()])
+    return plan
 
 
 def describe_physical_tree(plan: PhysicalOperator, depth: int = 0) -> str:

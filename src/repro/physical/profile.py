@@ -30,7 +30,7 @@ from repro.physical.plans import PhysicalOperator
 
 __all__ = ["OperatorCounters", "PlanProfile", "ExplainReport",
            "estimated_vs_actual", "divergent_operators", "explain_analyze",
-           "profile_summary", "render_explain_analyze"]
+           "misestimation", "profile_summary", "render_explain_analyze"]
 
 
 class ExplainReport(str):
@@ -126,15 +126,22 @@ class PlanProfile:
         return len(self._counters)
 
 
+def misestimation(estimated: float, actual: float) -> float:
+    """``max(est, actual) / min(est, actual)`` with both sides clamped to at
+    least one row — the symmetric misestimation factor."""
+    low = max(min(estimated, actual), 1.0)
+    high = max(estimated, actual, 1.0)
+    return high / low
+
+
 def estimated_vs_actual(plan: PhysicalOperator, profile: PlanProfile,
                         cost_model=None) -> list[dict]:
     """Per-operator estimate/actual records, root first (pre-order).
 
     Each record carries the operator description, the cost model's
     estimated output cardinality (None without a cost model), and the
-    measured rows/opens/seconds.  ``ratio`` is ``max(est, actual) /
-    min(est, actual)`` with both sides clamped to at least one row — the
-    symmetric misestimation factor the sanity oracles bound.
+    measured rows/opens/seconds.  ``ratio`` is the :func:`misestimation`
+    factor the sanity oracles bound.
     """
     records: list[dict] = []
 
@@ -144,9 +151,7 @@ def estimated_vs_actual(plan: PhysicalOperator, profile: PlanProfile,
         ratio: Optional[float] = None
         if cost_model is not None:
             estimated = cost_model.estimate(node).cardinality
-            low = max(min(estimated, counters.rows), 1.0)
-            high = max(estimated, counters.rows, 1.0)
-            ratio = high / low
+            ratio = misestimation(estimated, counters.rows)
         records.append({
             "operator": node.describe(),
             "depth": depth,
@@ -184,9 +189,7 @@ def divergent_operators(plan: PhysicalOperator, profile: PlanProfile,
         counters = profile.counters_for(node)
         if counters.opens > 0:
             estimated = estimates[id(node)].cardinality
-            low = max(min(estimated, counters.rows), 1.0)
-            high = max(estimated, counters.rows, 1.0)
-            ratio = high / low
+            ratio = misestimation(estimated, counters.rows)
             if ratio > threshold:
                 divergences.append({
                     "operator": node,

@@ -19,6 +19,14 @@ service's knowledge version:
   object count it was planned against (bulk loads re-optimize, single-row
   churn does not).
 
+Keys are statement *shapes*: literals are auto-parameterized before the
+lookup (:mod:`repro.service.fingerprint`).  A shape that arrived with
+literals is shared once its literals vary (:meth:`PlanCache.key_for`): its
+first statement caches under the shape plus its values, so a text that
+only repeats verbatim keeps the plan priced for its values, and the first
+statement with other values plans the shape's generic plan, which serves
+every later statement of the shape.
+
 The cache is a bounded LRU and thread-safe; eviction and invalidation
 counts are exposed for the service metrics.
 """
@@ -28,7 +36,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Any, Hashable, Optional
 
 from repro.algebra.operators import LogicalOperator
 from repro.datamodel.database import Database
@@ -39,6 +47,9 @@ from repro.physical.profile import PlanProfile
 from repro.vql.analyzer import AnalyzedQuery
 
 __all__ = ["CachedPlan", "CacheStatistics", "PlanCache"]
+
+#: marks a shape in ``PlanCache._shapes`` whose generic plan is shared
+_ADMITTED = object()
 
 
 @dataclass
@@ -63,7 +74,12 @@ class CacheStatistics:
 
 @dataclass
 class CachedPlan:
-    """One prepared query shape plus the versions it was planned under."""
+    """One prepared query shape plus the versions it was planned under.
+
+    ``analyzed`` is the generic (auto-parameterized) query the plan was made
+    from and ``hint_values`` the literal values it was priced with — the
+    planning statement's (``None`` for a shape without synthetic
+    parameters)."""
 
     fingerprint: str
     analyzed: AnalyzedQuery
@@ -79,6 +95,9 @@ class CachedPlan:
     stats_version: int
     knowledge_version: int
     object_count: int
+    hint_values: Optional[dict[str, Any]] = None
+    #: the plan-cache key the entry was built for
+    key: Hashable = None
     prepare_seconds: float = 0.0
     optimize_seconds: float = 0.0
     executions: int = 0
@@ -93,6 +112,9 @@ class CachedPlan:
     #: the data version the profile was last armed under (None: never);
     #: data drift past it arms again, so post-drift executions are watched
     feedback_data_version: Optional[int] = None
+    #: the literal values the profile was last armed for; a statement of
+    #: the shape with other values arms again
+    feedback_values: Optional[dict[str, Any]] = None
 
 
 class PlanCache:
@@ -105,6 +127,10 @@ class PlanCache:
         self.capacity = capacity
         self.reoptimize_fraction = reoptimize_fraction
         self._entries: "OrderedDict[Hashable, CachedPlan]" = OrderedDict()
+        #: auto-parameterized shapes (generic key) -> the literal values of
+        #: the first statement seen, or ``_ADMITTED`` (see :meth:`key_for`);
+        #: an LRU four times the capacity
+        self._shapes: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.Lock()
         self.statistics = CacheStatistics()
 
@@ -138,6 +164,33 @@ class PlanCache:
             entry.executions += 1
             return entry
 
+    def key_for(self, shape: Hashable, values: tuple) -> Hashable:
+        """The key a statement of the auto-parameterized *shape* with the
+        literal *values* caches under.
+
+        The shape's first statement is cached under ``(shape, values)``, so
+        a text that only ever repeats verbatim keeps the plan priced for its
+        values.  The first statement with other values admits the shape:
+        from then on every statement of it shares the plan under *shape*,
+        which replaces the first statement's entry.  (The synthetic keys in
+        *shape* carry the literals' types, so equal values of other types —
+        ``0`` and ``0.0`` — never meet here.)"""
+        with self._lock:
+            first = self._shapes.get(shape)
+            if first is None:
+                self._shapes[shape] = values
+                while len(self._shapes) > 4 * self.capacity:
+                    self._shapes.popitem(last=False)
+                return (shape, values)
+            self._shapes.move_to_end(shape)
+            if first is _ADMITTED:
+                return shape
+            if first == values:
+                return (shape, values)
+            self._shapes[shape] = _ADMITTED
+            self._entries.pop((shape, first), None)
+            return shape
+
     def store(self, key: Hashable, entry: CachedPlan) -> None:
         with self._lock:
             self._entries[key] = entry
@@ -146,6 +199,12 @@ class PlanCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.statistics.evictions += 1
+
+    def discard(self, key: Hashable) -> None:
+        """Drop the entry for *key*, if any, counted as an invalidation."""
+        with self._lock:
+            if self._entries.pop(key, None) is not None:
+                self.statistics.invalidations += 1
 
     def invalidate_all(self) -> int:
         """Drop every entry (e.g. after knowledge registration)."""

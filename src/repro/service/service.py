@@ -12,9 +12,12 @@ The request lifecycle::
     execute(text, params)
       ├─ StatementRouter: text ──→ AnalyzedStatement (parse+analyze once;
       │     DDL/DML dispatch to the datamodel, queries continue below)
-      ├─ resolve bindings (validates arity/names up front)
-      ├─ plan cache: analyzed shape ──→ CachedPlan (translate+optimize+
-      │                                  compile once per shape, versioned)
+      ├─ auto-parameterize: literals ──→ synthetic parameters (once per
+      │     analyzed statement; repro.service.fingerprint.generalize)
+      ├─ resolve bindings (validates arity/names up front) + the
+      │     statement's own literal values
+      ├─ plan cache: generic shape ──→ CachedPlan (translate+optimize+
+      │                                 compile once per shape, versioned)
       └─ CachedPlan.executable.run(bindings)   (read-locked)
 
 UPDATE/DELETE WHERE clauses come back through ``execute_analyzed`` as
@@ -37,6 +40,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Iterable, Optional, Sequence, Union
 
+from repro.algebra.expressions import Const
 from repro.api.router import StatementRouter
 from repro.datamodel import ddl
 from repro.datamodel.database import Database
@@ -52,13 +56,14 @@ from repro.physical.evaluator import make_hashable
 from repro.physical.executor import PreparedExecutable, Row, prepare_plan
 from repro.physical.parallel import default_parallelism
 from repro.physical.plans import (Filter, HashJoin, IndexNestedLoopJoin,
-                                  describe_physical_tree)
+                                  describe_physical_tree, with_plan_hints)
 from repro.physical.profile import (ExplainReport, PlanProfile,
                                     divergent_operators, explain_analyze,
-                                    profile_summary)
+                                    misestimation, profile_summary)
 from repro.service.cache import CachedPlan, PlanCache
 from repro.service.concurrency import ReadWriteLock
-from repro.service.fingerprint import cache_key, query_fingerprint
+from repro.service.fingerprint import (cache_key, generalize,
+                                       query_fingerprint)
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.slowlog import SlowQueryLog
 from repro.telemetry.spans import (NOOP_SPAN, Tracer, activation,
@@ -76,17 +81,32 @@ class PreparedQuery:
 
     Holding the handle skips parse + analyze on execution; the plan itself
     lives in the service's plan cache and is revalidated (and transparently
-    re-prepared) on every execution.
+    re-prepared) on every execution.  ``analyzed`` is the statement as
+    written; ``generic`` is what the plan cache plans and keys on — the
+    same query with its eligible literals auto-parameterized
+    (:func:`~repro.service.fingerprint.generalize`), and ``auto_values``
+    the statement's own values for those synthetic parameters (``None``
+    when it has none, in which case ``generic`` is ``analyzed``).
     """
 
     text: str
     analyzed: AnalyzedQuery
     optimize: bool
     fingerprint: str
+    generic: AnalyzedQuery
+    auto_values: Optional[dict[str, Any]] = None
 
     @property
     def parameters(self) -> tuple[str, ...]:
         return self.analyzed.parameters
+
+    def bind(self, parameters: ParameterValues) -> dict[str, Any]:
+        """Resolve the client's *parameters* and merge in the statement's
+        own literal values: the bindings the generic plan runs with."""
+        bindings = resolve_bindings(self.analyzed.parameters, parameters)
+        if self.auto_values:
+            bindings.update(self.auto_values)
+        return bindings
 
 
 @dataclass
@@ -130,7 +150,8 @@ class ServiceMetrics:
             "plans rebuilt after an adaptive-feedback eviction")
         self._feedback_evictions = reg.counter(
             "repro_feedback_evictions_total",
-            "cache invalidations triggered by feedback corrections")
+            "cache invalidations triggered by feedback (a correction, or "
+            "a plan priced for other literal values)")
         self._statements_prepared = reg.gauge(
             "repro_cached_statements", "analyzed statements cached by text")
         self._analyze = reg.histogram(
@@ -223,7 +244,9 @@ class ServiceResult:
     ``work`` holds the logical work-counter delta of this execution; under
     concurrent execution the database counters are shared, so the delta
     attributes overlapping work to whichever query read it — treat it as
-    exact only for serial workloads.
+    exact only for serial workloads.  ``bindings`` are the values
+    ``plan`` ran with: the client's parameters plus the statement's own
+    auto-parameterized literals.
     """
 
     rows: list[Row]
@@ -231,6 +254,7 @@ class ServiceResult:
     metrics: QueryMetrics
     plan: CachedPlan
     work: dict[str, float] = field(default_factory=dict)
+    bindings: dict[str, Any] = field(default_factory=dict)
 
     @property
     def values(self) -> list[Any]:
@@ -296,9 +320,11 @@ class QueryService:
         #: corrections would chase noise.
         self.adaptive_feedback = adaptive_feedback
         self.feedback_threshold = feedback_threshold
-        #: fingerprints evicted by feedback, awaiting their replan (drained
-        #: into the ``plans_reoptimized`` counter by ``_prepare_entry``)
-        self._feedback_replans: set[str] = set()
+        #: plan-cache keys evicted by feedback, awaiting their replan, each
+        #: with the statement whose execution triggered it — the replan is
+        #: priced with that statement's literal values (drained into the
+        #: ``plans_reoptimized`` counter by ``_prepare_entry``)
+        self._feedback_replans: dict[Any, PreparedQuery] = {}
         self.schema = database.schema
         self.knowledge = knowledge or SchemaKnowledge(self.schema)
         self._options = options
@@ -317,6 +343,9 @@ class QueryService:
             parallelism=self.parallelism)
         self._knowledge_version = 0
         self._knowledge_size = len(self.knowledge)
+        #: literal values auto-parameterization leaves alone: the semantic
+        #: rules match them literally (recomputed with the optimizer)
+        self._literal_constants = self.knowledge.pattern_constants()
         self.cache = PlanCache(capacity=cache_capacity,
                                reoptimize_fraction=reoptimize_fraction)
         # single-flight guards: concurrent cold misses on one shape must not
@@ -487,29 +516,35 @@ class QueryService:
         return self._execute_prepared(self._prepared_for(analyzed, optimize),
                                       parameters, at=at)
 
-    @staticmethod
-    def _prepared_for(analyzed: AnalyzedQuery,
+    def _prepared_for(self, analyzed: AnalyzedQuery,
                       optimize: bool) -> PreparedQuery:
         """The prepared handle for an analyzed query, memoized on it.
 
         Router-analyzed statements are reused across executions (and across
-        every row of an ``executemany`` batch), so the fingerprint — a
-        serialization + hash of the whole query AST — is computed once per
-        analyzed shape, not once per call.  The handle carries no
-        service-local state, so sharing one analyzed query between owners
-        is safe; a benign race may build the handle twice.
+        every row of an ``executemany`` batch), so auto-parameterization
+        (:func:`~repro.service.fingerprint.generalize`, one walk) and the
+        fingerprint — a serialization + hash of the whole query AST — are
+        computed once per analyzed statement, not once per call.  The memo
+        is keyed by the set of literals kept for the knowledge patterns, so
+        a knowledge registration that adds a pattern constant re-derives
+        the handle; sharing one analyzed query between owners is safe, and
+        a benign race may build the handle twice.
         """
         handles = getattr(analyzed, "prepared_handles", None)
         if handles is None:
             handles = {}
             analyzed.prepared_handles = handles
-        statement = handles.get(optimize)
+        memo_key = (optimize, self._literal_constants)
+        statement = handles.get(memo_key)
         if statement is None:
+            generic, auto_values = generalize(analyzed,
+                                              self._literal_constants)
             statement = PreparedQuery(
                 text=str(analyzed.query), analyzed=analyzed,
                 optimize=optimize,
-                fingerprint=query_fingerprint(analyzed, optimize))
-            handles[optimize] = statement
+                fingerprint=query_fingerprint(generic, optimize),
+                generic=generic, auto_values=auto_values)
+            handles[memo_key] = statement
         return statement
 
     def _execute_prepared(self, statement: PreparedQuery,
@@ -530,11 +565,11 @@ class QueryService:
                       parameters: ParameterValues,
                       at: Optional[int] = None) -> ServiceResult:
         started = time.perf_counter()
-        bindings = resolve_bindings(statement.analyzed.parameters, parameters)
+        bindings = statement.bind(parameters)
         analyze_seconds = time.perf_counter() - started
 
         entry, cache_hit = self._entry_for(statement)
-        executable = self._watched_executable(entry)
+        executable = self._watched_executable(entry, statement)
         before = self.database.work_snapshot()
         run_started = time.perf_counter()
         with self._read_scope(at):
@@ -554,7 +589,7 @@ class QueryService:
             profile_records = profile_summary(
                 entry.physical_plan, entry.feedback_profile,
                 cost_model=self._optimizer.cost_model)
-        self._maybe_apply_feedback(entry)
+        self._maybe_apply_feedback(entry, statement)
 
         metrics = QueryMetrics(
             fingerprint=entry.fingerprint,
@@ -568,7 +603,8 @@ class QueryService:
                                current_span(),
                                profile_records=profile_records)
         return ServiceResult(rows=rows, output_ref=entry.output_ref,
-                             metrics=metrics, plan=entry, work=work)
+                             metrics=metrics, plan=entry, work=work,
+                             bindings=bindings)
 
     def _finish_statement(self, statement: PreparedQuery, entry: CachedPlan,
                           bindings: Optional[dict], metrics: QueryMetrics,
@@ -577,7 +613,9 @@ class QueryService:
         """Account one finished query statement — the single tail behind
         ``execute()`` and a cursor's row stream: service metrics (an
         *error* counts as a failed statement, not an executed one), the
-        statement span's annotations, the slow-query log."""
+        statement span's annotations, the slow-query log (the statement's
+        own text and the client's parameters; the fingerprint names its
+        shape)."""
         if error is None:
             self.metrics.record(metrics)
         else:
@@ -586,6 +624,9 @@ class QueryService:
             span.annotate(fingerprint=entry.fingerprint,
                           cache_hit=metrics.cache_hit, rows=metrics.rows)
         if self.slow_log.would_log(metrics.execute_seconds):
+            if bindings and statement.auto_values:
+                bindings = {key: value for key, value in bindings.items()
+                            if key not in statement.auto_values}
             self.slow_log.record(
                 text=statement.text or f"<prepared {entry.fingerprint}>",
                 fingerprint=entry.fingerprint,
@@ -614,7 +655,10 @@ class QueryService:
     # plan-cache plumbing
     # ------------------------------------------------------------------
     def _entry_for(self, statement: PreparedQuery) -> tuple[CachedPlan, bool]:
-        key = cache_key(statement.analyzed, statement.optimize)
+        key = cache_key(statement.generic, statement.optimize)
+        if statement.auto_values is not None:
+            key = self.cache.key_for(key,
+                                     tuple(statement.auto_values.values()))
         with child_span("plan-cache") as lookup_span:
             entry = self.cache.lookup(key, self.database,
                                       self._knowledge_version)
@@ -638,7 +682,7 @@ class QueryService:
                 # runs WHERE-queries while *holding* the write gate — the
                 # lock admits its owner's nested read without deadlock.
                 with self._gate.read_locked():
-                    entry = self._prepare_entry(statement)
+                    entry = self._prepare_entry(key, statement)
                 self.cache.store(key, entry)
         finally:
             # The guard only needs to exist for the duration of one build;
@@ -648,7 +692,7 @@ class QueryService:
                 self._build_locks.pop(key, None)
         return entry, False
 
-    def _prepare_entry(self, statement: PreparedQuery) -> CachedPlan:
+    def _prepare_entry(self, key, statement: PreparedQuery) -> CachedPlan:
         versions = self.database.versions
         schema_version = versions.schema
         index_version = versions.index
@@ -656,23 +700,28 @@ class QueryService:
         stats_version = versions.stats
         object_count = self.database.object_count()
 
-        replan = statement.fingerprint in self._feedback_replans
+        # A feedback replan is priced with the values of the statement that
+        # triggered it (same shape, so the same cache key).
+        trigger = self._feedback_replans.get(key)
+        planned = statement if trigger is None else trigger
         started = time.perf_counter()
         translation, optimization, physical = plan_query(
-            statement.analyzed, self._optimizer, statement.optimize,
-            replan=replan)
+            planned.generic, self._optimizer, statement.optimize,
+            replan=trigger is not None)
         executable = prepare_plan(physical, self.database)
         prepare_seconds = time.perf_counter() - started
         optimize_seconds = (optimization.statistics.optimization_seconds
                             if optimization is not None else 0.0)
 
-        if replan:
-            self._feedback_replans.discard(statement.fingerprint)
+        if trigger is not None:
+            self._feedback_replans.pop(key, None)
             self.metrics.record_reoptimized()
 
         return CachedPlan(
             fingerprint=statement.fingerprint,
-            analyzed=statement.analyzed,
+            analyzed=planned.generic,
+            hint_values=planned.auto_values,
+            key=key,
             output_ref=translation.output_ref,
             logical_plan=translation.plan,
             physical_plan=physical,
@@ -691,24 +740,29 @@ class QueryService:
     # ------------------------------------------------------------------
     # adaptive feedback re-optimization
     # ------------------------------------------------------------------
-    def _watched_executable(self, entry: CachedPlan) -> PreparedExecutable:
-        """The executable the next ``execute()`` of *entry* runs: the plain
-        build, or the profiled twin while feedback watches the plan.
+    def _watched_executable(self, entry: CachedPlan,
+                            statement: PreparedQuery) -> PreparedExecutable:
+        """The executable *statement*'s ``execute()`` of *entry* runs: the
+        plain build, or the profiled twin while feedback watches the plan.
 
-        Feedback watches the first execution of every cost-based plan and
-        the first after each data change: the plan cache tolerates drift
-        below its re-optimize fraction, so a plan can legitimately keep
-        running while the data underneath it changes, and watching the
-        first post-drift execution is what lets feedback catch the
-        misestimation the staleness heuristics let through.  Arming costs a
-        profile reset (plus, once per cached plan, compiling the twin); it
-        needs ANALYZE statistics — without them every estimate is a schema
+        Feedback watches the first execution of every cost-based plan, the
+        first after each data change, and — for an auto-parameterized
+        shape — the first with other literal values than the last watched
+        one: the plan cache tolerates drift below its re-optimize fraction,
+        and one plan serves every value of a shape, so a plan can
+        legitimately keep running on data or values it was not priced for;
+        watching those executions is what lets feedback catch the
+        misestimation the heuristics let through.  Arming costs a profile
+        reset (plus, once per cached plan, compiling the twin); it needs
+        ANALYZE statistics — without them every estimate is a schema
         default and corrections would chase noise.  Cursor streams never
         come through here: they always run the plain build.
         """
         if entry.feedback_profile is None:
             data_version = self.database.versions.data
-            if (entry.feedback_data_version == data_version
+            values = statement.auto_values
+            if ((entry.feedback_data_version == data_version
+                 and values == entry.feedback_values)
                     or not entry.optimize or not self.adaptive_feedback):
                 return entry.executable
             catalog = self._stats_catalog()
@@ -721,17 +775,25 @@ class QueryService:
             profiled.profile.reset()
             entry.feedback_profile = profiled.profile
             entry.feedback_data_version = data_version
+            entry.feedback_values = values
         return entry.profiled_executable
 
-    def _maybe_apply_feedback(self, entry: CachedPlan) -> None:
+    def _maybe_apply_feedback(self, entry: CachedPlan,
+                              statement: PreparedQuery) -> None:
         """Consume one profiled execution: feed material estimate/actual
         divergences back into the statistics catalog and trigger a replan.
 
         The armed profile is always consumed (the next execution runs the
         plain build again, so steady-state executions pay no counter
-        overhead); when a divergent operator yields a material correction,
-        the stats version bump invalidates every plan optimized against the
-        pre-feedback estimates and the next execution replans."""
+        overhead).  When *statement* ran the plan with the literal values
+        it was priced for, a divergent operator that yields a material
+        correction bumps the stats version, which invalidates every plan
+        optimized against the pre-feedback estimates.  When it ran other
+        values (one plan serves every value of a shape), the estimates were
+        not wrong, only priced for other values: if re-pricing a divergent
+        operator with *statement*'s values brings it within the threshold,
+        the entry alone is evicted and replanned with those values — the
+        skewed value gets its own plan without a correction or a knob."""
         profile = entry.feedback_profile
         if profile is None or len(profile) == 0:
             return
@@ -744,16 +806,37 @@ class QueryService:
             divergences = divergent_operators(
                 entry.physical_plan, profile, cost_model,
                 threshold=self.feedback_threshold)
-            applied = False
-            for record in divergences:
-                applied = self._apply_correction(record, cost_model,
-                                                 catalog) or applied
+            if statement.auto_values != entry.hint_values:
+                applied = self._priced_by_values(divergences,
+                                                 statement.auto_values,
+                                                 cost_model)
+                if applied:
+                    self.cache.discard(entry.key)
+            else:
+                applied = False
+                for record in divergences:
+                    applied = self._apply_correction(record, cost_model,
+                                                     catalog) or applied
+                if applied:
+                    self.database.note_stats_correction()
             if span is not None:
                 span.annotate(divergences=len(divergences), applied=applied)
             if applied:
-                self._feedback_replans.add(entry.fingerprint)
-                self.database.note_stats_correction()
+                self._feedback_replans[entry.key] = statement
                 self.metrics.record_feedback_eviction()
+
+    def _priced_by_values(self, divergences: list[dict],
+                          values: dict[str, Any], cost_model) -> bool:
+        """True when some divergent operator, re-priced with *values* as its
+        costing hints, comes within the feedback threshold of the rows it
+        produced — the divergence was the values', not the statistics'."""
+        for record in divergences:
+            repriced = cost_model.estimate(
+                with_plan_hints(record["operator"], values)).cardinality
+            if misestimation(repriced, record["actual_rows"]) \
+                    <= self.feedback_threshold:
+                return True
+        return False
 
     def _apply_correction(self, record: dict, cost_model, catalog) -> bool:
         """Translate one divergent operator into a catalog correction.
@@ -862,6 +945,7 @@ class QueryService:
             options=self._options, parallelism=self.parallelism)
         self._knowledge_version += 1
         self._knowledge_size = len(self.knowledge)
+        self._literal_constants = self.knowledge.pattern_constants()
 
     def create_index(self, class_name: str, prop: str, kind: str = "hash"):
         """Create a ``hash``/``sorted``/``text`` index under the write gate.
@@ -1039,8 +1123,7 @@ class QueryService:
                      at: Optional[int] = None) -> "RowStream":
         try:
             with activation(span):
-                bindings = resolve_bindings(statement.analyzed.parameters,
-                                            parameters)
+                bindings = statement.bind(parameters)
                 entry, cache_hit = self._entry_for(statement)
         except BaseException as exc:
             self.metrics.record_error()
@@ -1099,12 +1182,18 @@ class QueryService:
         else:
             report = ("naive plan:\n"
                       + describe_physical_tree(entry.physical_plan, depth=1))
+        if statement.auto_values:
+            # the plan shown is the shape's cached plan — the one that runs
+            report += "\nauto-parameters: " + ", ".join(
+                f"{key} = {Const(value)}"
+                for key, value in statement.auto_values.items())
         records: Optional[list[dict]] = None
         if analyze:
             # A *fresh* profiled executable runs the entry's plan (cached
             # executables stay unprofiled — the counters are per-diagnostic,
-            # not per-cache-entry) under a snapshot pin like any query.
-            bindings = resolve_bindings(entry.analyzed.parameters, parameters)
+            # not per-cache-entry) under a snapshot pin like any query, with
+            # the statement's own literal values bound.
+            bindings = statement.bind(parameters)
             with self._read_scope():
                 profile_text, records = explain_analyze(
                     entry.physical_plan, self.database, bindings,

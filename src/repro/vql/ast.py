@@ -21,7 +21,7 @@ router can plan mutation predicates through the full optimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.algebra.expressions import (
     ClassExtent,

@@ -20,7 +20,7 @@ documents; this generator produces a parameterised, reproducible stand-in:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.datamodel.database import Database
 from repro.errors import WorkloadError

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algebra.expressions import BinaryOp, Const, Var
+from repro.algebra.expressions import Const, Var
 from repro.algebra.operators import (
     Diff,
     ExpressionSource,

@@ -144,9 +144,10 @@ def test_parameterized_plan_agrees_with_the_naive_plan(condition, bindings,
     naive = service.execute(text, bindings, optimize=False)
     assert sorted(optimized.values) == sorted(naive.values), \
         optimized.plan.physical_plan.describe()
-    # the independent oracle on both plans (bound first: it substitutes)
+    # the independent oracle on both plans (bound first: it substitutes;
+    # result.bindings adds the statement's auto-parameterized literals)
     for result in (optimized, naive):
-        plan = bind_plan(result.plan.physical_plan, bindings)
+        plan = bind_plan(result.plan.physical_plan, result.bindings)
         interpreted = execute_plan_interpreted(plan, database)
         assert [row[result.output_ref] for row in interpreted] == result.values
 

@@ -12,7 +12,6 @@ from repro.algebra.expressions import (
     Parameter,
     Var,
 )
-from repro.algebra.operators import Get, Project, Select
 from repro.datamodel.database import Database
 from repro.datamodel.schema import ClassDef, PropertyDef, Schema
 from repro.datamodel.types import INT, STRING

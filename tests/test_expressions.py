@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.algebra.expressions import (
-    BinaryOp,
     ClassExtent,
     ClassMethodCall,
     Const,
     MethodCall,
-    PropertyAccess,
     SetConstructor,
     TupleConstructor,
-    UnaryOp,
     Var,
     conjuncts,
     contains,

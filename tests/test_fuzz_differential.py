@@ -27,6 +27,8 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algebra.expressions import Parameter
 from repro.algebra.translate import translate_query
@@ -47,6 +49,7 @@ from repro.physical.plans import (
     walk_physical,
 )
 from repro.session import Session
+from repro.vql.lexer import tokenize
 from repro.workloads import document_knowledge, generate_document_database
 
 #: number of seeded cases run in CI (a case is one generated query)
@@ -420,7 +423,7 @@ def test_fuzz_parameterized_range_differential_batch(seed, range_services):
                 f"{name} service diverges: {text!r} {parameters!r}"
             plan = result.plan.physical_plan
             assert multiset(execute_plan_interpreted(
-                bind_plan(plan, parameters), database)) == oracle, \
+                bind_plan(plan, result.bindings), database)) == oracle, \
                 f"interpreter on the {name} plan diverges: {text!r}"
             for node in walk_physical(plan):
                 if isinstance(node, IndexRangeScan) and (
@@ -509,6 +512,131 @@ def test_multijoin_feedback_drift_oracle():
         paragraphs = list(database.extension("Paragraph"))
         for oid in rng.sample(paragraphs, k=min(4, len(paragraphs))):
             database.update(oid, number=rng.choice(NUMBERS))
+
+
+# ----------------------------------------------------------------------
+# auto-parameterized plans: literal plan ≡ generic plan ≡ naive plan
+# ----------------------------------------------------------------------
+def fresh_literals(text: str, rng: random.Random) -> str:
+    """*text* with every string and number literal redrawn from the
+    generator's pools — the same statement shape with other constants."""
+    for token in reversed(tokenize(text)):
+        if token.kind == "STRING":
+            width, value = len(token.text) + 2, f"'{rng.choice(TERMS + TITLES)}'"
+        elif token.kind == "NUMBER":
+            width, value = len(token.text), str(rng.choice(NUMBERS))
+        else:
+            continue
+        text = text[:token.position] + value + text[token.position + width:]
+    return text
+
+
+AUTO_SEEDS = (19, 67)
+
+
+@pytest.mark.parametrize("seed", AUTO_SEEDS)
+def test_fuzz_auto_parameterized_plans_equal_literal_and_naive(seed):
+    """Each generated query runs through one connection three times, the
+    later two with fresh literal values: the first plans for its own text,
+    the second plans the shape's generic plan, the third is served by it.
+    Every run equals ``Session.execute`` (the literal plan, values
+    substituted before optimization) and ``execute_naive``, multiset for
+    multiset."""
+    from repro import connect
+
+    database = generate_document_database(n_documents=2)
+    knowledge = document_knowledge(database.schema)
+    connection = connect(database, knowledge=knowledge)
+    session = Session(database, knowledge=knowledge, parallelism=1)
+    generator = QueryGenerator(random.Random(seed))
+    rng = random.Random(seed + 1)
+    cases = max(N_CASES // (4 * len(AUTO_SEEDS)), 1)
+    served = 0
+    for _ in range(cases):
+        text, parameters = generator.generate()
+        variants = [text, fresh_literals(text, rng), fresh_literals(text, rng)]
+        for variant in variants:
+            hits = connection.service.cache.statistics.hits
+            rows = Counter(make_hashable(value) for value in connection.execute(
+                variant, parameters or None).fetchall())
+            literal = session.execute(variant, parameters=parameters or None)
+            naive = session.execute_naive(variant, parameters=parameters or None)
+            assert rows == multiset(literal.values) == multiset(naive.values), \
+                f"auto-parameterized plan diverges: {variant!r} {parameters!r}"
+        served += connection.service.cache.statistics.hits > hits
+    # the third run must mostly reuse a cached plan, not plan afresh
+    assert served >= cases // 2
+
+
+LITERALS = st.one_of(st.integers(-3, 12),
+                     st.floats(-2, 8, allow_nan=False).map(lambda x: round(x, 2)),
+                     st.text(alphabet="ab", max_size=2), st.none())
+ATOMS = st.tuples(st.sampled_from(("k", "v", "r", "s")),
+                  st.sampled_from(("==", "!=", "<", ">=")), LITERALS,
+                  st.sampled_from(("literal", "?", ":name")))
+@pytest.fixture(scope="module")
+def value_stack():
+    """One database, service and session shared by every example, so that
+    shapes recur with other values and generic plans are reused."""
+    from repro.datamodel.database import Database
+    from repro.datamodel.schema import ClassDef, PropertyDef, Schema
+    from repro.datamodel.types import INT, REAL, STRING
+    from repro.service.service import QueryService
+
+    schema = Schema("literals")
+    t = ClassDef("T")
+    for name, vml_type in (("k", INT), ("v", INT), ("r", REAL), ("s", STRING)):
+        t.add_property(PropertyDef(name, vml_type))
+    schema.add_class(t)
+    database = Database(schema)
+    database.create_many("T", [
+        {"k": k, "v": None if k % 5 == 4 else k % 4,
+         "r": None if k % 6 == 5 else k / 2,
+         "s": None if k % 7 == 6 else "ab"[k % 2] * (k % 3)}
+        for k in range(14)])
+    database.create_hash_index("T", "v")
+    database.create_sorted_index("T", "r")
+    return QueryService(database, parallelism=1), Session(database, parallelism=1)
+
+
+def _comparable(prop: str, value) -> bool:
+    return value is None or (prop == "s") == isinstance(value, str)
+
+
+@settings(max_examples=150, deadline=None)
+@given(atoms=st.lists(ATOMS, min_size=1, max_size=3), twice=st.booleans())
+def test_auto_parameterization_over_value_types(value_stack, atoms, twice):
+    """int / float / str / NULL values, as literals or as the client's ``?``
+    and ``:name`` parameters (NULL only as a parameter: VQL has no NULL
+    literal), the same literal twice — the cached generic plan answers
+    exactly like the literal and the naive plan."""
+    service, session = value_stack
+    parts, parameters, positional = [], {}, 0
+    for index, (prop, op, value, mode) in enumerate(atoms):
+        if not _comparable(prop, value):
+            op = "==" if op in ("==", "<") else "!="  # no cross-type order
+        if value is None and mode == "literal":
+            mode = ":name"
+        if mode == "literal":
+            rendered = f"'{value}'" if isinstance(value, str) else repr(value)
+        elif mode == "?":
+            positional += 1
+            parameters[str(positional)] = value
+            rendered = "?"
+        else:
+            parameters[f"n{index}"] = value
+            rendered = f":n{index}"
+        parts.append(f"(t.{prop} {op} {rendered})")
+    condition = " AND ".join(parts)
+    first = atoms[0][2]
+    if twice and first is not None and not isinstance(first, str):
+        condition = f"({condition}) OR (t.k == {first!r} AND t.v != {first!r})"
+    text = f"ACCESS t.k FROM t IN T WHERE {condition}"
+    bound = parameters or None
+    result = service.execute(text, bound)
+    assert multiset(result.values) \
+        == multiset(session.execute(text, parameters=bound).values) \
+        == multiset(session.execute_naive(text, parameters=bound).values), text
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algebra.expressions import BinaryOp, Const, Var
+from repro.algebra.expressions import Const
 from repro.algebra.operators import (
     ExpressionSource,
     Get,

@@ -7,8 +7,6 @@ and about the rule taxonomy (Section 4.2).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.physical.plans import (
     ClassScan,
     ExpressionSetScan,

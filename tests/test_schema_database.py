@@ -12,7 +12,6 @@ from repro.datamodel.schema import (
     ClassDef,
     InverseLink,
     MethodDef,
-    MethodKind,
     PropertyDef,
     Schema,
 )

@@ -223,14 +223,15 @@ def test_small_data_change_keeps_cached_plans_and_sees_new_data():
 def test_plan_cache_is_a_bounded_lru():
     database = fresh_database()
     service = fresh_service(database, cache_capacity=2)
-    queries = [f"ACCESS p FROM p IN Paragraph WHERE p.number == {n}"
-               for n in range(3)]
+    # three shapes (three literals would be one auto-parameterized shape)
+    queries = [f"ACCESS p FROM p IN Paragraph WHERE p.number {op} ?"
+               for op in ("==", "<", ">")]
     for query in queries:
-        service.execute(query)
+        service.execute(query, [2])
     assert len(service.cache) == 2
     assert service.cache.statistics.evictions == 1
     # The oldest shape was evicted: running it again is a miss.
-    again = service.execute(queries[0])
+    again = service.execute(queries[0], [2])
     assert not again.metrics.cache_hit
 
 

@@ -14,7 +14,6 @@ from repro.workloads import (
     document_workload,
     generate_document_database,
 )
-from repro.workloads.university import generate_university_database
 
 
 class TestSession:

@@ -24,9 +24,8 @@ from repro.datamodel.database import Database
 from repro.datamodel.schema import ClassDef, MethodDef, MethodKind, PropertyDef, Schema
 from repro.datamodel.statistics import (
     EquiDepthHistogram,
-    StatisticsCatalog,
 )
-from repro.datamodel.types import INT, STRING, SetType
+from repro.datamodel.types import INT, STRING
 from repro.errors import SchemaError, VQLAnalysisError
 from repro.optimizer.cost import CostModel
 from repro.workloads import generate_document_database

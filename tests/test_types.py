@@ -13,7 +13,6 @@ from repro.datamodel.types import (
     REAL,
     STRING,
     ArrayType,
-    DictionaryType,
     ObjectType,
     SetType,
     TupleType,

@@ -15,7 +15,7 @@ from repro.algebra.expressions import (
     UnaryOp,
     Var,
 )
-from repro.datamodel.types import ANY, BOOL, INT, STRING, ObjectType, SetType
+from repro.datamodel.types import ANY, BOOL, INT, ObjectType, SetType
 from repro.errors import VQLAnalysisError, VQLSyntaxError
 from repro.vql.analyzer import analyze_query, infer_expression_type
 from repro.vql.lexer import tokenize
