@@ -22,7 +22,6 @@ a benchmark's acceptance condition into the exit code.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -31,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.session import QueryResult, Session
+from repro.telemetry.sinks import json_text
 
 __all__ = ["Measurement", "measure_query", "comparison_table", "format_table",
            "speedup", "best_of", "perf_record", "standalone_main"]
@@ -177,10 +177,10 @@ def standalone_main(benchmark: str,
     print(f"{benchmark}:")
     print(format_table(cases))
     print()
-    print(json.dumps(record, indent=2, default=str))
+    print(json_text(record, indent=2))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(record, handle, indent=2, default=str)
+            handle.write(json_text(record, indent=2))
         print(f"\nperf record written to {args.json}")
 
     if args.check and check is not None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.datamodel.oid import OID
+from repro.datamodel.oid import OID, is_collection
 from repro.errors import MethodInvocationError
 
 __all__ = [
@@ -80,7 +80,7 @@ def collect_over_property(via: str, collect: str) -> MethodImpl:
             collected = ctx.value(member, collect)
             if collected is None:
                 continue
-            if isinstance(collected, (set, frozenset, list, tuple)):
+            if is_collection(collected):
                 result.update(collected)
             else:
                 result.add(collected)

@@ -1,22 +1,35 @@
-"""Object identifiers.
+"""Object identifiers, and the one test for "is this value a collection?".
 
 Every object stored in the database is identified by an :class:`OID`, a pair
 of the class name the object was created in and a monotonically increasing
 serial number allocated by the database.  OIDs are immutable, hashable and
 totally ordered so they can be used in sets, as dictionary/index keys, and
 sorted for deterministic output.
+
+An OID is a ``tuple`` subclass, so hashing, equality and ordering run in C:
+every property read, method dispatch, hash-join probe and duplicate test in
+the engine is a dict or set operation keyed by an OID.  The price is that an
+OID *is* a pair to anything that asks ``isinstance(value, tuple)``; the
+engine treats it as an atom, which is why every "lift over a collection"
+test goes through :func:`is_collection` (``tools/astlint.py`` rejects an
+``isinstance`` against ``tuple`` anywhere else under ``src/``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Any, Iterator, NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class OID:
-    """Immutable object identifier ``class_name:serial``."""
+class OID(NamedTuple):
+    """Immutable object identifier ``class_name:serial``.
+
+    Hash, equality and order are the tuple's: ``hash(OID(c, s)) ==
+    hash((c, s))``, OIDs sort by ``(class_name, serial)``, and an OID equals
+    its plain pair (``OID('A', 1) == ('A', 1)``).  That equality is accepted
+    rather than overridden: a Python ``__eq__`` would put an interpreted
+    call back on every dict probe that misses identity.  (Like every
+    named tuple, the class already has ``__slots__ = ()``.)
+    """
 
     class_name: str
     serial: int
@@ -28,18 +41,18 @@ class OID:
         return f"OID({self.class_name!r}, {self.serial})"
 
 
-_OID_ORDER = attrgetter("class_name", "serial")
+#: the collection types a property read or method call lifts over
+_COLLECTION_TYPES = (set, frozenset, list, tuple)
 
 
-def sorted_oids(oids: Iterable[OID]) -> list[OID]:
-    """*oids* as a list in OID order — the order every index access path
-    emits its matches in.
+def is_collection(value: Any) -> bool:
+    """Is *value* a set, frozenset, list or tuple — and not an :class:`OID`?
 
-    Same order as ``sorted(oids)``, but keyed: the dataclass-generated
-    ``__lt__`` builds two tuples in Python per comparison, the key function
-    builds one per element in C.
+    The single answer to "is this value a collection?" for the evaluator,
+    both engines, the type system, the statistics catalog and the cost
+    model: an OID is a tuple to Python but an atom to the data model.
     """
-    return sorted(oids, key=_OID_ORDER)
+    return isinstance(value, _COLLECTION_TYPES) and not isinstance(value, OID)
 
 
 class OIDAllocator:

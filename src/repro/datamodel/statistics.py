@@ -28,6 +28,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
 
+from repro.datamodel.oid import is_collection
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datamodel.database import Database
 
@@ -531,7 +533,7 @@ class StatisticsCatalog:
         tuples of ``(class_name, detail)`` pairs — join keys carry one pair
         per side, predicate keys a single pair."""
         return {part[0] for part in key
-                if isinstance(part, tuple) and part}
+                if is_collection(part) and part}
 
     def _collect_class(self, database: "Database", class_name: str,
                        histogram_buckets: int, sample_limit: int,
@@ -567,7 +569,7 @@ class StatisticsCatalog:
         null_fraction = (1.0 - len(non_null) / row_count) if row_count else 0.0
 
         fanouts = [len(v) for v in non_null
-                   if isinstance(v, (set, frozenset, list, tuple))]
+                   if is_collection(v)]
         avg_fanout = (sum(fanouts) / len(fanouts)) if fanouts else None
 
         frequencies = Counter(_hashable(v) for v in non_null)
@@ -622,7 +624,7 @@ class StatisticsCatalog:
                     continue  # a failing sample never poisons the catalog
                 elapsed += time.perf_counter() - started
                 samples += 1
-                if isinstance(result, (set, frozenset, list, tuple)):
+                if is_collection(result):
                     cardinalities.append(len(result))
             if samples == 0:
                 continue

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.datamodel.oid import OID, is_collection
 from repro.errors import TypeMismatchError
 
 __all__ = [
@@ -126,15 +127,8 @@ class ObjectType(VMLType):
     class_name: str | None = None
 
     def validate(self, value: Any) -> bool:
-        # Avoid a circular import: OIDs are duck-typed by attribute presence.
-        if value is None:
-            return True
-        has_shape = hasattr(value, "class_name") and hasattr(value, "serial")
-        if not has_shape:
-            return False
-        if self.class_name is None:
-            return True
-        return True  # subclass conformance is checked by the schema layer
+        # subclass conformance is checked by the schema layer
+        return value is None or isinstance(value, OID)
 
     def __str__(self) -> str:
         return self.class_name if self.class_name else "OID"
@@ -147,7 +141,7 @@ class SetType(VMLType):
     element: VMLType
 
     def validate(self, value: Any) -> bool:
-        if not isinstance(value, (set, frozenset, list, tuple)):
+        if not is_collection(value):
             return False
         return all(self.element.validate(v) for v in value)
 
@@ -165,7 +159,7 @@ class ArrayType(VMLType):
     element: VMLType
 
     def validate(self, value: Any) -> bool:
-        if not isinstance(value, (list, tuple)):
+        if not is_collection(value) or isinstance(value, (set, frozenset)):
             return False
         return all(self.element.validate(v) for v in value)
 
@@ -275,14 +269,14 @@ def infer_type(value: Any) -> VMLType:
         return REAL
     if isinstance(value, str):
         return STRING
-    if hasattr(value, "class_name") and hasattr(value, "serial"):
+    if isinstance(value, OID):
         return ObjectType(value.class_name)
     if isinstance(value, (set, frozenset)):
         inner = {infer_type(v) for v in value}
         if len(inner) == 1:
             return SetType(inner.pop())
         return SetType(ANY)
-    if isinstance(value, (list, tuple)):
+    if is_collection(value):  # a list or a tuple: sets were handled above
         inner = {infer_type(v) for v in value}
         if len(inner) == 1:
             return ArrayType(inner.pop())

@@ -47,6 +47,7 @@ from repro.algebra.expressions import (
     walk,
 )
 from repro.datamodel.database import Database
+from repro.datamodel.oid import is_collection
 from repro.datamodel.statistics import PropertyStatistics
 from repro.datamodel.schema import MethodDef, Schema
 from repro.datamodel.types import SetType
@@ -547,7 +548,7 @@ class CostModel:
             sizes: list[int] = []
             for oid in oids:
                 value = self.database.get(oid).get_or_none(prop)
-                if isinstance(value, (set, frozenset, list, tuple)):
+                if is_collection(value):
                     sizes.append(len(value))
             if sizes:
                 fanout = max(sum(sizes) / len(sizes), 1.0)
@@ -587,7 +588,7 @@ class CostModel:
                                ) -> tuple[float, Optional[str]]:
         if isinstance(expression, Const):
             value = expression.value
-            if isinstance(value, (tuple, frozenset)):
+            if is_collection(value):
                 return float(max(len(value), 1)), None
             return 1.0, None
         if isinstance(expression, Var):

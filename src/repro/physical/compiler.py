@@ -52,7 +52,7 @@ from repro.algebra.expressions import (
     walk,
 )
 from repro.datamodel.database import Database
-from repro.datamodel.oid import OID
+from repro.datamodel.oid import OID, is_collection
 from repro.errors import ExecutionError
 from repro.physical.batch import UNIT, Batch
 from repro.physical.evaluator import (
@@ -60,6 +60,7 @@ from repro.physical.evaluator import (
     _access_property,
     _as_set,
     _invoke_method,
+    _is_container,
     evaluate,
     hashable_values,
 )
@@ -69,10 +70,10 @@ __all__ = ["CompiledExpr", "ExpressionCompiler"]
 #: a compiled expression: the value of every row of a batch, in row order
 CompiledExpr = Callable[[Batch], list]
 
-_COLLECTIONS = (set, frozenset, list, tuple)
 _DATABASE_NODES = (PropertyAccess, MethodCall, ClassMethodCall, ClassExtent)
-#: exact types of the IS-IN containers the fast path accepts
-_CONTAINER_TYPES = {*_COLLECTIONS, dict}
+#: exact types of the IS-IN containers the fast path accepts (an OID's type
+#: is not among them: it is an atom, not a pair)
+_CONTAINER_TYPES = {set, frozenset, list, tuple, dict}
 
 _COMPARATORS = {
     "<": operator.lt,
@@ -317,7 +318,7 @@ class ExpressionCompiler:
                     oids.append(obj)
                 elif obj is None:
                     continue
-                elif isinstance(obj, _COLLECTIONS):
+                elif is_collection(obj):
                     values[row] = _access_property(obj, prop, database)
                 else:
                     raise ExecutionError(
@@ -365,7 +366,7 @@ class ExpressionCompiler:
                     append(invoke(obj, args))
                 elif obj is None:
                     append(None)
-                elif isinstance(obj, _COLLECTIONS):
+                elif is_collection(obj):
                     append(_invoke_method(obj, method, list(args), database))
                 else:
                     raise ExecutionError(
@@ -477,7 +478,7 @@ class ExpressionCompiler:
                             right_is_const: bool, right_value: Any
                             ) -> CompiledExpr:
         """``IS-IN`` — probe a prebuilt hashed set for constant collections."""
-        if right_is_const and isinstance(right_value, (*_COLLECTIONS, dict)):
+        if right_is_const and _is_container(right_value):
             try:
                 members = frozenset(right_value)
             except TypeError:
@@ -503,7 +504,7 @@ class ExpressionCompiler:
         def contains(value: Any, container: Any) -> bool:
             if container is None:
                 return False
-            if not isinstance(container, (*_COLLECTIONS, dict)):
+            if not _is_container(container):
                 raise ExecutionError(
                     f"right operand of IS-IN is not a collection: "
                     f"{container!r}")

@@ -30,7 +30,7 @@ from repro.algebra.expressions import (
     Var,
 )
 from repro.datamodel.database import Database
-from repro.datamodel.oid import OID
+from repro.datamodel.oid import OID, is_collection
 from repro.errors import ExecutionError
 
 __all__ = ["evaluate", "evaluate_predicate", "make_hashable",
@@ -103,13 +103,13 @@ def _access_property(base: Any, prop: str, database: Database) -> Any:
         return None
     if isinstance(base, OID):
         return database.value(base, prop)
-    if isinstance(base, (set, frozenset, list, tuple)):
+    if is_collection(base):
         collected: set = set()
         for member in base:
             value = _access_property(member, prop, database)
             if value is None:
                 continue
-            if isinstance(value, (set, frozenset, list, tuple)):
+            if is_collection(value):
                 collected.update(value)
             else:
                 collected.add(value)
@@ -125,13 +125,13 @@ def _invoke_method(receiver: Any, method: str, args: list[Any],
         return None
     if isinstance(receiver, OID):
         return database.invoke(receiver, method, *args)
-    if isinstance(receiver, (set, frozenset, list, tuple)):
+    if is_collection(receiver):
         collected: set = set()
         for member in receiver:
             value = _invoke_method(member, method, args, database)
             if value is None:
                 continue
-            if isinstance(value, (set, frozenset, list, tuple)):
+            if is_collection(value):
                 collected.update(value)
             else:
                 collected.add(value)
@@ -170,7 +170,7 @@ def _evaluate_binary(expression: BinaryOp, row: Mapping[str, Any],
     if op == "IS-IN":
         if right is None:
             return False
-        if not isinstance(right, (set, frozenset, list, tuple, dict)):
+        if not _is_container(right):
             raise ExecutionError(
                 f"right operand of IS-IN is not a collection: {right!r}")
         return left in right
@@ -199,12 +199,16 @@ def _evaluate_binary(expression: BinaryOp, row: Mapping[str, Any],
     raise ExecutionError(f"unknown binary operator {op!r}")
 
 
+def _is_container(value: Any) -> bool:
+    """May *value* stand on the right of ``IS-IN`` (a collection or a
+    dictionary — never an OID)?"""
+    return is_collection(value) or isinstance(value, dict)
+
+
 def _as_set(value: Any) -> set:
     if value is None:
         return set()
-    if isinstance(value, (set, frozenset)):
-        return set(value)
-    if isinstance(value, (list, tuple)):
+    if is_collection(value):
         return set(value)
     return {value}
 
@@ -225,7 +229,7 @@ def make_hashable(value: Any) -> Any:
         return tuple(sorted(zip(value, map(make_hashable, value.values()))))
     if isinstance(value, (set, frozenset)):
         return frozenset(hashable_values(value))
-    if isinstance(value, (list, tuple)):
+    if is_collection(value):
         return tuple(hashable_values(value))
     return value
 

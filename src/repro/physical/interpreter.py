@@ -32,7 +32,7 @@ from typing import Any, Optional
 
 from repro.algebra.expressions import Expression
 from repro.datamodel.database import Database
-from repro.datamodel.oid import OID, sorted_oids
+from repro.datamodel.oid import OID, is_collection
 from repro.errors import ExecutionError
 from repro.physical.evaluator import (
     EMPTY_ROW,
@@ -284,10 +284,10 @@ def _eq_oids(plan: IndexEqScan | IndexNestedLoopJoin, database: Database,
     """
     if key is None:
         prop = plan.prop
-        return sorted_oids(oid for oid in database.extension(plan.class_name)
-                           if database.value(oid, prop) is None)
+        return sorted(oid for oid in database.extension(plan.class_name)
+                      if database.value(oid, prop) is None)
     database.statistics.record_index_lookup()
-    return sorted_oids(index.lookup(key))
+    return sorted(index.lookup(key))
 
 
 def _range_oids(plan: IndexRangeScan, database: Database, index,
@@ -305,9 +305,8 @@ def _range_oids(plan: IndexRangeScan, database: Database, index,
     if ((low is None and plan.low is not None)
             or (high is None and plan.high is not None)):
         return []
-    return sorted_oids(index.range(low, high,
-                                   include_low=plan.include_low,
-                                   include_high=plan.include_high))
+    return sorted(index.range(low, high, include_low=plan.include_low,
+                              include_high=plan.include_high))
 
 
 def _iterate_set(value: Any, plan: PhysicalOperator,
@@ -322,7 +321,7 @@ def _iterate_set(value: Any, plan: PhysicalOperator,
         # Set elements are distinct hashables, which make_hashable maps to
         # distinct keys: the dedup pass below could drop nothing.
         return list(value)
-    if isinstance(value, (list, tuple)):
+    if is_collection(value):
         seen: set[Any] = set()
         elements: list[Any] = []
         for element in value:

@@ -37,7 +37,7 @@ from repro.algebra.restricted import (
     SelectCmp,
 )
 from repro.datamodel.database import Database
-from repro.datamodel.oid import OID
+from repro.datamodel.oid import OID, is_collection
 from repro.errors import ExecutionError
 from repro.physical.evaluator import evaluate, make_hashable
 from repro.physical.executor import Row
@@ -201,13 +201,13 @@ def _access(base: Any, prop: str, database: Database) -> Any:
         return None
     if isinstance(base, OID):
         return database.value(base, prop)
-    if isinstance(base, (set, frozenset, list, tuple)):
+    if is_collection(base):
         collected: set = set()
         for member in base:
             value = _access(member, prop, database)
             if value is None:
                 continue
-            if isinstance(value, (set, frozenset, list, tuple)):
+            if is_collection(value):
                 collected.update(value)
             else:
                 collected.add(value)
@@ -221,13 +221,13 @@ def _invoke(receiver: Any, method: str, args: list[Any],
         return None
     if isinstance(receiver, OID):
         return database.invoke(receiver, method, *args)
-    if isinstance(receiver, (set, frozenset, list, tuple)):
+    if is_collection(receiver):
         collected: set = set()
         for member in receiver:
             value = _invoke(member, method, args, database)
             if value is None:
                 continue
-            if isinstance(value, (set, frozenset, list, tuple)):
+            if is_collection(value):
                 collected.update(value)
             else:
                 collected.add(value)

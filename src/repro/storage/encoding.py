@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.datamodel.oid import OID
+from repro.datamodel.oid import OID, is_collection
 from repro.datamodel.types import (
     ANY,
     BOOL,
@@ -59,10 +59,10 @@ def encode_value(value: Any) -> Any:
         except TypeError:  # pragma: no cover - defensive
             pass
         return {"$set": items}
-    if isinstance(value, tuple):
-        return {"$tuple": [encode_value(item) for item in value]}
     if isinstance(value, list):
         return [encode_value(item) for item in value]
+    if is_collection(value):  # what is left: a tuple that is not an OID
+        return {"$tuple": [encode_value(item) for item in value]}
     if isinstance(value, dict):
         return {"$map": [[encode_value(key), encode_value(item)]
                          for key, item in value.items()]}

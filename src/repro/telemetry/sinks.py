@@ -4,7 +4,8 @@ A sink is any object with ``emit(span)``; the :class:`~repro.telemetry.spans.Tra
 calls it once per finished root span (exceptions are logged, never raised
 into the statement).  Two implementations cover the common cases:
 :class:`MemorySink` for tests and ad-hoc inspection, :class:`JsonlSink`
-for durable JSON-Lines traces (one span tree per line).
+for durable JSON-Lines traces (one span tree per line).  :func:`json_text`
+is the JSON every telemetry text surface writes.
 """
 
 from __future__ import annotations
@@ -12,9 +13,32 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import IO, Optional, Union
+from typing import IO, Any, Optional, Union
 
-__all__ = ["JsonlSink", "MemorySink"]
+from repro.datamodel.oid import OID, is_collection
+
+__all__ = ["JsonlSink", "MemorySink", "json_text"]
+
+
+def json_text(payload: Any, **options: Any) -> str:
+    """``json.dumps(payload, default=str, **options)``, with every OID in
+    *payload* written as its ``Class:serial`` text.
+
+    An OID is a tuple, and the encoder writes a tuple as an array without
+    consulting ``default``: left alone, ``OID('Paragraph', 3)`` would come
+    out as ``["Paragraph", 3]``.
+    """
+    return json.dumps(_oids_as_text(payload), default=str, **options)
+
+
+def _oids_as_text(value: Any) -> Any:
+    if isinstance(value, OID):
+        return str(value)
+    if isinstance(value, dict):
+        return {key: _oids_as_text(item) for key, item in value.items()}
+    if is_collection(value) and not isinstance(value, (set, frozenset)):
+        return [_oids_as_text(item) for item in value]
+    return value  # sets and what json cannot write go through ``default``
 
 
 class MemorySink:
@@ -55,7 +79,7 @@ class JsonlSink:
         self._lock = threading.Lock()
 
     def emit(self, span) -> None:
-        line = json.dumps(span.to_dict(), default=str)
+        line = json_text(span.to_dict())
         with self._lock:
             if self._stream is None:
                 self._stream = open(self._path, "a", encoding="utf-8")

@@ -15,10 +15,11 @@ off-path is one comparison per statement.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from typing import Any, Optional
+
+from repro.telemetry.sinks import json_text
 
 __all__ = ["SlowQueryLog", "SLOW_QUERY_ENV", "slow_logger"]
 
@@ -93,7 +94,7 @@ class SlowQueryLog:
             payload["estimated_vs_actual"] = profile
         self.logger.warning("slow query (%.1fms): %s",
                             payload["elapsed_ms"],
-                            json.dumps(payload, default=str))
+                            json_text(payload))
         return payload
 
     def _render_parameters(self, parameters: dict) -> dict:

@@ -25,12 +25,13 @@ dispatching thread; worker threads themselves are not traced.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import threading
 import time
 from collections import deque
 from typing import Any, Iterable, Optional
+
+from repro.telemetry.sinks import json_text
 
 __all__ = ["TraceSpan", "Tracer", "NOOP_SPAN", "current_span", "child_span",
            "annotate_current", "activation"]
@@ -308,8 +309,7 @@ class Tracer:
 
     def export_jsonl(self, n: Optional[int] = None) -> str:
         """The recent span trees as JSON Lines (one tree per line)."""
-        return "\n".join(json.dumps(span.to_dict(), default=str)
-                         for span in self.recent(n))
+        return "\n".join(json_text(span.to_dict()) for span in self.recent(n))
 
     def clear(self) -> None:
         with self._lock:

@@ -52,3 +52,19 @@ def test_undefined_module_level_names():
                             "undefined name 'LATE_TYPO'"]
     # a star import makes the module's names unknowable: no verdict
     assert lint("from os.path import *\nprint(join)\n") == []
+
+
+def test_isinstance_against_tuple_under_src():
+    source = ("def f(value, other):\n"
+              "    if isinstance(value, (set, frozenset, list, tuple)):\n"
+              "        return 1\n"
+              "    return isinstance(other, tuple)\n")
+    message = ("isinstance against 'tuple' (an OID is a tuple): "
+               "use is_collection()")
+    assert lint(source, path="src/repro/physical/module.py") == [message] * 2
+    # the collection predicate's own module, and code outside src/, may ask
+    assert lint(source, path="src/repro/datamodel/oid.py") == []
+    assert lint(source, path="tests/test_module.py") == []
+    # a type tuple without ``tuple`` is fine anywhere
+    assert lint("def f(v):\n    return isinstance(v, (set, list))\n",
+                path="src/repro/module.py") == []

@@ -307,7 +307,10 @@ def reference_make_hashable(value):
 
 
 def reference_iterate_set(value):
-    """``_iterate_set`` before sets skipped the dedup pass."""
+    """``_iterate_set`` before sets skipped the dedup pass (an OID is an
+    atom, not a pair)."""
+    if isinstance(value, OID):
+        return [value]
     if isinstance(value, (set, frozenset, list, tuple)):
         seen, elements = set(), []
         for element in value:

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.algebra.expressions import Expression, Parameter, bind_parameters
 from repro.algebra.operators import Get, Select
 from repro.datamodel.database import Database
-from repro.datamodel.oid import OID, sorted_oids
 from repro.datamodel.schema import (
     ClassDef,
     MethodDef,
@@ -384,7 +383,7 @@ def test_parameter_plan_equals_literal_plan_equals_naive_interpreter(
     bound = bind_parameters(parse_expression(condition), bindings)
     naive = execute_plan_interpreted(Filter(bound, ClassScan("c", "C")),
                                      database)
-    expected = sorted_oids(row["c"] for row in naive)
+    expected = sorted(row["c"] for row in naive)
 
     parameter_plan = IndexRangeScan("c", "C", "v", Parameter("lo"),
                                     Parameter("hi"), include_low, include_high)
@@ -406,14 +405,7 @@ def test_parameter_plan_equals_literal_plan_equals_naive_interpreter(
     service = QueryService(database, parallelism=1)
     result = service.execute(f"ACCESS c FROM c IN C WHERE {condition}",
                              bindings)
-    assert sorted_oids(result.values) == expected
-
-
-def test_sorted_oids_is_the_dataclass_order():
-    oids = [OID("B", 2), OID("A", 10), OID("B", 1), OID("A", 9), OID("A", 10)]
-    assert sorted_oids(oids) == sorted(oids)
-    assert sorted_oids(set(oids)) == sorted(set(oids))
-    assert sorted_oids(iter(())) == []
+    assert sorted(result.values) == expected
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,11 @@ Checks every ``.py`` file under the given paths (default: ``src`` and
   and lines marked ``# noqa`` are exempt),
 * undefined module-level names (a name read at module scope, or read as a
   global inside a function or class, that the module never binds and that
-  is not a builtin; modules with a star import are skipped).
+  is not a builtin; modules with a star import are skipped),
+* under ``src/``, an ``isinstance`` test against ``tuple`` (bare or in a
+  type tuple) anywhere but the collection predicate's module: an ``OID`` is
+  a tuple, so such a test reads a single reference as a two-element
+  collection.  Ask ``repro.datamodel.oid.is_collection`` instead.
 
 Usage::
 
@@ -34,6 +38,11 @@ MODULE_NAMES = frozenset({"__name__", "__file__", "__doc__", "__spec__",
                           "__loader__", "__package__", "__path__",
                           "__builtins__", "__annotations__", "__dict__"})
 BUILTIN_NAMES = frozenset(dir(builtins)) | MODULE_NAMES
+#: the repository root (absolute paths are read relative to it)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: the one module under ``src/`` that may ask ``isinstance(value, tuple)``
+COLLECTION_PREDICATE_MODULE = os.path.join("src", "repro", "datamodel",
+                                           "oid.py")
 
 
 def python_files(paths: list[str]) -> Iterator[str]:
@@ -58,6 +67,7 @@ def lint_source(source: str, path: str) -> list[tuple[int, str]]:
     findings = [] if os.path.basename(path) == "__init__.py" \
         else unused_imports(tree, source.splitlines())
     findings += undefined_names(source, path, tree)
+    findings += tuple_isinstance(tree, path)
     return sorted(findings)
 
 
@@ -147,6 +157,28 @@ def undefined_names(source: str, path: str,
             for node in ast.walk(tree)
             if isinstance(node, ast.Name) and node.id in missing
             and isinstance(node.ctx, ast.Load)]
+
+
+def tuple_isinstance(tree: ast.Module, path: str) -> list[tuple[int, str]]:
+    """``isinstance`` calls under ``src/`` whose type argument names
+    ``tuple``, outside the collection predicate's module."""
+    relative = os.path.normpath(os.path.relpath(path, ROOT)
+                                if os.path.isabs(path) else path)
+    if (relative.split(os.sep)[0] != "src"
+            or relative == COLLECTION_PREDICATE_MODULE):
+        return []
+    findings = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            continue
+        types = node.args[1]
+        names = types.elts if isinstance(types, ast.Tuple) else [types]
+        if any(isinstance(name, ast.Name) and name.id == "tuple"
+               for name in names):
+            findings.append((node.lineno, "isinstance against 'tuple' "
+                             "(an OID is a tuple): use is_collection()"))
+    return findings
 
 
 def main(argv: list[str]) -> int:
