@@ -6,8 +6,8 @@ Two claims of the unified statement API are measured:
   once, resolves bindings per row and feeds one bulk
   :meth:`~repro.datamodel.database.Database.create_many` maintenance pass;
   it must beat the classic per-call ``Database.create`` loop (which pays
-  schema lookup, validation setup, partition and index-target resolution
-  per object) on wall-clock throughput;
+  schema lookup, validation setup and index-target resolution per
+  object) on wall-clock throughput;
 * **indexed UPDATE … WHERE** — the router plans mutation predicates
   through the full optimizer, so an ``UPDATE … WHERE`` over a property
   with a hash index resolves its targets via ``index_eq_scan`` instead of

@@ -13,7 +13,7 @@ motivating query) is executed many times with rotating bind values:
   from the plan cache, binds the parameters and runs the compiled closures;
 * **prepared-concurrent** — the same requests fanned out over the service's
   worker pool (informative; Python threads share the interpreter, so this
-  measures coordination overhead, not parallel speedup).
+  measures coordination overhead, not a speedup).
 
 Acceptance: prepared throughput ≥ 5× full-pipeline throughput, and the
 differential check — every prepared result equals a fresh session's result,

@@ -36,7 +36,7 @@ from repro.api.connection import Connection, Cursor, connect
 from repro.api.router import StatementResult
 from repro.storage import FileStorageAdapter, MemoryAdapter, StorageAdapter
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "connect",

@@ -68,7 +68,7 @@ def connect(database: Database,
             knowledge: Optional[SchemaKnowledge] = None,
             options: Optional[OptimizerOptions] = None,
             exclude_tags: Sequence[str] = (),
-            parallelism: Optional[int] = None,
+            parallelism: int = 1,
             autocommit: bool = True,
             service: Optional[QueryService] = None,
             tracing: Optional[bool] = None,
@@ -79,9 +79,9 @@ def connect(database: Database,
             checkpoint_interval: Optional[int] = None) -> "Connection":
     """Open a statement-API connection on *database*.
 
-    ``knowledge``/``options``/``exclude_tags``/``parallelism`` configure
-    the underlying :class:`QueryService` (ignored when an existing
-    *service* is supplied); ``autocommit=False`` buffers DML until
+    ``knowledge``/``options``/``exclude_tags`` configure the underlying
+    :class:`QueryService` (ignored when an existing *service* is
+    supplied); ``autocommit=False`` buffers DML until
     :meth:`Connection.commit`.  ``tracing`` enables statement span trees
     (``None`` consults ``REPRO_TRACE``) and ``slow_query_ms`` overrides the
     ``REPRO_SLOW_QUERY_MS`` slow-query-log threshold — see
@@ -100,13 +100,21 @@ def connect(database: Database,
     ``REPRO_CHECKPOINT_INTERVAL``).  A database keeps at most one durable
     adapter: later connects reuse it and the knobs of the first attach
     win.
+
+    ``parallelism`` accepts only ``1``, and any other value raises
+    :class:`ValueError`: plans are sequential.  The keyword stays only
+    because the benchmark under ``perf/`` passes ``parallelism=1``; it
+    goes with the next change to that benchmark.
     """
+    if parallelism != 1:
+        raise ValueError(
+            f"parallelism must be 1 (plans are sequential), got "
+            f"{parallelism!r}")
     _ensure_storage(database, durability, storage_path, wal_fsync,
                     checkpoint_interval)
     if service is None:
         service = QueryService(database, knowledge=knowledge, options=options,
                                exclude_tags=exclude_tags,
-                               parallelism=parallelism,
                                tracing=tracing, slow_query_ms=slow_query_ms)
     elif database.storage is not None:
         # a pre-built service predates the adapter: wire telemetry now

@@ -15,12 +15,6 @@ from repro.datamodel.indexes import HashIndex, IndexRegistry, SortedIndex
 from repro.datamodel.ir import InvertedTextIndex, tokenize
 from repro.datamodel.objects import DatabaseObject
 from repro.datamodel.oid import OID, OIDAllocator
-from repro.datamodel.partitions import (
-    DEFAULT_PARTITIONS,
-    ExtensionPartitions,
-    PartitionedExtension,
-    PartitionStatistics,
-)
 from repro.datamodel.schema import (
     ClassDef,
     InverseLink,
@@ -63,10 +57,6 @@ __all__ = [
     "DatabaseObject",
     "OID",
     "OIDAllocator",
-    "DEFAULT_PARTITIONS",
-    "ExtensionPartitions",
-    "PartitionedExtension",
-    "PartitionStatistics",
     "ClassDef",
     "InverseLink",
     "MethodDef",

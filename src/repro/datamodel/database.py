@@ -18,12 +18,7 @@ from repro.datamodel.indexes import HashIndex, IndexRegistry, SortedIndex
 from repro.datamodel.ir import InvertedTextIndex
 from repro.datamodel.objects import DatabaseObject
 from repro.datamodel.oid import OID, OIDAllocator
-from repro.datamodel.partitions import (
-    DEFAULT_PARTITIONS,
-    CreationOrder,
-    ExtensionPartitions,
-    PartitionStatistics,
-)
+from repro.datamodel.extension import CreationOrder
 from repro.datamodel.schema import (
     ClassDef,
     MethodDef,
@@ -147,8 +142,7 @@ class InvocationContext:
 class Database:
     """In-memory OODB: objects + extensions + method dispatch + indexes."""
 
-    def __init__(self, schema: Schema, name: str = "database",
-                 n_partitions: int = DEFAULT_PARTITIONS):
+    def __init__(self, schema: Schema, name: str = "database"):
         schema.validate()
         self.schema = schema
         self.name = name
@@ -156,7 +150,6 @@ class Database:
         #: shallow class extensions, in creation order
         self._extensions: dict[str, CreationOrder] = defaultdict(
             CreationOrder)
-        self.partitions = ExtensionPartitions(n_partitions)
         self._allocator = OIDAllocator()
         self.indexes = IndexRegistry()
         self._text_indexes: dict[tuple[str, str], InvertedTextIndex] = {}
@@ -533,7 +526,6 @@ class Database:
                                  begin_ts=ts, created_ts=ts)
             self._objects[oid] = obj
             self._extensions[class_name].append(oid)
-            self.partitions.add(class_name, oid)
             scope.undo.append(lambda: self._undo_create(class_name, oid))
             self.statistics.record_object_created()
             self.versions.data += 1
@@ -554,10 +546,6 @@ class Database:
                 extension.remove(oid)
             except KeyError:  # pragma: no cover - defensive
                 pass
-        try:
-            self.partitions.remove(class_name, oid)
-        except KeyError:  # pragma: no cover - defensive
-            pass
         self._allocator.release_last(class_name, oid.serial)
 
     def _unsettle_created(self, count: int) -> None:
@@ -656,7 +644,6 @@ class Database:
 
         objects = self._objects
         extension = self._extensions[class_name]
-        partitioned = self.partitions.for_class(class_name)
         allocate = self._allocator.allocate
         created: list[OID] = []
         undo_create = self._undo_create
@@ -673,7 +660,6 @@ class Database:
                 objects[oid] = DatabaseObject(oid=oid, values=row,
                                               begin_ts=ts, created_ts=ts)
                 extension.append(oid)
-                partitioned.add(oid)
                 undo.append(lambda oid=oid: undo_create(class_name, oid))
                 created.append(oid)
                 for prop, value in row.items():
@@ -709,11 +695,10 @@ class Database:
     def delete(self, oid: OID) -> None:
         """Delete the object with *oid*.
 
-        The object is removed from its extension, its hash partition and
-        every index and text index covering it.  References other objects
-        hold to the deleted OID are not chased; reading such a dangling
-        reference later raises :class:`ObjectNotFoundError`, exactly like
-        any unknown OID.
+        The object is removed from its extension and every index and text
+        index covering it.  References other objects hold to the deleted
+        OID are not chased; reading such a dangling reference later raises
+        :class:`ObjectNotFoundError`, exactly like any unknown OID.
         """
         self.delete_many((oid,))
 
@@ -741,7 +726,6 @@ class Database:
                            in self._text_indexes.items() if owner in owners]
                 targets = maintenance[class_name] = (
                     indexes, engines, self._extensions[class_name],
-                    self.partitions.for_class(class_name),
                     self._removed.setdefault(class_name, []))
             return targets
 
@@ -763,8 +747,8 @@ class Database:
                     raise ObjectNotFoundError(f"no object with OID {oid}")
                 class_name = obj.class_name
                 values = obj.values
-                indexes, engines, extension, partitioned, tombstones = \
-                    targets_for(class_name)
+                indexes, engines, extension, tombstones = targets_for(
+                    class_name)
                 if ops is not None:
                     ops.append(("delete", class_name, oid.serial))
                 mlog.append((ts, class_name, oid))
@@ -789,7 +773,6 @@ class Database:
                 tombstones.append((oid, obj.created_ts, ts))
                 del objects[oid]
                 extension.remove(oid)
-                partitioned.remove(oid)
                 deleted.append(obj)
             # Counters settle once, after the loop: an abort part-way has
             # nothing of them to take back.
@@ -820,7 +803,6 @@ class Database:
             if removed and removed[-1][0] == oid:
                 removed.pop()
             self._extensions[class_name].restore(oid)
-            self.partitions.restore(class_name, oid)
 
     def _unsettle_deleted(self, count: int) -> None:
         self.statistics.objects_deleted -= count
@@ -870,9 +852,9 @@ class Database:
         """Write several property values in one maintenance pass.
 
         All values are validated up front (no partial write on a type
-        error); the object's partition write counter and the data version
-        tick once per call, not once per property, so a multi-column
-        ``UPDATE ... SET`` costs one plan-cache drift unit.  Index and text
+        error); the data version ticks once per call, not once per
+        property, so a multi-column ``UPDATE ... SET`` costs one plan-cache
+        drift unit.  Index and text
         index maintenance matches :meth:`set_value` per property.
         """
         if not values:
@@ -912,7 +894,6 @@ class Database:
             applied_ops: list[tuple[str, Any, Any, Any]] = []
             scope.undo.append(lambda: self._undo_update(
                 obj, old_begin, pre_image, values, applied_ops))
-            self.partitions.record_write(class_name, oid)
             self.versions.data += 1
             self._note_stats_mutation(class_name)
             for owner in self._class_and_ancestors(class_name):
@@ -1043,66 +1024,6 @@ class Database:
                 return True
             current = class_def.superclass
         return False
-
-    def extension_partitions(self, class_name: str,
-                             deep: bool = True) -> list[list[OID]]:
-        """The extension of *class_name* as hash partitions.
-
-        Partition *i* of the result merges partition *i* of the class with
-        partition *i* of every subclass (subclasses in schema order, exactly
-        like :meth:`extension`), so concatenating the partitions yields the
-        same OID multiset as a deep extension scan.  Charged as one
-        extension scan, like :meth:`extension`.
-        """
-        if not self.schema.has_class(class_name):
-            raise SchemaError(f"unknown class {class_name!r}")
-        self.statistics.record_extension_scan()
-        classes = [class_name]
-        if deep:
-            classes.extend(
-                other for other in self.schema.classes
-                if other != class_name and self._inherits_from(other, class_name))
-        ts = self._pinned_ts()
-        if ts is not None:
-            clock = self.clock
-            generation = clock.begun
-            if clock.allocated > ts:
-                return self._extension_partitions_at(classes, ts)
-            result = [[] for _ in range(self.partitions.n_partitions)]
-            for cls in classes:
-                extension = self.partitions.for_class(cls)
-                for index, oids in enumerate(extension.partitions()):
-                    result[index].extend(oids)
-            if clock.begun == generation:
-                return result
-            return self._extension_partitions_at(classes, ts)
-        result = [[] for _ in range(self.partitions.n_partitions)]
-        for cls in classes:
-            extension = self.partitions.for_class(cls)
-            for index, oids in enumerate(extension.partitions()):
-                result[index].extend(oids)
-        return result
-
-    def _extension_partitions_at(self, classes: list[str],
-                                 ts: int) -> list[list[OID]]:
-        """The partitioned extension as of snapshot *ts*.
-
-        Built from the per-class snapshot extensions and the deterministic
-        serial-modulo partition function, so partition contents (and the
-        ordered merge of a parallel scan) match what the live partitions
-        held at the snapshot."""
-        n_partitions = self.partitions.n_partitions
-        result: list[list[OID]] = [[] for _ in range(n_partitions)]
-        for cls in classes:
-            for oid in self._class_extension_at(cls, ts):
-                result[oid.serial % n_partitions].append(oid)
-        return result
-
-    def partition_statistics(self, class_name: str) -> list[PartitionStatistics]:
-        """Per-partition maintenance counters for *class_name* (shallow)."""
-        if not self.schema.has_class(class_name):
-            raise SchemaError(f"unknown class {class_name!r}")
-        return self.partitions.for_class(class_name).statistics()
 
     def extension_size(self, class_name: str) -> int:
         """Cardinality of the extension without charging a scan (cost model)."""

@@ -23,9 +23,7 @@ Three pieces live here:
     on :class:`~repro.datamodel.database.Database` (extensions, property
     reads, index lookups, method-invocation existence checks) consults the
     pin and, when present, answers as of ``ts`` by falling back to the
-    per-object version chains the writers maintain.  Parallel morsel
-    workers re-establish the spawning thread's pin so a parallel scan
-    observes the same snapshot as the coordinating statement.
+    per-object version chains the writers maintain.
 
 ``SnapshotIndexView``
     A read-through wrapper over a hash/sorted index that answers lookups
@@ -110,16 +108,6 @@ class SnapshotPin:
     def __init__(self, database: "Database", ts: int) -> None:
         self.database = database
         self.ts = ts
-
-    @contextmanager
-    def activate(self) -> Iterator["SnapshotPin"]:
-        """Re-establish this pin on the calling thread (morsel workers)."""
-        previous = getattr(_LOCAL, "pin", None)
-        _LOCAL.pin = self
-        try:
-            yield self
-        finally:
-            _LOCAL.pin = previous
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SnapshotPin(ts={self.ts})"

@@ -21,24 +21,21 @@ __all__ = ["open_session", "open_service"]
 def open_session(database: Database,
                  knowledge: Optional[SchemaKnowledge] = None,
                  options: Optional[OptimizerOptions] = None,
-                 exclude_tags: Sequence[str] = (),
-                 parallelism: Optional[int] = None) -> Session:
+                 exclude_tags: Sequence[str] = ()) -> Session:
     """Open a query session on *database*.
 
     ``knowledge`` carries the schema-specific semantic knowledge about
     methods; without it the generated optimizer only has the predefined
-    structural rules.  ``parallelism`` enables morsel-driven parallel plans
-    for method-bearing work (default: ``REPRO_PARALLEL_DEFAULT`` or 1).
+    structural rules.
     """
     return Session(database, knowledge=knowledge, options=options,
-                   exclude_tags=exclude_tags, parallelism=parallelism)
+                   exclude_tags=exclude_tags)
 
 
 def open_service(database: Database,
                  knowledge: Optional[SchemaKnowledge] = None,
                  options: Optional[OptimizerOptions] = None,
-                 exclude_tags: Sequence[str] = (),
-                 parallelism: Optional[int] = None) -> QueryService:
+                 exclude_tags: Sequence[str] = ()) -> QueryService:
     """Open a plan-caching, multi-client query service on *database*."""
     return QueryService(database, knowledge=knowledge, options=options,
-                        exclude_tags=exclude_tags, parallelism=parallelism)
+                        exclude_tags=exclude_tags)

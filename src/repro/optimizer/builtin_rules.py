@@ -23,17 +23,14 @@ from typing import Iterable, Optional
 
 from repro.algebra.expressions import (
     BinaryOp,
-    ClassMethodCall,
     Const,
     Expression,
-    MethodCall,
     Parameter,
     PropertyAccess,
     Var,
     conjuncts,
     free_vars,
     make_conjunction,
-    walk,
 )
 from repro.algebra.operators import (
     Diff,
@@ -48,7 +45,6 @@ from repro.algebra.operators import (
     Select,
     Union,
 )
-from repro.errors import ReproError
 from repro.optimizer.rules import (
     CallableImplementationRule,
     CallableTransformationRule,
@@ -68,22 +64,15 @@ from repro.physical.plans import (
     MapEval,
     NaturalMergeJoin,
     NestedLoopJoin,
-    ParallelHashJoin,
-    ParallelIndexEqScan,
-    ParallelIndexRangeScan,
-    ParallelMap,
-    ParallelScan,
     PhysicalOperator,
     ProjectOp,
     SetProbeFilter,
     UnionOp,
 )
 
-__all__ = ["standard_rules", "standard_transformations", "standard_implementations",
-           "parallel_implementations"]
+__all__ = ["standard_rules", "standard_transformations", "standard_implementations"]
 
 _BUILTIN = frozenset({"builtin"})
-_PARALLEL = frozenset({"builtin", "parallel"})
 
 
 # ----------------------------------------------------------------------
@@ -578,181 +567,6 @@ def _implement_diff(plan: LogicalOperator, children: tuple[PhysicalOperator, ...
     return None
 
 
-# -- parallel implementation rules --------------------------------------
-# The paper's premise: method-bearing queries are dominated by expensive
-# method evaluation, so independent partitions/morsels can evaluate methods
-# concurrently.  Each rule fires only when the context's ``parallelism`` is
-# at least 2 AND the expression it would parallelize calls an *externally
-# implemented* method: external methods model engine round-trips that block
-# the calling thread, which is what worker threads overlap.  Internally
-# encoded methods are inline CPU (GIL-serialized — no wall-clock win), and
-# attribute comparisons never beat the startup cost.  The cost model's
-# PARALLEL_STARTUP_COST arbitrates the remaining cases.
-
-
-def _method_bearing(expression: Expression, ctx: RuleContext,
-                    source: LogicalOperator) -> bool:
-    """True when *expression* calls at least one external method.
-
-    Instance calls are resolved on the receiver's inferred class (typed in
-    the environment of *source*, the logical input the expression ranges
-    over), so a method name that is external on one class and internal on
-    another is judged by the class actually invoked.  When the receiver
-    cannot be typed, any class carrying an external method of that name
-    counts (conservative toward parallelizing)."""
-    for node in walk(expression):
-        if isinstance(node, ClassMethodCall):
-            if _is_external_class_method(node.class_name, node.method, ctx):
-                return True
-        elif isinstance(node, MethodCall):
-            receiver_class = ctx.expression_class(node.receiver, source)
-            if receiver_class is not None:
-                if _is_external_instance_method(receiver_class, node.method,
-                                                ctx):
-                    return True
-            elif _is_external_method_anywhere(node.method, ctx):
-                return True
-    return False
-
-
-def _is_external_instance_method(class_name: str, method_name: str,
-                                 ctx: RuleContext) -> bool:
-    try:
-        return ctx.schema.resolve_instance_method(
-            class_name, method_name).is_external()
-    except ReproError:
-        return False
-
-
-def _is_external_class_method(class_name: str, method_name: str,
-                              ctx: RuleContext) -> bool:
-    try:
-        return ctx.schema.resolve_class_method(
-            class_name, method_name).is_external()
-    except ReproError:
-        return False
-
-
-def _is_external_method_anywhere(method_name: str, ctx: RuleContext) -> bool:
-    """Fallback when the receiver's class cannot be inferred."""
-    for class_def in ctx.schema.classes.values():
-        method = (class_def.instance_methods.get(method_name)
-                  or class_def.class_methods.get(method_name))
-        if method is not None and method.is_external():
-            return True
-    return False
-
-
-def _implement_select_parallel_scan(plan: LogicalOperator,
-                                    _children: tuple[PhysicalOperator, ...],
-                                    ctx: RuleContext
-                                    ) -> Optional[Iterable[PhysicalOperator]]:
-    """select<method-bearing cond>(get<a, C>) → parallel partitioned scan."""
-    if ctx.parallelism < 2:
-        return None
-    if not isinstance(plan, Select) or not isinstance(plan.input, Get):
-        return None
-    if not _method_bearing(plan.condition, ctx, plan.input):
-        return None
-    get = plan.input
-    return [ParallelScan(get.ref, get.class_name,
-                         condition=plan.condition, degree=ctx.parallelism)]
-
-
-def _implement_select_parallel_index_eq(plan: LogicalOperator,
-                                        _children: tuple[PhysicalOperator, ...],
-                                        ctx: RuleContext
-                                        ) -> Optional[Iterable[PhysicalOperator]]:
-    """Index equality lookup with the method-bearing residual evaluated over
-    morsels of the matching OIDs."""
-    if ctx.parallelism < 2:
-        return None
-    match = _match_index_eq(plan, ctx)
-    if match is None:
-        return None
-    get, prop, value, residual = match
-    if residual is None or not _method_bearing(residual, ctx, get):
-        return None
-    return [ParallelIndexEqScan(get.ref, get.class_name, prop, value,
-                                condition=residual, degree=ctx.parallelism)]
-
-
-def _implement_select_parallel_index_range(plan: LogicalOperator,
-                                           _children: tuple[PhysicalOperator, ...],
-                                           ctx: RuleContext
-                                           ) -> Optional[Iterable[PhysicalOperator]]:
-    """Sorted-index range lookup with parallel residual evaluation."""
-    if ctx.parallelism < 2:
-        return None
-    match = _match_index_range(plan, ctx)
-    if match is None:
-        return None
-    get, prop, low, high, include_low, include_high, rest = match
-    if rest is None or not _method_bearing(rest, ctx, get):
-        return None
-    return [ParallelIndexRangeScan(get.ref, get.class_name, prop, low, high,
-                                   include_low, include_high,
-                                   condition=rest, degree=ctx.parallelism)]
-
-
-def _implement_map_parallel(plan: LogicalOperator,
-                            children: tuple[PhysicalOperator, ...],
-                            ctx: RuleContext
-                            ) -> Optional[Iterable[PhysicalOperator]]:
-    """map<a, method-bearing expr>(S) → morsel-driven parallel map."""
-    if ctx.parallelism < 2:
-        return None
-    if not isinstance(plan, Map) or not _method_bearing(plan.expression, ctx, plan.input):
-        return None
-    return [ParallelMap(plan.ref, plan.expression, children[0],
-                        degree=ctx.parallelism)]
-
-
-def _implement_join_hash_parallel(plan: LogicalOperator,
-                                  children: tuple[PhysicalOperator, ...],
-                                  ctx: RuleContext
-                                  ) -> Optional[Iterable[PhysicalOperator]]:
-    """Equi-join with method-bearing keys → hash join with parallel key
-    evaluation (the exp5 ``sameDocument`` shape after the J1 rewrite)."""
-    if ctx.parallelism < 2:
-        return None
-    if not isinstance(plan, Join):
-        return None
-    keys = _split_equi_condition(plan)
-    if keys is None:
-        return None
-    left_key, right_key = keys
-    if not (_method_bearing(left_key, ctx, plan.left)
-            or _method_bearing(right_key, ctx, plan.right)):
-        return None
-    return [ParallelHashJoin(left_key, right_key, children[0], children[1],
-                             degree=ctx.parallelism)]
-
-
-def parallel_implementations() -> list[CallableImplementationRule]:
-    """The parallel implementation rules (tag ``parallel``)."""
-    specs = [
-        ("impl-select-parallel-scan",
-         "method-bearing filter over hash partitions on worker threads",
-         _implement_select_parallel_scan),
-        ("impl-select-parallel-index-eq",
-         "index equality lookup with parallel residual evaluation",
-         _implement_select_parallel_index_eq),
-        ("impl-select-parallel-index-range",
-         "index range lookup with parallel residual evaluation",
-         _implement_select_parallel_index_range),
-        ("impl-map-parallel",
-         "morsel-driven parallel map of a method-bearing expression",
-         _implement_map_parallel),
-        ("impl-join-hash-parallel",
-         "hash join with parallel method-bearing key evaluation",
-         _implement_join_hash_parallel),
-    ]
-    return [CallableImplementationRule(name=name, description=description,
-                                       tags=_PARALLEL, function=function)
-            for name, description, function in specs]
-
-
 def standard_implementations() -> list[CallableImplementationRule]:
     """The predefined implementation rules."""
     specs = [
@@ -789,10 +603,7 @@ def standard_implementations() -> list[CallableImplementationRule]:
 
 
 def standard_rules() -> RuleSet:
-    """The complete predefined rule set (transformations + implementations,
-    including the parallel implementation rules — inert unless the rule
-    context carries ``parallelism >= 2``)."""
+    """The complete predefined rule set (transformations + implementations)."""
     return RuleSet("standard",
                    transformations=standard_transformations(),
-                   implementations=(standard_implementations()
-                                    + parallel_implementations()))
+                   implementations=standard_implementations())

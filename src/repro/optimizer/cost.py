@@ -66,11 +66,6 @@ from repro.physical.plans import (
     MapEval,
     NaturalMergeJoin,
     NestedLoopJoin,
-    ParallelHashJoin,
-    ParallelIndexEqScan,
-    ParallelIndexRangeScan,
-    ParallelMap,
-    ParallelScan,
     PhysicalOperator,
     ProjectOp,
     SetProbeFilter,
@@ -141,14 +136,6 @@ class CostModel:
     FANOUT_SAMPLE_SIZE = 200
     #: bound on the cached ref→class maps (keys are candidate plan subtrees)
     REF_CLASS_CACHE_LIMIT = 4096
-    # parallel execution: fixed dispatch + ordered-merge cost per parallel
-    # node, plus per-tuple morsel bookkeeping.  Only the *expression* work
-    # (method evaluation) is divided by the degree — scan/emit/merge stay
-    # sequential — so parallelism pays exactly when the saved method work,
-    # ``expression cost × cardinality × (1 - 1/degree)``, clears this
-    # startup threshold.
-    PARALLEL_STARTUP_COST = 40.0
-    PARALLEL_TUPLE_OVERHEAD = 0.02
 
     def __init__(self, schema: Schema, database: Optional[Database] = None):
         self.schema = schema
@@ -165,13 +152,6 @@ class CostModel:
     # ------------------------------------------------------------------
     def estimate(self, plan: PhysicalOperator) -> CostEstimate:
         """Estimate the cost and cardinality of a physical plan."""
-        # Parallel variants subclass their sequential counterparts, so they
-        # must be dispatched before the parent isinstance checks below.
-        if isinstance(plan, (ParallelScan, ParallelIndexEqScan,
-                             ParallelIndexRangeScan, ParallelMap,
-                             ParallelHashJoin)):
-            return self._estimate_parallel(plan)
-
         if isinstance(plan, ClassScan):
             cardinality = self.extension_size(plan.class_name)
             return CostEstimate(cardinality * self.TUPLE_SCAN_COST, cardinality)
@@ -326,81 +306,10 @@ class CostModel:
         return memo
 
     # ------------------------------------------------------------------
-    # parallel operators
-    # ------------------------------------------------------------------
-    def _estimate_parallel(self, plan: PhysicalOperator) -> CostEstimate:
-        """Cost of the morsel-driven parallel variants.
-
-        The parallelizable share (per-tuple expression evaluation) is
-        divided by the degree; scanning, emitting and merging are charged
-        sequentially, plus a fixed startup cost per parallel node.
-        """
-        degree = max(plan.degree, 1)  # type: ignore[attr-defined]
-
-        if isinstance(plan, ParallelScan):
-            size = self.extension_size(plan.class_name)
-            if plan.condition is None:
-                per_tuple = 0.0
-                selectivity = 1.0
-            else:
-                per_tuple = self.expression_cost(plan.condition)
-                selectivity = self.condition_selectivity(plan.condition, size,
-                                                         plan)
-            cost = (self.PARALLEL_STARTUP_COST
-                    + size * (self.TUPLE_SCAN_COST + self.PARALLEL_TUPLE_OVERHEAD)
-                    + size * per_tuple / degree)
-            return CostEstimate(cost, max(size * selectivity, 0.0))
-
-        if isinstance(plan, (ParallelIndexEqScan, ParallelIndexRangeScan)):
-            # Matching cardinality as estimated for the sequential scan.
-            matches = (self._index_eq_cardinality(plan)
-                       if isinstance(plan, ParallelIndexEqScan)
-                       else self._index_range_cardinality(plan))
-            if plan.condition is None:
-                per_tuple = 0.0
-                selectivity = 1.0
-            else:
-                per_tuple = self.expression_cost(plan.condition)
-                selectivity = self.condition_selectivity(plan.condition,
-                                                         matches, plan)
-            cost = (self.INDEX_LOOKUP_COST + self.PARALLEL_STARTUP_COST
-                    + matches * (self.TUPLE_EMIT_COST + self.PARALLEL_TUPLE_OVERHEAD)
-                    + matches * per_tuple / degree)
-            return CostEstimate(cost, max(matches * selectivity, 0.0))
-
-        if isinstance(plan, ParallelMap):
-            inner = self.estimate(plan.input)
-            per_tuple = self.expression_cost(plan.expression)
-            cost = (inner.cost + self.PARALLEL_STARTUP_COST
-                    + inner.cardinality * self.PARALLEL_TUPLE_OVERHEAD
-                    + inner.cardinality * per_tuple / degree)
-            return CostEstimate(cost, inner.cardinality)
-
-        if isinstance(plan, ParallelHashJoin):
-            left = self.estimate(plan.left)
-            right = self.estimate(plan.right)
-            key_cost = (self.expression_cost(plan.left_key)
-                        + self.expression_cost(plan.right_key)) / 2.0
-            build = right.cardinality * (key_cost / degree + self.HASH_BUILD_COST)
-            probe = left.cardinality * (key_cost / degree + self.PROBE_COST)
-            overhead = ((left.cardinality + right.cardinality)
-                        * self.PARALLEL_TUPLE_OVERHEAD)
-            join_selectivity = self._equi_join_selectivity(
-                plan, left.cardinality, right.cardinality)
-            cardinality = left.cardinality * right.cardinality * join_selectivity
-            return CostEstimate(
-                left.cost + right.cost + self.PARALLEL_STARTUP_COST
-                + build + probe + overhead,
-                cardinality)
-
-        raise ReproError(f"not a parallel operator: {plan!r}")
-
-    # ------------------------------------------------------------------
     # statistics primitives
     # ------------------------------------------------------------------
     def _index_eq_cardinality(self, plan: IndexEqScan) -> float:
-        """Expected matches of an equality index lookup (shared by the
-        sequential and parallel scan estimates).
+        """Expected matches of an equality index lookup.
 
         Preference order: histogram/most-common-value statistics for the
         concrete key (captures skew), the index's average bucket size

@@ -67,15 +67,12 @@ class OptimizerGenerator:
                  exclude_tags: Sequence[str] = (),
                  extra_rules: Iterable[Rule] = (),
                  options: Optional[OptimizerOptions] = None,
-                 cost_model: Optional[CostModel] = None,
-                 parallelism: int = 1) -> Optimizer:
+                 cost_model: Optional[CostModel] = None) -> Optimizer:
         """Generate an optimizer instance for this schema.
 
         ``exclude_tags`` removes rule groups (e.g. ``"semantic"`` for a purely
         structural optimizer, or ``"semantic:query-method"`` for the EXP-3
         ablation); ``extra_rules`` adds application-supplied rules on top.
-        ``parallelism`` is the degree offered to the parallel implementation
-        rules (1 generates sequential plans only).
         """
         rule_set = self.combined_rule_set(exclude_tags=exclude_tags,
                                           extra_rules=extra_rules)
@@ -84,8 +81,7 @@ class OptimizerGenerator:
             rule_set=rule_set,
             database=database,
             cost_model=cost_model or CostModel(self.schema, database),
-            options=options or self.options,
-            parallelism=parallelism)
+            options=options or self.options)
 
     def generate_without_semantics(self, database: Optional[Database] = None,
                                    options: Optional[OptimizerOptions] = None

@@ -44,18 +44,11 @@ __all__ = [
 
 
 class RuleContext:
-    """Shared services available to rules during matching and rewriting.
+    """Shared services available to rules during matching and rewriting."""
 
-    ``parallelism`` is the session/service degree-of-parallelism knob; the
-    parallel implementation rules only fire when it is at least 2, and embed
-    it as the ``degree`` of the parallel operators they produce.
-    """
-
-    def __init__(self, schema: Schema, database: Optional[Database] = None,
-                 parallelism: int = 1):
+    def __init__(self, schema: Schema, database: Optional[Database] = None):
         self.schema = schema
         self.database = database
-        self.parallelism = max(parallelism, 1)
         self._ref_type_cache: dict[LogicalOperator, dict[str, VMLType]] = {}
 
     def ref_types(self, plan: LogicalOperator) -> dict[str, VMLType]:

@@ -121,16 +121,12 @@ class Optimizer:
     def __init__(self, schema: Schema, rule_set: RuleSet,
                  database: Optional[Database] = None,
                  cost_model: Optional[CostModel] = None,
-                 options: Optional[OptimizerOptions] = None,
-                 parallelism: int = 1):
+                 options: Optional[OptimizerOptions] = None):
         self.schema = schema
         self.rule_set = rule_set
         self.database = database
         self.cost_model = cost_model or CostModel(schema, database)
         self.options = options or OptimizerOptions()
-        #: degree of parallelism offered to the parallel implementation
-        #: rules (1 = sequential plans only)
-        self.parallelism = max(parallelism, 1)
 
     # ------------------------------------------------------------------
     # public API
@@ -139,8 +135,7 @@ class Optimizer:
         """Optimize *logical_plan* and return the cheapest physical plan."""
         statistics = OptimizerStatistics()
         trace = OptimizationTrace(enabled=self.options.enable_trace)
-        context = RuleContext(self.schema, self.database,
-                              parallelism=self.parallelism)
+        context = RuleContext(self.schema, self.database)
         started = time.perf_counter()
 
         join_order = self._enumerate_join_order(logical_plan)

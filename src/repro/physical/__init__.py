@@ -23,11 +23,6 @@ from repro.physical.plans import (
     MapEval,
     NaturalMergeJoin,
     NestedLoopJoin,
-    ParallelHashJoin,
-    ParallelIndexEqScan,
-    ParallelIndexRangeScan,
-    ParallelMap,
-    ParallelScan,
     PhysicalOperator,
     ProjectOp,
     SetProbeFilter,
@@ -71,11 +66,6 @@ __all__ = [
     "ProjectOp",
     "UnionOp",
     "DiffOp",
-    "ParallelScan",
-    "ParallelIndexEqScan",
-    "ParallelIndexRangeScan",
-    "ParallelMap",
-    "ParallelHashJoin",
     "walk_physical",
     "OperatorCounters",
     "PlanProfile",

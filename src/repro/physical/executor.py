@@ -41,7 +41,6 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from repro.algebra.expressions import Expression
 from repro.datamodel.database import Database
-from repro.datamodel.versioning import current_pin
 from repro.errors import ExecutionError
 from repro.physical.batch import Batch, concat, regroup, split
 from repro.physical.compiler import ExpressionCompiler
@@ -51,11 +50,6 @@ from repro.physical.interpreter import (
     _iterate_set,
     _range_oids,
     _require_index,
-)
-from repro.physical.parallel import (
-    run_filter_morsels,
-    run_key_morsels,
-    run_map_morsels,
 )
 from repro.physical.plans import (
     ClassScan,
@@ -70,11 +64,6 @@ from repro.physical.plans import (
     MapEval,
     NaturalMergeJoin,
     NestedLoopJoin,
-    ParallelHashJoin,
-    ParallelIndexEqScan,
-    ParallelIndexRangeScan,
-    ParallelMap,
-    ParallelScan,
     PhysicalOperator,
     ProjectOp,
     SetProbeFilter,
@@ -111,11 +100,6 @@ class BindingEnv:
 
     def restore(self, previous: Any) -> None:
         self._local.bindings = previous
-
-    def current(self) -> Optional[Mapping[str, Any]]:
-        """The bindings active on the calling thread (for propagation into
-        parallel worker threads)."""
-        return getattr(self._local, "bindings", None)
 
     def resolve(self, key: str) -> Any:
         bindings = getattr(self._local, "bindings", None)
@@ -321,13 +305,11 @@ def _common_keys(batch: Batch, refs: tuple[str, ...]) -> Iterable[Any]:
 
 
 # ----------------------------------------------------------------------
-# access paths.  Index resolution is written once per lookup kind and
-# shared by the sequential and the parallel scan: require the index,
-# resolve the key/bounds, count the lookup, return OIDs in OID order — all
-# at run time (the index handle is resolved per execution: DDL between
-# runs is guarded by the plan cache's index version, but stay defensive).
-# Keys and bounds are resolved on the calling thread, before any morsel
-# fans out: the BindingEnv is thread-local.
+# access paths.  Index resolution is written once per lookup kind: require
+# the index, resolve the key/bounds, count the lookup, return OIDs in OID
+# order — all at run time (the index handle is resolved per execution: DDL
+# between runs is guarded by the plan cache's index version, but stay
+# defensive).
 # ----------------------------------------------------------------------
 def _run_time_value(value: Any, compiler: ExpressionCompiler
                     ) -> Callable[[], Any]:
@@ -638,120 +620,6 @@ def _diff(plan: DiffOp, database: Database,
     return run
 
 
-# ----------------------------------------------------------------------
-# parallel operators (morsel-driven, ordered merge; the morsel bodies live
-# in repro.physical.parallel).  Every worker re-pushes the run thread's
-# bindings and re-activates its snapshot pin, so compiled Parameter
-# closures resolve, and version chains read, correctly off-thread.
-# ----------------------------------------------------------------------
-def _bound_worker(env: BindingEnv
-                  ) -> Callable[[Callable[[list], list]], Callable[[list], list]]:
-    """A worker wrapper propagating the submitting thread's bindings and
-    snapshot pin, so every morsel observes the same snapshot (and resolves
-    the same parameters) as the coordinating statement."""
-    bindings = env.current()
-    pin = current_pin()
-
-    def wrap(work: Callable[[list], list]) -> Callable[[list], list]:
-        def bound(morsel: list) -> list:
-            previous = env.push(bindings)
-            try:
-                if pin is not None:
-                    with pin.activate():
-                        return work(morsel)
-                return work(morsel)
-            finally:
-                env.restore(previous)
-
-        return bound
-
-    return wrap
-
-
-def _parallel_oid_scan(plan: ParallelScan | ParallelIndexEqScan
-                       | ParallelIndexRangeScan,
-                       batches: Callable[[], Any],
-                       compiler: ExpressionCompiler,
-                       env: BindingEnv) -> Source:
-    """The shared body of the three parallel scans: *batches* produces the
-    OID batches at run time, the residual predicate runs over morsels."""
-    predicate = (compiler.compile(plan.condition)
-                 if plan.condition is not None else None)
-    ref = plan.ref
-    degree = plan.degree
-
-    def run() -> Iterator[Batch]:
-        oids = run_filter_morsels(batches(), predicate, ref, degree,
-                                  wrap=_bound_worker(env))
-        yield from split(Batch(len(oids), {ref: oids}))
-
-    return run
-
-
-def _parallel_scan(plan: ParallelScan, database: Database,
-                   compiler: ExpressionCompiler,
-                   env: BindingEnv) -> Source:
-    class_name = plan.class_name
-    return _parallel_oid_scan(
-        plan, lambda: database.extension_partitions(class_name),
-        compiler, env)
-
-
-def _parallel_index_eq_scan(plan: ParallelIndexEqScan, database: Database,
-                            compiler: ExpressionCompiler,
-                            env: BindingEnv) -> Source:
-    lookup = _eq_lookup(plan, database, compiler)
-    return _parallel_oid_scan(plan, lambda: [lookup()], compiler, env)
-
-
-def _parallel_index_range_scan(plan: ParallelIndexRangeScan,
-                               database: Database,
-                               compiler: ExpressionCompiler,
-                               env: BindingEnv) -> Source:
-    lookup = _range_lookup(plan, database, compiler)
-    return _parallel_oid_scan(plan, lambda: [lookup()], compiler, env)
-
-
-def _parallel_map(plan: ParallelMap, database: Database,
-                  compiler: ExpressionCompiler,
-                  env: BindingEnv) -> Source:
-    expression = compiler.compile(plan.expression)
-    source = _build(plan.input, database, compiler, env)
-    ref = plan.ref
-    degree = plan.degree
-
-    def run() -> Iterator[Batch]:
-        whole = concat(source())
-        values = run_map_morsels(whole, expression, degree,
-                                 wrap=_bound_worker(env))
-        yield from split(Batch(whole.length, {**whole.columns, ref: values}))
-
-    return run
-
-
-def _parallel_hash_join(plan: ParallelHashJoin, database: Database,
-                        compiler: ExpressionCompiler,
-                        env: BindingEnv) -> Source:
-    left_key = compiler.compile(plan.left_key)
-    right_key = compiler.compile(plan.right_key)
-    left_source = _build(plan.left, database, compiler, env)
-    right_source = _build(plan.right, database, compiler, env)
-    degree = plan.degree
-
-    def run() -> Iterator[Batch]:
-        wrap = _bound_worker(env)
-        # Build side first, then probe side: the sequential HashJoin's work
-        # ordering, so statistics interleave the same way.
-        right = concat(right_source())
-        table = _hash_table(run_key_morsels(right, right_key, degree,
-                                            wrap=wrap))
-        left = concat(left_source())
-        left_keys = run_key_morsels(left, left_key, degree, wrap=wrap)
-        yield from _joined(left, right, _probe(table, left_keys))
-
-    return run
-
-
 _BUILDERS = {
     ClassScan: _class_scan,
     IndexEqScan: _index_eq_scan,
@@ -768,9 +636,4 @@ _BUILDERS = {
     NaturalMergeJoin: _natural_merge_join,
     UnionOp: _union,
     DiffOp: _diff,
-    ParallelScan: _parallel_scan,
-    ParallelIndexEqScan: _parallel_index_eq_scan,
-    ParallelIndexRangeScan: _parallel_index_range_scan,
-    ParallelMap: _parallel_map,
-    ParallelHashJoin: _parallel_hash_join,
 }

@@ -53,9 +53,6 @@ from repro.physical.plans import (
     MapEval,
     NaturalMergeJoin,
     NestedLoopJoin,
-    ParallelIndexEqScan,
-    ParallelIndexRangeScan,
-    ParallelScan,
     PhysicalOperator,
     ProjectOp,
     SetProbeFilter,
@@ -72,14 +69,6 @@ def execute_plan_interpreted(plan: PhysicalOperator,
                              database: Database,
                              profile=None) -> list[Row]:
     """Execute *plan* against *database* interpretively (reference engine).
-
-    Parallel operators are executed *sequentially* with identical semantics
-    (partition order for :class:`ParallelScan`, OID order for the parallel
-    index scans) — this is what makes the interpreter the oracle every
-    parallel plan is differentially checked against.  ``ParallelMap`` and
-    ``ParallelHashJoin`` need no cases of their own: their sequential
-    semantics are exactly their parent operators', which the isinstance
-    dispatch in :func:`_interpret_node` already covers.
 
     *profile* (a :class:`repro.physical.profile.PlanProfile`) enables the
     per-operator EXPLAIN ANALYZE counters; since this engine materializes
@@ -107,16 +96,6 @@ def _interpret(plan: PhysicalOperator, database: Database,
 def _interpret_node(plan: PhysicalOperator, database: Database,
                     profile) -> list[Row]:
     """The operator dispatch of the reference engine."""
-    if isinstance(plan, ParallelScan):
-        rows: list[Row] = []
-        for partition in database.extension_partitions(plan.class_name):
-            for oid in partition:
-                row = {plan.ref: oid}
-                if plan.condition is None or evaluate_predicate(
-                        plan.condition, row, database):
-                    rows.append(row)
-        return rows
-
     if isinstance(plan, ClassScan):
         return [{plan.ref: oid} for oid in database.extension(plan.class_name)]
 
@@ -124,26 +103,16 @@ def _interpret_node(plan: PhysicalOperator, database: Database,
         index = _require_index(plan, database)
         # Expression keys and bounds (bind parameters) are resolved per
         # execution; an unbound Parameter raises, as everywhere in this engine.
-        rows = [{plan.ref: oid}
+        return [{plan.ref: oid}
                 for oid in _eq_oids(plan, database, index,
                                     _resolve(plan.key, database))]
-        # The parallel variant only adds a residual predicate on top of the
-        # identical lookup semantics (same for the range scan below).
-        if isinstance(plan, ParallelIndexEqScan) and plan.condition is not None:
-            rows = [row for row in rows
-                    if evaluate_predicate(plan.condition, row, database)]
-        return rows
 
     if isinstance(plan, IndexRangeScan):
         index = _require_index(plan, database, kind="sorted")
-        rows = [{plan.ref: oid}
+        return [{plan.ref: oid}
                 for oid in _range_oids(plan, database, index,
                                        _resolve(plan.low, database),
                                        _resolve(plan.high, database))]
-        if isinstance(plan, ParallelIndexRangeScan) and plan.condition is not None:
-            rows = [row for row in rows
-                    if evaluate_predicate(plan.condition, row, database)]
-        return rows
 
     if isinstance(plan, ExpressionSetScan):
         value = evaluate(plan.expression, {}, database)

@@ -21,7 +21,7 @@ The physically interesting nodes for the paper's experiments are:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.algebra.expressions import (Expression, cached_hash, free_vars,
                                        with_hints)
@@ -44,15 +44,8 @@ __all__ = [
     "ProjectOp",
     "UnionOp",
     "DiffOp",
-    "ParallelScan",
-    "ParallelIndexEqScan",
-    "ParallelIndexRangeScan",
-    "ParallelMap",
-    "ParallelHashJoin",
-    "PARALLEL_OPERATORS",
     "walk_physical",
     "describe_physical_tree",
-    "uses_parallelism",
     "with_plan_hints",
 ]
 
@@ -478,137 +471,6 @@ class DiffOp(PhysicalOperator):
         return "diff_impl"
 
 
-# ----------------------------------------------------------------------
-# parallel variants (morsel-driven, ThreadPoolExecutor-backed)
-# ----------------------------------------------------------------------
-# Each parallel operator *subclasses* its sequential counterpart: existing
-# isinstance-based dispatch (plan inspection, tests) keeps working on
-# parallel plans, while the engines and the cost model dispatch on the
-# concrete type.  ``degree`` is the number of worker threads and is part of
-# the physical plan — the service's plan cache key never mentions it.
-
-
-def _check_degree(degree: int) -> None:
-    if degree < 1:
-        raise AlgebraError(f"parallel degree must be >= 1, got {degree}")
-
-
-@cached_hash
-@dataclass(frozen=True)
-class ParallelScan(ClassScan):
-    """Partitioned parallel scan with an embedded (optional) predicate.
-
-    Reads the hash partitions of the class extension
-    (:meth:`~repro.datamodel.database.Database.extension_partitions`),
-    splits them into morsels, evaluates *condition* on worker threads and
-    merges results deterministically in partition order."""
-
-    condition: Optional[Expression] = None
-    degree: int = 2
-    name = "parallel_scan"
-
-    def __post_init__(self) -> None:
-        _check_degree(self.degree)
-
-    def describe(self) -> str:
-        predicate = "" if self.condition is None else f", {self.condition}"
-        return (f"parallel_scan<{self.ref}, {self.class_name}{predicate}, "
-                f"degree={self.degree}>")
-
-
-@cached_hash
-@dataclass(frozen=True)
-class ParallelIndexEqScan(IndexEqScan):
-    """Partition-aware equality index scan.
-
-    Looks the key up once, then evaluates the residual *condition* over
-    morsels of the matching OIDs on worker threads (ordered merge over the
-    OID-sorted lookup result)."""
-
-    condition: Optional[Expression] = None
-    degree: int = 2
-    name = "parallel_index_eq_scan"
-
-    def __post_init__(self) -> None:
-        _check_degree(self.degree)
-
-    def describe(self) -> str:
-        predicate = "" if self.condition is None else f" WHERE {self.condition}"
-        return (f"parallel_index_eq_scan<{self.ref}, "
-                f"{self.class_name}.{self.prop} == {self.key!r}{predicate}, "
-                f"degree={self.degree}>")
-
-
-@cached_hash
-@dataclass(frozen=True)
-class ParallelIndexRangeScan(IndexRangeScan):
-    """Partition-aware range index scan (parallel residual evaluation)."""
-
-    condition: Optional[Expression] = None
-    degree: int = 2
-    name = "parallel_index_range_scan"
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _check_degree(self.degree)
-
-    def describe(self) -> str:
-        base = IndexRangeScan.describe(self)
-        predicate = "" if self.condition is None else f" WHERE {self.condition}"
-        return f"parallel_{base[:-1]}{predicate}, degree={self.degree}>"
-
-
-@cached_hash
-@dataclass(frozen=True)
-class ParallelMap(MapEval):
-    """Morsel-driven parallel evaluation of a map expression."""
-
-    degree: int = 2
-    name = "parallel_map"
-
-    def __post_init__(self) -> None:
-        _check_degree(self.degree)
-
-    def with_inputs(self, inputs: Sequence[PhysicalOperator]) -> "ParallelMap":
-        (only,) = inputs
-        return ParallelMap(self.ref, self.expression, only, self.degree)
-
-    def describe(self) -> str:
-        return (f"parallel_map<{self.ref}, {self.expression}, "
-                f"degree={self.degree}>")
-
-
-@cached_hash
-@dataclass(frozen=True)
-class ParallelHashJoin(HashJoin):
-    """Hash join whose key expressions are evaluated on worker threads.
-
-    Both inputs are materialized, the (method-bearing) key expressions are
-    computed over morsels in parallel, and build + probe run sequentially in
-    input order — output order matches :class:`HashJoin` exactly."""
-
-    degree: int = 2
-    name = "parallel_hash_join"
-
-    def __post_init__(self) -> None:
-        _check_degree(self.degree)
-
-    def with_inputs(self, inputs: Sequence[PhysicalOperator]) -> "ParallelHashJoin":
-        left, right = inputs
-        return ParallelHashJoin(self.left_key, self.right_key, left, right,
-                                self.degree)
-
-    def describe(self) -> str:
-        return (f"parallel_hash_join<{self.left_key} == {self.right_key}, "
-                f"degree={self.degree}>")
-
-
-#: the parallel operator family (checked before the sequential parents in
-#: isinstance dispatch chains)
-PARALLEL_OPERATORS = (ParallelScan, ParallelIndexEqScan,
-                      ParallelIndexRangeScan, ParallelMap, ParallelHashJoin)
-
-
 def walk_physical(plan: PhysicalOperator):
     """Yield *plan* and all nodes below it, pre-order."""
     yield plan
@@ -642,8 +504,3 @@ def describe_physical_tree(plan: PhysicalOperator, depth: int = 0) -> str:
         lines.append(describe_physical_tree(child, depth + 1))
     return "\n".join(lines)
 
-
-def uses_parallelism(plan: PhysicalOperator) -> bool:
-    """True when *plan* contains at least one parallel operator."""
-    return any(isinstance(node, PARALLEL_OPERATORS)
-               for node in walk_physical(plan))

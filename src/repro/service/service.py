@@ -54,7 +54,6 @@ from repro.optimizer.knowledge import SchemaKnowledge
 from repro.optimizer.search import OptimizerOptions, plan_query
 from repro.physical.evaluator import make_hashable
 from repro.physical.executor import PreparedExecutable, Row, prepare_plan
-from repro.physical.parallel import default_parallelism
 from repro.physical.plans import (Filter, HashJoin, IndexNestedLoopJoin,
                                   describe_physical_tree, with_plan_hints)
 from repro.physical.profile import (ExplainReport, PlanProfile,
@@ -279,7 +278,6 @@ class QueryService:
                  exclude_tags: Sequence[str] = (),
                  cache_capacity: int = 256,
                  reoptimize_fraction: float = 0.25,
-                 parallelism: Optional[int] = None,
                  adaptive_feedback: bool = True,
                  feedback_threshold: float = 10.0,
                  tracing: Optional[bool] = None,
@@ -329,18 +327,10 @@ class QueryService:
         self.knowledge = knowledge or SchemaKnowledge(self.schema)
         self._options = options
         self._exclude_tags = tuple(exclude_tags)
-        #: intra-query degree of parallelism offered to the optimizer.  The
-        #: degree is embedded in the chosen physical plan (never in the plan
-        #: cache key): one service has one degree, so every cached plan was
-        #: planned under it, and parallel and sequential services on the
-        #: same database keep independent caches by construction.
-        self.parallelism = (default_parallelism() if parallelism is None
-                            else max(parallelism, 1))
         self._generator = OptimizerGenerator(self.schema, self.knowledge,
                                              options=options)
         self._optimizer = self._generator.generate(
-            database=database, exclude_tags=self._exclude_tags, options=options,
-            parallelism=self.parallelism)
+            database=database, exclude_tags=self._exclude_tags, options=options)
         self._knowledge_version = 0
         self._knowledge_size = len(self.knowledge)
         #: literal values auto-parameterization leaves alone: the semantic
@@ -369,8 +359,8 @@ class QueryService:
         self._register_gauges()
 
     def _register_gauges(self) -> None:
-        """Callback-backed gauges: plan cache, partitions, statistics
-        catalog — read live at export time, no per-statement upkeep."""
+        """Callback-backed gauges: plan cache, statistics catalog — read
+        live at export time, no per-statement upkeep."""
         reg = self.registry
         reg.gauge("repro_plan_cache_size", "cached plans",
                   fn=lambda: float(len(self.cache)))
@@ -381,9 +371,6 @@ class QueryService:
         reg.gauge("repro_plan_cache_invalidations",
                   "plan cache version invalidations",
                   fn=lambda: float(self.cache.statistics.invalidations))
-        reg.gauge("repro_extension_partitions",
-                  "extension partitions across all classes",
-                  fn=self._partition_count)
         reg.gauge("repro_statistics_analyzed_classes",
                   "classes with ANALYZE statistics",
                   fn=lambda: float(len(self._stats_catalog().analyzed_classes())
@@ -395,12 +382,6 @@ class QueryService:
 
     def _stats_catalog(self):
         return getattr(self.database, "stats_catalog", None)
-
-    def _partition_count(self) -> float:
-        total = 0
-        for class_name in self.schema.class_names():
-            total += len(self.database.extension_partitions(class_name))
-        return float(total)
 
     @contextmanager
     def _traced_write_guard(self):
@@ -857,7 +838,7 @@ class QueryService:
                 (plan.class_name, plan.prop),
                 actual_out, left_actual,
                 cost_model.extension_size(plan.class_name))
-        if isinstance(plan, HashJoin):  # covers ParallelHashJoin
+        if isinstance(plan, HashJoin):
             left_actual, right_actual = record["child_actual_rows"]
             return self._join_correction(
                 cost_model, catalog,
@@ -942,7 +923,7 @@ class QueryService:
             self.schema, self.knowledge, options=self._options)
         self._optimizer = self._generator.generate(
             database=self.database, exclude_tags=self._exclude_tags,
-            options=self._options, parallelism=self.parallelism)
+            options=self._options)
         self._knowledge_version += 1
         self._knowledge_size = len(self.knowledge)
         self._literal_constants = self.knowledge.pattern_constants()

@@ -26,7 +26,6 @@ from repro.optimizer.search import (
 )
 from repro.physical.evaluator import make_hashable
 from repro.physical.executor import Row, execute_plan
-from repro.physical.parallel import default_parallelism
 from repro.physical.plans import PhysicalOperator, describe_physical_tree
 from repro.physical.profile import ExplainReport, explain_analyze
 from repro.telemetry.spans import Tracer
@@ -67,11 +66,10 @@ class QueryResult:
 class Session:
     """A connection-like object bundling a database with its optimizer.
 
-    ``parallelism`` is the intra-query degree-of-parallelism knob: with a
-    degree of 2 or more the generated optimizer may choose morsel-driven
-    parallel operators for method-bearing work (the degree becomes part of
-    the physical plan).  ``None`` uses the ``REPRO_PARALLEL_DEFAULT``
-    environment variable, defaulting to 1 (sequential plans only).
+    ``parallelism`` accepts only ``1``, and any other value raises
+    :class:`ValueError`: plans are sequential.  The keyword stays only
+    because the benchmark under ``perf/`` passes ``parallelism=1``; it
+    goes with the next change to that benchmark.
     """
 
     def __init__(self, database: Database,
@@ -79,7 +77,7 @@ class Session:
                  optimizer: Optional[Optimizer] = None,
                  options: Optional[OptimizerOptions] = None,
                  exclude_tags: Sequence[str] = (),
-                 parallelism: Optional[int] = None,
+                 parallelism: int = 1,
                  tracing: bool = False,
                  tracer: Optional[Tracer] = None):
         self.database = database
@@ -88,16 +86,17 @@ class Session:
         #: statement tracer (disabled unless ``tracing=True`` or an enabled
         #: tracer is supplied) — see :mod:`repro.telemetry`
         self.tracer = tracer if tracer is not None else Tracer(enabled=tracing)
-        self.parallelism = (default_parallelism() if parallelism is None
-                            else max(parallelism, 1))
+        if parallelism != 1:
+            raise ValueError(
+                f"parallelism must be 1 (plans are sequential), got "
+                f"{parallelism!r}")
         self._generator = OptimizerGenerator(self.schema, self.knowledge,
                                              options=options)
         if optimizer is not None:
             self.optimizer = optimizer
         else:
             self.optimizer = self._generator.generate(
-                database=database, exclude_tags=exclude_tags, options=options,
-                parallelism=self.parallelism)
+                database=database, exclude_tags=exclude_tags, options=options)
         #: shared statement front end: the session supplies its per-call
         #: pipeline as the query runner, so DML WHERE clauses are planned by
         #: this session's optimizer exactly like its queries

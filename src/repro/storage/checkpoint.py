@@ -7,7 +7,7 @@ schema module alone, as of one pinned commit timestamp:
   classes never carry method implementations, so nothing is lost);
 * every live object, per class, as ``[serial, values]`` in serial order
   (serials are allocated in creation order, so restoring in this order
-  reproduces extension and partition order exactly);
+  reproduces extension order exactly);
 * the OID allocator counters (so serials of deleted objects are never
   reused after recovery);
 * index definitions — hash, sorted and text — as ``(class, property,
@@ -156,7 +156,6 @@ def restore_checkpoint(database, state: dict[str, Any]) -> None:
                 f"checkpoint holds objects of unknown class {class_name!r} "
                 "— was the database opened with the right schema?")
         extension = database._extensions[class_name]
-        partitioned = database.partitions.for_class(class_name)
         for serial, values in rows:
             oid = OID(class_name, serial)
             # Restored objects predate every post-recovery snapshot, so
@@ -165,7 +164,6 @@ def restore_checkpoint(database, state: dict[str, Any]) -> None:
                                  begin_ts=0, created_ts=0)
             database._objects[oid] = obj
             extension.append(oid)
-            partitioned.add(oid)
             restored += 1
     database.restore_oid_counters(state["allocators"])
     database.versions.data += restored

@@ -2,10 +2,10 @@
 
 A :class:`TraceSpan` is one timed stage of a statement's lifecycle —
 analyze → plan-cache lookup → optimize → compile → execute — plus
-cross-cutting children such as write-gate waits, parallel-morsel dispatch
-and adaptive-feedback replans.  A :class:`Tracer` owns a bounded ring
-buffer of finished statement trees and fans each one out to pluggable
-sinks (:mod:`repro.telemetry.sinks`).
+cross-cutting children such as write-gate waits and adaptive-feedback
+replans.  A :class:`Tracer` owns a bounded ring buffer of finished
+statement trees and fans each one out to pluggable sinks
+(:mod:`repro.telemetry.sinks`).
 
 The design constraint is that tracing *off* must cost one branch per
 instrumentation point: deep layers never talk to a tracer directly, they
@@ -18,8 +18,7 @@ open root spans.
 Thread model: a span tree is built by the one thread executing its
 statement (``current span`` is thread-local, saved and restored around
 every nesting, so service re-entry from method implementations nests
-correctly).  Parallel morsel dispatch is recorded as a child on the
-dispatching thread; worker threads themselves are not traced.
+correctly).
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ from repro.workloads.documents import (
     DocumentWorkloadConfig,
     generate_document_database,
 )
-from repro.workloads.latency import simulate_method_latency
 from repro.workloads.queries import (
     WorkloadQuery,
     contains_only_query,
@@ -36,7 +35,6 @@ __all__ = [
     "TARGET_TITLE",
     "DocumentWorkloadConfig",
     "generate_document_database",
-    "simulate_method_latency",
     "WorkloadQuery",
     "motivating_query",
     "contains_only_query",

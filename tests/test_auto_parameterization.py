@@ -357,7 +357,7 @@ def test_a_skewed_value_replans_through_feedback():
     reuses the plan priced for rare ones (correct rows, wrong access path),
     its execution diverges, and the shape is replanned with its values."""
     database = skewed_database()
-    service = QueryService(database, parallelism=1)
+    service = QueryService(database)
     service.execute("ANALYZE")
     text = "ACCESS r FROM r IN Reading WHERE r.category == '{}' AND r.score >= 5000"
 

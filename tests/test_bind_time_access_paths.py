@@ -5,7 +5,7 @@ evaluated by the interpreter): whatever an index plan answers for a key or
 bound that is only known at execution — including NULL, crossed and
 incomparable bounds — must be what the naive plan answers.  Every case is
 run without an index, with a hash index and with a sorted index, planned
-sequentially and with ``parallelism=4``.
+for its own bindings and reused from the plan cache after other bindings.
 """
 
 from __future__ import annotations
@@ -38,14 +38,10 @@ from repro.physical.plans import (
     IndexEqScan,
     IndexNestedLoopJoin,
     IndexRangeScan,
-    ParallelIndexEqScan,
-    ParallelIndexRangeScan,
     walk_physical,
 )
 from repro.service import QueryService
 from repro.vql.parser import parse_expression
-
-DEGREE = 4
 
 
 # ----------------------------------------------------------------------
@@ -56,8 +52,7 @@ def c_schema() -> Schema:
     c = ClassDef("C")
     c.add_property(PropertyDef("k", INT))
     c.add_property(PropertyDef("v", INT))
-    # an external method, so that a residual calling it lets the parallel
-    # implementation rules fire
+    # an external method, for residuals that call a method
     c.add_method(MethodDef(
         name="odd", return_type=BOOL, kind=MethodKind.EXTERNAL,
         implementation=lambda ctx, receiver: ctx.value(receiver, "k") % 2 == 1,
@@ -131,15 +126,28 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("parallelism", [1, DEGREE])
+def other_bindings(bindings: dict) -> dict:
+    """Bindings of the same names that differ from *bindings* in every
+    value and in whether it is NULL."""
+    return {name: 3 if value is None else None
+            for name, value in bindings.items()}
+
+
+@pytest.mark.parametrize("planned", ["fresh", "cached"])
 @pytest.mark.parametrize("index", [None, "hash", "sorted"])
 @pytest.mark.parametrize("condition,bindings", CASES)
 def test_parameterized_plan_agrees_with_the_naive_plan(condition, bindings,
-                                                       index, parallelism):
+                                                       index, planned):
+    """``cached``: the plan was chosen and cached while other values (NULL
+    where these are not, and the other way round) were bound; reusing it
+    for these must still answer what the naive plan answers."""
     database = c_database(index)
-    service = QueryService(database, parallelism=parallelism)
+    service = QueryService(database)
     text = f"ACCESS c.k FROM c IN C WHERE {condition}"
+    if planned == "cached":
+        service.execute(text, other_bindings(bindings))
     optimized = service.execute(text, bindings)
+    assert optimized.metrics.cache_hit is (planned == "cached")
     naive = service.execute(text, bindings, optimize=False)
     assert sorted(optimized.values) == sorted(naive.values), \
         optimized.plan.physical_plan.describe()
@@ -157,7 +165,7 @@ def test_the_null_key_cases_choose_the_index_plans_they_are_about():
     for index, eq_scan, range_scan in ((None, False, False),
                                        ("hash", True, False),
                                        ("sorted", True, True)):
-        service = QueryService(c_database(index), parallelism=1)
+        service = QueryService(c_database(index))
         eq = service.execute("ACCESS c.k FROM c IN C WHERE c.v == :x",
                              {"x": 1}).plan.physical_plan
         rng = service.execute(
@@ -167,12 +175,11 @@ def test_the_null_key_cases_choose_the_index_plans_they_are_about():
                    for node in walk_physical(eq)) is eq_scan
         assert any(isinstance(node, IndexRangeScan)
                    for node in walk_physical(rng)) is range_scan
-    parallel = QueryService(c_database("sorted"), parallelism=DEGREE)
-    plan = parallel.execute(
+    plan = QueryService(c_database("sorted")).execute(
         "ACCESS c.k FROM c IN C WHERE c.v >= :lo AND c.v < :hi AND c->odd()",
         {"lo": 1, "hi": 6}).plan.physical_plan
     scans = [node for node in walk_physical(plan)
-             if isinstance(node, ParallelIndexRangeScan)]
+             if isinstance(node, IndexRangeScan)]
     assert scans and scans[0].low == Parameter("lo") \
         and scans[0].high == Parameter("hi")
 
@@ -183,10 +190,8 @@ def test_null_key_is_answered_by_an_extension_scan(index):
     the objects whose property is NULL and charged as an extension scan."""
     database = c_database(index)
     expected = [k for k, v in enumerate(c_values()) if v is None]
-    plans = [IndexEqScan("c", "C", "v", Parameter("x")),
-             ParallelIndexEqScan("c", "C", "v", Parameter("x"),
-                                 condition=parse_expression("c.k >= 0"),
-                                 degree=DEGREE)]
+    scan = IndexEqScan("c", "C", "v", Parameter("x"))
+    plans = [scan, Filter(parse_expression("c.k >= 0"), scan)]
     for plan in plans:
         before = database.work_snapshot()
         rows = prepare_plan(plan, database).run({"x": None})
@@ -214,16 +219,13 @@ def test_null_probe_key_in_an_index_nested_loop_join(index):
     assert execute_plan_interpreted(probe, database) == rows
 
 
-@pytest.mark.parametrize("parallel", [False, True])
-def test_null_and_crossed_bounds_yield_no_rows_and_touch_no_object(parallel):
+@pytest.mark.parametrize("residual", [False, True])
+def test_null_and_crossed_bounds_yield_no_rows_and_touch_no_object(residual):
     database = c_database("sorted")
-    if parallel:
-        plan = ParallelIndexRangeScan(
-            "c", "C", "v", Parameter("lo"), Parameter("hi"), True, False,
-            condition=parse_expression("c.k >= 0"), degree=DEGREE)
-    else:
-        plan = IndexRangeScan("c", "C", "v", Parameter("lo"), Parameter("hi"),
-                              True, False)
+    plan = IndexRangeScan("c", "C", "v", Parameter("lo"), Parameter("hi"),
+                          True, False)
+    if residual:
+        plan = Filter(parse_expression("c.k >= 0"), plan)
     executable = prepare_plan(plan, database)
     for bindings in ({"lo": None, "hi": 5}, {"lo": 1, "hi": None},
                      {"lo": None, "hi": None}, {"lo": 5, "hi": 1}):
@@ -245,7 +247,7 @@ def test_incomparable_bound_raises_what_the_filter_plan_raises():
     text = "ACCESS c.k FROM c IN C WHERE c.v >= :lo"
     errors = []
     for index in (None, "sorted"):
-        service = QueryService(c_database(index), parallelism=1)
+        service = QueryService(c_database(index))
         with pytest.raises(TypeError) as raised:
             service.execute(text, {"lo": "seven"})
         errors.append(type(raised.value))
@@ -312,12 +314,6 @@ class TestRangeRule:
             "index_range_scan<c, Customer.since IN [:lo, :hi)>"
         mixed = IndexRangeScan("c", "C", "v", 3, Parameter("1"), False, True)
         assert mixed.describe() == "index_range_scan<c, C.v IN (3, ?1]>"
-        parallel = ParallelIndexRangeScan(
-            "c", "C", "v", Parameter("lo"), None,
-            condition=parse_expression("c->odd()"), degree=DEGREE)
-        assert parallel.describe() == (
-            "parallel_index_range_scan<c, C.v IN [:lo, None] "
-            "WHERE c->odd(), degree=4>")
 
 
 # ----------------------------------------------------------------------
@@ -402,7 +398,7 @@ def test_parameter_plan_equals_literal_plan_equals_naive_interpreter(
         assert after["extension_scans"] - before["extension_scans"] == 0
 
     # ... and planned from text (tiny extensions may still prefer the scan)
-    service = QueryService(database, parallelism=1)
+    service = QueryService(database)
     result = service.execute(f"ACCESS c FROM c IN C WHERE {condition}",
                              bindings)
     assert sorted(result.values) == expected
@@ -418,8 +414,7 @@ def test_parameterized_range_reads_in_proportion_to_what_it_returns():
     import repro
 
     connection = repro.connect(Database(Schema("serving")),
-                               durability="memory", parallelism=1,
-                               tracing=False)
+                               durability="memory", tracing=False)
     cursor = connection.cursor()
     cursor.execute("CREATE CLASS Customer "
                    "(cid: INT, name: STRING, region: INT, since: INT)")

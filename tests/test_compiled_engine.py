@@ -351,16 +351,11 @@ class TestOperatorCoverage:
         scan_p = P.ClassScan("p", "Paragraph")
         scan_q = P.ClassScan("q", "Paragraph")
         number = parse_expression("p.number")
-        residual = parse_expression("p.number > 0")
         ones = P.Filter(parse_expression("p.number == 1"), scan_p)
         join_keys = (number, parse_expression("q.number"))
         return [
             P.IndexRangeScan("p", "Paragraph", "number",
                              low=Parameter("lo"), high=Parameter("hi")),
-            P.ParallelIndexRangeScan("p", "Paragraph", "number",
-                                     low=Parameter("lo"), high=4,
-                                     include_high=False,
-                                     condition=residual, degree=4),
             scan_p,
             P.IndexEqScan("p", "Paragraph", "number", 1),
             P.IndexRangeScan("p", "Paragraph", "number", low=2, high=4),
@@ -378,13 +373,6 @@ class TestOperatorCoverage:
             P.ProjectOp(("n",), P.MapEval("n", number, scan_p)),
             P.UnionOp(ones, scan_p),
             P.DiffOp(scan_p, ones),
-            P.ParallelScan("p", "Paragraph", condition=residual, degree=4),
-            P.ParallelIndexEqScan("p", "Paragraph", "number", 1,
-                                  condition=residual, degree=4),
-            P.ParallelIndexRangeScan("p", "Paragraph", "number", low=2,
-                                     high=4, condition=residual, degree=4),
-            P.ParallelMap("n", number, scan_p, degree=4),
-            P.ParallelHashJoin(*join_keys, ones, scan_q, degree=4),
         ]
 
     def test_every_operator_has_exactly_one_builder(self):

@@ -2,7 +2,7 @@
 
 Golden-ish assertions: the reports must keep naming the chosen access
 paths, the estimated and actual cardinalities and the per-operator
-counters, across naive, optimized and parallel plans and across every
+counters, across naive and optimized plans and across every
 entry point (Session.explain, QueryService.explain, Connection/Cursor
 explain, and the ``EXPLAIN [ANALYZE]`` statement itself).
 """
@@ -17,7 +17,7 @@ from repro import connect, open_service, open_session
 from repro.errors import VQLSyntaxError
 from repro.physical.executor import execute_plan, prepare_plan
 from repro.physical.interpreter import execute_plan_interpreted
-from repro.physical.plans import ParallelScan
+from repro.physical.plans import ClassScan, Filter
 from repro.physical.profile import (
     PlanProfile,
     estimated_vs_actual,
@@ -131,8 +131,8 @@ class TestExplainAnalyze:
             analyze=True, parameters={"n": 3})
         assert "runtime profile (16 rows):" in report
 
-    def test_naive_optimized_and_parallel_profiles(self, indexed_db):
-        # All three plan families expose the same counter vocabulary.
+    def test_naive_and_optimized_profiles(self, indexed_db):
+        # Both plan families expose the same counter vocabulary.
         session = open_session(indexed_db)
         naive = session.explain(INDEXED_QUERY, optimize=False, analyze=True)
         assert "class_scan<p, Paragraph>" in naive
@@ -141,14 +141,13 @@ class TestExplainAnalyze:
         optimized = session.explain(INDEXED_QUERY, analyze=True)
         assert "index_eq_scan" in optimized
 
-        plan = ParallelScan("p", "Paragraph",
-                            condition=parse_expression("p.number == 3"),
-                            degree=2)
+        plan = Filter(parse_expression("p.number == 3"),
+                      ClassScan("p", "Paragraph"))
         profile = PlanProfile()
         rows = execute_plan(plan, indexed_db, profile=profile)
         report = render_explain_analyze(plan, profile)
         assert f"[actual rows={len(rows)}" in report
-        assert "parallel_scan<p, Paragraph" in report
+        assert "class_scan<p, Paragraph>" in report
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,13 @@
-"""Differential fuzzing: interpreter vs compiled vs parallel engines.
+"""Differential fuzzing: interpreter vs compiled engine vs prepared plans.
 
 A seeded random VQL query generator produces selections, method calls,
 joins and bind parameters over the document schema.  Every generated query
 is executed by
 
 * the reference **interpreter** on the naive physical plan (the oracle),
-* the **compiled** pipelined engine on the naive, the optimized sequential
-  and the optimized parallel (degree 4) plans,
-* the **prepared** executable (the service's compile-once path) on the
-  parallel plan, and
-* all three engines on a *force-parallelized* lowering of the naive plan
-  (every eligible operator replaced by its morsel-driven variant), so the
-  parallel operators are exercised even when the cost model would not pick
-  them,
+* the **compiled** pipelined engine on the naive and the optimized plans,
+* the **prepared** executable (the service's compile-once path) and the
+  interpreter on the optimized plan,
 
 and all results must be identical row multisets.  Seeds are fixed, so CI
 runs the same ~200 cases every time; set ``REPRO_FUZZ_CASES`` to fuzz a
@@ -36,26 +31,13 @@ from repro.physical.evaluator import make_hashable
 from repro.physical.executor import execute_plan, prepare_plan
 from repro.physical.interpreter import execute_plan_interpreted
 from repro.physical.naive import naive_implementation
-from repro.physical.plans import (
-    ClassScan,
-    Filter,
-    HashJoin,
-    IndexRangeScan,
-    MapEval,
-    ParallelHashJoin,
-    ParallelMap,
-    ParallelScan,
-    PhysicalOperator,
-    walk_physical,
-)
+from repro.physical.plans import IndexRangeScan, walk_physical
 from repro.session import Session
 from repro.vql.lexer import tokenize
 from repro.workloads import document_knowledge, generate_document_database
 
 #: number of seeded cases run in CI (a case is one generated query)
 N_CASES = int(os.environ.get("REPRO_FUZZ_CASES", "200"))
-#: degree used for parallel plans
-DEGREE = 4
 
 TERMS = ("word0003", "word0005", "word0010", "Implementation", "zzz-missing")
 TITLES = ("Query Optimization", "Document 1", "no such title")
@@ -191,8 +173,7 @@ class QueryGenerator:
         """A selection on ``Paragraph.number`` by bind-time range bounds:
         one- and two-sided, a parameter mixed with a constant or a second
         parameter on the same side, NULL and crossed bounds, and — half the
-        time — a method-bearing residual, so that the parallel index rule
-        has something to spread over morsels."""
+        time — a method-bearing residual."""
         self.parameters = {}
         rng = self.rng
         draw = lambda: rng.choice((*NUMBERS, *NUMBERS, None))  # noqa: E731
@@ -259,27 +240,6 @@ class QueryGenerator:
 
 
 # ----------------------------------------------------------------------
-# forced parallel lowering
-# ----------------------------------------------------------------------
-def force_parallel(plan: PhysicalOperator, degree: int = DEGREE
-                   ) -> PhysicalOperator:
-    """Replace every eligible operator by its morsel-driven variant."""
-    children = tuple(force_parallel(child, degree) for child in plan.inputs())
-    if isinstance(plan, Filter) and isinstance(plan.input, ClassScan) \
-            and type(plan.input) is ClassScan:
-        return ParallelScan(plan.input.ref, plan.input.class_name,
-                            condition=plan.condition, degree=degree)
-    if type(plan) is MapEval:
-        return ParallelMap(plan.ref, plan.expression, children[0], degree)
-    if type(plan) is HashJoin:
-        return ParallelHashJoin(plan.left_key, plan.right_key,
-                                children[0], children[1], degree)
-    if children:
-        return plan.with_inputs(children)
-    return plan
-
-
-# ----------------------------------------------------------------------
 # the harness
 # ----------------------------------------------------------------------
 def multiset(rows):
@@ -292,22 +252,15 @@ def fuzz_db():
 
 
 @pytest.fixture(scope="module")
-def sessions(fuzz_db):
-    knowledge = document_knowledge(fuzz_db.schema)
-    return {
-        "sequential": Session(fuzz_db, knowledge=knowledge, parallelism=1),
-        "parallel": Session(fuzz_db, knowledge=knowledge, parallelism=DEGREE),
-    }
+def session(fuzz_db):
+    return Session(fuzz_db, knowledge=document_knowledge(fuzz_db.schema))
 
 
-def run_one(text: str, parameters: dict, fuzz_db, sessions) -> int:
+def run_one(text: str, parameters: dict, fuzz_db, session) -> int:
     """Run one generated query through every engine; return the row count."""
-    sequential = sessions["sequential"]
-    parallel = sessions["parallel"]
-
     # Oracle: naive plan, reference interpreter.  Parameters are substituted
     # before translation, exactly like Session.execute(parameters=...).
-    bound = Session._bind(sequential.analyze(text), parameters or None)
+    bound = Session._bind(session.analyze(text), parameters or None)
     translation = translate_query(bound)
     naive_plan = naive_implementation(translation.plan)
     oracle = multiset(execute_plan_interpreted(naive_plan, fuzz_db))
@@ -316,29 +269,15 @@ def run_one(text: str, parameters: dict, fuzz_db, sessions) -> int:
     assert multiset(execute_plan(naive_plan, fuzz_db)) == oracle, \
         f"compiled/naive diverges: {text!r}"
 
-    # Optimized sequential plan (compiled engine via the session).
-    seq_result = sequential.execute(text, parameters=parameters or None)
-    assert multiset(seq_result.rows) == oracle, \
-        f"optimized sequential diverges: {text!r}"
-
-    # Optimized parallel plan: compiled + prepared + interpreter oracle.
-    par_result = parallel.execute(text, parameters=parameters or None)
-    assert multiset(par_result.rows) == oracle, \
-        f"optimized parallel diverges: {text!r}"
-    par_plan = par_result.physical_plan
-    assert multiset(execute_plan_interpreted(par_plan, fuzz_db)) == oracle, \
-        f"interpreter on parallel plan diverges: {text!r}"
-    assert multiset(prepare_plan(par_plan, fuzz_db).run()) == oracle, \
-        f"prepared parallel diverges: {text!r}"
-
-    # Forced parallel lowering of the naive plan, all three engines.
-    forced = force_parallel(naive_plan)
-    assert multiset(execute_plan_interpreted(forced, fuzz_db)) == oracle, \
-        f"interpreter/forced-parallel diverges: {text!r}"
-    assert multiset(execute_plan(forced, fuzz_db)) == oracle, \
-        f"compiled/forced-parallel diverges: {text!r}"
-    assert multiset(prepare_plan(forced, fuzz_db).run()) == oracle, \
-        f"prepared/forced-parallel diverges: {text!r}"
+    # Optimized plan: compiled (via the session) + prepared + interpreter.
+    result = session.execute(text, parameters=parameters or None)
+    assert multiset(result.rows) == oracle, \
+        f"optimized plan diverges: {text!r}"
+    plan = result.physical_plan
+    assert multiset(execute_plan_interpreted(plan, fuzz_db)) == oracle, \
+        f"interpreter on the optimized plan diverges: {text!r}"
+    assert multiset(prepare_plan(plan, fuzz_db).run()) == oracle, \
+        f"prepared optimized plan diverges: {text!r}"
     return sum(oracle.values())
 
 
@@ -347,13 +286,13 @@ BATCH_SEEDS = (11, 23, 47, 89)
 
 
 @pytest.mark.parametrize("seed", BATCH_SEEDS)
-def test_fuzz_differential_batch(seed, fuzz_db, sessions):
+def test_fuzz_differential_batch(seed, fuzz_db, session):
     generator = QueryGenerator(random.Random(seed))
     cases = max(N_CASES // len(BATCH_SEEDS), 1)
     non_empty = 0
     for _ in range(cases):
         text, parameters = generator.generate()
-        if run_one(text, parameters, fuzz_db, sessions) > 0:
+        if run_one(text, parameters, fuzz_db, session) > 0:
             non_empty += 1
     # the generator must not degenerate into only-empty results
     assert non_empty >= cases // 10
@@ -378,35 +317,33 @@ RANGE_SEEDS = (17, 71)
 
 @pytest.fixture(scope="module")
 def range_services():
-    """Plan-caching services (sequential, parallel) over a database with a
-    sorted index on ``Paragraph.number`` — unlike ``Session.execute``, the
-    service optimizes with the parameters still unbound.  The parallel one
-    has the structural rules only: with the semantic rewrites a
-    ``contains_string`` residual becomes a set probe and nothing
-    method-bearing is left for the parallel index rule."""
+    """Plan-caching services over a database with a sorted index on
+    ``Paragraph.number`` — unlike ``Session.execute``, a service optimizes
+    with the parameters still unbound.  The structural one has no semantic
+    rules: with them a ``contains_string`` residual becomes a set probe,
+    without them it stays a method call filtering the range scan."""
     from repro.service.service import QueryService
 
     database = generate_document_database(n_documents=2)
     database.create_sorted_index("Paragraph", "number")
     knowledge = document_knowledge(database.schema)
     return database, {
-        "sequential": QueryService(database, knowledge=knowledge,
-                                   parallelism=1),
-        "parallel": QueryService(database, knowledge=knowledge,
-                                 exclude_tags=("semantic",),
-                                 parallelism=DEGREE),
+        "semantic": QueryService(database, knowledge=knowledge),
+        "structural": QueryService(database, knowledge=knowledge,
+                                   exclude_tags=("semantic",)),
     }
 
 
 @pytest.mark.parametrize("seed", RANGE_SEEDS)
 def test_fuzz_parameterized_range_differential_batch(seed, range_services):
-    """Cached plans with bind-time range bounds — index range scans,
-    sequential and parallel — equal the interpreter on the naive plan of
-    the same query with the values substituted, for every binding."""
+    """Cached plans with bind-time range bounds — index range scans, with
+    and without the semantic rewrites — equal the interpreter on the naive
+    plan of the same query with the values substituted, for every
+    binding."""
     from test_bind_time_access_paths import bind_plan
 
     database, services = range_services
-    session = Session(database, parallelism=1)
+    session = Session(database)
     generator = QueryGenerator(random.Random(seed))
     cases = max(N_CASES // (4 * len(RANGE_SEEDS)), 1)
     scans = Counter()
@@ -433,7 +370,6 @@ def test_fuzz_parameterized_range_differential_batch(seed, range_services):
     assert non_empty >= cases // 10
     # the generator must reach the operators this batch is about
     assert scans["IndexRangeScan"] >= cases // 2
-    assert scans["ParallelIndexRangeScan"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -443,8 +379,8 @@ MULTIJOIN_SEEDS = (13, 59)
 
 
 @pytest.fixture(scope="module")
-def multijoin_sessions(fuzz_db):
-    """Sessions with a tight exploration cap: five-relation closures run
+def multijoin_session(fuzz_db):
+    """A session with a tight exploration cap: five-relation closures run
     to thousands of plans, and truncated exploration is itself a target —
     the seeded join order must stay differential when the closure stops
     early."""
@@ -452,28 +388,22 @@ def multijoin_sessions(fuzz_db):
 
     knowledge = document_knowledge(fuzz_db.schema)
     options = OptimizerOptions(max_logical_plans=400, enable_trace=False)
-    return {
-        "sequential": Session(fuzz_db, knowledge=knowledge, options=options,
-                              parallelism=1),
-        "parallel": Session(fuzz_db, knowledge=knowledge, options=options,
-                            parallelism=DEGREE),
-    }
+    return Session(fuzz_db, knowledge=knowledge, options=options)
 
 
 @pytest.mark.parametrize("seed", MULTIJOIN_SEEDS)
-def test_fuzz_multijoin_differential_batch(seed, fuzz_db, multijoin_sessions):
+def test_fuzz_multijoin_differential_batch(seed, fuzz_db, multijoin_session):
     """3–5-way chain and star joins (mixed property/method predicates,
     bind parameters) stay multiset-identical across interpreter, compiled
-    and prepared engines on naive, optimized and parallel plans — the
-    enumerator may reorder the joins, never change the rows."""
-    sessions = multijoin_sessions
+    and prepared engines on naive and optimized plans — the enumerator
+    may reorder the joins, never change the rows."""
     generator = QueryGenerator(random.Random(seed))
     shapes = ("chain3", "star3", "chain4", "star5",
               None, None)  # None → weighted random shape
     non_empty = 0
     for shape in shapes:
         text, parameters = generator.generate_multijoin(shape)
-        if run_one(text, parameters, fuzz_db, sessions) > 0:
+        if run_one(text, parameters, fuzz_db, multijoin_session) > 0:
             non_empty += 1
     assert non_empty >= 2  # join edges must keep producing matches
 
@@ -547,7 +477,7 @@ def test_fuzz_auto_parameterized_plans_equal_literal_and_naive(seed):
     database = generate_document_database(n_documents=2)
     knowledge = document_knowledge(database.schema)
     connection = connect(database, knowledge=knowledge)
-    session = Session(database, knowledge=knowledge, parallelism=1)
+    session = Session(database, knowledge=knowledge)
     generator = QueryGenerator(random.Random(seed))
     rng = random.Random(seed + 1)
     cases = max(N_CASES // (4 * len(AUTO_SEEDS)), 1)
@@ -596,7 +526,7 @@ def value_stack():
         for k in range(14)])
     database.create_hash_index("T", "v")
     database.create_sorted_index("T", "r")
-    return QueryService(database, parallelism=1), Session(database, parallelism=1)
+    return QueryService(database), Session(database)
 
 
 def _comparable(prop: str, value) -> bool:
@@ -653,7 +583,7 @@ def test_fuzz_with_statistics_stays_identical_and_estimates_sane():
 
     database = generate_document_database(n_documents=2)
     knowledge = document_knowledge(database.schema)
-    flat = Session(database, knowledge=knowledge, parallelism=1)
+    flat = Session(database, knowledge=knowledge)
     baselines = {}
     generator = QueryGenerator(random.Random(101))
     cases = [generator.generate() for _ in range(40)]
@@ -663,7 +593,7 @@ def test_fuzz_with_statistics_stays_identical_and_estimates_sane():
         baselines[text] = multiset(result.rows)
 
     database.analyze()  # histograms + calibrated method costs from here on
-    informed = Session(database, knowledge=knowledge, parallelism=1)
+    informed = Session(database, knowledge=knowledge)
 
     non_trivial = 0
     for text, parameters in cases:
@@ -803,22 +733,11 @@ def assert_text_index_consistent(database, class_name, prop) -> None:
             f"text index diverges for term {term!r}"
 
 
-def assert_partitions_consistent(database) -> None:
-    """Concatenated hash partitions must equal the extension, per class."""
-    for class_name in database.schema.class_names():
-        extension = Counter(database.extension(class_name))
-        partitions = Counter(
-            oid for part in database.extension_partitions(class_name)
-            for oid in part)
-        assert partitions == extension, \
-            f"partitions diverge from extension for {class_name}"
-
-
 @pytest.mark.parametrize("seed", MUTATION_SEEDS)
 def test_fuzz_mutations_interleaved_with_queries(seed):
     """Seeded INSERT/UPDATE/DELETE interleavings between queries: engine
-    results stay multiset-identical and partitions / hash / sorted / text
-    indexes remain consistent with the extensions after every batch."""
+    results stay multiset-identical and hash / sorted / text indexes remain
+    consistent with the extensions after every batch."""
     from repro import connect
 
     database = generate_document_database(n_documents=2)
@@ -829,10 +748,7 @@ def test_fuzz_mutations_interleaved_with_queries(seed):
     connection.execute("CREATE SORTED INDEX ON Paragraph(number)")
     connection.execute("CREATE HASH INDEX ON Section(number)")
 
-    sessions = {
-        "sequential": Session(database, knowledge=knowledge, parallelism=1),
-        "parallel": Session(database, knowledge=knowledge, parallelism=DEGREE),
-    }
+    session = Session(database, knowledge=knowledge)
     rng = random.Random(seed)
     fuzzer = MutationFuzzer(connection, rng)
     generator = QueryGenerator(rng)
@@ -845,13 +761,12 @@ def test_fuzz_mutations_interleaved_with_queries(seed):
         assert_value_index_consistent(database, "Section", "number")
         assert_value_index_consistent(database, "Document", "title")
         assert_text_index_consistent(database, "Paragraph", "content")
-        assert_partitions_consistent(database)
 
         # differential queries over the mutated database: interpreter vs
-        # compiled vs prepared on naive/optimized/parallel/forced plans
+        # compiled vs prepared on naive/optimized plans
         for _ in range(4):
             text, parameters = generator.generate()
-            run_one(text, parameters, database, sessions)
+            run_one(text, parameters, database, session)
 
         # the plan-cache-served cursor must agree with a fresh pipeline
         text, parameters = generator.generate()
@@ -860,8 +775,7 @@ def test_fuzz_mutations_interleaved_with_queries(seed):
             connection.execute(text, parameters or None))
         reference = Counter(
             make_hashable(value) for value in
-            sessions["sequential"].execute(
-                text, parameters=parameters or None).values)
+            session.execute(text, parameters=parameters or None).values)
         assert streamed == reference, \
             f"cursor diverges after mutations: {text!r}"
 
@@ -1007,28 +921,6 @@ def test_fuzz_interleaved_transactions(seed, txn_stack):
     cases = max(N_CASES // len(TXN_SEEDS), 1)
     for case in range(cases):
         run_txn_case(f"c{seed}x{case}_", rng, database, service)
-
-
-def test_parameters_reach_parallel_worker_threads(fuzz_db):
-    """Bind parameters are thread-local; the parallel operators must
-    propagate the caller's bindings into the morsel workers."""
-    from repro.vql.parser import parse_expression
-
-    plan = ParallelScan("p", "Paragraph",
-                        condition=parse_expression("p.number == :n"),
-                        degree=DEGREE)
-    executable = prepare_plan(plan, fuzz_db)
-    for n in (1, 2, 1, 5):
-        rows = executable.run({"n": n})
-        expected = [row for row in execute_plan_interpreted(
-                        ClassScan("p", "Paragraph"), fuzz_db)
-                    if fuzz_db.value(row["p"], "number") == n]
-        assert multiset(rows) == multiset(expected)
-
-    # unbound parameter surfaces as an error even from worker threads
-    from repro.errors import ExecutionError
-    with pytest.raises(ExecutionError):
-        executable.run()
 
 
 # ----------------------------------------------------------------------
@@ -1177,7 +1069,7 @@ def _check_recovered_equals_oracle(database, oracle: CrashOracle) -> None:
 def _query_recovered_through_all_engines(database, oracle: CrashOracle,
                                          rng: random.Random) -> None:
     """The recovered database must serve queries, identically, through the
-    interpreter, the compiled engine and the optimized parallel path."""
+    interpreter, the compiled engine and the optimized plan."""
     threshold = rng.randint(0, 100)
     text = "ACCESS a.balance FROM a IN Account WHERE a.balance >= :m"
     # ACCESS has set semantics: two accounts sharing a balance produce one
@@ -1187,21 +1079,17 @@ def _query_recovered_through_all_engines(database, oracle: CrashOracle,
         for (class_name, _), values in oracle.objects.items()
         if class_name == "Account" and values["balance"] >= threshold}
 
-    sequential = Session(database, parallelism=1)
-    parallel = Session(database, parallelism=DEGREE)
-    bound = Session._bind(sequential.analyze(text), {"m": threshold})
+    session = Session(database)
+    bound = Session._bind(session.analyze(text), {"m": threshold})
     naive_plan = naive_implementation(translate_query(bound).plan)
     interpreted = multiset(execute_plan_interpreted(naive_plan, database))
     assert multiset(execute_plan(naive_plan, database)) == interpreted, \
         "compiled engine diverges on the recovered database"
-    seq_result = sequential.execute(text, parameters={"m": threshold})
-    assert set(seq_result.values) == expected, \
-        "optimized sequential diverges from the oracle"
-    assert multiset(seq_result.rows) == interpreted, \
-        "optimized sequential diverges from the interpreter"
-    par_result = parallel.execute(text, parameters={"m": threshold})
-    assert set(par_result.values) == expected, \
-        "optimized parallel diverges from the oracle"
+    result = session.execute(text, parameters={"m": threshold})
+    assert set(result.values) == expected, \
+        "optimized plan diverges from the oracle"
+    assert multiset(result.rows) == interpreted, \
+        "optimized plan diverges from the interpreter"
 
 
 def run_crash_case(rng: random.Random) -> int:

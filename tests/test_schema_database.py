@@ -23,6 +23,7 @@ from repro.errors import (
     SchemaError,
     TypeMismatchError,
 )
+from repro.workloads import generate_document_database
 
 
 def simple_schema() -> Schema:
@@ -259,6 +260,63 @@ class TestDatabase:
         b_oid = db.create("B", name="target")
         a_oid = db.create("A", b=b_oid)
         assert db.invoke(a_oid, "other_name") == "target"
+
+
+class TestDelete:
+    @pytest.fixture()
+    def small_db(self):
+        return generate_document_database(n_documents=2)
+
+    def test_delete_removes_from_extension(self, small_db):
+        victim = small_db.extension("Paragraph")[0]
+        before = len(small_db.extension("Paragraph", deep=False))
+        small_db.delete(victim)
+        assert victim not in small_db.extension("Paragraph")
+        assert not small_db.exists(victim)
+        assert len(small_db.extension("Paragraph", deep=False)) == before - 1
+
+    def test_delete_removes_index_and_text_entries(self, small_db):
+        # Document.title has a hash index, Paragraph.content a text index.
+        doc = small_db.extension("Document", deep=False)[0]
+        title = small_db.value(doc, "title")
+        index = small_db.indexes.get("Document", "title")
+        assert doc in index.lookup(title)
+        small_db.delete(doc)
+        assert doc not in index.lookup(title)
+
+        paragraph = small_db.extension("Paragraph")[0]
+        engine = small_db.text_index("Paragraph", "content")
+        content_word = str(small_db.value(paragraph, "content")).split()[0]
+        small_db.delete(paragraph)
+        assert paragraph not in engine.retrieve(content_word)
+
+    def test_delete_removes_sorted_index_entries(self, small_db):
+        small_db.create_sorted_index("Paragraph", "number")
+        index = small_db.indexes.get("Paragraph", "number")
+        paragraph = small_db.extension("Paragraph")[0]
+        number = small_db.value(paragraph, "number")
+        assert paragraph in index.lookup(number)
+        small_db.delete(paragraph)
+        assert paragraph not in index.lookup(number)
+        assert paragraph not in index.range(None, None)
+
+    def test_delete_removes_text_entries_for_none_valued_property(self, small_db):
+        # Text indexes are keyed by OID alone: deleting an object whose
+        # indexed property was set to None must still purge the engine.
+        paragraph = small_db.extension("Paragraph")[0]
+        engine = small_db.text_index("Paragraph", "content")
+        small_db.set_value(paragraph, "content", None)
+        small_db.delete(paragraph)
+        assert all(paragraph not in engine.retrieve(token)
+                   for token in ("none", "word0001"))
+        assert paragraph not in engine._documents
+
+    def test_delete_bumps_versions_and_statistics(self, small_db):
+        data_before = small_db.versions.data
+        small_db.delete(small_db.extension("Paragraph")[0])
+        assert small_db.versions.data == data_before + 1
+        assert small_db.statistics.objects_deleted == 1
+        assert small_db.work_snapshot()["objects_deleted"] == 1
 
 
 class TestStatistics:

@@ -369,24 +369,22 @@ def test_build_locks_do_not_accumulate():
 
 
 # ----------------------------------------------------------------------
-# concurrency stress: parallel plans under the plan cache
+# concurrency stress: method-bearing plans under the plan cache
 # ----------------------------------------------------------------------
 METHOD_QUERY = "ACCESS p FROM p IN Paragraph WHERE p->contains_string(?)"
 
 
-def parallel_service(database, **kwargs) -> QueryService:
-    """A degree-4 service whose optimizer cannot rewrite the method away
-    (semantic rules excluded), so method-bearing shapes plan parallel."""
+def method_service(database, **kwargs) -> QueryService:
+    """A service whose optimizer cannot rewrite the method away (semantic
+    rules excluded), so method-bearing shapes call the method per row."""
     return QueryService(database,
                         knowledge=document_knowledge(database.schema),
-                        exclude_tags=("semantic",), parallelism=4, **kwargs)
+                        exclude_tags=("semantic",), **kwargs)
 
 
-def test_run_concurrent_clients_execute_parallel_plans():
-    from repro.physical.plans import uses_parallelism
-
+def test_run_concurrent_clients_share_cached_plans():
     database = fresh_database()
-    service = parallel_service(database)
+    service = method_service(database)
     requests = [(METHOD_QUERY, ["word0005"]),
                 (METHOD_QUERY, ["word0003"]),
                 (NUMBER_QUERY, [1])] * 8
@@ -396,17 +394,15 @@ def test_run_concurrent_clients_execute_parallel_plans():
     assert snapshot["queries"] == len(requests)
     assert snapshot["cache_hits"] >= len(requests) - 3
 
-    assert uses_parallelism(
-        service.execute(METHOD_QUERY, ["word0005"]).plan.physical_plan)
     reference = fresh_session(database)
     for (query, parameters), result in zip(requests, results):
         expected = reference.execute(query, parameters=parameters)
         assert result.value_set() == expected.value_set()
 
 
-def test_plan_cache_invalidation_during_concurrent_parallel_execution():
+def test_plan_cache_invalidation_during_concurrent_execution():
     database = fresh_database()
-    service = parallel_service(database)
+    service = method_service(database)
     requests = [(NUMBER_QUERY, [n % 4]) for n in range(12)]
 
     service.run_concurrent(requests, workers=4)
@@ -423,14 +419,14 @@ def test_plan_cache_invalidation_during_concurrent_parallel_execution():
         assert result.value_set() == expected.value_set()
 
 
-def test_index_ddl_races_parallel_query_execution():
-    """Writers (index DDL) must serialize against in-flight parallel
-    executions: every query sees either the indexed or the scanned plan,
-    never a plan whose index disappeared mid-run."""
+def test_index_ddl_races_query_execution():
+    """Writers (index DDL) must serialize against in-flight executions:
+    every query sees either the indexed or the scanned plan, never a plan
+    whose index disappeared mid-run."""
     import threading
 
     database = fresh_database()
-    service = parallel_service(database)
+    service = method_service(database)
     expected = fresh_session(database).execute(
         NUMBER_QUERY, parameters=[1]).value_set()
     errors: list[Exception] = []
@@ -460,12 +456,12 @@ def test_index_ddl_races_parallel_query_execution():
     assert queries >= 20
 
 
-def test_mixed_parallel_and_method_shapes_under_ddl_and_concurrency():
-    """The full stress: concurrent clients over parallel + sequential
-    shapes, with index DDL injected between batches; results stay equal to
-    a fresh sequential session throughout."""
+def test_mixed_method_and_index_shapes_under_ddl_and_concurrency():
+    """The full stress: concurrent clients over method-bearing and
+    indexable shapes, with index DDL injected between batches; results
+    stay equal to a fresh session throughout."""
     database = fresh_database()
-    service = parallel_service(database)
+    service = method_service(database)
     requests = [(METHOD_QUERY, ["word0003"]), (NUMBER_QUERY, [2])] * 6
 
     for round_number in range(3):

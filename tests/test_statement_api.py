@@ -459,6 +459,17 @@ class TestConnectionCursor:
         assert len(cursor.fetchmany()) == 2
         assert len(cursor.fetchmany(5)) == 5
 
+    @pytest.mark.parametrize("parallelism", [0, 2, 4, None])
+    def test_parallelism_other_than_one_is_rejected(self, database,
+                                                    parallelism):
+        # plans are sequential; the keyword accepts its one value only
+        connect(database, parallelism=1).close()
+        Session(database, parallelism=1)
+        with pytest.raises(ValueError, match="parallelism must be 1"):
+            connect(database, parallelism=parallelism)
+        with pytest.raises(ValueError, match="parallelism must be 1"):
+            Session(database, parallelism=parallelism)
+
     def test_cursor_iteration(self, connection):
         values = [v for v in connection.execute(self.QUERY, {"n": 2})]
         assert sorted(values) == [1, 2]
@@ -785,9 +796,8 @@ class TestBulkDatamodel:
         assert loop_db.versions.data == bulk_db.versions.data
         for oid in bulk_oids:
             assert bulk_db.value(oid, "title") == loop_db.value(oid, "title")
-        loop_parts = [len(p) for p in loop_db.extension_partitions("Document")]
-        bulk_parts = [len(p) for p in bulk_db.extension_partitions("Document")]
-        assert loop_parts == bulk_parts
+        assert (list(loop_db.extension("Document"))
+                == list(bulk_db.extension("Document")))
 
     def test_create_many_maintains_indexes(self, database):
         database.create_hash_index("Document", "author")

@@ -42,10 +42,6 @@ def fresh_database(n_documents: int = 4):
 
 
 def traced_service(**kwargs) -> QueryService:
-    # parallelism pinned: a morsel-driven plan adds a 'morsel-dispatch'
-    # child under 'execute', which would shift the span-shape goldens
-    # under the REPRO_PARALLEL_DEFAULT CI matrix entry
-    kwargs.setdefault("parallelism", 1)
     return QueryService(fresh_database(), tracing=True, **kwargs)
 
 
@@ -172,26 +168,9 @@ def test_write_gate_and_apply_spans_for_dml():
     assert apply_span.find("write-gate-wait") is not None
 
 
-def test_morsel_dispatch_child_span():
-    from repro.physical.parallel import process_morsels
-    tracer = Tracer(enabled=True)
-    morsels = [[1, 2], [3, 4], [5, 6]]
-    with tracer.span("statement"):
-        rows = process_morsels(morsels, lambda m: [x * 2 for x in m], 3)
-    assert rows == [2, 4, 6, 8, 10, 12]
-    (span,) = tracer.recent()
-    dispatch = span.find("morsel-dispatch")
-    assert dispatch is not None
-    assert dispatch.attributes == {"morsels": 3, "degree": 3}
-    # the inline fast path (degree 1) skips the dispatch span entirely
-    with tracer.span("statement"):
-        process_morsels(morsels, lambda m: list(m), 1)
-    assert tracer.recent()[-1].find("morsel-dispatch") is None
-
-
 def test_session_statement_spans():
     # the session runs the service's engine: compile is its own stage
-    session = Session(fresh_database(), tracing=True, parallelism=1)
+    session = Session(fresh_database(), tracing=True)
     result = session.execute(QUERY, parameters=PARAMS)
     (span,) = session.tracer.recent()
     assert span.names() == ["statement", "optimize", "compile", "execute"]
@@ -382,13 +361,12 @@ def test_concurrent_histogram_counts_every_statement():
     assert top[0]["count"] == 24
 
 
-def test_plan_cache_and_partition_gauges():
+def test_plan_cache_and_statistics_gauges():
     service = QueryService(fresh_database())
     service.execute(QUERY, parameters=PARAMS)
     gauges = service.registry.export_json()["gauges"]
     assert gauges["repro_plan_cache_size"] == 1
     assert gauges["repro_plan_cache_capacity"] == service.cache.capacity
-    assert gauges["repro_extension_partitions"] >= 1
     assert gauges["repro_cached_statements"] == 1
     assert "repro_statistics_analyzed_classes" in gauges
     service.execute("ANALYZE")
@@ -396,11 +374,24 @@ def test_plan_cache_and_partition_gauges():
     assert gauges["repro_statistics_analyzed_classes"] >= 1
 
 
+def test_exporting_metrics_does_no_database_work():
+    """Gauges are read at export time and must stay cheap: a scrape that
+    scanned extensions would also show up in the work counters it reports
+    on."""
+    service = QueryService(fresh_database())
+    service.execute(QUERY, parameters=PARAMS)
+    before = service.database.work_snapshot()
+    for _ in range(5):
+        service.registry.export_prometheus()
+        service.registry.export_json()
+    assert service.database.work_snapshot() == before
+
+
 # ----------------------------------------------------------------------
 # the connection facade
 # ----------------------------------------------------------------------
 def test_connection_metrics_and_cursor_spans():
-    connection = connect(fresh_database(), tracing=True, parallelism=1)
+    connection = connect(fresh_database(), tracing=True)
     cursor = connection.execute(QUERY, parameters=PARAMS)
     rows = cursor.fetchall()
     assert rows

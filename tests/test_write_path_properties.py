@@ -1,6 +1,6 @@
 """Seeded model checks on the write path's containers.
 
-Index cardinality, extension and partition order, and the equivalence of
+Index cardinality, extension order, and the equivalence of
 ``Database.delete_many`` with a loop of ``Database.delete`` are held
 against plain-Python models over random operation sequences that include
 every way an entry can come back: duplicate inserts, failed removes and
@@ -18,7 +18,7 @@ import pytest
 from repro.datamodel.database import Database
 from repro.datamodel.indexes import HashIndex, SortedIndex
 from repro.datamodel.oid import OID
-from repro.datamodel.partitions import CreationOrder
+from repro.datamodel.extension import CreationOrder
 from repro.datamodel.schema import ClassDef, PropertyDef, Schema
 from repro.datamodel.types import INT, STRING
 from repro.errors import IndexError_, ObjectNotFoundError
@@ -45,7 +45,7 @@ def build_database() -> Database:
         base.add_property(PropertyDef(name, vml_type))
     schema.add_class(base)
     schema.add_class(ClassDef("Sub", superclass="Base"))
-    database = Database(schema, n_partitions=3)
+    database = Database(schema)
     database.create_hash_index("Base", "key")
     database.create_sorted_index("Base", "amount")
     database.create_text_index("Base", "note")
@@ -92,18 +92,11 @@ def flattened(index: SortedIndex) -> list[tuple]:
 
 
 def check(database: Database, model: Model) -> None:
-    n_partitions = database.partitions.n_partitions
     for class_name, oids in model.order.items():
         assert database.extension(class_name, deep=False) == oids
         assert database.extension_size(class_name) == (
             len(oids) + (len(model.order["Sub"]) if class_name == "Base"
                          else 0))
-        partitioned = database.partitions.for_class(class_name)
-        assert partitioned.partitions() == [
-            [oid for oid in oids if oid.serial % n_partitions == index]
-            for index in range(n_partitions)]
-        assert [stats.size for stats in partitioned.statistics()] == \
-            partitioned.sizes()
     assert set(database._objects) == set(model.values)
     for oid, values in model.values.items():
         assert database.get(oid).values == values
@@ -242,12 +235,6 @@ def state_of(database: Database) -> dict:
         # read directly: Database.extension() counts itself as a scan
         "extensions": {cls: list(database._extensions[cls])
                        for cls in ("Base", "Sub")},
-        "partitions": {cls: database.partitions.for_class(cls).partitions()
-                       for cls in ("Base", "Sub")},
-        "partition_statistics": {
-            cls: [stats.as_dict() for stats
-                  in database.partitions.for_class(cls).statistics()]
-            for cls in ("Base", "Sub")},
         "objects": {oid: dict(obj.values)
                     for oid, obj in database._objects.items()},
         "hash": {(index.class_name, index.property_name):
