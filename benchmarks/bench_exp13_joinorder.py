@@ -112,6 +112,14 @@ def _work_reads(work: dict) -> float:
     return work.get("property_reads", 0.0) + work.get("index_lookups", 0.0)
 
 
+def _execute_counted(service: QueryService, query: str):
+    """``service.execute(query)`` and the logical work it did: the
+    database's counter delta around the call (serial, so exact)."""
+    before = _work_reads(service.database.work_snapshot())
+    result = service.execute(query)
+    return result, _work_reads(service.database.work_snapshot()) - before
+
+
 def run_cases(quick: bool = False) -> list[dict]:
     n_orders = 600 if quick else 1_500
     n_regions = 100 if quick else 250
@@ -158,20 +166,19 @@ def run_cases(quick: bool = False) -> list[dict]:
 
     _drift(service_db, n_orders, n_regions)
 
-    stale_result = service.execute(QUERY)  # profiled, detects divergence
-    stale_work = _work_reads(stale_result.work)
+    # profiled, detects divergence
+    stale_result, stale_work = _execute_counted(service, QUERY)
 
     replanned_result = None
     for _ in range(3):  # the eviction lands on the next lookup
-        candidate = service.execute(QUERY)
+        candidate, candidate_work = _execute_counted(service, QUERY)
         if service.metrics.snapshot()["plans_reoptimized"] >= 1:
-            replanned_result = candidate
+            replanned_result, replanned_work = candidate, candidate_work
             break
     assert replanned_result is not None, \
         "feedback never triggered a replan after drift"
     assert replanned_result.value_set() == stale_result.value_set(), \
         "feedback replanning changed the result set"
-    replanned_work = _work_reads(replanned_result.work)
     snapshot = service.metrics.snapshot()
 
     return [

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-import time
 import warnings
 from collections import deque
 from typing import Any, Iterable, Optional, Sequence
@@ -53,7 +52,7 @@ from repro.optimizer.knowledge import SchemaKnowledge
 from repro.optimizer.search import OptimizerOptions
 from repro.service.service import QueryService, RowStream
 from repro.storage import FileStorageAdapter
-from repro.telemetry.spans import Tracer, activation
+from repro.telemetry.spans import Tracer
 from repro.vql.analyzer import AnalyzedStatement
 from repro.vql.bindings import ParameterValues
 
@@ -441,62 +440,43 @@ class Cursor:
     # ------------------------------------------------------------------
     def execute(self, operation: str,
                 parameters: ParameterValues = None) -> "Cursor":
-        """Execute one statement; returns the cursor (chainable)."""
+        """Execute one statement; returns the cursor (chainable).
+
+        ``QueryService.run_statement`` accounts it as ``execute()`` would;
+        a query leaves an open row stream on the cursor (at the open
+        transaction's snapshot), anything else runs through :meth:`_route`.
+        """
         self._check_open()
         self._reset()
-        connection = self.connection
-        service = connection.service
-        # Open the statement's root span before analysis so the analyze
-        # child (recorded inside the router) attaches under it; for query
-        # statements the span stays open and travels into the row stream.
-        span = service.tracer.begin_root("statement", api="cursor")
-        try:
-            started = time.perf_counter()
-            with activation(span):
-                analyzed = connection.router.analyze(operation)
-            analyze_seconds = time.perf_counter() - started
-        except BaseException as exc:
-            service.tracer.finish(span, error=exc)
-            raise
-        if analyzed.is_transaction_control:
-            try:
-                with activation(span):
-                    self._transaction_control(analyzed.kind)
-            except BaseException as exc:
-                service.tracer.finish(span, error=exc)
-                raise
-            service.tracer.finish(span)
-            return self
-        txn = connection.transaction
-        if analyzed.is_query:
-            self._stream = service.stream_analyzed(
-                analyzed.query, parameters,
-                analyze_seconds=analyze_seconds, span=span,
-                at=txn.start_ts if txn is not None else None)
-            self.description = ((self._stream.output_ref,
+        txn = self.connection.transaction
+        outcome = self.connection.service.run_statement(
+            operation, parameters, stream=True,
+            at=txn.start_ts if txn is not None else None,
+            route=self._route, api="cursor")
+        if isinstance(outcome, RowStream):
+            self._stream = outcome
+            self.description = ((outcome.output_ref,
                                  None, None, None, None, None, None),)
-            return self
-        if txn is not None and analyzed.kind != "explain":
-            try:
-                with activation(span):
-                    self._transaction_mutation(analyzed, [parameters])
-            except BaseException as exc:
-                service.tracer.finish(span, error=exc)
-                raise
-            service.tracer.finish(span)
-            return self
-        if analyzed.is_mutation and not connection.autocommit:
-            service.tracer.finish(span)
-            connection._defer(analyzed, [parameters])
-            return self
-        try:
-            with activation(span):
-                self._finish(connection.router.execute(analyzed, parameters))
-        except BaseException as exc:
-            service.tracer.finish(span, error=exc)
-            raise
-        service.tracer.finish(span)
         return self
+
+    def _route(self, analyzed: AnalyzedStatement,
+               parameters: ParameterValues) -> Optional[StatementResult]:
+        """Run one non-query statement: transaction words, buffering into
+        the open transaction or the ``autocommit=False`` batch (these
+        return None), else the router (its result is returned)."""
+        connection = self.connection
+        if analyzed.is_transaction_control:
+            self._transaction_control(analyzed.kind)
+            return None
+        if connection.transaction is not None and analyzed.kind != "explain":
+            self._transaction_mutation(analyzed, [parameters])
+            return None
+        if analyzed.is_mutation and not connection.autocommit:
+            connection._defer(analyzed, [parameters])
+            return None
+        result = connection.router.execute(analyzed, parameters)
+        self._finish(result)
+        return result
 
     def _transaction_control(self, kind: str) -> None:
         """Apply a ``BEGIN``/``COMMIT``/``ROLLBACK`` statement word."""

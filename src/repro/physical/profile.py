@@ -13,19 +13,17 @@ estimated-vs-actual reports can be produced for any plan on either.
 :func:`render_explain_analyze` renders the plan tree with the cost model's
 estimates next to the measured counters; :func:`estimated_vs_actual`
 returns the same comparison as structured records (the differential fuzz
-harness' sanity oracle); :func:`explain_analyze` is the EXPLAIN ANALYZE
-runner every statement entry point shares.
+harness' sanity oracle); :func:`explain_analyze` renders the report every
+EXPLAIN ANALYZE entry point shares.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
-from repro.datamodel.database import Database
 from repro.physical.batch import Batch
-from repro.physical.executor import prepare_plan
 from repro.physical.plans import PhysicalOperator
 
 __all__ = ["OperatorCounters", "PlanProfile", "ExplainReport",
@@ -251,21 +249,19 @@ def _render_records(records: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def explain_analyze(plan: PhysicalOperator, database: Database,
-                    bindings: Optional[Mapping[str, Any]],
-                    cost_model=None) -> tuple[str, list[dict]]:
-    """Run *plan* — exactly the plan an EXPLAIN displays — under a fresh
-    profile and return the rendered ``runtime profile`` section plus the
-    structured records it was rendered from.
+def explain_analyze(plan: PhysicalOperator, profile: PlanProfile,
+                    rows: int, cost_model=None) -> tuple[str, list[dict]]:
+    """Render a finished profiled run of *plan* — exactly the plan an
+    EXPLAIN displays, which produced *rows* rows under *profile* — as the
+    ``runtime profile`` section plus the structured records it was
+    rendered from.
 
     The plan may carry unbound :class:`~repro.algebra.expressions.Parameter`
-    leaves, so it runs as an executable with *bindings* active (never
-    through a value-substituting pipeline, which could re-optimize to a
-    different plan than the one shown).  Snapshot scoping is the caller's.
+    leaves, so the caller runs it as an executable with its bindings
+    active (never through a value-substituting pipeline, which could
+    re-optimize to a different plan than the one shown), under a snapshot.
     """
-    profile = PlanProfile()
-    rows = prepare_plan(plan, database, profile).run(bindings)
     records = estimated_vs_actual(plan, profile, cost_model)
     report = _render_records(records)
     indented = "\n".join("  " + line for line in report.splitlines())
-    return f"runtime profile ({len(rows)} rows):\n{indented}", records
+    return f"runtime profile ({rows} rows):\n{indented}", records

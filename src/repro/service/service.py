@@ -9,7 +9,7 @@ before invalidating.
 
 The request lifecycle::
 
-    execute(text, params)
+    run_statement(text, params)     (execute, stream and the cursor)
       ├─ StatementRouter: text ──→ AnalyzedStatement (parse+analyze once;
       │     DDL/DML dispatch to the datamodel, queries continue below)
       ├─ auto-parameterize: literals ──→ synthetic parameters (once per
@@ -18,12 +18,12 @@ The request lifecycle::
       │     statement's own literal values
       ├─ plan cache: generic shape ──→ CachedPlan (translate+optimize+
       │                                 compile once per shape, versioned)
-      └─ CachedPlan.executable.run(bindings)   (read-locked)
+      └─ RowStream over CachedPlan.executable (snapshot-pinned, lock-free):
+            execute() drains it, a cursor fetches from it
 
 UPDATE/DELETE WHERE clauses come back through ``execute_analyzed`` as
-derived queries, so mutation predicates share the plan cache; ``stream``
-opens a lazy :class:`RowStream` over the same cached plans (the feed
-behind the statement API's cursor).
+derived queries — drained streams too — so mutation predicates share the
+plan cache.
 
 Every response carries :class:`QueryMetrics` (cache hit/miss, optimize vs
 execute time); the service aggregates them in :class:`ServiceMetrics`.
@@ -35,7 +35,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Iterable, Optional, Sequence, Union
@@ -65,8 +65,8 @@ from repro.service.fingerprint import (cache_key, generalize,
                                        query_fingerprint)
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.slowlog import SlowQueryLog
-from repro.telemetry.spans import (NOOP_SPAN, Tracer, activation,
-                                   annotate_current, child_span, current_span)
+from repro.telemetry.spans import (Tracer, activation, annotate_current,
+                                   child_span, current_span)
 from repro.vql.analyzer import AnalyzedQuery
 from repro.vql.bindings import ParameterValues, resolve_bindings
 
@@ -154,7 +154,7 @@ class ServiceMetrics:
         self._statements_prepared = reg.gauge(
             "repro_cached_statements", "analyzed statements cached by text")
         self._analyze = reg.histogram(
-            "repro_analyze_seconds", "statement analyze/binding latency")
+            "repro_analyze_seconds", "statement parse + analyze latency")
         self._prepare = reg.histogram(
             "repro_prepare_seconds",
             "translate+optimize+compile latency (cache misses)")
@@ -238,21 +238,16 @@ class ServiceMetrics:
 
 @dataclass
 class ServiceResult:
-    """The outcome of one service execution.
+    """The outcome of one service execution (a drained :class:`RowStream`).
 
-    ``work`` holds the logical work-counter delta of this execution; under
-    concurrent execution the database counters are shared, so the delta
-    attributes overlapping work to whichever query read it — treat it as
-    exact only for serial workloads.  ``bindings`` are the values
-    ``plan`` ran with: the client's parameters plus the statement's own
-    auto-parameterized literals.
+    ``bindings`` are the values ``plan`` ran with: the client's parameters
+    plus the statement's own auto-parameterized literals.
     """
 
     rows: list[Row]
     output_ref: str
     metrics: QueryMetrics
     plan: CachedPlan
-    work: dict[str, float] = field(default_factory=dict)
     bindings: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -395,31 +390,6 @@ class QueryService:
         finally:
             self._gate.release_write()
 
-    @contextmanager
-    def _read_scope(self, at: Optional[int] = None):
-        """Pin the executing thread to a consistent snapshot.
-
-        This replaces read-gating for query execution: instead of blocking
-        behind in-flight writers, the statement reads the database as of
-        ``clock.published`` (or the explicit transaction snapshot *at*)
-        through the version chains.  Two situations inherit instead of
-        pinning: the thread that owns the open commit scope (a batch
-        commit's WHERE-queries must see the in-scope state), and nested
-        execution under an existing pin on the same database (a method
-        implementation re-entering the service observes its statement's
-        snapshot).
-        """
-        database = self.database
-        if database.in_commit_scope():
-            yield
-            return
-        pin = current_pin()
-        if pin is not None and pin.database is database and at is None:
-            yield
-            return
-        with database.snapshot_scope(at):
-            yield
-
     # ------------------------------------------------------------------
     # statement preparation
     # ------------------------------------------------------------------
@@ -452,33 +422,69 @@ class QueryService:
         Query text routes through the shared :class:`StatementRouter`, so —
         beyond ``ACCESS`` queries — the service accepts the full statement
         language (``INSERT``/``UPDATE``/``DELETE``/DDL); queries return a
-        :class:`ServiceResult`, mutations a
+        :class:`ServiceResult` (a drained :class:`RowStream`), mutations a
         :class:`~repro.api.router.StatementResult`.
         """
+        return self.run_statement(query, parameters, optimize)
+
+    def stream(self, query: QueryInput,
+               parameters: ParameterValues = None,
+               optimize: bool = True) -> "RowStream":
+        """Open a lazy :class:`RowStream` over the cached plan for *query*:
+        rows come from the plan's generator tree on demand, under the
+        stream's snapshot and bindings, always from the plain build."""
+        return self.run_statement(query, parameters, optimize, stream=True,
+                                  route=_refuse_stream)
+
+    def run_statement(self, query: QueryInput,
+                      parameters: ParameterValues = None,
+                      optimize: bool = True, *, stream: bool = False,
+                      at: Optional[int] = None, route=None,
+                      **attributes: Any):
+        """The one statement entry behind :meth:`execute`, :meth:`stream`
+        and the statement API's cursor: opens the root span (annotated with
+        *attributes*), times parse + analyze, counts a failure once.
+
+        A query runs through :meth:`_run` — drained into a
+        :class:`ServiceResult`, or with *stream* returned as an open
+        :class:`RowStream` (*at*: a transaction's snapshot).  Any other
+        statement goes to ``route(analyzed, parameters)`` (default: the
+        router) and is slow-logged; a route that only buffered it returns
+        None.
+        """
+        span = self.tracer.begin_root("statement", **attributes)
+        started = time.perf_counter()
         try:
-            if isinstance(query, PreparedQuery):
-                return self._execute_prepared(query, parameters)
-            with self.tracer.span("statement"):
-                started = time.perf_counter()
-                result = self.router.execute(query, parameters=parameters,
-                                             optimize=optimize)
-                elapsed = time.perf_counter() - started
-                annotate_current(kind=getattr(result, "kind", "select"),
-                                 rows=len(result))
-        except Exception:
+            with activation(span):
+                if isinstance(query, PreparedQuery):
+                    return self._run(query, parameters, span, at=at,
+                                     drain=not stream)
+                analyzed = self.router.analyze(query)
+                analyze_seconds = time.perf_counter() - started
+                self.metrics.set_statements_prepared(
+                    self.router.cached_statements)
+                if analyzed.is_query:
+                    return self._run(
+                        self._prepared_for(analyzed.query, optimize),
+                        parameters, span, analyze_seconds=analyze_seconds,
+                        at=at, drain=not stream)
+                result = (self.router.execute(analyzed, parameters, optimize)
+                          if route is None else route(analyzed, parameters))
+        except BaseException as exc:
             self.metrics.record_error()
+            self.tracer.finish(span, error=exc)
             raise
-        self.metrics.set_statements_prepared(self.router.cached_statements)
-        # Query results were already slow-logged (with plan detail) by
-        # _execute_prepared; DDL/DML results carry no metrics and are
-        # logged here against the whole statement time.
-        if (getattr(result, "metrics", None) is None
-                and self.slow_log.would_log(elapsed)):
-            self.slow_log.record(
-                text=query if isinstance(query, str) else str(query),
-                seconds=elapsed,
-                parameters=parameters if isinstance(parameters, dict) else None,
-                rows=len(result))
+        elapsed = time.perf_counter() - started
+        if result is not None:
+            if span is not None:
+                span.annotate(kind=result.kind, rows=len(result))
+            if self.slow_log.would_log(elapsed):
+                self.slow_log.record(
+                    text=str(query), seconds=elapsed,
+                    parameters=(parameters if isinstance(parameters, dict)
+                                else None),
+                    rows=len(result))
+        self.tracer.finish(span)
         return result
 
     def execute_analyzed(self, analyzed: AnalyzedQuery,
@@ -493,9 +499,11 @@ class QueryService:
         share cached plans exactly like text submitted to :meth:`execute`.
         *at* pins the execution to an explicit snapshot timestamp (a
         transaction's begin snapshot) instead of the latest published one.
+        A failure is counted by the statement that issued the query.
         """
-        return self._execute_prepared(self._prepared_for(analyzed, optimize),
-                                      parameters, at=at)
+        return self._run(self._prepared_for(analyzed, optimize), parameters,
+                         self.tracer.begin_root("statement"), at=at,
+                         drain=True)
 
     def _prepared_for(self, analyzed: AnalyzedQuery,
                       optimize: bool) -> PreparedQuery:
@@ -528,75 +536,76 @@ class QueryService:
             handles[memo_key] = statement
         return statement
 
-    def _execute_prepared(self, statement: PreparedQuery,
-                          parameters: ParameterValues,
-                          at: Optional[int] = None) -> ServiceResult:
-        # Root span only when this call IS the statement (tracing on, no
-        # enclosing span): text statements and DML WHERE-queries arrive with
-        # a span already active and nest their children under it.
-        if self.tracer.enabled and current_span() is None:
-            span_cm = self.tracer.span("statement",
-                                       fingerprint=statement.fingerprint)
-        else:
-            span_cm = NOOP_SPAN
-        with span_cm:
-            return self._run_prepared(statement, parameters, at=at)
+    def _run(self, statement: PreparedQuery, parameters: ParameterValues,
+             span, analyze_seconds: float = 0.0, at: Optional[int] = None,
+             drain: bool = False):
+        """Run *statement*'s cached plan — the one place a cached plan runs.
 
-    def _run_prepared(self, statement: PreparedQuery,
-                      parameters: ParameterValues,
-                      at: Optional[int] = None) -> ServiceResult:
-        started = time.perf_counter()
-        bindings = statement.bind(parameters)
-        analyze_seconds = time.perf_counter() - started
-
-        entry, cache_hit = self._entry_for(statement)
-        executable = self._watched_executable(entry, statement)
-        before = self.database.work_snapshot()
-        run_started = time.perf_counter()
-        with self._read_scope(at):
-            with child_span("execute") as execute_span:
-                rows = executable.run(bindings)
-                if execute_span is not None:
-                    execute_span.annotate(rows=len(rows))
-        execute_seconds = time.perf_counter() - run_started
-        after = self.database.work_snapshot()
-        work = {key: after[key] - before.get(key, 0.0) for key in after}
-
-        # The slow-query decision must capture the armed profile's
-        # estimate-vs-actual records *before* the feedback check consumes it.
-        profile_records = None
-        if (entry.feedback_profile is not None and len(entry.feedback_profile)
-                and self.slow_log.would_log(execute_seconds)):
-            profile_records = profile_summary(
-                entry.physical_plan, entry.feedback_profile,
-                cost_model=self._optimizer.cost_model)
-        self._maybe_apply_feedback(entry, statement)
-
+        Binds the parameters, looks the plan up in the cache and opens a
+        :class:`RowStream` over it (the stream takes its snapshot by the
+        one scoping rule).  ``drain=True`` is a one-shot execution: it runs
+        the profiled twin while feedback watches the plan, drains the
+        stream into a :class:`ServiceResult` and applies feedback on
+        exhaustion; otherwise the open stream is returned and runs the
+        plain build.  *span* (the statement's root, or None) finishes with
+        the stream.  Errors are the caller's to count, except those an
+        open stream raises from a later fetch, which no caller sees.
+        """
+        host = span if span is not None else current_span()
+        try:
+            with activation(span):
+                bindings = statement.bind(parameters)
+                entry, cache_hit = self._entry_for(statement)
+                executable = (self._watched_executable(entry, statement)
+                              if drain else entry.executable)
+        except BaseException as exc:
+            self.tracer.finish(span, error=exc)
+            raise
         metrics = QueryMetrics(
             fingerprint=entry.fingerprint,
             cache_hit=cache_hit,
-            rows=len(rows),
             analyze_seconds=analyze_seconds,
             prepare_seconds=0.0 if cache_hit else entry.prepare_seconds,
-            optimize_seconds=0.0 if cache_hit else entry.optimize_seconds,
-            execute_seconds=execute_seconds)
-        self._finish_statement(statement, entry, bindings, metrics,
-                               current_span(),
-                               profile_records=profile_records)
+            optimize_seconds=0.0 if cache_hit else entry.optimize_seconds)
+
+        def finish(stream: "RowStream",
+                   error: Optional[BaseException]) -> None:
+            # accounted once, when the stream exhausts, fails or is closed
+            # (rows = what was consumed)
+            metrics.rows = stream.consumed
+            metrics.execute_seconds = stream.fetch_seconds
+            if host is not None:
+                host.child_event("execute", stream.fetch_seconds,
+                                 rows=stream.consumed)
+            if error is None or not drain:  # else the caller counts it
+                # the slow log reads a drained run's armed profile before
+                # the feedback check consumes it
+                self._finish_statement(
+                    statement, entry, bindings, metrics, host, error=error,
+                    profile=entry.feedback_profile if drain else None)
+                if drain:
+                    self._maybe_apply_feedback(entry, statement)
+            self.tracer.finish(span, error=error)
+
+        stream = RowStream(self.database, entry, bindings, on_finish=finish,
+                           at=at, executable=executable)
+        if not drain:
+            return stream
+        with activation(span):
+            rows = stream.drain()
         return ServiceResult(rows=rows, output_ref=entry.output_ref,
-                             metrics=metrics, plan=entry, work=work,
-                             bindings=bindings)
+                             metrics=metrics, plan=entry, bindings=bindings)
 
     def _finish_statement(self, statement: PreparedQuery, entry: CachedPlan,
                           bindings: Optional[dict], metrics: QueryMetrics,
                           span, error: Optional[BaseException] = None,
-                          profile_records: Optional[list] = None) -> None:
-        """Account one finished query statement — the single tail behind
-        ``execute()`` and a cursor's row stream: service metrics (an
-        *error* counts as a failed statement, not an executed one), the
-        statement span's annotations, the slow-query log (the statement's
-        own text and the client's parameters; the fingerprint names its
-        shape)."""
+                          profile: Optional[PlanProfile] = None) -> None:
+        """Account one finished query statement — the single tail of every
+        :meth:`_run`: service metrics (an *error* counts as a failed
+        statement, not an executed one), the statement span's annotations,
+        the slow-query log (the statement's own text and the client's
+        parameters; the fingerprint names its shape; an armed *profile*
+        adds its estimate-vs-actual records)."""
         if error is None:
             self.metrics.record(metrics)
         else:
@@ -616,7 +625,10 @@ class QueryService:
                 plan=describe_physical_tree(entry.physical_plan),
                 cache_hit=metrics.cache_hit,
                 rows=metrics.rows,
-                profile=profile_records)
+                profile=profile_summary(
+                    entry.physical_plan, profile,
+                    cost_model=self._optimizer.cost_model)
+                if profile else None)
 
     def run_concurrent(self, requests: Iterable[tuple[QueryInput,
                                                       ParameterValues]],
@@ -1043,100 +1055,6 @@ class QueryService:
         return bindings, targets
 
     # ------------------------------------------------------------------
-    # streaming (the generator feed behind the statement API's cursor)
-    # ------------------------------------------------------------------
-    def stream(self, query: QueryInput,
-               parameters: ParameterValues = None,
-               optimize: bool = True) -> "RowStream":
-        """Open a lazy row stream over the cached plan for *query*.
-
-        Rows are produced by the prepared executable's generator tree on
-        demand — nothing is materialized up front.  Each fetch runs pinned
-        to the snapshot the stream acquired when it opened (concurrent
-        mutations never leak into an open stream) with the stream's
-        bindings active, so concurrent streams (and plain ``execute``
-        calls) on one thread cannot observe each other's parameter values.
-        """
-        if isinstance(query, PreparedQuery):
-            return self._open_stream(
-                query, parameters,
-                span=self.tracer.begin_root("statement", stream=True))
-        span = self.tracer.begin_root("statement", stream=True)
-        try:
-            started = time.perf_counter()
-            with activation(span):
-                analyzed = self.router.analyze(query)
-            analyze_seconds = time.perf_counter() - started
-            if not analyzed.is_query:
-                raise ServiceError(
-                    f"cannot stream a {analyzed.kind.upper()} statement")
-        except BaseException as exc:
-            self.metrics.record_error()
-            self.tracer.finish(span, error=exc)
-            raise
-        return self.stream_analyzed(analyzed.query, parameters, optimize,
-                                    analyze_seconds=analyze_seconds, span=span)
-
-    def stream_analyzed(self, analyzed: AnalyzedQuery,
-                        parameters: ParameterValues = None,
-                        optimize: bool = True,
-                        analyze_seconds: float = 0.0,
-                        span=None,
-                        at: Optional[int] = None) -> "RowStream":
-        """:meth:`stream` for an already-analyzed query.
-
-        *analyze_seconds* carries the caller's parse+analyze timing into the
-        stream's :class:`QueryMetrics` (the cursor facade analyzes before it
-        reaches the service); *span* hands over an open statement span whose
-        lifecycle the stream finishes on exhaust/close.  *at* pins the
-        stream to an explicit snapshot (a transaction's begin snapshot).
-        """
-        if span is None:
-            span = self.tracer.begin_root("statement", stream=True)
-        return self._open_stream(self._prepared_for(analyzed, optimize),
-                                 parameters, analyze_seconds=analyze_seconds,
-                                 span=span, at=at)
-
-    def _open_stream(self, statement: PreparedQuery,
-                     parameters: ParameterValues,
-                     analyze_seconds: float = 0.0,
-                     span=None,
-                     at: Optional[int] = None) -> "RowStream":
-        try:
-            with activation(span):
-                bindings = statement.bind(parameters)
-                entry, cache_hit = self._entry_for(statement)
-        except BaseException as exc:
-            self.metrics.record_error()
-            self.tracer.finish(span, error=exc)
-            raise
-        self.metrics.set_statements_prepared(self.router.cached_statements)
-        metrics = QueryMetrics(
-            fingerprint=entry.fingerprint,
-            cache_hit=cache_hit,
-            analyze_seconds=analyze_seconds,
-            prepare_seconds=0.0 if cache_hit else entry.prepare_seconds,
-            optimize_seconds=0.0 if cache_hit else entry.optimize_seconds)
-
-        def finish(stream: "RowStream",
-                   error: Optional[BaseException]) -> None:
-            # streamed executions are accounted once, when the stream
-            # exhausts, fails or is closed (rows = what was consumed)
-            metrics.rows = stream.consumed
-            metrics.execute_seconds = stream.fetch_seconds
-            if span is not None:
-                # the accumulated fetch time becomes a post-hoc child, so
-                # streamed trees read like the one-shot path's
-                span.child_event("execute", stream.fetch_seconds,
-                                 rows=stream.consumed)
-            self._finish_statement(statement, entry, bindings, metrics, span,
-                                   error=error)
-            self.tracer.finish(span, error=error)
-
-        return RowStream(self.database, entry, bindings, on_finish=finish,
-                         at=at)
-
-    # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
     def explain(self, text: str, optimize: bool = True,
@@ -1172,13 +1090,15 @@ class QueryService:
         if analyze:
             # A *fresh* profiled executable runs the entry's plan (cached
             # executables stay unprofiled — the counters are per-diagnostic,
-            # not per-cache-entry) under a snapshot pin like any query, with
+            # not per-cache-entry) in a stream scoped like any query's, with
             # the statement's own literal values bound.
-            bindings = statement.bind(parameters)
-            with self._read_scope():
-                profile_text, records = explain_analyze(
-                    entry.physical_plan, self.database, bindings,
-                    self._optimizer.cost_model)
+            profiled = prepare_plan(entry.physical_plan, self.database,
+                                    profile=PlanProfile())
+            rows = RowStream(self.database, entry, statement.bind(parameters),
+                             executable=profiled).drain()
+            profile_text, records = explain_analyze(
+                entry.physical_plan, profiled.profile, len(rows),
+                self._optimizer.cost_model)
             report += "\n" + profile_text
         return ExplainReport(report, records)
 
@@ -1188,32 +1108,47 @@ class QueryService:
 
 
 class RowStream:
-    """A lazy row feed over one cached plan (see :meth:`QueryService.stream`).
+    """A lazy row feed over one cached plan — the only way the service runs
+    one: ``execute()`` drains a stream, a cursor fetches from one.
 
-    The stream owns a generator opened on the plan's prepared executable;
+    The stream owns a generator opened on the plan's prepared executable
+    (*executable* overrides the plain build, e.g. with its profiled twin);
     :meth:`fetch` advances it by at most *n* rows, bracketing every advance
-    with the stream's snapshot pin and bind parameters.  The stream pins
-    one snapshot for its *whole lifetime* (registered against the database
-    so version chains it needs are not pruned): DDL and DML interleave
-    freely with an open stream, and the not-yet-fetched rows still observe
-    the state as of the stream's open — a cursor never sees a concurrent
-    writer's half-applied (or even fully-applied) mutations.
+    with the stream's snapshot and bind parameters.  The snapshot is taken
+    at open by one scoping rule:
+
+    * a thread that owns the open commit scope reads in place (a batch
+      commit's WHERE-queries must see the batch's earlier writes);
+    * else an enclosing pin on this database is reused when no explicit
+      snapshot *at* is asked for (a method implementation re-entering the
+      service observes its statement's snapshot);
+    * else the stream registers a pin on *at* (default: the latest
+      published commit) for its *whole lifetime*, so the version chains it
+      needs are not pruned: DDL and DML interleave freely with an open
+      stream, and the not-yet-fetched rows still observe the state as of
+      the stream's open.
     """
 
     def __init__(self, database, entry: CachedPlan,
                  bindings: Optional[dict] = None,
                  on_finish=None,
-                 at: Optional[int] = None):
+                 at: Optional[int] = None,
+                 executable: Optional[PreparedExecutable] = None):
         self._database = database
-        self._entry = entry
         self._bindings = bindings
-        # Register the lifetime snapshot before opening the iterator: the
-        # registration holds back version-chain pruning until _finish.
-        self._snapshot_ts = database.acquire_snapshot(at)
-        self._released = False
-        # A stream always runs the plain build (feedback only ever watches
-        # one-shot executions): no per-row instrumentation on a cursor.
-        self._executable = entry.executable
+        # Take the snapshot before opening the iterator: a registration
+        # holds back version-chain pruning until _finish.
+        self._registered = False
+        self._snapshot_ts: Optional[int] = None
+        if not database.in_commit_scope():
+            pin = current_pin()
+            if pin is not None and pin.database is database and at is None:
+                self._snapshot_ts = pin.ts
+            else:
+                self._snapshot_ts = database.acquire_snapshot(at)
+                self._registered = True
+        self._executable = (executable if executable is not None
+                            else entry.executable)
         self._iterator = self._executable.open()
         self._exhausted = False
         self._on_finish = on_finish
@@ -1227,28 +1162,31 @@ class RowStream:
         return self._exhausted
 
     @property
-    def snapshot_ts(self) -> int:
-        """The commit timestamp this stream observes for its lifetime."""
+    def snapshot_ts(self) -> Optional[int]:
+        """The commit timestamp this stream observes for its lifetime
+        (None when it reads in place inside its thread's commit scope)."""
         return self._snapshot_ts
 
-    def fetch(self, n: int) -> list[Row]:
-        """Return up to *n* further rows (an empty list once exhausted).
+    def fetch(self, n: Optional[int]) -> list[Row]:
+        """Return up to *n* further rows — every remaining row for ``None``
+        (an empty list once exhausted).
 
         An exception raised by the plan ends the statement as an *error*:
         the generator is dead after it, so the stream finishes (snapshot
-        released, span closed, error counted) and later fetches return
-        ``[]`` — exactly what the same failure costs through ``execute()``.
+        released, span closed, error accounted) and later fetches return
+        ``[]``.
         """
-        if self._exhausted or n <= 0:
+        if self._exhausted or (n is not None and n <= 0):
             return []
         started = time.perf_counter()
         try:
-            with self._database.pin_snapshot(self._snapshot_ts):
-                with self._executable.binding_scope(self._bindings):
-                    rows: list[Row] = list(islice(self._iterator, n))
+            pin = (nullcontext() if self._snapshot_ts is None
+                   else self._database.pin_snapshot(self._snapshot_ts))
+            with pin, self._executable.binding_scope(self._bindings):
+                rows: list[Row] = list(islice(self._iterator, n))
             # (a stream holding exactly n more rows is found exhausted by
             # the next fetch)
-            self._exhausted = len(rows) < n
+            self._exhausted = n is None or len(rows) < n
         except BaseException as exc:
             self._exhausted = True
             self.fetch_seconds += time.perf_counter() - started
@@ -1261,11 +1199,8 @@ class RowStream:
         return rows
 
     def drain(self) -> list[Row]:
-        """Fetch every remaining row."""
-        rows: list[Row] = []
-        while not self._exhausted:
-            rows.extend(self.fetch(1024))
-        return rows
+        """Fetch every remaining row (in one advance)."""
+        return self.fetch(None)
 
     def close(self) -> None:
         """Release the underlying generator without draining it."""
@@ -1275,9 +1210,14 @@ class RowStream:
             self._finish()
 
     def _finish(self, error: Optional[BaseException] = None) -> None:
-        if not self._released:
-            self._released = True
+        if self._registered:
+            self._registered = False
             self._database.release_snapshot(self._snapshot_ts)
         if self._on_finish is not None:
             callback, self._on_finish = self._on_finish, None
             callback(self, error)
+
+
+def _refuse_stream(analyzed, parameters):
+    """:meth:`QueryService.stream`'s route: only queries stream."""
+    raise ServiceError(f"cannot stream a {analyzed.kind.upper()} statement")

@@ -25,9 +25,9 @@ from repro.optimizer.search import (
     plan_query,
 )
 from repro.physical.evaluator import make_hashable
-from repro.physical.executor import Row, execute_plan
+from repro.physical.executor import Row, execute_plan, prepare_plan
 from repro.physical.plans import PhysicalOperator, describe_physical_tree
-from repro.physical.profile import ExplainReport, explain_analyze
+from repro.physical.profile import ExplainReport, PlanProfile, explain_analyze
 from repro.telemetry.spans import Tracer
 from repro.vql.analyzer import AnalyzedQuery, analyze_query
 from repro.vql.ast import Query
@@ -236,9 +236,12 @@ class Session:
             lines.append(_indent(describe_physical_tree(physical)))
         records = None
         if analyze:
+            profiled = prepare_plan(physical, self.database,
+                                    profile=PlanProfile())
+            rows = profiled.run(resolve_bindings(analyzed.parameters,
+                                                 parameters))
             profile_text, records = explain_analyze(
-                physical, self.database,
-                resolve_bindings(analyzed.parameters, parameters),
+                physical, profiled.profile, len(rows),
                 self.optimizer.cost_model)
             lines.append(profile_text)
         return ExplainReport("\n".join(lines), records)

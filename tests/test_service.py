@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import connect
 from repro.errors import BindingError, IndexError_
 from repro.optimizer.knowledge import ConditionImplication
 from repro.physical.plans import IndexEqScan, walk_physical
@@ -573,6 +574,23 @@ def test_feedback_never_changes_results():
     _drift_orders_to_urgent(database)
     for _ in range(3):  # spans the correct → evict → replan transitions
         assert service.execute(FEEDBACK_QUERY).value_set() == reference()
+    assert service.metrics.snapshot()["feedback_evictions"] >= 1
+
+
+def test_a_cursor_stream_never_arms_the_profiled_twin():
+    """Only drained executions are watched: cursors after the drift leave
+    the plan unprofiled and uncorrected; the next ``execute()`` arms it."""
+    database = _skewed_order_database()
+    service = QueryService(database)
+    service.execute("ANALYZE")
+    plan = service.execute(FEEDBACK_QUERY).plan
+    _drift_orders_to_urgent(database)
+    connection = connect(database, service=service)
+    for _ in range(3):
+        assert connection.execute(FEEDBACK_QUERY).fetchall()
+        assert plan.feedback_profile is None
+    assert service.metrics.snapshot()["feedback_evictions"] == 0
+    service.execute(FEEDBACK_QUERY)
     assert service.metrics.snapshot()["feedback_evictions"] >= 1
 
 

@@ -538,6 +538,21 @@ class TestConnectionCursor:
         assert len(database.extension("Document")) == count + 2
         assert not connection.in_transaction
 
+    def test_deferred_update_sees_an_earlier_deferred_insert(self, database):
+        # the batch's WHERE-queries read in place, inside its commit scope:
+        # a later UPDATE finds the row an earlier INSERT of the batch made
+        connection = connect(database, autocommit=False)
+        connection.execute("INSERT INTO Document (title) VALUES ('zq')")
+        connection.execute(
+            "UPDATE Document d SET title = 'zq-updated' WHERE d.title == 'zq'")
+        assert connection.commit() == 2
+        assert connection.execute(
+            "ACCESS d FROM d IN Document WHERE d.title == 'zq'"
+            ).fetchall() == []
+        assert len(connection.execute(
+            "ACCESS d FROM d IN Document WHERE d.title == 'zq-updated'"
+            ).fetchall()) == 1
+
     def test_rollback_discards_buffered_mutations(self, database):
         connection = connect(database, autocommit=False)
         count = database.object_count()

@@ -183,28 +183,81 @@ def test_session_statement_spans():
                                                    "execute"]
 
 
-def test_execute_and_drained_stream_are_accounted_alike():
-    """One finisher behind both paths: same span children and annotations,
-    same service metrics."""
-    service = traced_service()
+def test_execute_and_drained_stream_are_accounted_alike(caplog):
+    """One statement entry and one finisher behind every path —
+    ``QueryService.execute``, a drained ``QueryService.stream`` and a
+    cursor: same span children and annotations, same service metrics, the
+    same slow log, and a failure counted exactly once."""
+    service = traced_service(slow_query_ms=0.0)
+    connection = connect(service.database, service=service)
+
+    def slow_logged():
+        payloads = [json.loads(record.message.split(": ", 1)[1])
+                    for record in caplog.records
+                    if record.name == "repro.telemetry.slowlog"]
+        caplog.clear()
+        return payloads
+
+    caplog.set_level(logging.WARNING, logger="repro.telemetry.slowlog")
     result = service.execute(QUERY, parameters=PARAMS)
     rows = service.stream(QUERY, parameters=PARAMS).drain()
+    values = connection.execute(QUERY, PARAMS).fetchall()
+    assert [payload["fingerprint"] for payload in slow_logged()] == \
+        [result.metrics.fingerprint] * 3
     assert rows == result.rows
-    executed, streamed = service.tracer.recent()
+    assert values == result.values
+    executed, streamed, cursor = service.tracer.recent()
     assert executed.names() == MISS_GOLDEN
-    assert streamed.names() == HIT_GOLDEN
-    for span in (executed, streamed):
+    assert streamed.names() == cursor.names() == HIT_GOLDEN
+    for span in (executed, streamed, cursor):
         assert span.status == "ok"
         assert span.attributes["rows"] == len(rows)
         assert span.attributes["fingerprint"] == result.metrics.fingerprint
         assert span.find("execute").attributes == {"rows": len(rows)}
     assert executed.attributes["cache_hit"] is False
     assert streamed.attributes["cache_hit"] is True
+    assert cursor.attributes["cache_hit"] is True
     snapshot = service.metrics.snapshot()
     assert (snapshot["queries"], snapshot["cache_hits"],
-            snapshot["errors"]) == (2, 1, 0)
+            snapshot["errors"]) == (3, 2, 0)
     execute = service.registry.histogram("repro_execute_seconds").snapshot()
-    assert execute["count"] == 2
+    assert execute["count"] == 3
+    # analyze time is parse + analyze on every path: each observation
+    # brackets its statement's analyze span
+    analyze = service.registry.histogram("repro_analyze_seconds").snapshot()
+    assert analyze["count"] == 3
+    assert analyze["sum"] >= sum(span.find("analyze").duration_seconds
+                                 for span in (executed, streamed, cursor))
+    assert result.metrics.analyze_seconds >= \
+        executed.find("analyze").duration_seconds
+
+    # DML: traced, annotated and slow-logged alike through both entries
+    insert = "INSERT INTO Document (title) VALUES (:t)"
+    service.execute(insert, {"t": "via service"})
+    connection.execute(insert, {"t": "via cursor"})
+    serviced, cursored = service.tracer.recent()[-2:]
+    assert serviced.names() == cursored.names()
+    for span in (serviced, cursored):
+        assert (span.attributes["kind"], span.attributes["rows"]) == \
+            ("insert", 1)
+    assert [(payload["statement"], payload["rows"])
+            for payload in slow_logged()] == [(insert, 1), (insert, 1)]
+
+    # failures: an analysis error and an apply-time type mismatch count
+    # once each, whichever entry they arrive through
+    failing = [("ACCESS p FROM p IN NoSuchClass", None),
+               ("INSERT INTO Section (title) VALUES (:t)", {"t": 42})]
+    entries = [service.execute, connection.execute,
+               connection.cursor().execute]
+    for entry in entries:
+        for text, parameters in failing:
+            with pytest.raises(ReproError):
+                entry(text, parameters)
+    assert service.metrics.snapshot()["errors"] == \
+        len(entries) * len(failing)
+    failed = service.tracer.recent()[-len(entries) * len(failing):]
+    assert [span.status for span in failed] == ["error"] * len(failed)
+    assert service.metrics.snapshot()["queries"] == 3
 
 
 # ----------------------------------------------------------------------

@@ -153,6 +153,37 @@ class TestSnapshotReads:
         # a fresh statement sees the new state (one value: set semantics)
         assert connection.execute(self.QUERY).fetchall() == ["REWRITTEN"]
 
+    def test_every_run_follows_one_scoping_rule(self, database):
+        """The commit scope's owner reads in place; else an enclosing pin
+        is reused unless a snapshot is asked for; else the stream registers
+        a pin of its own — drained (``execute``) and open streams alike."""
+        service = QueryService(database)
+        before = database.acquire_snapshot()
+        service.execute("INSERT INTO Document (title) VALUES ('later')")
+        latest = database.clock.published
+        with database.pin_snapshot(before):
+            reused = service.stream(self.QUERY)
+            assert reused.snapshot_ts == before
+            assert "later" not in [row[reused.output_ref]
+                                   for row in reused.drain()]
+            assert "later" not in service.execute(self.QUERY).values
+            asked = service.run_statement(self.QUERY, stream=True, at=latest)
+            assert asked.snapshot_ts == latest
+            asked.close()
+        database.release_snapshot(before)
+        assert database._oldest_pin() is None  # a reused pin is not re-held
+        own = service.stream(self.QUERY)
+        assert own.snapshot_ts == latest
+        assert database._oldest_pin() == latest
+        own.close()
+        with database.commit_scope():
+            database.create("Document", title="in scope")
+            in_place = service.stream(self.QUERY)
+            assert in_place.snapshot_ts is None
+            in_place.close()
+            assert "in scope" in service.execute(self.QUERY).values
+        assert database._oldest_pin() is None
+
     def test_transaction_reads_its_begin_snapshot(self, database):
         service = QueryService(database)
         txn_conn = connect(database, service=service)
