@@ -3,8 +3,8 @@
 The telemetry design constraint (DESIGN.md "Telemetry") is that tracing
 *off* costs one branch per instrumentation point and tracing *on* stays
 cheap enough to leave enabled in production-style runs.  This experiment
-reuses the exp9 prepared workload (the motivating query with rotating bind
-values against one :class:`~repro.service.QueryService`) and times three
+runs a prepared workload (the motivating query with rotating bind values
+against one :class:`~repro.service.QueryService`) and times three
 configurations:
 
 * **tracing-off** — the default service; instrumentation points see no
@@ -33,7 +33,7 @@ import sys
 import time
 
 from conftest import DEFAULT_SIZE, SCALING_SIZES
-from repro.bench import format_table, standalone_main
+from harness import format_table, standalone_main
 from repro.service import QueryService
 from repro.workloads import document_knowledge, generate_document_database
 from repro.workloads.documents import QUERY_TERM

@@ -45,7 +45,7 @@ import threading
 import time
 
 from conftest import DEFAULT_SIZE, SCALING_SIZES
-from repro.bench import format_table, standalone_main
+from harness import format_table, standalone_main
 from repro.api.connection import connect
 from repro.service import QueryService
 from repro.workloads import document_knowledge, generate_document_database

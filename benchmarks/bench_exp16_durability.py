@@ -50,8 +50,8 @@ import sys
 import tempfile
 import time
 
+from harness import format_table, standalone_main
 from repro.api.connection import connect
-from repro.bench import format_table, standalone_main
 from repro.datamodel.database import Database
 from repro.datamodel.schema import Schema
 from repro.storage import FileStorageAdapter

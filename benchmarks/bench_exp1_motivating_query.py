@@ -32,7 +32,7 @@ import sys
 import pytest
 
 from conftest import SCALING_SIZES, semantic_session, structural_session
-from repro.bench import format_table, standalone_main
+from harness import format_table, standalone_main
 from repro.physical.plans import ClassScan, ExpressionSetScan, Filter, walk_physical
 from repro.workloads import motivating_query
 

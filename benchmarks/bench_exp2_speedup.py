@@ -23,7 +23,7 @@ import sys
 import pytest
 
 from conftest import SCALING_SIZES, semantic_session
-from repro.bench import format_table, measure_query, speedup, standalone_main
+from harness import format_table, measure_query, speedup, standalone_main
 from repro.workloads import motivating_query
 
 QUERY = motivating_query().text

@@ -29,7 +29,7 @@ import sys
 import pytest
 
 from conftest import DEFAULT_SIZE, SCALING_SIZES, semantic_session
-from repro.bench import format_table, measure_query, standalone_main
+from harness import format_table, measure_query, standalone_main
 from repro.workloads import motivating_query
 
 QUERY = motivating_query().text

@@ -19,7 +19,7 @@ from __future__ import annotations
 import sys
 
 from conftest import DEFAULT_SIZE, SCALING_SIZES, semantic_session
-from repro.bench import format_table, measure_query, speedup, standalone_main
+from harness import format_table, measure_query, speedup, standalone_main
 from repro.workloads import large_paragraph_query
 
 QUERY = large_paragraph_query().text

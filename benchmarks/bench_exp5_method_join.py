@@ -23,7 +23,7 @@ import sys
 import pytest
 
 from conftest import semantic_session
-from repro.bench import format_table, measure_query, speedup, standalone_main
+from harness import format_table, measure_query, speedup, standalone_main
 from repro.physical.plans import HashJoin, NestedLoopJoin, walk_physical
 from repro.workloads import same_document_join_query
 

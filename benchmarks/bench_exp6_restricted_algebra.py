@@ -19,9 +19,9 @@ import sys
 import pytest
 
 from conftest import SCALING_SIZES, semantic_session
+from harness import format_table, standalone_main
 from repro.algebra.normalize import normalize
 from repro.algebra.operators import operator_size
-from repro.bench import format_table, standalone_main
 from repro.physical.evaluator import make_hashable
 from repro.physical.executor import execute_plan
 from repro.physical.naive import naive_implementation

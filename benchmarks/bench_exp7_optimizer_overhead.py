@@ -19,7 +19,7 @@ import sys
 import pytest
 
 from conftest import DEFAULT_SIZE, SCALING_SIZES, semantic_session
-from repro.bench import format_table, standalone_main
+from harness import format_table, standalone_main
 from repro.workloads import document_workload, motivating_query
 
 RULE_VARIANTS = [

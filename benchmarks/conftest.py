@@ -6,7 +6,7 @@ ablated, or structural-only) on top of the cached databases.
 
 Workload generation is explicitly seeded (``REPRO_BENCH_SEED``, default
 42, settable per run via the shared ``--seed`` CLI flag of
-:func:`repro.bench.standalone_main`), so quick/CI runs are deterministic:
+:func:`harness.standalone_main`), so quick/CI runs are deterministic:
 two runs with the same seed measure identical databases and the smoke
 checks can assert speedup directions without flaking on data variance.
 """

@@ -1,4 +1,4 @@
-"""Shared measurement helpers for the benchmark suite.
+"""Shared measurement helpers for the ``benchmarks/`` suite.
 
 Benchmarks report two kinds of numbers:
 
@@ -8,15 +8,15 @@ Benchmarks report two kinds of numbers:
   plan comparison independent of the Python interpreter's speed.
 
 The helpers here execute a query under a session, capture the work
-difference, and format small report tables so the benchmarks print the
-series that EXPERIMENTS.md records.
+difference, and format small report tables for the benchmarks' output.
 
 Every benchmark is also runnable standalone (``python benchmarks/
 bench_expN_*.py [--quick] [--json PATH] [--check]``) through
 :func:`standalone_main`, which provides the shared CLI: ``--quick`` shrinks
 databases/rounds for CI smoke runs, ``--json`` writes the machine-readable
-perf record (:func:`perf_record` fixes its envelope), and ``--check`` turns
-a benchmark's acceptance condition into the exit code.
+perf record, and ``--check`` turns a benchmark's acceptance condition into
+the exit code.  The scripts import this module as ``harness`` (their own
+directory is on ``sys.path``, as it is for ``conftest``).
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from typing import Callable, Mapping, Optional, Sequence
 from repro.session import QueryResult, Session
 from repro.telemetry.sinks import json_text
 
-__all__ = ["Measurement", "measure_query", "comparison_table", "format_table",
-           "speedup", "best_of", "perf_record", "standalone_main"]
+__all__ = ["Measurement", "measure_query", "format_table", "speedup",
+           "standalone_main"]
 
 
 @dataclass
@@ -44,8 +44,6 @@ class Measurement:
     rows: int
     seconds: float
     work: dict[str, float] = field(default_factory=dict)
-    plans_explored: int = 0
-    optimization_seconds: float = 0.0
 
     @property
     def cost_units(self) -> float:
@@ -82,17 +80,8 @@ def measure_query(session: Session, query: str, label: str,
     started = time.perf_counter()
     result: QueryResult = session.execute(query, optimize=optimize)
     elapsed = time.perf_counter() - started
-    measurement = Measurement(
-        label=label,
-        rows=len(result),
-        seconds=elapsed,
-        work=dict(result.work))
-    if result.optimization is not None:
-        measurement.plans_explored = (
-            result.optimization.statistics.logical_plans_explored)
-        measurement.optimization_seconds = (
-            result.optimization.statistics.optimization_seconds)
-    return measurement
+    return Measurement(label=label, rows=len(result), seconds=elapsed,
+                       work=dict(result.work))
 
 
 def speedup(baseline: Measurement, optimized: Measurement,
@@ -103,35 +92,6 @@ def speedup(baseline: Measurement, optimized: Measurement,
     if best <= 0:
         return float("inf") if base > 0 else 1.0
     return base / best
-
-
-def comparison_table(measurements: Sequence[Measurement]) -> str:
-    """Format measurements as an aligned text table."""
-    rows = [m.as_row() for m in measurements]
-    return format_table(rows)
-
-
-def best_of(function: Callable[[], object], rounds: int) -> float:
-    """Best wall-clock time of *rounds* calls to *function* (seconds)."""
-    best = float("inf")
-    for _ in range(max(rounds, 1)):
-        started = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def perf_record(benchmark: str, quick: bool, cases: Sequence[Mapping[str, object]],
-                **extra: object) -> dict:
-    """The JSON perf-record envelope shared by all benchmarks."""
-    record: dict = {
-        "benchmark": benchmark,
-        "quick": quick,
-        "python": sys.version.split()[0],
-    }
-    record.update(extra)
-    record["cases"] = list(cases)
-    return record
 
 
 def standalone_main(benchmark: str,
@@ -172,7 +132,9 @@ def standalone_main(benchmark: str,
         seed = int(os.environ.get("REPRO_BENCH_SEED", "42"))
     except ValueError:
         seed = 42
-    record = perf_record(benchmark, args.quick, cases, seed=seed, **extra)
+    record = {"benchmark": benchmark, "quick": args.quick,
+              "python": sys.version.split()[0], "seed": seed, **extra,
+              "cases": list(cases)}
 
     print(f"{benchmark}:")
     print(format_table(cases))

@@ -83,7 +83,7 @@ def main() -> None:
     print(f"INSERT created {inserted.lastoid}")
 
     # Batched inserts share one analyzed statement and one bulk
-    # maintenance pass (this is EXP-11's fast path).
+    # maintenance pass (Database.create_many).
     cursor = connection.cursor()
     cursor.executemany(
         "INSERT INTO Document (title, author) VALUES (?, ?)",

@@ -53,10 +53,6 @@ class OptimizerOptions:
     max_transformations: int = 200_000
     #: record a trace of rule applications
     enable_trace: bool = True
-    #: trace also every costed implementation alternative (verbose)
-    trace_implementations: bool = False
-    #: run the join-graph enumerator and seed its order into the search
-    join_seeding: bool = True
 
 
 @dataclass
@@ -157,7 +153,7 @@ class Optimizer:
         for alternative in alternatives:
             try:
                 plan, cost = self._best_physical(alternative, context, memo,
-                                                 statistics, trace)
+                                                 statistics)
             except OptimizerError:
                 continue
             if best_cost is None or cost.cost < best_cost.cost:
@@ -195,9 +191,9 @@ class Optimizer:
 
     def _enumerate_join_order(self, logical_plan: LogicalOperator
                               ) -> Optional[JoinOrder]:
-        """Run the join-graph enumerator, or None when seeding is disabled,
-        no database is attached, or the plan is not reorderable."""
-        if not self.options.join_seeding or self.database is None:
+        """Run the join-graph enumerator, or None when no database is
+        attached or the plan is not reorderable."""
+        if self.database is None:
             return None
         try:
             return enumerate_join_order(logical_plan, self.cost_model)
@@ -275,8 +271,7 @@ class Optimizer:
     def _best_physical(self, plan: LogicalOperator, context: RuleContext,
                        memo: dict[LogicalOperator,
                                   tuple[PhysicalOperator, CostEstimate]],
-                       statistics: OptimizerStatistics,
-                       trace: OptimizationTrace
+                       statistics: OptimizerStatistics
                        ) -> tuple[PhysicalOperator, CostEstimate]:
         """Best physical plan for one logical operator tree (memoized)."""
         cached = memo.get(plan)
@@ -284,7 +279,7 @@ class Optimizer:
             return cached
 
         child_results = [self._best_physical(child, context, memo,
-                                             statistics, trace)
+                                             statistics)
                          for child in plan.inputs()]
         child_plans = tuple(result[0] for result in child_results)
 
@@ -298,10 +293,6 @@ class Optimizer:
                 statistics.implementation_alternatives += 1
                 cost = self.cost_model.estimate(physical)
                 statistics.physical_plans_costed += 1
-                if self.options.trace_implementations:
-                    trace.record_implementation(
-                        rule.name, format_inline(plan), physical.describe(),
-                        detail=str(cost))
                 if best is None or cost.cost < best[1].cost:
                     best = (physical, cost)
                     statistics.record_rule(rule.name)

@@ -2,9 +2,9 @@
 
 The prototype described in the paper includes a demonstrator that visualizes
 the optimization process by tracing every step.  :class:`OptimizationTrace`
-records transformation-rule applications, implementation choices and the
-final decision so that the process can be rendered as text (``render()``)
-and inspected by tests and examples.
+records transformation-rule applications and the final decision so that the
+process can be rendered as text (``render()``) and inspected by tests and
+examples.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ __all__ = ["TraceEvent", "OptimizationTrace"]
 class TraceEvent:
     """One recorded optimization step."""
 
-    kind: str               # "transformation", "implementation", "decision"
+    kind: str               # "transformation" or "decision"
     rule: str
     before: str
     after: str
@@ -45,10 +45,6 @@ class OptimizationTrace:
                               detail: str = "") -> None:
         self._record(TraceEvent("transformation", rule, before, after, detail))
 
-    def record_implementation(self, rule: str, before: str, after: str,
-                              detail: str = "") -> None:
-        self._record(TraceEvent("implementation", rule, before, after, detail))
-
     def record_decision(self, before: str, after: str, detail: str = "") -> None:
         self._record(TraceEvent("decision", "final-plan", before, after, detail))
 
@@ -63,13 +59,9 @@ class OptimizationTrace:
     def transformations(self) -> list[TraceEvent]:
         return [event for event in self.events if event.kind == "transformation"]
 
-    def implementations(self) -> list[TraceEvent]:
-        return [event for event in self.events if event.kind == "implementation"]
-
     def rules_applied(self) -> list[str]:
         """Names of all rules that fired, in order."""
-        return [event.rule for event in self.events
-                if event.kind in ("transformation", "implementation")]
+        return [event.rule for event in self.transformations()]
 
     def rule_was_applied(self, rule_name: str) -> bool:
         return any(event.rule.startswith(rule_name) for event in self.events)

@@ -6,11 +6,11 @@ evaluated by the recursive tree-walking :mod:`repro.physical.evaluator`.
 
 It is retained as the *independent oracle* of the one compiled engine in
 :mod:`repro.physical.executor`: the differential suites
-(``tests/test_property_based.py``, ``tests/test_fuzz_differential.py``) and
-the engine benchmark (``benchmarks/bench_exp8_engine.py``) hold the engine
-to this module's rows, row order and work counters on identical physical
-plans, and ``tests/test_compiled_engine.py`` fails when an operator is
-known to one of the two only.  It therefore shares no operator code with
+(``tests/test_property_based.py``, ``tests/test_fuzz_differential.py``,
+``tests/test_compiled_engine.py``) hold the engine to this module's rows,
+row order and work counters on identical physical plans, and
+``tests/test_compiled_engine.py`` fails when an operator is known to one of
+the two only.  It therefore shares no operator code with
 the engine.
 
 Production code should use :func:`repro.physical.executor.execute_plan` /

@@ -7,9 +7,13 @@ a mutable database build their own small one.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.datamodel.database import Database
+from repro.datamodel.schema import ClassDef, PropertyDef, Schema
+from repro.datamodel.types import STRING
 from repro.optimizer.knowledge import SchemaKnowledge
 from repro.session import Session
 from repro.workloads import (
@@ -69,3 +73,40 @@ def uni_session(uni_database) -> Session:
 def fresh_doc_database() -> Database:
     """A tiny, mutable document database for tests that write."""
     return generate_document_database(n_documents=2)
+
+
+def _star_database(n_orders: int, n_regions: int, seed: int) -> Database:
+    """Order/Shipment star around a Region hub, skewed on both filters: one
+    in 50 orders is 'urgent' and one in 50 regions is 'rare' (exact counts,
+    not sampled).  Only Region.name is indexed."""
+    schema = Schema("order-star")
+    for name, props in (("Order", ("status", "region")),
+                        ("Shipment", ("region",)),
+                        ("Region", ("name", "kind"))):
+        class_def = ClassDef(name=name)
+        for prop in props:
+            class_def.add_property(PropertyDef(prop, STRING))
+        schema.add_class(class_def)
+
+    database = Database(schema, name=f"star[{n_orders}]")
+    rng = random.Random(seed)
+    regions = [f"R{i:04d}" for i in range(n_regions)]
+    database.create_many("Order", [
+        {"status": ("urgent" if i < n_orders // 50 else "open"),
+         "region": regions[i % n_regions]} for i in range(n_orders)])
+    database.create_many("Shipment", [{"region": rng.choice(regions)}
+                                      for _ in range(3 * n_orders)])
+    database.create_many("Region", [
+        {"name": name, "kind": ("rare" if i < n_regions // 50 else "common")}
+        for i, name in enumerate(regions)])
+    database.create_hash_index("Region", "name")
+    return database
+
+
+@pytest.fixture(scope="session")
+def star_database():
+    """Factory of a fresh, mutable three-class star:
+    ``star_database(n_orders, n_regions, seed)``.  Order and Shipment relate
+    only through Region, so a FROM clause listing them first starts with a
+    cross product — the case the join-order enumerator exists for."""
+    return _star_database

@@ -136,22 +136,23 @@ class TestPipelinedExecutor:
                 interpreted = execute_plan_interpreted(plan, doc_session.database)
                 assert compiled == interpreted, query.name
 
-    def test_work_counters_agree_with_interpreter(self, doc_session):
-        translation = doc_session.translate(
-            "ACCESS p FROM p IN Paragraph "
-            "WHERE p->contains_string('Implementation')")
-        plan = naive_implementation(translation.plan)
+    @pytest.mark.parametrize("optimize", [False, True],
+                             ids=["naive", "optimized"])
+    @pytest.mark.parametrize("query", document_workload(),
+                             ids=lambda query: query.name)
+    def test_work_counters_agree_with_interpreter(self, doc_session, query,
+                                                  optimize):
+        translation = doc_session.translate(query.text)
+        plan = (doc_session.optimizer.optimize(translation.plan).best_plan
+                if optimize else naive_implementation(translation.plan))
         database = doc_session.database
 
-        database.reset_statistics()
-        execute_plan_interpreted(plan, database)
-        interpreted = database.work_snapshot()
+        def counted(engine):
+            database.reset_statistics()
+            engine(plan, database)
+            return database.work_snapshot()
 
-        database.reset_statistics()
-        execute_plan(plan, database)
-        compiled = database.work_snapshot()
-
-        assert compiled == interpreted
+        assert counted(execute_plan) == counted(execute_plan_interpreted)
 
     def test_unknown_operator_raises(self, doc_database):
         class Bogus:

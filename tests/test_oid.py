@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.expressions import BinaryOp, Const
-from repro.bench.harness import standalone_main
 from repro.datamodel.methods import collect_over_property
 from repro.datamodel.oid import OID, is_collection
 from repro.datamodel.types import (
@@ -427,14 +426,3 @@ def test_span_export_writes_an_oid_as_its_text():
     for line in (stream.getvalue().strip(), tracer.export_jsonl()):
         attributes = json.loads(line)["attributes"]
         assert attributes == {"receiver": "Section:2", "path": ["Section:2"]}
-
-
-def test_bench_record_writes_an_oid_as_its_text(tmp_path, capsys):
-    path = tmp_path / "record.json"
-    code = standalone_main(
-        "oid-record", lambda quick: [{"case": "one", "oid": OID("A", 1)}],
-        argv=["--json", str(path)])
-    assert code == 0
-    record = json.loads(path.read_text(encoding="utf-8"))
-    assert record["cases"] == [{"case": "one", "oid": "A:1"}]
-    assert '"oid": "A:1"' in capsys.readouterr().out

@@ -619,6 +619,49 @@ def test_feedback_needs_analyzed_statistics():
     assert database.stats_catalog.correction_count() == 0
 
 
+STAR_QUERY = ("ACCESS o FROM o IN Order, s IN Shipment, r IN Region "
+              "WHERE o.status == 'urgent' AND o.region == r.name "
+              "AND s.region == r.name AND r.kind == 'rare'")
+
+
+def _drift_star(database, n_orders, n_regions):
+    """Flip 23% of orders to 'urgent' and of regions to 'rare': a >10x
+    estimate/actual gap on both filters, yet under the 25% staleness
+    fraction, so the ANALYZE statistics stay fresh while badly wrong."""
+    for class_name, prop, value, budget in (
+            ("Order", "status", "urgent", int(0.23 * n_orders)),
+            ("Region", "kind", "rare", int(0.23 * n_regions))):
+        flips = [oid for oid in database.extension(class_name)
+                 if database.get(oid).get(prop) != value][:budget]
+        for oid in flips:
+            database.update(oid, **{prop: value})
+
+
+def test_feedback_replan_cuts_the_work_of_a_drifted_star(star_database):
+    """Before the drift the optimum nests a loop over Shipment, which only
+    pays while 'urgent' and 'rare' stay rare: the replan must flip it."""
+    database = star_database(600, 100, seed=43)
+    service = QueryService(database)
+    service.execute("ANALYZE")
+    service.execute(STAR_QUERY)
+    _drift_star(database, 600, 100)
+
+    def counted_execute():
+        before = database.work_snapshot()
+        result = service.execute(STAR_QUERY)
+        after = database.work_snapshot()
+        return result, sum(after[key] - before[key]
+                           for key in ("property_reads", "index_lookups"))
+
+    stale, stale_work = counted_execute()  # profiled: detects, evicts
+    replanned, replanned_work = counted_execute()
+    snapshot = service.metrics.snapshot()
+    assert snapshot["feedback_evictions"] >= 1
+    assert snapshot["plans_reoptimized"] >= 1
+    assert replanned.value_set() == stale.value_set()
+    assert stale_work >= 1.2 * replanned_work
+
+
 # ----------------------------------------------------------------------
 # bind-time range bounds: one cached index plan serves every interval
 # ----------------------------------------------------------------------

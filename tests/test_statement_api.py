@@ -251,10 +251,25 @@ class TestDML:
     def test_update_hits_index_access_path(self, database):
         database.create_hash_index("Paragraph", "number")
         connection = connect(database)
-        plan = connection.explain(
-            "UPDATE Paragraph p SET content = 'x' WHERE p.number == 3")
+        update = "UPDATE Paragraph p SET content = 'x' WHERE p.number == 3"
+        plan = connection.explain(update)
         assert "index_eq_scan" in plan
         assert "WHERE clause planned as a query" in plan
+
+        def where_work(optimize):
+            # SET content leaves the WHERE selectivity unchanged
+            before = database.work_snapshot()
+            rowcount = connection.router.execute(
+                update, optimize=optimize).rowcount
+            after = database.work_snapshot()
+            return rowcount, sum(
+                after[key] - before[key] for key in
+                ("property_reads", "extension_scans", "index_lookups"))
+
+        indexed_rows, indexed_work = where_work(optimize=True)
+        scan_rows, scan_work = where_work(optimize=False)
+        assert indexed_rows == scan_rows > 0
+        assert scan_work >= 5 * indexed_work
 
     def test_update_range_uses_sorted_index(self, database):
         database.create_sorted_index("Paragraph", "number")

@@ -9,7 +9,7 @@ Covers the pieces end-to-end:
   eviction),
 * incremental staleness under mutations,
 * the cost model's statistics-first/defaults-fallback discipline, including
-  the plan flip on skewed data that EXP-12 measures.
+  the plan flip on skewed data and the work it saves.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from repro.datamodel.statistics import (
 from repro.datamodel.types import INT, STRING
 from repro.errors import SchemaError, VQLAnalysisError
 from repro.optimizer.cost import CostModel
+from repro.physical.executor import execute_plan
+from repro.physical.profile import PlanProfile, estimated_vs_actual
 from repro.workloads import generate_document_database
 
 
@@ -313,10 +315,27 @@ class TestInformedCostModel:
 
         assert leaf(flat_plan) == "index_eq_scan"
         assert leaf(informed_plan) == "index_range_scan"
-        # differential: both plans agree on the result
-        from repro.physical.executor import execute_plan
-        assert ({r["r"] for r in execute_plan(flat_plan, database)}
-                == {r["r"] for r in execute_plan(informed_plan, database)})
+
+        def rows_and_work(plan, profile=None):
+            before = database.work_snapshot()
+            rows = execute_plan(plan, database, profile=profile)
+            after = database.work_snapshot()
+            work = sum(after[key] - before[key]
+                       for key in ("property_reads", "index_lookups"))
+            return {row["r"] for row in rows}, work
+
+        # differential: both plans agree on the result, and the informed
+        # one reads the ~1% score range instead of the 90% category bucket
+        profile = PlanProfile()
+        flat_rows, flat_work = rows_and_work(flat_plan)
+        informed_rows, informed_work = rows_and_work(informed_plan, profile)
+        assert flat_rows == informed_rows
+        assert flat_work >= 2 * informed_work
+        # with fresh statistics every operator's estimate is within 10x
+        comparisons = estimated_vs_actual(informed_plan, profile,
+                                          session.optimizer.cost_model)
+        assert comparisons
+        assert max(record["ratio"] for record in comparisons) <= 10.0
 
     def test_calibrated_method_cost_feeds_the_model(self):
         database = skewed_database(n=30, with_methods=True)
