@@ -30,8 +30,13 @@ _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 
 
 def tokenize(text: str) -> list[str]:
-    """Split *text* into lowercase word tokens (letters and digits)."""
-    return [token.lower() for token in _TOKEN_RE.findall(text)]
+    """Split *text* into lowercase word tokens (letters and digits).
+
+    The text is lowered before it is split, exactly as ``contains_string``
+    lowers it before its substring test: a character that only lowers to
+    a letter (the KELVIN SIGN to ``k``) then splits the same way for the
+    index and for the scan."""
+    return _TOKEN_RE.findall(text.lower())
 
 
 @dataclass
@@ -54,7 +59,10 @@ class TextDocument:
 
     @classmethod
     def from_content(cls, oid: OID, content: str) -> "TextDocument":
-        return cls(oid=oid, content=content, tokens=tuple(tokenize(content)))
+        lowered = content.lower()
+        return cls(oid=oid, content=content,
+                   tokens=tuple(_TOKEN_RE.findall(lowered)),
+                   content_lower=lowered)
 
 
 class InvertedTextIndex:

@@ -27,6 +27,7 @@ from repro.algebra.expressions import (
     Expression,
     Parameter,
     PropertyAccess,
+    TupleConstructor,
     Var,
     conjuncts,
     free_vars,
@@ -44,6 +45,7 @@ from repro.algebra.operators import (
     Project,
     Select,
     Union,
+    walk_operators,
 )
 from repro.optimizer.rules import (
     CallableImplementationRule,
@@ -73,6 +75,11 @@ from repro.physical.plans import (
 __all__ = ["standard_rules", "standard_transformations", "standard_implementations"]
 
 _BUILTIN = frozenset({"builtin"})
+
+#: first character of the columns :func:`_eager_distinct` introduces — not
+#: one VQL identifiers can start with, so they never clash with a range
+#: variable, and the rule recognizes its own output by it
+EAGER_COLUMN_MARK = "#"
 
 
 # ----------------------------------------------------------------------
@@ -159,8 +166,11 @@ def _join_condition_to_select(plan: LogicalOperator, _ctx: RuleContext
                               ) -> Optional[Iterable[LogicalOperator]]:
     """join<c>(A, B) → select<c>(join<true>(A, B)) — the inverse direction,
     needed so that semantic rules that rewrite selection conditions can reach
-    conditions that entered the plan as join predicates."""
+    conditions that entered the plan as join predicates.  A join on eager
+    columns (:func:`_eager_distinct`) holds nothing for them to rewrite."""
     if not isinstance(plan, Join) or plan.condition == Const(True):
+        return None
+    if _reads_eager_column(plan.condition):
         return None
     return [Select(plan.condition, Join(Const(True), plan.left, plan.right))]
 
@@ -189,14 +199,103 @@ def _select_pushdown_unary(plan: LogicalOperator, _ctx: RuleContext
 
 def _select_pullup_unary(plan: LogicalOperator, _ctx: RuleContext
                          ) -> Optional[Iterable[LogicalOperator]]:
-    """The inverse of pushing a selection below map/flat."""
+    """The inverse of pushing a selection below map/flat.  A selection stays
+    below the maps of an eager distinct, which would otherwise compute
+    their columns for rows it drops."""
     if isinstance(plan, Map) and isinstance(plan.input, Select):
+        if plan.ref.startswith(EAGER_COLUMN_MARK):
+            return None
         inner = plan.input
         return [Select(inner.condition, Map(plan.ref, plan.expression, inner.input))]
     if isinstance(plan, Flat) and isinstance(plan.input, Select):
         inner = plan.input
         return [Select(inner.condition, Flat(plan.ref, plan.expression, inner.input))]
     return None
+
+
+def _reads_eager_column(expression: Expression) -> bool:
+    return any(ref.startswith(EAGER_COLUMN_MARK)
+               for ref in free_vars(expression))
+
+
+def _holds_join(plan: LogicalOperator) -> bool:
+    return any(isinstance(node, (Join, NaturalJoin))
+               for node in walk_operators(plan))
+
+
+def _eager_path(expression: Expression) -> bool:
+    """A reference or a property path rooted at one — what the eager
+    distinct may evaluate below a join (no method runs on dropped rows)."""
+    while isinstance(expression, PropertyAccess):
+        expression = expression.base
+    return isinstance(expression, Var)
+
+
+def _eager_distinct(plan: LogicalOperator, _ctx: RuleContext
+                    ) -> Optional[Iterable[LogicalOperator]]:
+    """project<r>(map<r, [f1: e1, ...]>(join<lk == rk>(L, R))) →
+    project<r>(map<r, [f1: c1, ...]>(join<kl == kr>(L', R'))) with
+    L' = project<kl, cl...>(map<cl, el>...(map<kl, lk>(L))), R' likewise.
+
+    ``ACCESS`` has set semantics, so each join input may be reduced to its
+    distinct (join key, used columns) before the join (Yan & Larson's eager
+    aggregation with a distinct as the aggregate).  Every ei and both keys
+    must be references or property paths reading one side: a method must
+    never run on rows the join would drop, and a field mixing both sides
+    has no side to be computed on.  Both inputs must be join-free: a
+    reduced input holding a join would copy that join's whole search space
+    into the closure.  So the rule's own output does not match either — its
+    join reads eager columns, and its reduced inputs end in no join."""
+    if not (isinstance(plan, Project) and isinstance(plan.input, Map)):
+        return None
+    outer = plan.input
+    join = outer.input
+    if plan.kept != (outer.ref,) or not isinstance(join, Join):
+        return None
+    if _holds_join(join.left) or _holds_join(join.right):
+        return None
+    keys = _split_equi_condition(join)
+    if keys is None:
+        return None
+    left_key, right_key = keys
+    if not (_eager_path(left_key) and _eager_path(right_key)):
+        return None
+    if _reads_eager_column(join.condition):
+        return None
+    expression = outer.expression
+    fields = (expression.children() if isinstance(expression, TupleConstructor)
+              else (expression,))
+    left_refs, right_refs = set(join.left.refs()), set(join.right.refs())
+    sides = ([left_key], [right_key])
+    for field in fields:
+        used = free_vars(field)
+        if not used:
+            continue  # a constant stays in the outer tuple
+        if not _eager_path(field):
+            return None
+        if used <= left_refs:
+            side = sides[0]
+        elif used <= right_refs:
+            side = sides[1]
+        else:
+            return None
+        if field not in side:
+            side.append(field)
+    columns = {column: Var(EAGER_COLUMN_MARK + str(column))
+               for side in sides for column in side}
+    reduced = []
+    for side, input_plan in zip(sides, (join.left, join.right)):
+        for column in side:
+            input_plan = Map(columns[column].name, column, input_plan)
+        reduced.append(Project(tuple(columns[c].name for c in side),
+                               input_plan))
+    outer_expression = (expression.rebuild([columns.get(f, f) for f in fields])
+                        if isinstance(expression, TupleConstructor)
+                        else columns.get(expression, expression))
+    condition = BinaryOp("==", columns[left_key], columns[right_key])
+    return [Project(plan.kept,
+                    Map(outer.ref, outer_expression,
+                        Join(condition, reduced[0], reduced[1])))]
 
 
 def standard_transformations() -> list[CallableTransformationRule]:
@@ -217,9 +316,15 @@ def standard_transformations() -> list[CallableTransformationRule]:
         ("select-pullup-map-flat", "pull selection above map/flat",
          _select_pullup_unary),
     ]
-    return [CallableTransformationRule(name=name, description=description,
-                                       tags=_BUILTIN, function=function)
-            for name, description, function in specs]
+    return [*(CallableTransformationRule(name=name, description=description,
+                                         tags=_BUILTIN, function=function)
+              for name, description, function in specs),
+            CallableTransformationRule(
+                name="eager-distinct",
+                description="reduce each equi-join input to its distinct "
+                            "key and used columns",
+                tags=_BUILTIN, shape=(Project, Map, Join),
+                function=_eager_distinct)]
 
 
 # ----------------------------------------------------------------------

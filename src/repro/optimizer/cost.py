@@ -42,6 +42,7 @@ from repro.algebra.expressions import (
     TupleConstructor,
     UnaryOp,
     Var,
+    conjuncts,
     free_vars,
     rename_vars,
     walk,
@@ -134,8 +135,8 @@ class CostModel:
     METHOD_PREDICATE_SELECTIVITY = 0.1
     #: number of objects sampled when measuring property fan-outs
     FANOUT_SAMPLE_SIZE = 200
-    #: bound on the cached ref→class maps (keys are candidate plan subtrees)
-    REF_CLASS_CACHE_LIMIT = 4096
+    #: bound on the cached reference scopes (keys are candidate plan subtrees)
+    REF_SCOPE_CACHE_LIMIT = 4096
 
     def __init__(self, schema: Schema, database: Optional[Database] = None):
         self.schema = schema
@@ -145,7 +146,9 @@ class CostModel:
         self.catalog = getattr(database, "stats_catalog", None)
         self._fanout_cache: dict[tuple[str, str], float] = {}
         self._method_cache: dict[str, Optional[MethodDef]] = {}
-        self._ref_class_cache: dict[PhysicalOperator, dict[str, str]] = {}
+        self._ref_scope_cache: dict[
+            PhysicalOperator,
+            tuple[dict[str, str], dict[str, Expression]]] = {}
 
     # ------------------------------------------------------------------
     # physical plan estimation
@@ -256,7 +259,7 @@ class CostModel:
         if isinstance(plan, ProjectOp):
             inner = self.estimate(plan.input)
             return CostEstimate(inner.cost + inner.cardinality * self.PROJECT_COST,
-                                inner.cardinality)
+                                self._distinct_rows(plan, inner.cardinality))
 
         if isinstance(plan, UnionOp):
             left = self.estimate(plan.left)
@@ -272,12 +275,8 @@ class CostModel:
                     + (left.cardinality + right.cardinality) * self.PROBE_COST)
             return CostEstimate(cost, left.cardinality)
 
-        # Unknown operators get a pessimistic default so they are only chosen
-        # when nothing else is applicable.
-        children = [self.estimate(child) for child in plan.inputs()]
-        cost = sum(c.cost for c in children) + 1000.0
-        cardinality = max((c.cardinality for c in children), default=1.0)
-        return CostEstimate(cost, cardinality)
+        raise TypeError(
+            f"no cost estimate for physical operator {type(plan).__name__}")
 
     def estimate_subtrees(self, plan: PhysicalOperator
                           ) -> dict[int, CostEstimate]:
@@ -375,23 +374,35 @@ class CostModel:
 
         This is what lets :meth:`condition_selectivity` resolve
         ``a.prop == const`` against the statistics of the class *a* ranges
-        over.  References introduced by map/flatten are left unresolved
-        (their conditions fall back to the documented defaults)."""
-        cached = self._ref_class_cache.get(plan)
+        over."""
+        return self._ref_scope(plan)[0]
+
+    def _ref_scope(self, plan: PhysicalOperator
+                   ) -> tuple[dict[str, str], dict[str, Expression]]:
+        """What the references below *plan* stand for: the class of each
+        scanned reference, and the expression of each reference a map
+        introduces (so a column computed below a join or a projection
+        resolves to the path it was computed from).  Flatten references
+        stay unresolved (their conditions fall back to the documented
+        defaults)."""
+        cached = self._ref_scope_cache.get(plan)
         if cached is not None:
             return cached
-        mapping: dict[str, str] = {}
+        classes: dict[str, str] = {}
+        definitions: dict[str, Expression] = {}
         for node in walk_physical(plan):
             if isinstance(node, (ClassScan, IndexEqScan, IndexRangeScan,
                                  IndexNestedLoopJoin)):
-                mapping.setdefault(node.ref, node.class_name)
+                classes.setdefault(node.ref, node.class_name)
+            elif isinstance(node, MapEval):
+                definitions.setdefault(node.ref, node.expression)
         # The cache keys whole candidate subtrees; one long-lived cost model
         # (the service's) estimates unboundedly many shapes, so cap it — a
         # reset only costs re-walking small plan trees.
-        if len(self._ref_class_cache) >= self.REF_CLASS_CACHE_LIMIT:
-            self._ref_class_cache.clear()
-        self._ref_class_cache[plan] = mapping
-        return mapping
+        if len(self._ref_scope_cache) >= self.REF_SCOPE_CACHE_LIMIT:
+            self._ref_scope_cache.clear()
+        scope = self._ref_scope_cache[plan] = (classes, definitions)
+        return scope
 
     def extension_size(self, class_name: str) -> float:
         if self.database is not None:
@@ -550,31 +561,76 @@ class CostModel:
     # enumerator in repro.optimizer.joingraph)
     # ------------------------------------------------------------------
     def join_key_identity(self, key: Expression,
-                          source: PhysicalOperator
-                          ) -> Optional[tuple[str, Optional[str]]]:
-        """The ``(class_name, property-or-None)`` column an equi-join key
-        denotes, when the key is a bare scanned reference (identity join)
-        or a direct property of one — None for computed keys."""
-        ref_classes = self._ref_class_map(source)
-        if isinstance(key, Var):
-            class_name = ref_classes.get(key.name)
-            return (class_name, None) if class_name is not None else None
-        if isinstance(key, PropertyAccess) and isinstance(key.base, Var):
-            class_name = ref_classes.get(key.base.name)
-            return (class_name, key.prop) if class_name is not None else None
-        return None
+                          source: PhysicalOperator) -> Optional[tuple]:
+        """The column an equi-join key over *source* denotes, or None for
+        computed keys; see :meth:`column_identity`."""
+        classes, definitions = self._ref_scope(source)
+        return self.column_identity(key, classes, definitions)
+
+    def column_identity(self, key: Expression, classes: dict[str, str],
+                        definitions: Optional[dict[str, Expression]] = None
+                        ) -> Optional[tuple]:
+        """The column a key expression denotes: ``(class, None)`` for a bare
+        scanned reference (identity join), ``(class, prop)`` for a direct
+        property of one, and ``(owner, prop, path)`` for a property path
+        such as ``q.section.document`` — its last hop's column
+        ``(Section, document)``, whose statistics price it, plus the path
+        from the scanned class (``"Paragraph.section.document"``), which
+        gives the path a feedback-correction key of its own.  A reference
+        in *definitions* (introduced by a map) resolves to its expression.
+        None for computed keys, unresolved references and paths through a
+        set-valued or non-object hop."""
+        path = self._resolve_path(key, definitions or {})
+        if path is None:
+            return None
+        ref, props = path
+        class_name = classes.get(ref)
+        if class_name is None:
+            return None
+        if len(props) <= 1:
+            return (class_name, props[0] if props else None)
+        owner = class_name
+        for prop in props[:-1]:
+            try:
+                prop_def = self.schema.resolve_property(owner, prop)
+            except ReproError:
+                return None
+            if (prop_def.target_class is None
+                    or isinstance(prop_def.vml_type, SetType)):
+                return None
+            owner = prop_def.target_class
+        return (owner, props[-1], ".".join((class_name, *props)))
 
     @staticmethod
-    def join_correction_key(left_identity: tuple[str, Optional[str]],
-                            right_identity: tuple[str, Optional[str]]
-                            ) -> tuple:
-        """Order-independent catalog key for one join class-pair."""
+    def _resolve_path(expression: Expression,
+                      definitions: dict[str, Expression]
+                      ) -> Optional[tuple[str, tuple[str, ...]]]:
+        """``(reference, property names)`` of a property path rooted at a
+        reference, following map-introduced references to their
+        expressions; None for anything else."""
+        props: list[str] = []
+        while True:
+            if isinstance(expression, PropertyAccess):
+                props.append(expression.prop)
+                expression = expression.base
+            elif isinstance(expression, Var) and expression.name in definitions:
+                expression = definitions[expression.name]
+            elif isinstance(expression, Var):
+                return expression.name, tuple(reversed(props))
+            else:
+                return None
+
+    @staticmethod
+    def join_correction_key(left_identity: tuple,
+                            right_identity: tuple) -> tuple:
+        """Order-independent catalog key for one join column pair."""
         return tuple(sorted((left_identity, right_identity),
-                            key=lambda pair: (pair[0], pair[1] or "")))
+                            key=lambda identity: tuple(part or ""
+                                                       for part in identity)))
 
     def join_selectivity(self,
-                         left_identity: Optional[tuple[str, Optional[str]]],
-                         right_identity: Optional[tuple[str, Optional[str]]],
+                         left_identity: Optional[tuple],
+                         right_identity: Optional[tuple],
                          left_cardinality: float,
                          right_cardinality: float) -> float:
         """Selectivity of an equi-join between two key columns.
@@ -602,14 +658,14 @@ class CostModel:
             return min(1.0 / ndv, 1.0)
         return 1.0 / max(left_cardinality, right_cardinality, 1.0)
 
-    def _identity_ndv(self, identity: Optional[tuple[str, Optional[str]]]
+    def _identity_ndv(self, identity: Optional[tuple]
                       ) -> tuple[Optional[float],
                                  Optional[PropertyStatistics]]:
-        """Distinct-value count of one join key column (with its property
+        """Distinct-value count of one key column (with its property
         statistics when the key is a property), from fresh statistics."""
         if identity is None or self.catalog is None:
             return None, None
-        class_name, prop = identity
+        class_name, prop = identity[0], identity[1]
         class_stats = self.catalog.fresh(class_name)
         if class_stats is None:
             return None, None
@@ -650,6 +706,76 @@ class CostModel:
             self.join_key_identity(plan.left_key, plan.left),
             self.join_key_identity(plan.right_key, plan.right),
             left_cardinality, right_cardinality)
+
+    # ------------------------------------------------------------------
+    # distinct rows (projection with duplicate elimination)
+    # ------------------------------------------------------------------
+    def _distinct_rows(self, plan: ProjectOp, input_rows: float) -> float:
+        """Rows a projection keeps: at most its input rows, and at most the
+        product of the kept columns' distinct-value counts.  A column bound
+        to a constant or parameter below counts 1, a map's tuple value the
+        product of its fields' counts, a property (path) its last hop's
+        NDV from fresh statistics.  A column with no count known leaves
+        the input rows."""
+        classes, definitions = self._ref_scope(plan.input)
+        if not all(name in definitions for name in plan.kept):
+            return input_rows  # an object column: distinct as its rows
+        bound = self._equality_bound(plan.input)
+        distinct = 1.0
+        for name in plan.kept:
+            ndv = self._column_ndv(Var(name), classes, definitions, bound)
+            if ndv is None:
+                return input_rows
+            distinct *= ndv
+            if distinct >= input_rows:
+                return input_rows
+        return distinct
+
+    def _column_ndv(self, expression: Expression, classes: dict[str, str],
+                    definitions: dict[str, Expression],
+                    bound: set[Expression]) -> Optional[float]:
+        if expression in bound or isinstance(expression, (Const, Parameter)):
+            return 1.0
+        if isinstance(expression, Var) and expression.name in definitions:
+            return self._column_ndv(definitions[expression.name], classes,
+                                    definitions, bound)
+        if isinstance(expression, TupleConstructor):
+            distinct = 1.0
+            for _, field in expression.fields:
+                ndv = self._column_ndv(field, classes, definitions, bound)
+                if ndv is None:
+                    return None
+                distinct *= ndv
+            return distinct
+        if isinstance(expression, PropertyAccess):
+            ndv, _ = self._identity_ndv(
+                self.column_identity(expression, classes, definitions))
+            return ndv
+        return None
+
+    @staticmethod
+    def _equality_bound(plan: PhysicalOperator) -> set[Expression]:
+        """The expressions every output row of *plan* has equal to a
+        constant or parameter: index equality keys and ``path == value``
+        filter conjuncts below it (not inside a union or difference, whose
+        other input is not bound by them)."""
+        bound: set[Expression] = set()
+        stack = [plan]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (UnionOp, DiffOp)):
+                continue
+            if isinstance(node, IndexEqScan):
+                bound.add(PropertyAccess(Var(node.ref), node.prop))
+            elif isinstance(node, Filter):
+                for part in conjuncts(node.condition):
+                    if isinstance(part, BinaryOp) and part.op == "==":
+                        for side, value in ((part.left, part.right),
+                                            (part.right, part.left)):
+                            if isinstance(value, (Const, Parameter)):
+                                bound.add(side)
+            stack.extend(node.inputs())
+        return bound
 
     # ------------------------------------------------------------------
     # predicate corrections (adaptive feedback)

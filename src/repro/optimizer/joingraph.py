@@ -26,8 +26,6 @@ from repro.algebra.expressions import (
     BinaryOp,
     Const,
     Expression,
-    PropertyAccess,
-    Var,
     conjuncts,
     free_vars,
     make_conjunction,
@@ -211,15 +209,12 @@ def _extract(plan: LogicalOperator):
     return rebuild, relations, pool
 
 
-def _key_identity(key: Expression, by_ref: dict[str, JoinRelation]
-                  ) -> Optional[tuple[str, Optional[str]]]:
-    """(class, property-or-None) of an equi-join key over a base relation."""
-    if isinstance(key, Var) and key.name in by_ref:
-        return (by_ref[key.name].class_name, None)
-    if (isinstance(key, PropertyAccess) and isinstance(key.base, Var)
-            and key.base.name in by_ref):
-        return (by_ref[key.base.name].class_name, key.prop)
-    return None
+def _key_identity(key: Expression, by_ref: dict[str, JoinRelation],
+                  cost_model: CostModel) -> Optional[tuple]:
+    """The column an equi-join key over the base relations denotes (see
+    :meth:`CostModel.column_identity`)."""
+    return cost_model.column_identity(
+        key, {ref: relation.class_name for ref, relation in by_ref.items()})
 
 
 def _make_edge(conjunct: Expression, refs: set[str],
@@ -232,8 +227,8 @@ def _make_edge(conjunct: Expression, refs: set[str],
         first = free_vars(conjunct.left)
         second = free_vars(conjunct.right)
         if len(first) == 1 and len(second) == 1 and first != second:
-            left_identity = _key_identity(conjunct.left, by_ref)
-            right_identity = _key_identity(conjunct.right, by_ref)
+            left_identity = _key_identity(conjunct.left, by_ref, cost_model)
+            right_identity = _key_identity(conjunct.right, by_ref, cost_model)
             equi = True
             selectivity = cost_model.join_selectivity(
                 left_identity, right_identity,
@@ -365,8 +360,9 @@ def _strategies(order: tuple[str, ...] | list[str],
                     inner_key = (edge.condition.right
                                  if edge.right_ref == ref
                                  else edge.condition.left)
-                    identity = _key_identity(inner_key, by_ref)
-                    if (identity is not None and identity[1] is not None
+                    identity = _key_identity(inner_key, by_ref, cost_model)
+                    if (identity is not None and len(identity) == 2
+                            and identity[1] is not None
                             and identity[0] == relation.class_name
                             and database.indexes.get(identity[0],
                                                      identity[1]) is not None):

@@ -106,6 +106,20 @@ class Rule:
 class TransformationRule(Rule):
     """A logical-to-logical rewrite rule."""
 
+    #: operator kinds along the first-input chain every match starts with
+    #: (empty: any node); the search offers the rule no other node
+    shape: tuple[type, ...] = ()
+
+    def fits(self, plan: LogicalOperator) -> bool:
+        """True when *plan*'s first-input chain starts with :attr:`shape`."""
+        node: Optional[LogicalOperator] = plan
+        for kind in self.shape:
+            if not isinstance(node, kind):
+                return False
+            inputs = node.inputs()
+            node = inputs[0] if inputs else None
+        return True
+
     def apply(self, plan: LogicalOperator,
               context: RuleContext) -> Iterable[LogicalOperator]:
         """Return alternative operators equivalent to *plan* (possibly none).

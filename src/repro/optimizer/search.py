@@ -235,6 +235,8 @@ class Optimizer:
                 for rule in self.rule_set.transformations:
                     if rule.apply_once and rule.name in plan_history:
                         continue
+                    if rule.shape and not rule.fits(node):
+                        continue
                     if statistics.transformation_attempts >= options.max_transformations:
                         statistics.exploration_truncated = True
                         return ordered

@@ -26,7 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.expressions import Parameter
+from repro.algebra.operators import walk_operators
 from repro.algebra.translate import translate_query
+from repro.optimizer.builtin_rules import EAGER_COLUMN_MARK
 from repro.physical.evaluator import make_hashable
 from repro.physical.executor import execute_plan, prepare_plan
 from repro.physical.interpreter import execute_plan_interpreted
@@ -237,6 +239,60 @@ class QueryGenerator:
         ranges = ", ".join(f"{var} IN {cls}" for var, cls in variables)
         text = f"ACCESS [{fields}] FROM {ranges} WHERE {condition}"
         return text, self._used_parameters(text)
+
+    # -- tuple projections over equi-joins on property paths --------------
+    #: (range variables, equi-join) pairs the eager distinct may reduce
+    EAGER_JOINS = (
+        ([("p", "Paragraph"), ("q", "Paragraph")],
+         "p.section.document == q.section.document"),
+        ([("p", "Paragraph"), ("q", "Paragraph")], "p.section == q.section"),
+        ([("p", "Paragraph"), ("s", "Section")], "p.section == s"),
+        ([("p", "Paragraph"), ("d", "Document")], "p.section.document == d"),
+        ([("s", "Section"), ("t", "Section")], "s.document == t.document"),
+    )
+    #: single-side property paths per class (the last hop may be NULL on
+    #: the orphans of :func:`eager_db`)
+    EAGER_PATHS = {
+        "Paragraph": ("{v}.number", "{v}.section.number",
+                      "{v}.section.document.title"),
+        "Section": ("{v}.number", "{v}.title", "{v}.document.title"),
+        "Document": ("{v}.title", "{v}.author"),
+    }
+
+    def generate_eager(self) -> tuple[str, dict[str, object], str]:
+        """``(text, parameters, kind)``: an ACCESS tuple over a two-way
+        equi-join on property paths.  *kind* ``single``: every field reads
+        one side (or is a constant); ``mixed``: one field reads both sides;
+        ``method``: one field calls a method."""
+        self.parameters = {}
+        rng = self.rng
+        variables, join = rng.choice(self.EAGER_JOINS)
+        kind = rng.choice(("single", "single", "mixed", "method"))
+        if kind == "method" and variables[0][1] != "Paragraph":
+            kind = "single"
+        fields = [rng.choice(self.EAGER_PATHS[cls]).format(v=var)
+                  for var, cls in rng.sample(variables, k=len(variables))
+                  for _ in range(rng.randint(0, 2))] or [
+            f"{variables[0][0]}.number" if variables[0][1] != "Document"
+            else f"{variables[0][0]}.title"]
+        if rng.random() < 0.3:
+            fields.append(self._number())
+        if kind == "mixed":
+            fields.append(" == ".join(
+                rng.choice(self.EAGER_PATHS[cls]).format(v=var)
+                for var, cls in variables))
+        elif kind == "method":
+            fields.append(f"{variables[0][0]}->wordCount()")
+        rng.shuffle(fields)
+        access = ", ".join(f"f{i}: {field}" for i, field in enumerate(fields))
+        conjuncts = [join]
+        if rng.random() < 0.6:
+            var, cls = rng.choice(variables)
+            conjuncts.append(rng.choice(self._atoms(var, cls)))
+        ranges = ", ".join(f"{var} IN {cls}" for var, cls in variables)
+        text = (f"ACCESS [{access}] FROM {ranges} WHERE "
+                + " AND ".join(f"({part})" for part in conjuncts))
+        return text, self._used_parameters(text), kind
 
 
 # ----------------------------------------------------------------------
@@ -619,6 +675,66 @@ def test_fuzz_with_statistics_stays_identical_and_estimates_sane():
             non_trivial += 1
     assert non_trivial >= 4  # the corpus must not degenerate to empty results
 
+
+# ----------------------------------------------------------------------
+# eager distinct below joins
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def eager_db():
+    """Three documents, analyzed, plus a paragraph without a section and a
+    section without a document: NULL on every path the joins read."""
+    database = generate_document_database(n_documents=3)
+    database.create("Paragraph", number=2, section=None,
+                    content="an orphan paragraph word0003")
+    database.create("Section", number=1, title="loose", document=None,
+                    paragraphs=set())
+    database.analyze()
+    return database
+
+
+def _eager_alternative(optimization):
+    """The first explored logical plan the eager distinct produced."""
+    for alternative in optimization.logical_alternatives:
+        if any(ref.startswith(EAGER_COLUMN_MARK)
+               for node in walk_operators(alternative)
+               for ref in node.refs()):
+            return alternative
+    return None
+
+
+@pytest.mark.parametrize("seed", (3, 19))
+def test_fuzz_eager_distinct_below_path_joins(seed, eager_db):
+    """Tuple projections over path equi-joins: the optimized plan on both
+    engines, and every eager alternative lowered one to one, return what
+    the naive plan returns; the rule fires only where every field reads
+    one side through paths."""
+    session = Session(eager_db, knowledge=document_knowledge(eager_db.schema))
+    generator = QueryGenerator(random.Random(seed))
+    fired = {"single": 0, "mixed": 0, "method": 0}
+    chosen = 0
+    for _ in range(max(N_CASES // 8, 12)):
+        text, parameters, kind = generator.generate_eager()
+        bound = Session._bind(session.analyze(text), parameters or None)
+        translation = translate_query(bound)
+        oracle = multiset(execute_plan_interpreted(
+            naive_implementation(translation.plan), eager_db))
+        optimization = session.optimizer.optimize(translation.plan)
+        plan = optimization.best_plan
+        assert multiset(execute_plan(plan, eager_db)) == oracle, text
+        assert multiset(execute_plan_interpreted(plan, eager_db)) == oracle, text
+        eager = _eager_alternative(optimization)
+        if eager is not None:
+            lowered = naive_implementation(eager)
+            assert multiset(execute_plan(lowered, eager_db)) == oracle, text
+            assert multiset(execute_plan_interpreted(lowered, eager_db)) \
+                == oracle, text
+        counts = optimization.statistics.rule_application_counts
+        fired[kind] += counts.get("eager-distinct", 0) > 0
+        chosen += any(ref.startswith(EAGER_COLUMN_MARK)
+                      for node in walk_physical(plan) for ref in node.refs())
+    assert fired["single"] > 0 and chosen > 0
+    # a method never runs below the join, a mixed field has no side
+    assert fired["mixed"] == fired["method"] == 0
 
 # ----------------------------------------------------------------------
 # mutation-interleaved fuzzing: INSERT/UPDATE/DELETE between queries

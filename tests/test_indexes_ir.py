@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datamodel.indexes import HashIndex, IndexRegistry, SortedIndex
 from repro.datamodel.ir import InvertedTextIndex, tokenize
@@ -12,6 +14,12 @@ from repro.errors import IndexError_
 
 def oid(serial: int) -> OID:
     return OID("Paragraph", serial)
+
+
+#: letters whose lowercase is (or starts with) an ASCII letter or that
+#: change length when cased — KELVIN SIGN, dotted capital I, sharp s —
+#: beside ASCII letters, digits and punctuation
+IR_ALPHABET = "\u212a\u0130\u00dfkKiIsSaB09 .,-"
 
 
 class TestHashIndex:
@@ -201,3 +209,43 @@ class TestInvertedTextIndex:
         assert engine.posting_list_size("query") == 2
         assert engine.document_frequency(["query", "missing"]) == {
             "query": 2, "missing": 0}
+
+
+class TestRetrieveAgreesWithScan:
+    """E5 holds only if ``retrieve`` finds exactly what ``contains_string``
+    finds: both must see the same lowered text."""
+
+    def test_kelvin_sign_lowers_to_a_word_letter(self):
+        engine = InvertedTextIndex()
+        engine.index_text(oid(1), "the \u212aey word")  # KELVIN SIGN, then "ey"
+        assert engine.scan_contains(oid(1), "key")
+        assert engine.retrieve("key") == {oid(1)}
+        assert engine.retrieve("KEY") == {oid(1)}
+        assert engine.retrieve("\u212aEY") == {oid(1)}
+
+    def test_e5_rewrite_returns_what_the_naive_plan_returns(self):
+        from repro import open_session
+        from repro.workloads import (document_knowledge,
+                                     generate_document_database)
+        database = generate_document_database(n_documents=2)
+        (first, *_) = database.extension("Paragraph")
+        database.update(first, content="the \u212aey word")
+        session = open_session(database,
+                               knowledge=document_knowledge(database.schema))
+        query = "ACCESS p FROM p IN Paragraph WHERE p->contains_string('key')"
+        optimized = session.execute(query)
+        assert "retrieve_by_string" in session.explain(query)
+        assert optimized.value_set() == session.execute_naive(query).value_set()
+        assert first in optimized.value_set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts=st.lists(st.text(alphabet=IR_ALPHABET, max_size=24),
+                          min_size=1, max_size=6),
+           needle=st.text(alphabet=IR_ALPHABET, max_size=6))
+    def test_retrieve_equals_scanning_every_text(self, texts, needle):
+        engine = InvertedTextIndex()
+        for serial, text in enumerate(texts):
+            engine.index_text(oid(serial), text)
+        scanned = {oid(serial) for serial in range(len(texts))
+                   if engine.scan_contains(oid(serial), needle)}
+        assert engine.retrieve(needle) == scanned

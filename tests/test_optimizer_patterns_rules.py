@@ -11,6 +11,7 @@ from repro.algebra.expressions import (
     MethodCall,
     PatternVar,
     PropertyAccess,
+    TupleConstructor,
     Var,
 )
 from repro.algebra.operators import Flat, Get, Join, Map, Project, Select
@@ -242,6 +243,77 @@ class TestBuiltinTransformations:
                    Select(parse_expression("p.number == 1"), GET_P))
         (pulled,) = _rule("select-pullup-map-flat").apply(plan, context)
         assert isinstance(pulled, Select) and isinstance(pulled.input, Map)
+
+
+
+def _same_document(fields: str, condition: str = "p.section.document == "
+                   "q.section.document") -> Project:
+    """project<r>(map<r, fields>(join<condition>(select(get p), get q)))."""
+    join = Join(parse_expression(condition),
+                Select(parse_expression("p.number == 3"), GET_P), GET_Q)
+    return Project(("r",), Map("r", parse_expression(fields), join))
+
+
+class TestEagerDistinct:
+    def test_reduces_each_join_input_to_its_key_and_fields(self, context):
+        plan = _same_document("[pn: p.number, qn: q.number, c: 7]")
+        (rewritten,) = _rule("eager-distinct").apply(plan, context)
+        assert rewritten.refs() == plan.refs()
+        outer = rewritten.input
+        assert outer.expression == TupleConstructor((
+            ("pn", Var("#p.number")), ("qn", Var("#q.number")),
+            ("c", Const(7))))
+        join = outer.input
+        assert join.condition == BinaryOp("==", Var("#p.section.document"),
+                                          Var("#q.section.document"))
+        left, right = join.left, join.right
+        assert left.kept == ("#p.number", "#p.section.document")
+        assert right.kept == ("#q.number", "#q.section.document")
+        # the key is mapped innermost; the side's own selection stays below
+        assert left.input.ref == "#p.number"
+        assert left.input.input.ref == "#p.section.document"
+        assert isinstance(left.input.input.input, Select)
+
+    def test_a_field_equal_to_the_key_reuses_its_column(self, context):
+        plan = _same_document("[d: p.section.document, n: q.number]")
+        (rewritten,) = _rule("eager-distinct").apply(plan, context)
+        assert rewritten.input.input.left.kept == ("#p.section.document",)
+
+    @pytest.mark.parametrize("fields, condition", [
+        # a method must never run on rows the join would drop
+        ("[w: p->wordCount(), n: q.number]", None),
+        # a field mixing both sides has no side to be computed on
+        ("[s: p.number + q.number]", None),
+        ("[s: p.number == q.number]", None),
+        # computed keys and non-equi joins
+        ("[n: p.number]", "p->document() == q->document()"),
+        ("[n: p.number]", "p.number < q.number"),
+        ("[n: p.number]", "p.number == q.number AND p.section == q.section"),
+    ])
+    def test_does_not_match(self, context, fields, condition):
+        plan = (_same_document(fields) if condition is None
+                else _same_document(fields, condition))
+        assert list(_rule("eager-distinct").apply(plan, context)) == []
+
+    def test_does_not_fire_on_its_own_output(self, context):
+        plan = _same_document("[pn: p.number, qn: q.number]")
+        (rewritten,) = _rule("eager-distinct").apply(plan, context)
+        assert list(_rule("eager-distinct").apply(rewritten, context)) == []
+
+    def test_join_inputs_must_be_join_free(self, context):
+        three = Project(("r",), Map("r", parse_expression("[t: d.title]"), Join(
+            parse_expression("p.section.document == d"),
+            Join(parse_expression("p.section == q.section"), GET_P, GET_Q),
+            GET_D)))
+        assert list(_rule("eager-distinct").apply(three, context)) == []
+
+    def test_other_rules_leave_the_reduced_inputs_alone(self, context):
+        plan = _same_document("[pn: p.number, qn: q.number]")
+        (rewritten,) = _rule("eager-distinct").apply(plan, context)
+        join = rewritten.input.input
+        assert list(_rule("join-condition-to-select").apply(join, context)) == []
+        key_map = join.left.input.input
+        assert list(_rule("select-pullup-map-flat").apply(key_map, context)) == []
 
 
 class TestBuiltinImplementations:

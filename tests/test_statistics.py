@@ -366,6 +366,141 @@ class TestInformedCostModel:
         assert stale == pytest.approx(160 * CostModel.EQUALITY_SELECTIVITY)
 
 
+class TestJoinAndDistinctEstimates:
+    """Join fan-out through key columns and paths, and a projection's
+    distinct count, held to the rows the engine produces."""
+
+    @staticmethod
+    def profiled(plan, database, model):
+        profile = PlanProfile()
+        rows = execute_plan(plan, database, profile=profile)
+        return rows, estimated_vs_actual(plan, profile, model)
+
+    def test_hot_key_join_is_priced_by_most_common_values(self):
+        database = skewed_database(n=150)
+        database.analyze()
+        model = CostModel(database.schema, database)
+        from repro.physical.plans import ClassScan, HashJoin
+        from repro.vql.parser import parse_expression
+        plan = HashJoin(parse_expression("r.category"),
+                        parse_expression("s.category"),
+                        ClassScan("r", "Reading"), ClassScan("s", "Reading"))
+        _, (join, _, _) = self.profiled(plan, database, model)
+        # NDV containment alone predicts 150 * 150 / 10 = 2 250 rows; the
+        # 90 % hot key makes it ≈17 000, which only the MCVs see
+        stats = model.property_statistics("Reading", "category")
+        assert stats.most_common
+        assert join["estimated_rows"] > 5 * 150 * 150 / stats.distinct
+        assert join["ratio"] <= 1.5
+
+    def test_path_key_join_is_priced_by_its_last_hop(self):
+        database = generate_document_database(n_documents=10)
+        database.analyze()
+        model = CostModel(database.schema, database)
+        from repro.physical.plans import ClassScan, HashJoin
+        from repro.vql.parser import parse_expression
+        plan = HashJoin(parse_expression("p.section.document"),
+                        parse_expression("q.section.document"),
+                        ClassScan("p", "Paragraph"), ClassScan("q", "Paragraph"))
+        rows, records = self.profiled(plan, database, model)
+        assert len(rows) == 10 * 20 * 20  # 20 paragraphs per document
+        assert max(record["ratio"] for record in records) <= 1.5
+        identity = model.join_key_identity(plan.left_key, plan.left)
+        assert identity == ("Section", "document", "Paragraph.section.document")
+        # the path's feedback key is its own, not that of a direct
+        # Section.document join
+        direct = ("Section", "document")
+        assert (model.join_correction_key(identity, identity)
+                != model.join_correction_key(direct, direct))
+        assert (model.join_correction_key(identity, direct)
+                == model.join_correction_key(direct, identity))
+
+    def test_projection_counts_distinct_kept_values(self):
+        database = generate_document_database(n_documents=10)
+        database.analyze()
+        model = CostModel(database.schema, database)
+        from repro.physical.plans import (ClassScan, Filter, MapEval,
+                                          ProjectOp)
+        from repro.vql.parser import parse_expression
+        scan = ClassScan("p", "Paragraph")
+        numbers = ProjectOp(("n",), MapEval(
+            "n", parse_expression("[a: p.number, b: p.section.document]"),
+            scan))
+        bound = ProjectOp(("n",), MapEval(
+            "n", parse_expression("[a: p.number, b: p.section.document]"),
+            Filter(parse_expression("p.number == :k"), scan)))
+        objects = ProjectOp(("p",), scan)
+        # 5 numbers x 10 documents; the bound number counts once; an object
+        # column has no count below its rows
+        assert model.estimate(numbers).cardinality == 50
+        assert model.estimate(bound).cardinality == 10
+        assert model.estimate(objects).cardinality == 200
+
+
+class TestEveryOperatorIsPriced:
+    """The cost model has no default for an operator it does not know: an
+    operator added without an estimate fails here, not by a guess."""
+
+    @staticmethod
+    def minimal_instances() -> dict:
+        from repro.physical import plans
+        from repro.vql.parser import parse_expression
+        scan = plans.ClassScan("p", "Paragraph")
+        other = plans.ClassScan("q", "Paragraph")
+        key = parse_expression("p.number")
+        return {
+            plans.ClassScan: scan,
+            plans.IndexEqScan: plans.IndexEqScan("p", "Paragraph", "number", 1),
+            plans.IndexRangeScan: plans.IndexRangeScan(
+                "p", "Paragraph", "number", 1, 3, True, False),
+            plans.ExpressionSetScan: plans.ExpressionSetScan(
+                "p", parse_expression("{1, 2}")),
+            plans.Filter: plans.Filter(parse_expression("p.number == 1"), scan),
+            plans.SetProbeFilter: plans.SetProbeFilter(
+                "p", parse_expression("{1, 2}"), scan),
+            plans.NestedLoopJoin: plans.NestedLoopJoin(
+                parse_expression("p.number == q.number"), scan, other),
+            plans.IndexNestedLoopJoin: plans.IndexNestedLoopJoin(
+                key, "q", "Paragraph", "number", scan),
+            plans.HashJoin: plans.HashJoin(
+                key, parse_expression("q.number"), scan, other),
+            plans.NaturalMergeJoin: plans.NaturalMergeJoin(scan, scan),
+            plans.MapEval: plans.MapEval("n", key, scan),
+            plans.FlattenEval: plans.FlattenEval(
+                "s", parse_expression("p.section"), scan),
+            plans.ProjectOp: plans.ProjectOp(("p",), scan),
+            plans.UnionOp: plans.UnionOp(scan, scan),
+            plans.DiffOp: plans.DiffOp(scan, scan),
+        }
+
+    def test_every_concrete_operator_has_an_estimate(self):
+        from repro.physical import plans
+        database = generate_document_database(n_documents=2)
+        model = CostModel(database.schema, database)
+        concrete = {cls for name in plans.__all__
+                    if isinstance(cls := getattr(plans, name), type)
+                    and issubclass(cls, plans.PhysicalOperator)
+                    and cls is not plans.PhysicalOperator}
+        instances = self.minimal_instances()
+        assert set(instances) == concrete
+        for operator in instances.values():
+            estimate = model.estimate(operator)
+            assert estimate.cost >= 0 and estimate.cardinality >= 0
+
+    def test_an_unknown_operator_is_an_error(self):
+        from repro.physical.plans import ClassScan, PhysicalOperator
+
+        class Unpriced(PhysicalOperator):
+            name = "unpriced"
+
+            def inputs(self):
+                return (ClassScan("p", "Paragraph"),)
+
+        model = CostModel(generate_document_database(n_documents=1).schema)
+        with pytest.raises(TypeError, match="Unpriced"):
+            model.estimate(Unpriced())
+
+
 # ----------------------------------------------------------------------
 # the service's one index-DDL entry point
 # ----------------------------------------------------------------------
