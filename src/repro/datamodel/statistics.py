@@ -26,7 +26,7 @@ import bisect
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple, Optional
 
 from repro.datamodel.oid import is_collection
 
@@ -290,6 +290,36 @@ class PropertyStatistics:
         return self.histogram.selectivity_range(low, high) * non_null_fraction
 
 
+class ColumnIdentity(NamedTuple):
+    """The column an equi-join key denotes, as join estimates and join
+    feedback corrections know it: the property *path* read from a scanned
+    reference (``()`` for the reference itself, ``("number",)``,
+    ``("section", "document")``) and the *classes* it reads — the scanned
+    class first, then the target of each hop before the last, so the last
+    class owns the last hop, whose statistics price the column."""
+
+    path: tuple[str, ...]
+    classes: tuple[str, ...]
+
+    @classmethod
+    def of(cls, class_name: str, prop: Optional[str]) -> "ColumnIdentity":
+        """A scanned class's own column: one of its properties, or (prop
+        None) the scanned object itself."""
+        return cls((prop,) if prop is not None else (), (class_name,))
+
+    @property
+    def scanned(self) -> str:
+        return self.classes[0]
+
+    @property
+    def owner(self) -> str:
+        return self.classes[-1]
+
+    @property
+    def prop(self) -> Optional[str]:
+        return self.path[-1] if self.path else None
+
+
 @dataclass
 class CorrectionRecord:
     """One feedback correction learned from a measured execution.
@@ -298,7 +328,7 @@ class CorrectionRecord:
     operator's estimated output cardinality with the profiled actual; when
     the divergence exceeds its threshold, the *observed* selectivity is
     recorded here so the next planning pass uses measured numbers instead of
-    the model's derivation.  ``key`` identifies the join class-pair or the
+    the model's derivation.  ``key`` identifies the join column pair or the
     normalized per-class predicate the correction applies to."""
 
     kind: str  # "join" | "predicate"
@@ -438,7 +468,7 @@ class StatisticsCatalog:
 
     def record_join_correction(self, key: tuple, observed: float,
                                estimated: float) -> bool:
-        """Record the measured selectivity of one join class-pair."""
+        """Record the measured selectivity of one join column pair."""
         return self._record_correction(self._join_corrections, "join", key,
                                        observed, estimated)
 
@@ -529,11 +559,16 @@ class StatisticsCatalog:
 
     @staticmethod
     def _correction_classes(key: tuple) -> set:
-        """Class names referenced by a correction key.  Keys are uniformly
-        tuples of ``(class_name, detail)`` pairs — join keys carry one pair
-        per side, predicate keys a single pair."""
-        return {part[0] for part in key
-                if is_collection(part) and part}
+        """Class names a correction's observation depends on.  Join keys
+        carry one :class:`ColumnIdentity` per side (every class its path
+        reads), predicate keys a single ``(class_name, detail)`` pair."""
+        classes: set = set()
+        for part in key:
+            if isinstance(part, ColumnIdentity):
+                classes.update(part.classes)
+            elif is_collection(part) and part:
+                classes.add(part[0])
+        return classes
 
     def _collect_class(self, database: "Database", class_name: str,
                        histogram_buckets: int, sample_limit: int,

@@ -231,6 +231,16 @@ def _eager_path(expression: Expression) -> bool:
     return isinstance(expression, Var)
 
 
+def _dereferenced(expression: Expression) -> set[Expression]:
+    """The objects a property path reads a property of: ``p`` and
+    ``p.section`` for ``p.section.document``; none for a bare reference."""
+    objects: set[Expression] = set()
+    while isinstance(expression, PropertyAccess):
+        expression = expression.base
+        objects.add(expression)
+    return objects
+
+
 def _eager_distinct(plan: LogicalOperator, _ctx: RuleContext
                     ) -> Optional[Iterable[LogicalOperator]]:
     """project<r>(map<r, [f1: e1, ...]>(join<lk == rk>(L, R))) →
@@ -242,10 +252,16 @@ def _eager_distinct(plan: LogicalOperator, _ctx: RuleContext
     aggregation with a distinct as the aggregate).  Every ei and both keys
     must be references or property paths reading one side: a method must
     never run on rows the join would drop, and a field mixing both sides
-    has no side to be computed on.  Both inputs must be join-free: a
-    reduced input holding a join would copy that join's whole search space
-    into the closure.  So the rule's own output does not match either — its
-    join reads eager columns, and its reduced inputs end in no join."""
+    has no side to be computed on.  A field may read a property only of a
+    reference its side scans from a class or of an object its side's key
+    already reads: ``p.number`` and, under the key ``p.section.document``,
+    ``p.section.number``, but not ``p.section.number`` under the key
+    ``p.section``.  A reference to a deleted object raises when it is read,
+    and the key is all the join reads of the rows it drops.  Both inputs
+    must be join-free: a reduced input holding a join would copy that
+    join's whole search space into the closure.  So the rule's own output
+    does not match either — its join reads eager columns, and its reduced
+    inputs end in no join."""
     if not (isinstance(plan, Project) and isinstance(plan.input, Map)):
         return None
     outer = plan.input
@@ -267,6 +283,10 @@ def _eager_distinct(plan: LogicalOperator, _ctx: RuleContext
               else (expression,))
     left_refs, right_refs = set(join.left.refs()), set(join.right.refs())
     sides = ([left_key], [right_key])
+    readable = tuple({Var(node.ref) for node in walk_operators(side_plan)
+                      if isinstance(node, Get)} | _dereferenced(key)
+                     for side_plan, key in ((join.left, left_key),
+                                            (join.right, right_key)))
     for field in fields:
         used = free_vars(field)
         if not used:
@@ -274,13 +294,15 @@ def _eager_distinct(plan: LogicalOperator, _ctx: RuleContext
         if not _eager_path(field):
             return None
         if used <= left_refs:
-            side = sides[0]
+            index = 0
         elif used <= right_refs:
-            side = sides[1]
+            index = 1
         else:
             return None
-        if field not in side:
-            side.append(field)
+        if not _dereferenced(field) <= readable[index]:
+            return None
+        if field not in sides[index]:
+            sides[index].append(field)
     columns = {column: Var(EAGER_COLUMN_MARK + str(column))
                for side in sides for column in side}
     reduced = []

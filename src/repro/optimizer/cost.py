@@ -49,7 +49,7 @@ from repro.algebra.expressions import (
 )
 from repro.datamodel.database import Database
 from repro.datamodel.oid import is_collection
-from repro.datamodel.statistics import PropertyStatistics
+from repro.datamodel.statistics import ColumnIdentity, PropertyStatistics
 from repro.datamodel.schema import MethodDef, Schema
 from repro.datamodel.types import SetType
 from repro.errors import ReproError
@@ -209,7 +209,7 @@ class CostModel:
             inner_size = self.extension_size(plan.class_name)
             selectivity = self.join_selectivity(
                 self.join_key_identity(plan.left_key, plan.left),
-                (plan.class_name, plan.prop),
+                ColumnIdentity.of(plan.class_name, plan.prop),
                 left.cardinality, inner_size)
             cardinality = left.cardinality * inner_size * selectivity
             key_cost = self.expression_cost(plan.left_key)
@@ -560,8 +560,8 @@ class CostModel:
     # join selectivity (shared by the strategy estimates and the join
     # enumerator in repro.optimizer.joingraph)
     # ------------------------------------------------------------------
-    def join_key_identity(self, key: Expression,
-                          source: PhysicalOperator) -> Optional[tuple]:
+    def join_key_identity(self, key: Expression, source: PhysicalOperator
+                          ) -> Optional[ColumnIdentity]:
         """The column an equi-join key over *source* denotes, or None for
         computed keys; see :meth:`column_identity`."""
         classes, definitions = self._ref_scope(source)
@@ -569,14 +569,12 @@ class CostModel:
 
     def column_identity(self, key: Expression, classes: dict[str, str],
                         definitions: Optional[dict[str, Expression]] = None
-                        ) -> Optional[tuple]:
-        """The column a key expression denotes: ``(class, None)`` for a bare
-        scanned reference (identity join), ``(class, prop)`` for a direct
-        property of one, and ``(owner, prop, path)`` for a property path
-        such as ``q.section.document`` — its last hop's column
-        ``(Section, document)``, whose statistics price it, plus the path
-        from the scanned class (``"Paragraph.section.document"``), which
-        gives the path a feedback-correction key of its own.  A reference
+                        ) -> Optional[ColumnIdentity]:
+        """The column a key expression denotes: a scanned reference itself
+        (identity join), a property of one, or a property path such as
+        ``q.section.document`` — priced by its last hop's column
+        ``Section.document``, and with a feedback-correction key of its own
+        (it reads the classes ``Paragraph`` and ``Section``).  A reference
         in *definitions* (introduced by a map) resolves to its expression.
         None for computed keys, unresolved references and paths through a
         set-valued or non-object hop."""
@@ -587,19 +585,17 @@ class CostModel:
         class_name = classes.get(ref)
         if class_name is None:
             return None
-        if len(props) <= 1:
-            return (class_name, props[0] if props else None)
-        owner = class_name
+        hops = [class_name]
         for prop in props[:-1]:
             try:
-                prop_def = self.schema.resolve_property(owner, prop)
+                prop_def = self.schema.resolve_property(hops[-1], prop)
             except ReproError:
                 return None
             if (prop_def.target_class is None
                     or isinstance(prop_def.vml_type, SetType)):
                 return None
-            owner = prop_def.target_class
-        return (owner, props[-1], ".".join((class_name, *props)))
+            hops.append(prop_def.target_class)
+        return ColumnIdentity(props, tuple(hops))
 
     @staticmethod
     def _resolve_path(expression: Expression,
@@ -621,16 +617,14 @@ class CostModel:
                 return None
 
     @staticmethod
-    def join_correction_key(left_identity: tuple,
-                            right_identity: tuple) -> tuple:
+    def join_correction_key(left_identity: ColumnIdentity,
+                            right_identity: ColumnIdentity) -> tuple:
         """Order-independent catalog key for one join column pair."""
-        return tuple(sorted((left_identity, right_identity),
-                            key=lambda identity: tuple(part or ""
-                                                       for part in identity)))
+        return tuple(sorted((left_identity, right_identity)))
 
     def join_selectivity(self,
-                         left_identity: Optional[tuple],
-                         right_identity: Optional[tuple],
+                         left_identity: Optional[ColumnIdentity],
+                         right_identity: Optional[ColumnIdentity],
                          left_cardinality: float,
                          right_cardinality: float) -> float:
         """Selectivity of an equi-join between two key columns.
@@ -658,15 +652,15 @@ class CostModel:
             return min(1.0 / ndv, 1.0)
         return 1.0 / max(left_cardinality, right_cardinality, 1.0)
 
-    def _identity_ndv(self, identity: Optional[tuple]
+    def _identity_ndv(self, identity: Optional[ColumnIdentity]
                       ) -> tuple[Optional[float],
                                  Optional[PropertyStatistics]]:
         """Distinct-value count of one key column (with its property
         statistics when the key is a property), from fresh statistics."""
         if identity is None or self.catalog is None:
             return None, None
-        class_name, prop = identity[0], identity[1]
-        class_stats = self.catalog.fresh(class_name)
+        prop = identity.prop
+        class_stats = self.catalog.fresh(identity.owner)
         if class_stats is None:
             return None, None
         if prop is None:
@@ -890,8 +884,8 @@ class CostModel:
             if left_identity is not None and right_identity is not None:
                 return self.join_selectivity(
                     left_identity, right_identity,
-                    self.extension_size(left_identity[0]),
-                    self.extension_size(right_identity[0]))
+                    self.extension_size(left_identity.scanned),
+                    self.extension_size(right_identity.scanned))
         # documented flat defaults
         if op == "==":
             return self.EQUALITY_SELECTIVITY

@@ -39,6 +39,7 @@ from repro.algebra.operators import (
     Project,
     Select,
 )
+from repro.datamodel.statistics import ColumnIdentity
 from repro.optimizer.cost import CostModel
 from repro.physical.plans import ClassScan
 
@@ -210,7 +211,7 @@ def _extract(plan: LogicalOperator):
 
 
 def _key_identity(key: Expression, by_ref: dict[str, JoinRelation],
-                  cost_model: CostModel) -> Optional[tuple]:
+                  cost_model: CostModel) -> Optional[ColumnIdentity]:
     """The column an equi-join key over the base relations denotes (see
     :meth:`CostModel.column_identity`)."""
     return cost_model.column_identity(
@@ -361,11 +362,10 @@ def _strategies(order: tuple[str, ...] | list[str],
                                  if edge.right_ref == ref
                                  else edge.condition.left)
                     identity = _key_identity(inner_key, by_ref, cost_model)
-                    if (identity is not None and len(identity) == 2
-                            and identity[1] is not None
-                            and identity[0] == relation.class_name
-                            and database.indexes.get(identity[0],
-                                                     identity[1]) is not None):
+                    if (identity is not None and len(identity.path) == 1
+                            and identity.scanned == relation.class_name
+                            and database.indexes.get(
+                                identity.scanned, identity.prop) is not None):
                         hint = "index-nested-loop"
                         break
         hints.append(f"{ref}:{hint}")

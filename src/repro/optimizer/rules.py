@@ -107,7 +107,10 @@ class TransformationRule(Rule):
     """A logical-to-logical rewrite rule."""
 
     #: operator kinds along the first-input chain every match starts with
-    #: (empty: any node); the search offers the rule no other node
+    #: (empty: any node); the search offers the rule no other node.  Each
+    #: offer is an attempt charged to ``max_transformations``, so a rule
+    #: that can match few nodes would otherwise spend that budget on every
+    #: node of every plan and move where exploration is cut short
     shape: tuple[type, ...] = ()
 
     def fits(self, plan: LogicalOperator) -> bool:

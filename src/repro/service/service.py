@@ -44,7 +44,7 @@ from repro.algebra.expressions import Const
 from repro.api.router import StatementRouter
 from repro.datamodel import ddl
 from repro.datamodel.database import Database
-from repro.datamodel.statistics import StatisticsCatalog
+from repro.datamodel.statistics import ColumnIdentity, StatisticsCatalog
 from repro.datamodel.versioning import current_pin
 from repro.api.transaction import Transaction
 from repro.errors import (ServiceError, TransactionConflictError,
@@ -847,7 +847,7 @@ class QueryService:
             return self._join_correction(
                 cost_model, catalog,
                 cost_model.join_key_identity(plan.left_key, plan.left),
-                (plan.class_name, plan.prop),
+                ColumnIdentity.of(plan.class_name, plan.prop),
                 actual_out, left_actual,
                 cost_model.extension_size(plan.class_name))
         if isinstance(plan, HashJoin):

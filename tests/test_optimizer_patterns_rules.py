@@ -274,6 +274,12 @@ class TestEagerDistinct:
         assert left.input.input.ref == "#p.section.document"
         assert isinstance(left.input.input.input, Select)
 
+    def test_a_field_may_read_through_objects_the_key_reads(self, context):
+        plan = _same_document("[n: p.section.number, t: q.section.title]")
+        (rewritten,) = _rule("eager-distinct").apply(plan, context)
+        assert rewritten.input.input.left.kept == (
+            "#p.section.document", "#p.section.number")
+
     def test_a_field_equal_to_the_key_reuses_its_column(self, context):
         plan = _same_document("[d: p.section.document, n: q.number]")
         (rewritten,) = _rule("eager-distinct").apply(plan, context)
@@ -285,6 +291,10 @@ class TestEagerDistinct:
         # a field mixing both sides has no side to be computed on
         ("[s: p.number + q.number]", None),
         ("[s: p.number == q.number]", None),
+        # a field reading through an object the key does not read: a
+        # dangling p.section raises on rows the join would drop
+        ("[n: p.section.number, m: q.number]", "p.section == q.section"),
+        ("[t: p.section.document.title]", None),
         # computed keys and non-equi joins
         ("[n: p.number]", "p->document() == q->document()"),
         ("[n: p.number]", "p.number < q.number"),

@@ -23,6 +23,7 @@ from repro import connect, open_session
 from repro.datamodel.database import Database
 from repro.datamodel.schema import ClassDef, MethodDef, MethodKind, PropertyDef, Schema
 from repro.datamodel.statistics import (
+    ColumnIdentity,
     EquiDepthHistogram,
 )
 from repro.datamodel.types import INT, STRING
@@ -406,14 +407,49 @@ class TestJoinAndDistinctEstimates:
         assert len(rows) == 10 * 20 * 20  # 20 paragraphs per document
         assert max(record["ratio"] for record in records) <= 1.5
         identity = model.join_key_identity(plan.left_key, plan.left)
-        assert identity == ("Section", "document", "Paragraph.section.document")
+        assert identity == ColumnIdentity(("section", "document"),
+                                          ("Paragraph", "Section"))
+        assert (identity.scanned, identity.owner, identity.prop) == (
+            "Paragraph", "Section", "document")
         # the path's feedback key is its own, not that of a direct
         # Section.document join
-        direct = ("Section", "document")
+        direct = ColumnIdentity.of("Section", "document")
         assert (model.join_correction_key(identity, identity)
                 != model.join_correction_key(direct, direct))
         assert (model.join_correction_key(identity, direct)
                 == model.join_correction_key(direct, identity))
+
+    def test_path_join_is_priced_alike_by_every_strategy(self):
+        # no statistics: both strategies fall back to 1 / max(rows) over
+        # the scanned Paragraph rows, not the Section rows the path ends in
+        database = generate_document_database(n_documents=10)
+        model = CostModel(database.schema, database)
+        from repro.physical.plans import ClassScan, HashJoin, NestedLoopJoin
+        from repro.vql.parser import parse_expression
+        p, q = ClassScan("p", "Paragraph"), ClassScan("q", "Paragraph")
+        hashed = HashJoin(parse_expression("p.section.document"),
+                          parse_expression("q.section.document"), p, q)
+        looped = NestedLoopJoin(parse_expression(
+            "p.section.document == q.section.document"), p, q)
+        assert model.estimate(looped).cardinality == pytest.approx(
+            model.estimate(hashed).cardinality)
+
+    def test_analyzing_the_scanned_class_drops_a_path_join_correction(self):
+        database = generate_document_database(n_documents=4)
+        database.analyze()
+        catalog = database.stats_catalog
+        model = CostModel(database.schema, database)
+        path = ColumnIdentity(("section", "document"), ("Paragraph", "Section"))
+        key = model.join_correction_key(path, path)
+        for analyzed in ("Paragraph", "Section"):
+            assert catalog.record_join_correction(key, 0.5, 0.01)
+            assert model.join_selectivity(path, path, 80, 80) == 0.5
+            database.analyze(analyzed)
+            assert catalog.join_correction(key) is None
+        # a class the path does not read keeps it
+        assert catalog.record_join_correction(key, 0.5, 0.01)
+        database.analyze("Document")
+        assert catalog.join_correction(key) == 0.5
 
     def test_projection_counts_distinct_kept_values(self):
         database = generate_document_database(n_documents=10)
