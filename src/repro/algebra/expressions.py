@@ -140,9 +140,18 @@ class Var(Expression):
 @cached_hash
 @dataclass(frozen=True)
 class Const(Expression):
-    """A literal constant (string, number, boolean, or frozen collection)."""
+    """A literal constant (string, number, boolean, or frozen collection).
+
+    ``token`` records where the VQL parser read a string or number literal:
+    ``(index of its token, sign)``, the sign ``-1`` when a unary minus was
+    folded into it.  The query service maps a text's literals onto a cached
+    statement with it (:class:`repro.service.fingerprint.TokenShape`).
+    Like :attr:`Parameter.hint` it takes no part in equality or hashing.
+    """
 
     value: Any
+    token: Optional[tuple[int, int]] = field(default=None, compare=False,
+                                             hash=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", _freeze(self.value))
@@ -435,9 +444,10 @@ def bind_parameters(expr: Expression, bindings: Mapping[str, Any]) -> Expression
 
 def with_hints(expr: Expression, hints: Mapping[str, Any]) -> Expression:
     """Give every :class:`Parameter` whose key appears in *hints* that
-    value as its costing hint (the expression stays equal to *expr*)."""
+    value as its costing hint (the expression stays equal to *expr*, and is
+    *expr* itself when every such hint already is that value)."""
     if isinstance(expr, Parameter):
-        if expr.key in hints:
+        if expr.key in hints and expr.hint is not hints[expr.key]:
             return Parameter(expr.key, hint=hints[expr.key])
         return expr
     children = expr.children()

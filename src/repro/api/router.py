@@ -33,7 +33,7 @@ import threading
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Optional, Union
+from typing import Any, Callable, Hashable, Iterable, Mapping, Optional, Union
 
 from repro.algebra.expressions import Const, Expression, Parameter, bind_parameters
 from repro.datamodel import ddl
@@ -96,12 +96,17 @@ class StatementRouter:
         self._run_query = run_query
         self._explain_query = explain_query
         self._write_guard = write_guard or nullcontext
-        # text -> (schema version, analyzed statement): re-analyzed after
-        # schema DDL, bounded so ad-hoc texts cannot grow it forever
-        self._statements: "OrderedDict[str, tuple[int, AnalyzedStatement]]" = (
+        # The statement cache, one LRU with two kinds of key: a text maps
+        # to its analyzed statement, a query's token key (a tuple) to what
+        # the query service learned for every text with that key
+        # (repro.service.fingerprint.TokenShape).  Each entry carries the
+        # schema version it was analyzed under and is ignored after schema
+        # DDL; bounded so ad-hoc texts cannot grow it forever.
+        self._statements: "OrderedDict[Hashable, tuple[int, Any]]" = (
             OrderedDict())
         self._statements_capacity = statement_cache_size
         self._statements_lock = threading.Lock()
+        self._token_entries = 0
 
     # ------------------------------------------------------------------
     # statement resolution
@@ -110,7 +115,41 @@ class StatementRouter:
     def cached_statements(self) -> int:
         """Number of analyzed statements currently cached by text."""
         with self._statements_lock:
-            return len(self._statements)
+            return len(self._statements) - self._token_entries
+
+    def cached(self, key: Hashable) -> Any:
+        """The statement cache's entry for *key* — a text's analyzed
+        statement, or what :meth:`remember` stored under a token key — or
+        None when there is none for the current schema version."""
+        schema_version = self.database.versions.schema
+        with self._statements_lock:
+            entry = self._statements.get(key)
+            if entry is None or entry[0] != schema_version:
+                return None
+            self._statements.move_to_end(key)
+            return entry[1]
+
+    def remember(self, key: Hashable, schema_version: int, value: Any) -> None:
+        """Cache *value* under *key* (a text or a token key), valid while
+        the schema stays at *schema_version*."""
+        with self._statements_lock:
+            statements = self._statements
+            if key not in statements and not isinstance(key, str):
+                self._token_entries += 1
+            statements[key] = (schema_version, value)
+            statements.move_to_end(key)
+            while len(statements) > self._statements_capacity:
+                evicted, _ = statements.popitem(last=False)
+                if not isinstance(evicted, str):
+                    self._token_entries -= 1
+
+    def parse(self, text: str) -> AnalyzedStatement:
+        """Parse and analyze *text* and cache it under the text."""
+        schema_version = self.database.versions.schema
+        analyzed = analyze_statement(parse_statement(text),
+                                     self.database.schema)
+        self.remember(text, schema_version, analyzed)
+        return analyzed
 
     def analyze(self, statement: StatementInput) -> AnalyzedStatement:
         """Resolve *statement* (text, AST or already analyzed) once."""
@@ -118,24 +157,13 @@ class StatementRouter:
             return statement
         if isinstance(statement, Statement):
             return analyze_statement(statement, self.database.schema)
-        schema_version = self.database.versions.schema
         with child_span("analyze") as span:
-            with self._statements_lock:
-                entry = self._statements.get(statement)
-                if entry is not None and entry[0] == schema_version:
-                    self._statements.move_to_end(statement)
-                    if span is not None:
-                        span.annotate(cached=True, kind=entry[1].kind)
-                    return entry[1]
-            analyzed = analyze_statement(parse_statement(statement),
-                                         self.database.schema)
-            with self._statements_lock:
-                self._statements[statement] = (schema_version, analyzed)
-                self._statements.move_to_end(statement)
-                while len(self._statements) > self._statements_capacity:
-                    self._statements.popitem(last=False)
+            analyzed = self.cached(statement)
+            cached = analyzed is not None
+            if not cached:
+                analyzed = self.parse(statement)
             if span is not None:
-                span.annotate(cached=False, kind=analyzed.kind)
+                span.annotate(cached=cached, kind=analyzed.kind)
         return analyzed
 
     # ------------------------------------------------------------------

@@ -127,10 +127,10 @@ class PlanCache:
         self.capacity = capacity
         self.reoptimize_fraction = reoptimize_fraction
         self._entries: "OrderedDict[Hashable, CachedPlan]" = OrderedDict()
-        #: auto-parameterized shapes (generic key) -> the literal values of
-        #: the first statement seen, or ``_ADMITTED`` (see :meth:`key_for`);
-        #: an LRU four times the capacity
-        self._shapes: "OrderedDict[Hashable, object]" = OrderedDict()
+        #: auto-parameterized shapes (generic key) -> ``[the key object
+        #: first seen, the literal values of its statement or _ADMITTED]``
+        #: (see :meth:`key_for`); an LRU four times the capacity
+        self._shapes: "OrderedDict[Hashable, list]" = OrderedDict()
         self._lock = threading.Lock()
         self.statistics = CacheStatistics()
 
@@ -174,22 +174,33 @@ class PlanCache:
         from then on every statement of it shares the plan under *shape*,
         which replaces the first statement's entry.  (The synthetic keys in
         *shape* carry the literals' types, so equal values of other types —
-        ``0`` and ``0.0`` — never meet here.)"""
+        ``0`` and ``0.0`` — never meet here.)  The key is built from the
+        shape object the cache first saw (:meth:`canonical`), so entries of
+        one shape are stored under one object."""
         with self._lock:
-            first = self._shapes.get(shape)
-            if first is None:
-                self._shapes[shape] = values
+            held = self._shapes.get(shape)
+            if held is None:
+                self._shapes[shape] = [shape, values]
                 while len(self._shapes) > 4 * self.capacity:
                     self._shapes.popitem(last=False)
                 return (shape, values)
             self._shapes.move_to_end(shape)
+            canonical, first = held
             if first is _ADMITTED:
-                return shape
+                return canonical
             if first == values:
-                return (shape, values)
-            self._shapes[shape] = _ADMITTED
-            self._entries.pop((shape, first), None)
-            return shape
+                return (canonical, values)
+            held[1] = _ADMITTED
+            self._entries.pop((canonical, first), None)
+            return canonical
+
+    def canonical(self, shape: Hashable) -> Hashable:
+        """The shape key object :meth:`key_for` builds keys from: the first
+        one it saw equal to *shape*, or *shape* itself.  A caller that keeps
+        it looks its shape up by identity, without comparing query trees."""
+        with self._lock:
+            held = self._shapes.get(shape)
+            return shape if held is None else held[0]
 
     def store(self, key: Hashable, entry: CachedPlan) -> None:
         with self._lock:

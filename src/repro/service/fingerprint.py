@@ -26,6 +26,16 @@ those literally), it is NULL, a boolean or a collection, or it is an
 operand of an all-literal subexpression (``3 + 4``), which the compiler
 folds into one constant.
 
+A text the router has not seen verbatim is matched by its *token key*
+(:func:`repro.vql.lexer.token_key`) before it is parsed: a
+:class:`TokenShape`, written by the first full parse of a text with that
+key, holds the generic query and a rule for each literal slot — bind the
+slot to synthetic parameter ``$k``, or (a pattern constant, an operand of
+foldable arithmetic) repeat the first text's literal verbatim.  A text
+whose literals keep those rules generalizes to the same query, so it skips
+parse, analyze and generalize and reaches the plan cache with the shape's
+own key object.
+
 The plan cache keys on the generic query itself — its expression subtrees
 carry cached structural hashes, so hashing the key is a few integer mixes,
 not a tree walk.  :func:`query_fingerprint` additionally renders a short,
@@ -37,7 +47,8 @@ reporting): one fingerprint per shape, whatever its literals.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Any, Hashable, Optional
 
 from repro.algebra.expressions import (
     BinaryOp,
@@ -48,12 +59,13 @@ from repro.algebra.expressions import (
     TupleConstructor,
     UnaryOp,
     walk,
+    with_hints,
 )
 from repro.vql.analyzer import AnalyzedQuery
 from repro.vql.ast import Query, RangeDeclaration
 
-__all__ = ["AUTO_PARAMETER_MARK", "cache_key", "generalize",
-           "query_fingerprint"]
+__all__ = ["AUTO_PARAMETER_MARK", "TokenShape", "cache_key", "generalize",
+           "priced", "query_fingerprint", "slot_rules"]
 
 #: first character of a synthetic parameter key: no VQL parameter name
 #: starts with it, so synthetic keys never collide with a client's
@@ -110,6 +122,115 @@ def generalize(analyzed: AnalyzedQuery, keep: frozenset
         variable_types=analyzed.variable_types,
         parameters=analyzed.parameters + tuple(values))
     return generic, values
+
+
+def priced(generic: AnalyzedQuery, values: dict[str, Any]) -> AnalyzedQuery:
+    """*generic* with *values* as its synthetic parameters' costing hints —
+    what a plan for a statement with those values is priced with (*generic*
+    itself when they already are its hints)."""
+    query = generic.query
+    access = with_hints(query.access, values)
+    ranges = tuple(RangeDeclaration(decl.variable, with_hints(decl.source, values))
+                   for decl in query.ranges)
+    where = None if query.where is None else with_hints(query.where, values)
+    if access is query.access and where is query.where and all(
+            new.source is old.source for new, old in zip(ranges, query.ranges)):
+        return generic
+    return AnalyzedQuery(query=Query(access=access, ranges=ranges, where=where),
+                         variable_types=generic.variable_types,
+                         parameters=generic.parameters)
+
+
+def slot_rules(token_key: tuple, literals: dict[int, str],
+               analyzed: AnalyzedQuery, generic: AnalyzedQuery,
+               values: Optional[dict[str, Any]]
+               ) -> Optional[tuple[tuple, tuple]]:
+    """The slot rules of a parsed query text: ``(bound, kept)``.
+
+    *token_key* and *literals* are the text's token key and ``token index
+    -> literal text`` (:func:`repro.vql.lexer.token_key`), *analyzed* its
+    parsed query and
+    *generic*, *values* what :func:`generalize` made of it.  ``bound``
+    lists ``(synthetic key, token index, sign)``: the parser recorded on
+    each literal which token it read it from (``Const.token``), and the
+    generic query has the synthetic parameter where *analyzed* has that
+    literal.  ``kept`` lists ``(token index, text)`` for every other slot,
+    whose literal the generic query holds as it is.  None when a synthetic
+    parameter's literal did not come from a slot of *literals*, or does
+    not read back from it as the very same value.
+    """
+    values = values or {}
+    sources: dict[str, tuple[int, int]] = {}
+    for written, general in zip(_clauses(analyzed.query), _clauses(generic.query)):
+        for literal, node in zip(walk(written), walk(general)):
+            if isinstance(node, Parameter) and node.key in values \
+                    and isinstance(literal, Const) and literal.token is not None:
+                sources[node.key] = literal.token
+    bound = []
+    for key, value in values.items():
+        index, sign = sources.get(key, (None, 1))
+        if index not in literals:
+            return None
+        read = _read(token_key, literals, index, sign)
+        if type(read) is not type(value) or read != value:
+            return None
+        bound.append((key, index, sign))
+    used = {index for _, index, _ in bound}
+    kept = tuple((index, text) for index, text in literals.items()
+                 if index not in used)
+    return tuple(bound), kept
+
+
+def _clauses(query: Query) -> list[Expression]:
+    return [query.access, *(decl.source for decl in query.ranges),
+            *(() if query.where is None else (query.where,))]
+
+
+def _read(token_key: tuple, literals: dict[int, str], index: int,
+          sign: int) -> Any:
+    """The value of the literal in slot *index*: its text converted by the
+    slot's type, negated for sign -1."""
+    value = token_key[index](literals[index])
+    return -value if sign < 0 else value
+
+
+@dataclass(frozen=True)
+class TokenShape:
+    """What the first full parse of a query text learned for every text
+    with its token key: the generic query they all generalize to and how
+    each literal slot reaches it (:func:`slot_rules`).
+
+    ``keep`` is the set of literal values :func:`generalize` kept, ``key``
+    the plan-cache key object the shape is planned under (held by the plan
+    cache, so a lookup with it is an identity match), ``optimize`` the flag
+    it was prepared with."""
+
+    generic: AnalyzedQuery
+    fingerprint: str
+    key: Hashable
+    optimize: bool
+    keep: frozenset
+    bound: tuple[tuple[str, int, int], ...]
+    kept: tuple[tuple[int, str], ...]
+
+    def values(self, token_key: tuple, literals: dict[int, str],
+               keep: frozenset) -> Optional[dict[str, Any]]:
+        """The synthetic parameters' values of a text with this token key
+        and *literals*, generalized with *keep*; None when its full parse
+        would generalize to another query — the keep-set changed, a kept
+        literal differs, or a bound one equals a kept value."""
+        if keep != self.keep:
+            return None
+        for index, text in self.kept:
+            if literals[index] != text:
+                return None
+        values = {}
+        for key, index, sign in self.bound:
+            value = _read(token_key, literals, index, sign)
+            if value in keep:
+                return None
+            values[key] = value
+        return values
 
 
 def _all_literal(expression: Expression) -> bool:

@@ -1,8 +1,8 @@
 """The multi-client query service.
 
 :class:`QueryService` is the production front end over one database: it
-owns the schema-specific optimizer, a statement cache (query text →
-analyzed shape), the plan cache (query shape → optimized + compiled plan)
+owns the schema-specific optimizer, a statement cache (query text, or a
+query's token key, → analyzed shape), the plan cache (query shape → optimized + compiled plan)
 and a reader/writer lock that lets many clients execute concurrently while
 service-mediated DDL and knowledge registration drain in-flight queries
 before invalidating.
@@ -12,6 +12,9 @@ The request lifecycle::
     run_statement(text, params)     (execute, stream and the cursor)
       ├─ StatementRouter: text ──→ AnalyzedStatement (parse+analyze once;
       │     DDL/DML dispatch to the datamodel, queries continue below)
+      │   or, for a query text it has not seen, token key ──→ the generic
+      │     query of a known shape, the text's literals bound to it (no
+      │     parse, analyze or generalize; fingerprint.TokenShape)
       ├─ auto-parameterize: literals ──→ synthetic parameters (once per
       │     analyzed statement; repro.service.fingerprint.generalize)
       ├─ resolve bindings (validates arity/names up front) + the
@@ -38,7 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Iterable, Optional, Sequence, Union
+from typing import Any, Hashable, Iterable, Optional, Sequence, Union
 
 from repro.algebra.expressions import Const
 from repro.api.router import StatementRouter
@@ -61,14 +64,15 @@ from repro.physical.profile import (ExplainReport, PlanProfile,
                                     misestimation, profile_summary)
 from repro.service.cache import CachedPlan, PlanCache
 from repro.service.concurrency import ReadWriteLock
-from repro.service.fingerprint import (cache_key, generalize,
-                                       query_fingerprint)
+from repro.service.fingerprint import (TokenShape, cache_key, generalize,
+                                       priced, query_fingerprint, slot_rules)
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.slowlog import SlowQueryLog
 from repro.telemetry.spans import (Tracer, activation, annotate_current,
                                    child_span, current_span)
-from repro.vql.analyzer import AnalyzedQuery
+from repro.vql.analyzer import AnalyzedQuery, AnalyzedStatement
 from repro.vql.bindings import ParameterValues, resolve_bindings
+from repro.vql.lexer import token_key
 
 __all__ = ["PreparedQuery", "QueryMetrics", "QueryService",
            "ServiceMetrics", "ServiceResult"]
@@ -85,24 +89,34 @@ class PreparedQuery:
     same query with its eligible literals auto-parameterized
     (:func:`~repro.service.fingerprint.generalize`), and ``auto_values``
     the statement's own values for those synthetic parameters (``None``
-    when it has none, in which case ``generic`` is ``analyzed``).
+    when it has none, in which case ``generic`` is ``analyzed``).  ``key``
+    is the plan-cache key of the shape.  A statement resolved by its token
+    key was never parsed: its ``analyzed`` is None and its ``generic`` the
+    one its :class:`~repro.service.fingerprint.TokenShape` holds, costing
+    hints of the text that wrote it included (a plan built for it is
+    priced with its own values, :func:`~repro.service.fingerprint.priced`).
     """
 
     text: str
-    analyzed: AnalyzedQuery
+    analyzed: Optional[AnalyzedQuery]
     optimize: bool
     fingerprint: str
     generic: AnalyzedQuery
     auto_values: Optional[dict[str, Any]] = None
+    key: Hashable = None
 
     @property
     def parameters(self) -> tuple[str, ...]:
-        return self.analyzed.parameters
+        """The client's parameters: the generic query's, less the
+        synthetic ones it lists last."""
+        keys = self.generic.parameters
+        return keys[:len(keys) - len(self.auto_values)] if self.auto_values \
+            else keys
 
     def bind(self, parameters: ParameterValues) -> dict[str, Any]:
         """Resolve the client's *parameters* and merge in the statement's
         own literal values: the bindings the generic plan runs with."""
-        bindings = resolve_bindings(self.analyzed.parameters, parameters)
+        bindings = resolve_bindings(self.parameters, parameters)
         if self.auto_values:
             bindings.update(self.auto_values)
         return bindings
@@ -151,6 +165,13 @@ class ServiceMetrics:
             "repro_feedback_evictions_total",
             "cache invalidations triggered by feedback (a correction, or "
             "a plan priced for other literal values)")
+        self._text_hits = reg.counter(
+            "repro_statement_text_hits_total",
+            "statements found in the statement cache by their text")
+        self._token_hits = reg.counter(
+            "repro_statement_token_hits_total",
+            "query texts found in the statement cache by their token key "
+            "(not parsed, analyzed or generalized)")
         self._statements_prepared = reg.gauge(
             "repro_cached_statements", "analyzed statements cached by text")
         self._analyze = reg.histogram(
@@ -194,6 +215,12 @@ class ServiceMetrics:
     def record_error(self) -> None:
         self._errors.inc()
 
+    def record_text_hit(self) -> None:
+        self._text_hits.inc()
+
+    def record_token_hit(self) -> None:
+        self._token_hits.inc()
+
     def set_statements_prepared(self, count: int) -> None:
         """Locked setter for the statement-cache size gauge."""
         self._statements_prepared.set(count)
@@ -223,6 +250,8 @@ class ServiceMetrics:
             "cache_misses": int(self._cache_misses.value),
             "errors": int(self._errors.value),
             "statements_prepared": int(self._statements_prepared.value),
+            "statement_text_hits": int(self._text_hits.value),
+            "statement_token_hits": int(self._token_hits.value),
             "plans_reoptimized": int(self._plans_reoptimized.value),
             "feedback_evictions": int(self._feedback_evictions.value),
             "hit_rate": (cache_hits / queries if queries else 0.0),
@@ -445,7 +474,8 @@ class QueryService:
         and the statement API's cursor: opens the root span (annotated with
         *attributes*), times parse + analyze, counts a failure once.
 
-        A query runs through :meth:`_run` — drained into a
+        The text resolves through :meth:`_resolve`.  A query runs through
+        :meth:`_run` — drained into a
         :class:`ServiceResult`, or with *stream* returned as an open
         :class:`RowStream` (*at*: a transaction's snapshot).  Any other
         statement goes to ``route(analyzed, parameters)`` (default: the
@@ -459,15 +489,15 @@ class QueryService:
                 if isinstance(query, PreparedQuery):
                     return self._run(query, parameters, span, at=at,
                                      drain=not stream)
-                analyzed = self.router.analyze(query)
+                analyzed = self._resolve(query, optimize)
                 analyze_seconds = time.perf_counter() - started
                 self.metrics.set_statements_prepared(
                     self.router.cached_statements)
-                if analyzed.is_query:
+                if isinstance(analyzed, PreparedQuery):
                     return self._run(
-                        self._prepared_for(analyzed.query, optimize),
-                        parameters, span, analyze_seconds=analyze_seconds,
-                        at=at, drain=not stream)
+                        analyzed, parameters, span,
+                        analyze_seconds=analyze_seconds, at=at,
+                        drain=not stream)
                 result = (self.router.execute(analyzed, parameters, optimize)
                           if route is None else route(analyzed, parameters))
         except BaseException as exc:
@@ -505,8 +535,63 @@ class QueryService:
                          self.tracer.begin_root("statement"), at=at,
                          drain=True)
 
-    def _prepared_for(self, analyzed: AnalyzedQuery,
-                      optimize: bool) -> PreparedQuery:
+    def _resolve(self, text: str, optimize: bool
+                 ) -> Union[PreparedQuery, AnalyzedStatement]:
+        """Resolve statement *text* through the router's statement cache:
+        by the text; then, for a query, by its token key
+        (:func:`~repro.vql.lexer.token_key`); else by a full parse, which
+        writes both keys.  A query comes back as its prepared handle, any
+        other statement analyzed.
+
+        A token hit binds the text's literals to the generic query the
+        key's :class:`~repro.service.fingerprint.TokenShape` holds, exactly
+        as a full parse would have generalized them, or falls through to
+        the full parse when they break its slot rules, the keep-set or the
+        optimize flag differ, or the schema changed since it was written.
+        """
+        router = self.router
+        with child_span("analyze") as span:
+            analyzed = router.cached(text)
+            cached = analyzed is not None
+            if cached:
+                self.metrics.record_text_hit()
+            else:
+                schema_version = self.database.versions.schema
+                keep = self._literal_constants
+                tokens, literals = token_key(text)
+                shape = router.cached(tokens)
+                values = (None if shape is None or shape.optimize != optimize
+                          else shape.values(tokens, literals, keep))
+                if values is not None:
+                    self.metrics.record_token_hit()
+                    if span is not None:
+                        span.annotate(cached="tokens", kind="select")
+                    return PreparedQuery(
+                        text=text, analyzed=None, optimize=optimize,
+                        fingerprint=shape.fingerprint, generic=shape.generic,
+                        auto_values=values or None, key=shape.key)
+                analyzed = router.parse(text)
+                if analyzed.is_query:
+                    statement = self._prepared_for(analyzed.query, optimize,
+                                                   keep)
+                    rules = slot_rules(tokens, literals, analyzed.query,
+                                       statement.generic,
+                                       statement.auto_values)
+                    if rules is not None:
+                        router.remember(tokens, schema_version, TokenShape(
+                            generic=statement.generic,
+                            fingerprint=statement.fingerprint,
+                            key=self.cache.canonical(statement.key),
+                            optimize=optimize, keep=keep,
+                            bound=rules[0], kept=rules[1]))
+            if span is not None:
+                span.annotate(cached=cached, kind=analyzed.kind)
+        if analyzed.is_query:
+            return self._prepared_for(analyzed.query, optimize)
+        return analyzed
+
+    def _prepared_for(self, analyzed: AnalyzedQuery, optimize: bool,
+                      keep: Optional[frozenset] = None) -> PreparedQuery:
         """The prepared handle for an analyzed query, memoized on it.
 
         Router-analyzed statements are reused across executions (and across
@@ -516,23 +601,26 @@ class QueryService:
         computed once per analyzed statement, not once per call.  The memo
         is keyed by the set of literals kept for the knowledge patterns, so
         a knowledge registration that adds a pattern constant re-derives
-        the handle; sharing one analyzed query between owners is safe, and
-        a benign race may build the handle twice.
+        the handle (*keep*, by default the service's current set, is that
+        set); sharing one analyzed query between owners is safe, and a
+        benign race may build the handle twice.
         """
         handles = getattr(analyzed, "prepared_handles", None)
         if handles is None:
             handles = {}
             analyzed.prepared_handles = handles
-        memo_key = (optimize, self._literal_constants)
+        if keep is None:
+            keep = self._literal_constants
+        memo_key = (optimize, keep)
         statement = handles.get(memo_key)
         if statement is None:
-            generic, auto_values = generalize(analyzed,
-                                              self._literal_constants)
+            generic, auto_values = generalize(analyzed, keep)
             statement = PreparedQuery(
                 text=str(analyzed.query), analyzed=analyzed,
                 optimize=optimize,
                 fingerprint=query_fingerprint(generic, optimize),
-                generic=generic, auto_values=auto_values)
+                generic=generic, auto_values=auto_values,
+                key=cache_key(generic, optimize))
             handles[memo_key] = statement
         return statement
 
@@ -648,7 +736,7 @@ class QueryService:
     # plan-cache plumbing
     # ------------------------------------------------------------------
     def _entry_for(self, statement: PreparedQuery) -> tuple[CachedPlan, bool]:
-        key = cache_key(statement.generic, statement.optimize)
+        key = statement.key
         if statement.auto_values is not None:
             key = self.cache.key_for(key,
                                      tuple(statement.auto_values.values()))
@@ -697,9 +785,12 @@ class QueryService:
         # triggered it (same shape, so the same cache key).
         trigger = self._feedback_replans.get(key)
         planned = statement if trigger is None else trigger
+        generic = planned.generic
+        if planned.auto_values:
+            generic = priced(generic, planned.auto_values)
         started = time.perf_counter()
         translation, optimization, physical = plan_query(
-            planned.generic, self._optimizer, statement.optimize,
+            generic, self._optimizer, statement.optimize,
             replan=trigger is not None)
         executable = prepare_plan(physical, self.database)
         prepare_seconds = time.perf_counter() - started
@@ -712,7 +803,7 @@ class QueryService:
 
         return CachedPlan(
             fingerprint=statement.fingerprint,
-            analyzed=planned.generic,
+            analyzed=generic,
             hint_values=planned.auto_values,
             key=key,
             output_ref=translation.output_ref,

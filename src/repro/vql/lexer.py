@@ -2,8 +2,9 @@
 
 The lexer recognises the subset of VQL exercised by the paper: keywords
 (ACCESS, FROM, WHERE, IN, IS-IN, IS-SUBSET, AND, OR, NOT, TRUE, FALSE,
-INTERSECTION, UNION, DIFFERENCE), identifiers, string and numeric literals,
-the method-call arrow (``->`` or the typographic ``→``), path dots, brackets,
+INTERSECTION, UNION, DIFFERENCE), identifiers, string and numeric literals
+(numbers are ASCII digits only), the method-call arrow (``->`` or the
+typographic ``→``), path dots, brackets,
 the comparison/arithmetic operators, bind-parameter markers
 (``?`` / ``?3`` positional, ``:name`` named — the ``:`` doubles as the tuple
 constructor separator, the parser disambiguates by context), and the plain
@@ -12,36 +13,71 @@ statement words (CREATE, INSERT, SET, ANALYZE, EXPLAIN, ...) are
 deliberately *not* keywords — the statement parser matches them
 case-insensitively from identifier tokens so they stay usable as ordinary
 identifiers inside queries.
+
+One compiled master regex does the scanning: each match is the skipped
+whitespace and comments before one token plus the token itself, in a named
+group.  Line and column are derived from a token's position only when
+somebody asks for them (an error message), so a text that lexes cleanly
+never pays for them.  :func:`token_key` builds, from the same matches, the
+statement's *token key*: its token stream with every literal replaced by a
+typed slot, under which the query service finds an earlier statement of
+the same shape without parsing (:class:`repro.service.fingerprint.TokenShape`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.errors import VQLSyntaxError
 
-__all__ = ["Token", "tokenize", "KEYWORDS"]
+__all__ = ["Token", "tokenize", "token_key", "line_and_column", "KEYWORDS"]
 
 KEYWORDS = {
     "ACCESS", "FROM", "WHERE", "IN", "AND", "OR", "NOT", "TRUE", "FALSE",
     "INTERSECTION", "UNION", "DIFFERENCE", "IS",
 }
 
-#: multi-character operators, longest first so prefixes do not shadow them
-_MULTI_CHAR = ["==", "!=", "<=", ">=", "->"]
-_SINGLE_CHAR = list("()[]{}.,:<>+-*/?=")
+#: whitespace and comments (``/* ... */`` VML style, ``--`` to end of line)
+#: before a token, then the token.  Alternatives are tried in order: an
+#: unterminated comment or string lands in ``UNCLOSED``, any other
+#: character no token starts with in ``ILLEGAL``.  ``REST`` looks past ``IS`` for the hyphenated
+#: operators ``IS-IN`` / ``IS-SUBSET`` without consuming anything.
+_MASTER = re.compile(r"""
+    [ \t\r\n]* (?: (?: /\*.*?\*/ | --[^\n]* ) [ \t\r\n]* )*
+    (?:
+        (?P<WORD> [^\W\d]\w* ) (?: (?= - (?P<REST> \w* ) ) | )
+      | (?P<STRING> '[^']*' | "[^"]*" )
+      | (?P<UNCLOSED> /\* | ['"] )
+      | (?P<OP> == | != | <= | >= | -> | [()\[\]{}.,:<>+\-*/?=] )
+      | (?P<NUMBER> [0-9]+ (?:\.[0-9]+)? )
+      | (?P<ARROW> → )
+      | (?P<END> \Z )
+      | (?P<ILLEGAL> . )
+    )""", re.VERBOSE | re.DOTALL)
+
+#: one piece of what ``_MASTER`` skips before a token
+_SKIPPED = re.compile(r"[ \t\r\n]+|/\*.*?\*/|--[^\n]*", re.DOTALL)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
-    """One lexical token with its position for error reporting."""
+    """One lexical token; ``line`` and ``column`` are derived from its
+    position in ``source`` on demand."""
 
     kind: str          # KEYWORD, IDENT, STRING, NUMBER, OP, EOF
     text: str
     position: int
-    line: int
-    column: int
+    source: str = field(default="", repr=False, compare=False)
+
+    @property
+    def line(self) -> int:
+        return line_and_column(self.source, self.position)[0]
+
+    @property
+    def column(self) -> int:
+        return line_and_column(self.source, self.position)[1]
 
     def is_keyword(self, word: str) -> bool:
         return self.kind == "KEYWORD" and self.text == word
@@ -55,130 +91,118 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize *text*, raising :class:`VQLSyntaxError` on illegal input."""
-    return list(_scan(text))
+    tokens = [Token(kind, token_text, position, text)
+              for kind, token_text, position in _lex(text)]
+    tokens.append(Token("EOF", "", len(text), text))
+    return tokens
 
 
-def _scan(text: str) -> Iterator[Token]:
-    position = 0
-    line = 1
-    column = 1
-    length = len(text)
+def token_key(text: str) -> tuple[tuple, dict[int, str]]:
+    """The token key of *text* and its literals.
 
-    def make(kind: str, token_text: str) -> Token:
-        return Token(kind, token_text, position, line, column)
-
-    while position < length:
-        char = text[position]
-
-        if char in " \t\r":
-            position += 1
-            column += 1
-            continue
-        if char == "\n":
-            position += 1
-            line += 1
-            column = 1
-            continue
-        # comments: /* ... */ (VML style) and -- to end of line
-        if text.startswith("/*", position):
-            end = text.find("*/", position + 2)
-            if end < 0:
-                raise VQLSyntaxError("unterminated comment", position, line,
-                                     column, source=text)
-            skipped = text[position:end + 2]
-            newlines = skipped.count("\n")
-            line += newlines
-            if newlines:
-                # column restarts after the comment's last newline
-                column = len(skipped) - skipped.rfind("\n")
+    The key holds one element per token (EOF excluded): the token's text,
+    except that a STRING or NUMBER literal becomes a slot — the type its
+    value parses to, ``str``, ``int`` or ``float`` — and the literal's text
+    goes into the returned ``token index -> text`` map.  The parser also
+    reads which tokens touch: a ``?`` glued to an integer is a positional
+    marker (``?2``), whose number stays in the key as text, and a ``:``
+    glued to an identifier is a named one, whose identifier is keyed as
+    ``:name``.  So two texts with one key parse to one tree, up to the
+    values of their literals.  Raises :class:`VQLSyntaxError` exactly where
+    :func:`tokenize` does.
+    """
+    key: list = []
+    literals: dict[int, str] = {}
+    previous = previous_position = None
+    for index, (kind, token_text, position) in enumerate(_lex(text)):
+        glued = previous_position == position - 1
+        if kind == "NUMBER":
+            if "." in token_text:
+                element = float
+            elif glued and previous == "?":
+                element = token_text
             else:
-                column += len(skipped)
-            position = end + 2
-            continue
-        if text.startswith("--", position):
-            end = text.find("\n", position)
-            position = length if end < 0 else end
-            continue
+                element = int
+        elif kind == "STRING":
+            element = str
+        elif kind == "IDENT" and glued and previous == ":":
+            element = ":" + token_text
+        else:
+            element = token_text
+        if element is str or element is int or element is float:
+            literals[index] = token_text
+        key.append(element)
+        previous = token_text if kind == "OP" else None
+        previous_position = position
+    return tuple(key), literals
 
-        # the typographic arrow used in the paper
-        if char == "→":
-            yield make("OP", "->")
-            position += 1
-            column += 1
-            continue
 
-        if char in "'\"":
-            end = position + 1
-            while end < length and text[end] != char:
-                end += 1
-            if end >= length:
-                raise VQLSyntaxError("unterminated string literal",
-                                     position, line, column, source=text)
-            literal = text[position + 1:end]
-            yield make("STRING", literal)
-            column += end + 1 - position
-            position = end + 1
-            continue
-
-        if char.isdigit():
-            end = position
-            seen_dot = False
-            while end < length and (text[end].isdigit() or
-                                    (text[end] == "." and not seen_dot and
-                                     end + 1 < length and text[end + 1].isdigit())):
-                if text[end] == ".":
-                    seen_dot = True
-                end += 1
-            literal = text[position:end]
-            yield make("NUMBER", literal)
-            column += end - position
-            position = end
-            continue
-
-        if char.isalpha() or char == "_":
-            end = position
-            while end < length and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            word = text[position:end]
+def _lex(text: str) -> Iterator[tuple[str, str, int]]:
+    """``(kind, text, position)`` of every token of *text* but EOF."""
+    resume = 0  # the end of an IS-IN / IS-SUBSET operator already emitted
+    for match in _MASTER.finditer(text):
+        kind = match.lastgroup
+        if kind == "WORD" or kind == "REST":
+            position = match.start("WORD")
+            if position < resume:
+                continue
+            word = match.group("WORD")
+            first = word[0]
+            if not (first.isalpha() or first == "_"):
+                _fail(f"illegal character {first!r}", text, position)
             upper = word.upper()
-            # IS-IN / IS-SUBSET are hyphenated keywords; join them here so the
-            # parser sees a single operator token.
-            if upper == "IS" and text[end:end + 1] == "-":
-                rest_end = end + 1
-                while rest_end < length and (text[rest_end].isalnum() or text[rest_end] == "_"):
-                    rest_end += 1
-                rest = text[end + 1:rest_end].upper()
-                if rest in ("IN", "SUBSET"):
-                    yield make("OP", f"IS-{rest}")
-                    column += rest_end - position
-                    position = rest_end
-                    continue
-            if upper in KEYWORDS:
-                yield make("KEYWORD", upper)
+            rest = match.group("REST")
+            if upper == "IS" and rest is not None \
+                    and rest.upper() in ("IN", "SUBSET"):
+                resume = match.end() + 1 + len(rest)
+                yield "OP", f"IS-{rest.upper()}", position
+            elif upper in KEYWORDS:
+                yield "KEYWORD", upper, position
             else:
-                yield make("IDENT", word)
-            column += end - position
-            position = end
+                yield "IDENT", word, position
             continue
-
-        matched = False
-        for op in _MULTI_CHAR:
-            if text.startswith(op, position):
-                yield make("OP", op)
-                position += len(op)
-                column += len(op)
-                matched = True
-                break
-        if matched:
+        position = match.start(kind)
+        if position < resume:
             continue
+        if kind == "OP" or kind == "NUMBER":
+            yield kind, match.group(kind), position
+        elif kind == "STRING":
+            yield kind, match.group(kind)[1:-1], position
+        elif kind == "ARROW":
+            yield "OP", "->", position
+        elif kind == "END":
+            return
+        elif kind == "UNCLOSED":
+            _fail("unterminated comment" if match.group(kind) == "/*"
+                  else "unterminated string literal", text, position)
+        else:
+            _fail(f"illegal character {match.group(kind)!r}", text, position)
 
-        if char in _SINGLE_CHAR:
-            yield make("OP", char)
-            position += 1
-            column += 1
-            continue
 
-        raise VQLSyntaxError(f"illegal character {char!r}", position, line,
-                             column, source=text)
+def _fail(message: str, text: str, position: int):
+    line, column = line_and_column(text, position)
+    raise VQLSyntaxError(message, position, line, column, source=text)
 
-    yield Token("EOF", "", position, line, column)
+
+def line_and_column(text: str, position: int) -> tuple[int, int]:
+    """The 1-based line and column of *position* in *text*, as the lexer
+    has always reported them: a newline inside a string literal does not
+    start a line, and the end of input right after a ``--`` comment keeps
+    the comment's column."""
+    line, line_start = 1, 0
+    column_position = position
+    for match in _MASTER.finditer(text, 0, position):
+        skipped, start = match.start(), match.start(match.lastgroup)
+        newlines = text.count("\n", skipped, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", skipped, start) + 1
+        if match.lastgroup == "END":
+            if position == len(text):
+                last = None
+                for last in _SKIPPED.finditer(text, skipped, start):
+                    pass
+                if last is not None and last.group().startswith("--"):
+                    column_position = last.start()
+            break
+    return line, column_position - line_start + 1

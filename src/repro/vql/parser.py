@@ -45,7 +45,7 @@ from repro.vql.ast import (
     Statement,
     UpdateStatement,
 )
-from repro.vql.lexer import Token, tokenize
+from repro.vql.lexer import Token, line_and_column, tokenize
 
 __all__ = ["parse_query", "parse_expression", "parse_statement", "Parser"]
 
@@ -162,9 +162,9 @@ class Parser:
     def _error(self, message: str) -> VQLSyntaxError:
         token = self.current
         found = token.text or "<end of input>"
+        line, column = line_and_column(self.text, token.position)
         return VQLSyntaxError(f"{message}, found {found!r}",
-                              token.position, token.line, token.column,
-                              source=self.text)
+                              token.position, line, column, source=self.text)
 
     # ------------------------------------------------------------------
     # grammar: query
@@ -433,10 +433,13 @@ class Parser:
             self.advance()
             operand = self._parse_unary()
             # Fold negative numeric literals so that "-1" is the constant -1
-            # (keeps printing/parsing round-trips structural).
+            # (keeps printing/parsing round-trips structural); the minus
+            # joins the literal's token record as its sign.
             if isinstance(operand, Const) and isinstance(operand.value, (int, float)) \
                     and not isinstance(operand.value, bool):
-                return Const(-operand.value)
+                token = operand.token
+                return Const(-operand.value, token=None if token is None
+                             else (token[0], -token[1]))
             return UnaryOp("-", operand)
         return self._parse_postfix()
 
@@ -465,12 +468,12 @@ class Parser:
         token = self.current
         if token.kind == "STRING":
             self.advance()
-            return Const(token.text)
+            return Const(token.text, token=(self.index - 1, 1))
         if token.kind == "NUMBER":
             self.advance()
             if "." in token.text:
-                return Const(float(token.text))
-            return Const(int(token.text))
+                return Const(float(token.text), token=(self.index - 1, 1))
+            return Const(int(token.text), token=(self.index - 1, 1))
         if token.is_keyword("TRUE"):
             self.advance()
             return Const(True)

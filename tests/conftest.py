@@ -7,9 +7,11 @@ a mutable database build their own small one.
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.datamodel.database import Database
 from repro.datamodel.schema import ClassDef, PropertyDef, Schema
@@ -21,10 +23,19 @@ from repro.workloads import (
     document_schema,
     generate_document_database,
 )
+from repro.service.fingerprint import generalize
+from repro.vql.analyzer import analyze_query
+from repro.vql.parser import parse_query
 from repro.workloads.university import (
     generate_university_database,
     university_knowledge,
 )
+
+#: ``HYPOTHESIS_PROFILE=ci`` (set by the CI workflow) draws the same
+#: examples on every run and prints a reproduction blob with a failure, so
+#: a counterexample found there replays locally; local runs keep exploring
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")
@@ -110,3 +121,26 @@ def star_database():
     only through Region, so a FROM clause listing them first starts with a
     cross product — the case the join-order enumerator exists for."""
     return _star_database
+
+
+@pytest.fixture(scope="session")
+def token_path_oracle():
+    """``check(service, text)``: resolve query *text* the way the service's
+    statement entry does and, when the text was matched by its token key
+    (never parsed), assert that the statement equals what a full parse
+    generalizes it to — an equal generic query and equal values of equal
+    types.  Returns whether the token key matched."""
+    def check(service, text, optimize=True) -> bool:
+        statement = service._resolve(text, optimize)
+        if statement.analyzed is not None:
+            return False
+        generic, values = generalize(
+            analyze_query(parse_query(text), service.database.schema),
+            service._literal_constants)
+        assert statement.generic == generic, text
+        typed = [(key, type(value), value)
+                 for key, value in (statement.auto_values or {}).items()]
+        assert typed == [(key, type(value), value)
+                         for key, value in (values or {}).items()], text
+        return True
+    return check

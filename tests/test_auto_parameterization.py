@@ -22,6 +22,7 @@ from repro.algebra.expressions import Const, Parameter, walk
 from repro.datamodel.database import Database
 from repro.datamodel.schema import ClassDef, PropertyDef, Schema
 from repro.datamodel.types import INT, STRING
+from repro.errors import VQLSyntaxError
 from repro.optimizer.knowledge import ConditionImplication
 from repro.physical.evaluator import make_hashable
 from repro.physical.plans import describe_physical_tree, walk_physical
@@ -390,3 +391,208 @@ def test_a_skewed_value_replans_through_feedback():
     assert access_path(replanned) == "index_range_scan"
     run("rare2")
     run("common")
+
+
+# ----------------------------------------------------------------------
+# the token key: a known shape's unseen text skips parse and analysis
+# ----------------------------------------------------------------------
+PARAGRAPHS = "ACCESS p FROM p IN Paragraph WHERE "
+DOCUMENTS = "ACCESS d FROM d IN Document WHERE "
+
+#: (first text, later texts that share its token key) per named case: the
+#: later ones resolve by the token key, to what a full parse makes of them
+TOKEN_CASES = {
+    "folded minus": (PARAGRAPHS + "p.number == -5",
+                     [PARAGRAPHS + "p.number == -2", PARAGRAPHS + "p.number == - 0"]),
+    "double minus": (PARAGRAPHS + "p.number == - -3",
+                     [PARAGRAPHS + "p.number == - -4"]),
+    "folded arithmetic": (PARAGRAPHS + "p.number == 3 + 4",
+                          [PARAGRAPHS + "p.number == 3+4"]),
+    "positional marker": (PARAGRAPHS + "p.number == ?2 AND p.number <= 7",
+                          [PARAGRAPHS + "p.number == ?2 AND p.number <= 9"]),
+    "int": (PARAGRAPHS + "p.number == 5", [PARAGRAPHS + "p.number == 6"]),
+    "float": (PARAGRAPHS + "p.number == 5.0", [PARAGRAPHS + "p.number == 6.5"]),
+    "str": (DOCUMENTS + "d.title == '5'", [DOCUMENTS + "d.title == '6'"]),
+    "pattern constant elsewhere": (PARAGRAPHS + "p.number <= 40",
+                                   [PARAGRAPHS + "p.number <=  40"]),
+    "quotes and keywords in strings": (
+        DOCUMENTS + "d.title == \"it's\"",
+        [DOCUMENTS + "d.title == 'ACCESS p FROM p IN Paragraph'",
+         DOCUMENTS + "d.title == '-- no comment /* either'",
+         DOCUMENTS + "d.title == \"?1 :name\""]),
+    "comments and whitespace": (
+        PARAGRAPHS + "p.number == 2 AND p.number <= 7",
+        ["ACCESS  p /* a comment */ FROM p\n  IN Paragraph -- trailing\n"
+         "WHERE p.number==3 AND\tp.number <= 8  -- end"]),
+}
+
+#: texts that share a case's token key but not its generic query: each
+#: takes a full parse
+TOKEN_MISSES = {
+    "folded arithmetic": PARAGRAPHS + "p.number == 3 + 5",
+    "pattern constant elsewhere": PARAGRAPHS + "p.number <= 41",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOKEN_CASES))
+def test_token_path_equals_the_full_parse(case, doc_db, token_path_oracle):
+    knowledge = document_knowledge(doc_db.schema)
+    connection = connect(doc_db, knowledge=knowledge)
+    service = connection.service
+    session = open_session(doc_db, knowledge=knowledge)
+    first, later = TOKEN_CASES[case]
+    parameters = [1, 2] if "?2" in first else None
+    assert not token_path_oracle(service, first)
+    for text in later:
+        assert token_path_oracle(service, text), text
+    miss = TOKEN_MISSES.get(case)
+    if miss is not None:
+        assert not token_path_oracle(service, miss)
+    for text in [first, *later, *([miss] if miss else [])]:
+        rows = connection.execute(text, parameters).fetchall()
+        assert Counter(make_hashable(row) for row in rows) == \
+            values(session.execute_naive(text, parameters=parameters)), text
+
+
+def test_a_pattern_constant_never_binds_through_the_token_key(
+        doc_db, token_path_oracle):
+    """After ``<= 41`` planned the slot as ``$1``, the same key with the
+    pattern constant 40 must still keep 40 literal."""
+    service = QueryService(doc_db, knowledge=document_knowledge(doc_db.schema))
+    assert not token_path_oracle(service, PARAGRAPHS + "p.number <= 41")
+    assert token_path_oracle(service, PARAGRAPHS + "p.number <= 39")
+    assert not token_path_oracle(service, PARAGRAPHS + "p.number <= 40")
+    statement = service._resolve(PARAGRAPHS + "p.number <= 40 ", True)
+    assert statement.auto_values is None
+
+
+def test_schema_ddl_and_new_pattern_constants_force_a_full_parse(
+        doc_db, monkeypatch):
+    from repro.api import router as router_module
+    parses = []
+    real = router_module.parse_statement
+    monkeypatch.setattr(router_module, "parse_statement",
+                        lambda text: parses.append(text) or real(text))
+    connection = connect(doc_db, knowledge=document_knowledge(doc_db.schema))
+    service = connection.service
+    words = PARAGRAPHS + "p->wordCount() > {}"
+    connection.execute(NUMBER_QUERY.format(1)).fetchall()
+    connection.execute(NUMBER_QUERY.format(2)).fetchall()
+    assert len(parses) == 1
+    connection.execute("CREATE CLASS Note (body: STRING)")
+    connection.execute(NUMBER_QUERY.format(3)).fetchall()
+    assert parses[-1] == NUMBER_QUERY.format(3)  # a new schema version
+
+    connection.execute(words.format(29)).fetchall()
+    connection.execute(words.format(28)).fetchall()
+    assert parses[-1] == words.format(29)  # 28 matched the token key
+    service.register_knowledge(ConditionImplication(
+        class_name="Paragraph", variable="p",
+        antecedent="p->wordCount() > 30",
+        consequent="p IS-IN p->document().largeParagraphs",
+        name="I1-at-30"))
+    connection.execute(words.format(31)).fetchall()
+    assert parses[-1] == words.format(31)  # another keep-set
+    result = service.execute(words.format(30))
+    assert parses[-1] == words.format(30)  # 30 is now kept literal
+    assert result.plan.hint_values is None and "I1-at-30" in rules(result)
+
+
+def test_literal_variants_parse_once_and_repeats_build_no_token_key(
+        doc_db, monkeypatch):
+    """The counted-work gate: fifty literal variants of one shape through
+    ``connect()`` parse one text; a verbatim repeat of a parsed text is a
+    text hit and builds no token key."""
+    from repro.api import router as router_module
+    session = open_session(doc_db)
+    texts = [NUMBER_QUERY.format(n) for n in range(50)]
+    expected = [values(session.execute(text)) for text in texts]
+    parses, keys = [], []
+    real_parse, real_key = router_module.parse_statement, service_module.token_key
+    monkeypatch.setattr(router_module, "parse_statement",
+                        lambda text: parses.append(text) or real_parse(text))
+    monkeypatch.setattr(service_module, "token_key",
+                        lambda text: keys.append(text) or real_key(text))
+    connection = connect(doc_db)
+    for text, answer in zip(texts, expected):
+        rows = connection.execute(text).fetchall()
+        assert Counter(make_hashable(row) for row in rows) == answer
+    assert parses == [NUMBER_QUERY.format(0)] and len(keys) == 50
+    connection.execute(NUMBER_QUERY.format(0)).fetchall()
+    assert len(keys) == 50
+    snapshot = connection.service.metrics.snapshot()
+    assert (snapshot["statement_text_hits"],
+            snapshot["statement_token_hits"]) == (1, 49)
+    counters = connection.metrics()["counters"]
+    assert counters["repro_statement_text_hits_total"] == 1
+    assert counters["repro_statement_token_hits_total"] == 49
+    # every variant after the first two ran the shape's one generic plan,
+    # found by the very key object the token entry holds — also the entry
+    # of another token key of the shape, written by a later full parse
+    connection.execute(NUMBER_QUERY.format("(1)")).fetchall()
+    (entry,) = connection.service.cache.entries()
+    for text in (NUMBER_QUERY.format(7), NUMBER_QUERY.format("(1)")):
+        shape = connection.service.router.cached(real_key(text)[0])
+        assert entry.key is shape.key
+
+
+@pytest.mark.parametrize("valid, split", [
+    (PARAGRAPHS + "p.number == ?2 AND p.number <= ?1",
+     PARAGRAPHS + "p.number == ? 2 AND p.number <= ?1"),
+    (PARAGRAPHS + "p.number == :n", PARAGRAPHS + "p.number == : n"),
+])
+def test_a_marker_split_from_its_number_or_name_stays_an_error(
+        valid, split, doc_db):
+    """``?2`` and ``:n`` are markers only when glued; the token key keeps
+    the glue, so the split text is not matched to the valid one."""
+    service = QueryService(doc_db)
+    parameters = [1, 2] if "?" in valid else {"n": 1}
+    service.execute(valid, parameters)
+    with pytest.raises(VQLSyntaxError):
+        service.execute(split, parameters)
+
+
+def test_a_token_hit_plans_with_its_own_values():
+    """The token path hands the stored generic query to the plan cache;
+    a plan it builds is priced with the statement's literals, not those
+    of the text that wrote the entry — so the skewed value still replans
+    through feedback exactly as on the full path."""
+    database = skewed_database()
+    service = QueryService(database)
+    service.execute("ANALYZE")
+    text = "ACCESS r FROM r IN Reading WHERE r.category == '{}' AND r.score >= 5000"
+    service.execute(text.format("rare1"))
+    planned = service.execute(text.format("rare2"))
+    assert service.metrics.snapshot()["statement_token_hits"] == 1
+    assert not planned.metrics.cache_hit
+    assert planned.plan.hint_values == {"$1:str": "rare2", "$2:int": 5000}
+    assert [p.hint for p in synthetic(planned.plan.analyzed.query.where)] \
+        == ["rare2", 5000]
+
+
+def test_token_entries_under_concurrent_clients(doc_db):
+    """Six workers on two cores resolve literal variants of three shapes
+    through one service while they write, evict and read the shared
+    statement cache: every answer equals the session's, and the cache's
+    count of text entries stays exact."""
+    import sys
+    shapes = [NUMBER_QUERY, PARAGRAPHS + "p.number <= {} AND p.number >= 2",
+              DOCUMENTS + "d.title != 'x{}'"]
+    texts = [shape.format(n) for n in range(40) for shape in shapes]
+    session = open_session(doc_db)
+    expected = [values(session.execute(text)) for text in texts]
+    service = QueryService(doc_db, cache_capacity=2)  # LRU of 8: evictions
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = service.run_concurrent([(text, None) for text in texts],
+                                         workers=6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [values(result) for result in results] == expected
+    snapshot = service.metrics.snapshot()
+    router = service.router
+    parsed = sum(isinstance(key, str) for key in router._statements)
+    assert router.cached_statements == parsed
+    assert snapshot["queries"] == len(texts)
+    assert snapshot["statement_token_hits"] > 0

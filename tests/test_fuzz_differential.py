@@ -522,13 +522,15 @@ AUTO_SEEDS = (19, 67)
 
 
 @pytest.mark.parametrize("seed", AUTO_SEEDS)
-def test_fuzz_auto_parameterized_plans_equal_literal_and_naive(seed):
+def test_fuzz_auto_parameterized_plans_equal_literal_and_naive(
+        seed, token_path_oracle):
     """Each generated query runs through one connection three times, the
     later two with fresh literal values: the first plans for its own text,
     the second plans the shape's generic plan, the third is served by it.
     Every run equals ``Session.execute`` (the literal plan, values
     substituted before optimization) and ``execute_naive``, multiset for
-    multiset."""
+    multiset; a variant matched by its token key resolves to what a full
+    parse generalizes it to."""
     from repro import connect
 
     database = generate_document_database(n_documents=2)
@@ -538,11 +540,12 @@ def test_fuzz_auto_parameterized_plans_equal_literal_and_naive(seed):
     generator = QueryGenerator(random.Random(seed))
     rng = random.Random(seed + 1)
     cases = max(N_CASES // (4 * len(AUTO_SEEDS)), 1)
-    served = 0
+    served = matched = 0
     for _ in range(cases):
         text, parameters = generator.generate()
         variants = [text, fresh_literals(text, rng), fresh_literals(text, rng)]
         for variant in variants:
+            matched += token_path_oracle(connection.service, variant)
             hits = connection.service.cache.statistics.hits
             rows = Counter(make_hashable(value) for value in connection.execute(
                 variant, parameters or None).fetchall())
@@ -553,6 +556,8 @@ def test_fuzz_auto_parameterized_plans_equal_literal_and_naive(seed):
         served += connection.service.cache.statistics.hits > hits
     # the third run must mostly reuse a cached plan, not plan afresh
     assert served >= cases // 2
+    # ... and most later variants skip the parser
+    assert matched >= cases // 2
 
 
 LITERALS = st.one_of(st.integers(-3, 12),
@@ -592,11 +597,13 @@ def _comparable(prop: str, value) -> bool:
 
 @settings(max_examples=150, deadline=None)
 @given(atoms=st.lists(ATOMS, min_size=1, max_size=3), twice=st.booleans())
-def test_auto_parameterization_over_value_types(value_stack, atoms, twice):
+def test_auto_parameterization_over_value_types(value_stack, atoms, twice,
+                                                token_path_oracle):
     """int / float / str / NULL values, as literals or as the client's ``?``
     and ``:name`` parameters (NULL only as a parameter: VQL has no NULL
     literal), the same literal twice — the cached generic plan answers
-    exactly like the literal and the naive plan."""
+    exactly like the literal and the naive plan, and a text matched by its
+    token key resolves to what a full parse generalizes it to."""
     service, session = value_stack
     parts, parameters, positional = [], {}, 0
     for index, (prop, op, value, mode) in enumerate(atoms):
@@ -620,6 +627,7 @@ def test_auto_parameterization_over_value_types(value_stack, atoms, twice):
         condition = f"({condition}) OR (t.k == {first!r} AND t.v != {first!r})"
     text = f"ACCESS t.k FROM t IN T WHERE {condition}"
     bound = parameters or None
+    token_path_oracle(service, text)
     result = service.execute(text, bound)
     assert multiset(result.values) \
         == multiset(session.execute(text, parameters=bound).values) \

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.algebra.expressions import (
     BinaryOp,
@@ -18,8 +19,8 @@ from repro.algebra.expressions import (
 from repro.datamodel.types import ANY, BOOL, INT, ObjectType, SetType
 from repro.errors import VQLAnalysisError, VQLSyntaxError
 from repro.vql.analyzer import analyze_query, infer_expression_type
-from repro.vql.lexer import tokenize
-from repro.vql.parser import parse_expression, parse_query
+from repro.vql.lexer import KEYWORDS, token_key, tokenize
+from repro.vql.parser import parse_expression, parse_query, parse_statement
 
 
 class TestLexer:
@@ -104,6 +105,206 @@ class TestLexer:
         # snippet lines carry a two-space prefix; the caret sits under
         # column 8 of the source line
         assert rendered.splitlines()[-1].index("^") == 2 + 7
+
+
+# ----------------------------------------------------------------------
+# the lexer against the character-loop scanner it replaced
+# ----------------------------------------------------------------------
+def _ascii_digit(char: str) -> bool:
+    return "0" <= char <= "9"
+
+
+def reference_scan(text: str, digit=_ascii_digit):
+    """The character-loop lexer the master-regex lexer replaced, kept as its
+    oracle: ``(kind, text, position, line, column)`` per token.  *digit*
+    is the one rule that changed — numbers are ASCII digits only; with
+    ``str.isdigit`` the scanner reads ``²`` and ``٣`` as digits, as it
+    once did."""
+    position = 0
+    line = 1
+    column = 1
+    length = len(text)
+    tokens = []
+
+    def make(kind, token_text):
+        tokens.append((kind, token_text, position, line, column))
+
+    while position < length:
+        char = text[position]
+        if char in " \t\r":
+            position += 1
+            column += 1
+            continue
+        if char == "\n":
+            position += 1
+            line += 1
+            column = 1
+            continue
+        if text.startswith("/*", position):
+            end = text.find("*/", position + 2)
+            if end < 0:
+                raise VQLSyntaxError("unterminated comment", position, line,
+                                     column, source=text)
+            skipped = text[position:end + 2]
+            newlines = skipped.count("\n")
+            line += newlines
+            if newlines:
+                column = len(skipped) - skipped.rfind("\n")
+            else:
+                column += len(skipped)
+            position = end + 2
+            continue
+        if text.startswith("--", position):
+            end = text.find("\n", position)
+            position = length if end < 0 else end
+            continue
+        if char == "→":
+            make("OP", "->")
+            position += 1
+            column += 1
+            continue
+        if char in "'\"":
+            end = position + 1
+            while end < length and text[end] != char:
+                end += 1
+            if end >= length:
+                raise VQLSyntaxError("unterminated string literal",
+                                     position, line, column, source=text)
+            make("STRING", text[position + 1:end])
+            column += end + 1 - position
+            position = end + 1
+            continue
+        if digit(char):
+            end = position
+            seen_dot = False
+            while end < length and (digit(text[end]) or
+                                    (text[end] == "." and not seen_dot and
+                                     end + 1 < length and digit(text[end + 1]))):
+                if text[end] == ".":
+                    seen_dot = True
+                end += 1
+            make("NUMBER", text[position:end])
+            column += end - position
+            position = end
+            continue
+        if char.isalpha() or char == "_":
+            end = position
+            while end < length and (text[end].isalnum() or text[end] == "_"):
+                end += 1
+            word = text[position:end]
+            upper = word.upper()
+            if upper == "IS" and text[end:end + 1] == "-":
+                rest_end = end + 1
+                while rest_end < length and (text[rest_end].isalnum()
+                                             or text[rest_end] == "_"):
+                    rest_end += 1
+                rest = text[end + 1:rest_end].upper()
+                if rest in ("IN", "SUBSET"):
+                    make("OP", f"IS-{rest}")
+                    column += rest_end - position
+                    position = rest_end
+                    continue
+            make("KEYWORD" if upper in KEYWORDS else "IDENT",
+                 upper if upper in KEYWORDS else word)
+            column += end - position
+            position = end
+            continue
+        for op in ("==", "!=", "<=", ">=", "->"):
+            if text.startswith(op, position):
+                make("OP", op)
+                position += len(op)
+                column += len(op)
+                break
+        else:
+            if char in "()[]{}.,:<>+-*/?=":
+                make("OP", char)
+                position += 1
+                column += 1
+                continue
+            raise VQLSyntaxError(f"illegal character {char!r}", position, line,
+                                 column, source=text)
+    make("EOF", "")
+    return tokens
+
+
+def lexed(scan, text):
+    """What *scan* makes of *text*: its tokens, or the error it raises."""
+    try:
+        return scan(text)
+    except VQLSyntaxError as error:
+        return ("error", error.args[0], error.position, error.line, error.column)
+
+
+def new_scan(text):
+    return [(t.kind, t.text, t.position, t.line, t.column)
+            for t in tokenize(text)]
+
+
+#: the characters the lexer treats specially, a non-ASCII digit of each
+#: kind (``²`` is a digit but no decimal, ``٣`` a decimal), a letter and a
+#: symbol outside ASCII, and the case-insensitive spellings of keywords
+LEXER_ALPHABET = st.sampled_from(
+    list("²٣é→'\"/*-\n?: \t\r.=<>!()[]{},+_§0123456789")
+    + ["/*", "*/", "--", "IS", "is", "-IN", "-subset", "ACCESS", "ı", "ſ",
+       "ß", "x", "p", "1.5", "'a\nb'", "/*\n*/"])
+
+
+class TestLexerOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(pieces=st.lists(st.one_of(LEXER_ALPHABET, st.text(max_size=3)),
+                           max_size=14))
+    @example(pieces=["ACCESS 'a\nb' ", "x", " §"])
+    @example(pieces=["p /* a\n */ ", '"\n"', " -- c"])
+    def test_master_regex_lexer_equals_the_character_loop(self, pieces):
+        """Tokens (kind, text, position, line, column) or the error
+        (message, position, line, column) equal the reference scanner's;
+        with the old digit rule the reference differs only on texts that
+        hold a non-ASCII digit."""
+        text = "".join(pieces)
+        assert lexed(new_scan, text) == lexed(reference_scan, text), text
+        if not any(char.isdigit() and not char.isascii() for char in text):
+            assert lexed(reference_scan, text) == \
+                lexed(lambda t: reference_scan(t, str.isdigit), text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pieces=st.lists(LEXER_ALPHABET, max_size=14))
+    def test_token_key_mirrors_the_tokens(self, pieces):
+        text = "".join(pieces)
+        try:
+            tokens = tokenize(text)
+        except VQLSyntaxError as error:
+            with pytest.raises(VQLSyntaxError) as raised:
+                token_key(text)
+            assert (raised.value.args, raised.value.position) == \
+                (error.args, error.position)
+            return
+        key, literals = token_key(text)
+        assert len(key) == len(tokens) - 1
+        for index, (element, token) in enumerate(zip(key, tokens)):
+            if element in (int, float, str):
+                assert token.kind == {int: "NUMBER", float: "NUMBER",
+                                      str: "STRING"}[element]
+                assert literals[index] == token.text
+            else:
+                assert index not in literals
+                assert element.endswith(token.text)
+
+    @pytest.mark.parametrize("digit", ["²", "٣"])
+    def test_non_ascii_digits_are_illegal_characters(self, digit):
+        text = f"ACCESS p FROM p IN Paragraph\nWHERE p.number == {digit}"
+        with pytest.raises(VQLSyntaxError) as raised:
+            parse_statement(text)
+        error = raised.value
+        assert error.args[0] == f"illegal character {digit!r}"
+        assert (error.position, error.line, error.column) == \
+            (len(text) - 1, 2, 19)
+        with pytest.raises(VQLSyntaxError):
+            parse_statement(text.replace(digit, "1" + digit))
+
+    def test_trailing_line_comment_keeps_its_column_at_end_of_input(self):
+        with pytest.raises(VQLSyntaxError) as raised:
+            parse_statement("ACCESS p FROM  -- no range")
+        assert (raised.value.line, raised.value.column) == (1, 16)
 
 
 class TestExpressionParser:
