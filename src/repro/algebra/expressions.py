@@ -145,7 +145,7 @@ class Const(Expression):
     ``token`` records where the VQL parser read a string or number literal:
     ``(index of its token, sign)``, the sign ``-1`` when a unary minus was
     folded into it.  The query service maps a text's literals onto a cached
-    statement with it (:class:`repro.service.fingerprint.TokenShape`).
+    statement with it (:func:`repro.service.fingerprint.slot_rules`).
     Like :attr:`Parameter.hint` it takes no part in equality or hashing.
     """
 

@@ -2,11 +2,12 @@
 
 Every public entry point of the library — ``Session.execute``,
 ``QueryService.execute`` and the PEP-249-flavored
-``Connection``/``Cursor`` facade — parses statements here and shares one
-classification + mutation code path.  What differs between the owners is
-only *how queries run*: the router delegates query execution to a
-``run_query`` callback, which the service wires to its plan cache and the
-session wires to its per-call pipeline.
+``Connection``/``Cursor`` facade — classifies statements here and shares
+one mutation and DDL code path.  The router caches nothing: its owner
+says how a text becomes an :class:`~repro.vql.analyzer.AnalyzedStatement`
+(*resolve*: the service asks its statement cache, a session parses every
+call) and how a query runs (*run_query*: the service runs the shape's
+cached plan, a session plans per call).
 
 Mutations reuse the query machinery instead of hand-rolled scans:
 
@@ -22,18 +23,16 @@ Mutations reuse the query machinery instead of hand-rolled scans:
   maintenance pass;
 * DDL and every mutation's *apply* phase run under the owner's write guard
   (the service's writer-preferring gate), so in-flight readers drain before
-  state changes; plan-cache invalidation rides on the datamodel's version
+  state changes; cache invalidation rides on the datamodel's version
   clock — schema bumps for ``CREATE CLASS``, index bumps for index DDL,
   data drift for DML.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Mapping, Optional, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Union
 
 from repro.algebra.expressions import Const, Expression, Parameter, bind_parameters
 from repro.datamodel import ddl
@@ -43,16 +42,17 @@ from repro.errors import ServiceError, TransactionError
 from repro.physical.evaluator import evaluate
 from repro.physical.profile import ExplainReport
 from repro.telemetry.spans import child_span
-from repro.vql.analyzer import AnalyzedQuery, AnalyzedStatement, analyze_statement
+from repro.vql.analyzer import AnalyzedStatement, analyze_statement
 from repro.vql.ast import Statement
 from repro.vql.bindings import ParameterValues, resolve_bindings
 from repro.vql.parser import parse_statement
 
 __all__ = ["StatementResult", "StatementRouter", "QueryRunner"]
 
-#: how owners execute queries: (analyzed query, parameters, optimize) -> result
-#: with ``rows`` (list of Row) and ``output_ref`` attributes
-QueryRunner = Callable[[AnalyzedQuery, ParameterValues, bool], Any]
+#: how owners execute queries: (statement, parameters, optimize) -> result
+#: with ``rows`` (list of Row) and ``output_ref`` attributes; the statement
+#: is a query or an UPDATE/DELETE, whose WHERE-query runs
+QueryRunner = Callable[[AnalyzedStatement, ParameterValues, bool], Any]
 
 StatementInput = Union[str, Statement, AnalyzedStatement]
 
@@ -85,71 +85,26 @@ class StatementResult:
 
 
 class StatementRouter:
-    """Parses, analyzes and dispatches statements for one database."""
+    """Resolves (through its owner) and dispatches statements for one
+    database."""
 
     def __init__(self, database: Database,
                  run_query: QueryRunner,
                  explain_query: Optional[Callable[..., str]] = None,
                  write_guard: Optional[Callable[[], Any]] = None,
-                 statement_cache_size: int = 256):
+                 resolve: Optional[Callable[[str], AnalyzedStatement]] = None):
         self.database = database
         self._run_query = run_query
         self._explain_query = explain_query
         self._write_guard = write_guard or nullcontext
-        # The statement cache, one LRU with two kinds of key: a text maps
-        # to its analyzed statement, a query's token key (a tuple) to what
-        # the query service learned for every text with that key
-        # (repro.service.fingerprint.TokenShape).  Each entry carries the
-        # schema version it was analyzed under and is ignored after schema
-        # DDL; bounded so ad-hoc texts cannot grow it forever.
-        self._statements: "OrderedDict[Hashable, tuple[int, Any]]" = (
-            OrderedDict())
-        self._statements_capacity = statement_cache_size
-        self._statements_lock = threading.Lock()
-        self._token_entries = 0
+        self._resolve = resolve or self.parse
 
     # ------------------------------------------------------------------
     # statement resolution
     # ------------------------------------------------------------------
-    @property
-    def cached_statements(self) -> int:
-        """Number of analyzed statements currently cached by text."""
-        with self._statements_lock:
-            return len(self._statements) - self._token_entries
-
-    def cached(self, key: Hashable) -> Any:
-        """The statement cache's entry for *key* — a text's analyzed
-        statement, or what :meth:`remember` stored under a token key — or
-        None when there is none for the current schema version."""
-        schema_version = self.database.versions.schema
-        with self._statements_lock:
-            entry = self._statements.get(key)
-            if entry is None or entry[0] != schema_version:
-                return None
-            self._statements.move_to_end(key)
-            return entry[1]
-
-    def remember(self, key: Hashable, schema_version: int, value: Any) -> None:
-        """Cache *value* under *key* (a text or a token key), valid while
-        the schema stays at *schema_version*."""
-        with self._statements_lock:
-            statements = self._statements
-            if key not in statements and not isinstance(key, str):
-                self._token_entries += 1
-            statements[key] = (schema_version, value)
-            statements.move_to_end(key)
-            while len(statements) > self._statements_capacity:
-                evicted, _ = statements.popitem(last=False)
-                if not isinstance(evicted, str):
-                    self._token_entries -= 1
-
     def parse(self, text: str) -> AnalyzedStatement:
-        """Parse and analyze *text* and cache it under the text."""
-        schema_version = self.database.versions.schema
-        analyzed = analyze_statement(parse_statement(text),
-                                     self.database.schema)
-        self.remember(text, schema_version, analyzed)
-        return analyzed
+        """Parse and analyze *text*."""
+        return analyze_statement(parse_statement(text), self.database.schema)
 
     def analyze(self, statement: StatementInput) -> AnalyzedStatement:
         """Resolve *statement* (text, AST or already analyzed) once."""
@@ -158,12 +113,9 @@ class StatementRouter:
         if isinstance(statement, Statement):
             return analyze_statement(statement, self.database.schema)
         with child_span("analyze") as span:
-            analyzed = self.cached(statement)
-            cached = analyzed is not None
-            if not cached:
-                analyzed = self.parse(statement)
+            analyzed = self._resolve(statement)
             if span is not None:
-                span.annotate(cached=cached, kind=analyzed.kind)
+                span.annotate(kind=analyzed.kind)
         return analyzed
 
     # ------------------------------------------------------------------
@@ -182,7 +134,7 @@ class StatementRouter:
         analyzed = self.analyze(statement)
         kind = analyzed.kind
         if kind == "select":
-            return self._run_query(analyzed.query, parameters, optimize)
+            return self._run_query(analyzed, parameters, optimize)
         if kind == "insert":
             return self._insert(analyzed, [parameters])
         if kind == "update":
@@ -249,23 +201,22 @@ class StatementRouter:
             analyze = analyze or analyzed.statement.analyze
             analyzed = analyzed.target
         if analyzed.kind == "select":
-            return self._explain(analyzed.query, optimize, analyze, parameters)
+            return self._explain(analyzed, optimize, analyze, parameters)
         if analyzed.kind in ("update", "delete"):
             header = (f"{analyzed.kind.upper()} {analyzed.class_name}: "
                       "WHERE clause planned as a query")
-            report = self._explain(analyzed.query, optimize, analyze,
-                                   parameters)
+            report = self._explain(analyzed, optimize, analyze, parameters)
             # keep the structured records of the underlying query report
             return ExplainReport(header + "\n" + report,
                                  getattr(report, "records", None))
         return str(analyzed.statement)
 
-    def _explain(self, query: AnalyzedQuery, optimize: bool,
+    def _explain(self, statement: AnalyzedStatement, optimize: bool,
                  analyze: bool = False,
                  parameters: ParameterValues = None) -> str:
         if self._explain_query is None:
             raise ServiceError("this router has no query explainer")
-        return self._explain_query(query, optimize, analyze=analyze,
+        return self._explain_query(statement, optimize, analyze=analyze,
                                    parameters=parameters)
 
     def _analyze_statistics(self, analyzed: AnalyzedStatement
@@ -445,7 +396,7 @@ class StatementRouter:
         sub_parameters = ({key: bindings[key] for key in where.parameters}
                           or None)
         with child_span("where-query"):
-            result = self._run_query(where, sub_parameters, optimize)
+            result = self._run_query(analyzed, sub_parameters, optimize)
         ref = result.output_ref
         return list(dict.fromkeys(row[ref] for row in result.rows))
 

@@ -74,10 +74,10 @@ class VQLSyntaxError(ReproError):
         """The offending source line with a caret under the error column."""
         if self.source is None or self.line is None or self.column is None:
             return None
-        lines = self.source.splitlines()
+        lines = self.source.split("\n")  # lines as the lexer counts them
         if not 0 < self.line <= len(lines):
             return None
-        source_line = lines[self.line - 1]
+        source_line = lines[self.line - 1].rstrip("\r")
         caret = " " * max(self.column - 1, 0) + "^"
         return f"{prefix}{source_line}\n{prefix}{caret}"
 

@@ -8,16 +8,18 @@ package makes that a service-level guarantee:
   thread-local binding environment, so one plan serves many executions
   with different bind-parameter values (``repro.service.prepared``
   re-exports it for existing imports);
-* :mod:`repro.service.fingerprint` — normalized structural fingerprints of
-  analyzed queries (the plan-cache key);
-* :mod:`repro.service.cache` — an LRU plan cache validated against the
-  database's version counters (schema / index DDL / data drift) and the
+* :mod:`repro.service.fingerprint` — query shapes: auto-parameterization,
+  the shape key and its fingerprint;
+* :mod:`repro.service.cache` — the statement cache: one LRU entry per
+  query shape (its analysis, admission state, plan and build lock),
+  reached by a text or a token key, validated against the database's
+  version counters (schema / index DDL / statistics / data drift) and the
   service's knowledge version;
 * :mod:`repro.service.service` — :class:`QueryService`, the multi-client
   front end with a worker pool and per-query metrics.
 """
 
-from repro.service.cache import CachedPlan, CacheStatistics, PlanCache
+from repro.service.cache import CachedPlan, CacheStatistics, StatementCache
 from repro.service.concurrency import ReadWriteLock
 from repro.service.fingerprint import query_fingerprint
 from repro.physical.executor import BindingEnv, PreparedExecutable, prepare_plan
@@ -33,7 +35,6 @@ __all__ = [
     "BindingEnv",
     "CachedPlan",
     "CacheStatistics",
-    "PlanCache",
     "PreparedExecutable",
     "PreparedQuery",
     "QueryMetrics",
@@ -41,6 +42,7 @@ __all__ = [
     "ReadWriteLock",
     "ServiceMetrics",
     "ServiceResult",
+    "StatementCache",
     "prepare_plan",
     "query_fingerprint",
 ]

@@ -1,41 +1,38 @@
-"""The plan cache: optimized + compiled plans keyed by query shape.
+"""The statement cache: one entry per query shape, reached by text or token key.
 
-A cached entry bundles everything the service needs to execute a query
-shape: the analyzed query, the chosen logical/physical plans, the
-:class:`~repro.physical.executor.PreparedExecutable`, and the version
-snapshot it was prepared under.  Lookups validate the snapshot against the
-database's :class:`~repro.datamodel.database.VersionClock` and the
-service's knowledge version:
+A query *shape* is a generic (auto-parameterized) query plus the optimize
+flag (:mod:`repro.service.fingerprint`).  Its :class:`Shape` entry holds
+what the service learned about it: the generic query and fingerprint, the
+schema version it was analyzed under, the admission state, the plan (a
+:class:`CachedPlan` with the versions it was prepared under), the lock its
+builds serialize on, and the statement a pending feedback replan is priced
+with.  Texts and token keys are aliases of a shape (:class:`Alias`) — a
+text's holds its analysis, a token key's the rules that bind an unseen
+text's literals (:func:`~repro.service.fingerprint.slot_rules`) — and a
+shape takes its aliases (at most :data:`ALIASES_PER_SHAPE`) with it when
+it goes.  A text that is no query is a :class:`TextEntry` of its own.  Shapes
+and texts share one LRU order and one capacity.
 
-* ``schema`` / ``index`` / ``stats`` / knowledge mismatches invalidate
-  strictly — a dropped index makes an index-scan plan unexecutable, new
-  knowledge or schema changes can change both the plan space and its
-  validity, and refreshed ``ANALYZE`` statistics change cost estimates and
-  therefore which plan should have been chosen;
-* ``data`` drift invalidates lazily: prepared plans read all state at
-  execution time and therefore stay *correct* under data changes, but the
-  cost-based plan choice goes stale, so an entry is evicted once the number
-  of mutations since preparation exceeds ``reoptimize_fraction`` of the
-  object count it was planned against (bulk loads re-optimize, single-row
-  churn does not).
+One rule validates an entry (:meth:`StatementCache._valid`): a schema
+change drops the whole entry; an index, statistics or knowledge change, or
+data drift past ``reoptimize_fraction`` of the object count the plan was
+priced against, drops only the plan.  (Prepared plans read all state at
+execution time, so under drift they stay *correct*, only their choice goes
+stale: bulk loads re-optimize, single-row churn does not.)
 
-Keys are statement *shapes*: literals are auto-parameterized before the
-lookup (:mod:`repro.service.fingerprint`).  A shape that arrived with
-literals is shared once its literals vary (:meth:`PlanCache.key_for`): its
-first statement caches under the shape plus its values, so a text that
-only repeats verbatim keeps the plan priced for its values, and the first
-statement with other values plans the shape's generic plan, which serves
-every later statement of the shape.
+Admission (:meth:`StatementCache.admit`): a shape's first statement plans
+for its own literal values, so a text that only repeats verbatim keeps the
+plan priced for them; the first statement with other values drops that
+plan, and the shape's next plan is shared by all its statements.
 
-The cache is a bounded LRU and thread-safe; eviction and invalidation
-counts are exposed for the service metrics.
+The cache is thread-safe; a miss is counted exactly when a plan is built.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Any, Hashable, Optional
 
 from repro.algebra.operators import LogicalOperator
@@ -44,12 +41,18 @@ from repro.optimizer.search import OptimizationResult
 from repro.physical.executor import PreparedExecutable
 from repro.physical.plans import PhysicalOperator
 from repro.physical.profile import PlanProfile
-from repro.vql.analyzer import AnalyzedQuery
+from repro.service.fingerprint import cache_key, query_fingerprint
+from repro.vql.analyzer import AnalyzedQuery, AnalyzedStatement
 
-__all__ = ["CachedPlan", "CacheStatistics", "PlanCache"]
+__all__ = ["ALIASES_PER_SHAPE", "Alias", "CachedPlan", "CacheStatistics",
+           "Shape", "StatementCache", "TextEntry"]
 
-#: marks a shape in ``PlanCache._shapes`` whose generic plan is shared
-_ADMITTED = object()
+#: the most aliases (texts and token keys) one shape keeps; its oldest
+#: alias goes when another comes
+ALIASES_PER_SHAPE = 4
+
+#: admission state of a shape whose plan every statement shares
+SHARED = "shared"
 
 
 @dataclass
@@ -61,15 +64,6 @@ class CacheStatistics:
     inserts: int = 0
     evictions: int = 0
     invalidations: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "inserts": self.inserts,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
 
 
 @dataclass
@@ -96,8 +90,6 @@ class CachedPlan:
     knowledge_version: int
     object_count: int
     hint_values: Optional[dict[str, Any]] = None
-    #: the plan-cache key the entry was built for
-    key: Hashable = None
     prepare_seconds: float = 0.0
     optimize_seconds: float = 0.0
     executions: int = 0
@@ -117,157 +109,252 @@ class CachedPlan:
     feedback_values: Optional[dict[str, Any]] = None
 
 
-class PlanCache:
-    """Bounded, version-validated LRU cache of :class:`CachedPlan` entries."""
+@dataclass(eq=False)
+class Shape:
+    """The cache entry of one query shape."""
+
+    #: ``(generic query, optimize)``: the entry's key
+    key: Hashable
+    generic: AnalyzedQuery
+    fingerprint: str
+    optimize: bool
+    schema_version: int
+    #: admission: None before the first statement with literal values,
+    #: then that statement's values, then :data:`SHARED`
+    first: Any = None
+    plan: Optional[CachedPlan] = None
+    #: the statement whose execution evicted the plan through feedback:
+    #: the next build is priced with its values
+    replan: Any = None
+    #: serializes builds of the plan (single flight)
+    lock: threading.Lock = field(default_factory=threading.Lock)
+    #: the keys of the shape's aliases, oldest first
+    aliases: list = field(default_factory=list)
+    live: bool = True
+
+
+@dataclass(eq=False)
+class TextEntry:
+    """The entry of a text that is no query: its analysis (an UPDATE's or
+    DELETE's holds its WHERE-query's prepared handle, made with it)."""
+
+    key: str
+    statement: AnalyzedStatement
+    schema_version: int
+    live: bool = True
+    plan = None
+
+
+@dataclass(eq=False)
+class Alias:
+    """A text's way to its shape, with the text's ``statement`` (its
+    analysis), or a token key's, with the slot rules ``bound`` and ``kept``
+    derived under the set ``keep`` of literal values kept literal."""
+
+    shape: Shape
+    statement: Optional[AnalyzedStatement] = None
+    keep: frozenset = frozenset()
+    bound: tuple = ()
+    kept: tuple = ()
+
+
+class StatementCache:
+    """Bounded, version-validated LRU of shapes and of texts that are no
+    query, plus the aliases of the shapes."""
 
     def __init__(self, capacity: int = 256,
                  reoptimize_fraction: float = 0.25):
         if capacity <= 0:
-            raise ValueError("plan cache capacity must be positive")
+            raise ValueError("statement cache capacity must be positive")
         self.capacity = capacity
         self.reoptimize_fraction = reoptimize_fraction
-        self._entries: "OrderedDict[Hashable, CachedPlan]" = OrderedDict()
-        #: auto-parameterized shapes (generic key) -> ``[the key object
-        #: first seen, the literal values of its statement or _ADMITTED]``
-        #: (see :meth:`key_for`); an LRU four times the capacity
-        self._shapes: "OrderedDict[Hashable, list]" = OrderedDict()
+        #: shapes by ``(generic query, optimize)`` and texts that are no
+        #: query by their text, in LRU order
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        #: texts and token keys -> their :class:`Alias`
+        self._aliases: dict[Hashable, Alias] = {}
+        #: the texts it resolves without a parse: text aliases and entries
+        self.texts = 0
         self._lock = threading.Lock()
         self.statistics = CacheStatistics()
 
     # ------------------------------------------------------------------
-    # lookup / store
+    # resolution
     # ------------------------------------------------------------------
-    def lookup(self, key: Hashable, database: Database,
-               knowledge_version: int, record: bool = True) -> Optional[CachedPlan]:
-        """Return the valid cached plan for *key*, or None.
-
-        Stale entries (version mismatch, excessive data drift) are dropped
-        on sight and counted as invalidations + misses.  ``record=False``
-        skips the hit/miss counters (used for the double-checked lookup
-        after waiting on another thread's build of the same shape).
-        """
+    def get(self, key: Hashable, database: Database) -> Any:
+        """The :class:`Alias` of a text or token *key*, or the
+        :class:`TextEntry` of a text that is no query, or None."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            alias = self._aliases.get(key)
+            entry = self._entries.get(key) if alias is None else alias.shape
+            if entry is None or not self._valid(entry, database):
+                return None
+            self._entries.move_to_end(entry.key)
+            return entry if alias is None else alias
+
+    def shape(self, generic: AnalyzedQuery, optimize: bool,
+              schema_version: int) -> Shape:
+        """The entry of the shape *generic* with *optimize*, made when
+        there is none of *schema_version*."""
+        key = cache_key(generic, optimize)
+        with self._lock:
+            shape = self._entries.get(key)
+            if shape is not None and shape.schema_version == schema_version:
+                self._entries.move_to_end(key)
+                return shape
+            if shape is not None:
+                self._drop(shape)
+            shape = Shape(key, generic, query_fingerprint(generic, optimize),
+                          optimize, schema_version)
+            self._insert(shape)
+            return shape
+
+    def alias(self, key: Hashable, alias: Alias) -> None:
+        """Make *key* (a text or a token key) an alias of ``alias.shape``."""
+        shape = alias.shape
+        with self._lock:
+            if not shape.live:
+                return
+            self._unalias(key)
+            self._aliases[key] = alias
+            self.texts += isinstance(key, str)
+            shape.aliases.append(key)
+            if len(shape.aliases) > ALIASES_PER_SHAPE:
+                self._unalias(shape.aliases[0])
+
+    def add(self, text: str, statement: AnalyzedStatement,
+            schema_version: int) -> None:
+        """Cache the analysis of *text*, which is no query."""
+        with self._lock:
+            if text not in self._entries:
+                self._insert(TextEntry(text, statement, schema_version))
+                self.texts += 1
+
+    # ------------------------------------------------------------------
+    # plans
+    # ------------------------------------------------------------------
+    def admit(self, shape: Shape, values: Optional[dict[str, Any]]) -> None:
+        """Note a statement of *shape* with the literal *values*; the first
+        with other values than the first statement's drops the first's plan
+        and a replan pending for it."""
+        if values is None or shape.first is SHARED:
+            return
+        values = tuple(values.values())
+        with self._lock:
+            if shape.first is None:
+                shape.first = values
+            elif shape.first != values and shape.first is not SHARED:
+                shape.first = SHARED
+                shape.plan = shape.replan = None
+
+    def lookup(self, shape: Shape, database: Database,
+               knowledge_version: int, record: bool = True
+               ) -> Optional[CachedPlan]:
+        """The valid plan of *shape*, or None.
+
+        ``record=False`` skips the hit/miss counters (used for the
+        double-checked lookup after waiting on another thread's build of
+        the same shape)."""
+        with self._lock:
+            plan = (shape.plan if self._valid(shape, database,
+                                              knowledge_version) else None)
+            if plan is None:
                 if record:
                     self.statistics.misses += 1
                 return None
-            if not self._is_valid(entry, database, knowledge_version):
-                del self._entries[key]
-                self.statistics.invalidations += 1
-                if record:
-                    self.statistics.misses += 1
-                return None
-            self._entries.move_to_end(key)
+            self._entries.move_to_end(shape.key)
             if record:
                 self.statistics.hits += 1
-            entry.executions += 1
-            return entry
+            plan.executions += 1
+            return plan
 
-    def key_for(self, shape: Hashable, values: tuple) -> Hashable:
-        """The key a statement of the auto-parameterized *shape* with the
-        literal *values* caches under.
-
-        The shape's first statement is cached under ``(shape, values)``, so
-        a text that only ever repeats verbatim keeps the plan priced for its
-        values.  The first statement with other values admits the shape:
-        from then on every statement of it shares the plan under *shape*,
-        which replaces the first statement's entry.  (The synthetic keys in
-        *shape* carry the literals' types, so equal values of other types —
-        ``0`` and ``0.0`` — never meet here.)  The key is built from the
-        shape object the cache first saw (:meth:`canonical`), so entries of
-        one shape are stored under one object."""
+    def store(self, shape: Shape, plan: CachedPlan) -> None:
         with self._lock:
-            held = self._shapes.get(shape)
-            if held is None:
-                self._shapes[shape] = [shape, values]
-                while len(self._shapes) > 4 * self.capacity:
-                    self._shapes.popitem(last=False)
-                return (shape, values)
-            self._shapes.move_to_end(shape)
-            canonical, first = held
-            if first is _ADMITTED:
-                return canonical
-            if first == values:
-                return (canonical, values)
-            held[1] = _ADMITTED
-            self._entries.pop((canonical, first), None)
-            return canonical
-
-    def canonical(self, shape: Hashable) -> Hashable:
-        """The shape key object :meth:`key_for` builds keys from: the first
-        one it saw equal to *shape*, or *shape* itself.  A caller that keeps
-        it looks its shape up by identity, without comparing query trees."""
-        with self._lock:
-            held = self._shapes.get(shape)
-            return shape if held is None else held[0]
-
-    def store(self, key: Hashable, entry: CachedPlan) -> None:
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
             self.statistics.inserts += 1
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.statistics.evictions += 1
+            if shape.live:
+                shape.plan = plan
 
-    def discard(self, key: Hashable) -> None:
-        """Drop the entry for *key*, if any, counted as an invalidation."""
+    def discard(self, shape: Shape, plan: CachedPlan) -> None:
+        """Drop *plan* from *shape*, if it still holds it, counted as an
+        invalidation."""
         with self._lock:
-            if self._entries.pop(key, None) is not None:
+            if shape.plan is plan:
+                shape.plan = None
                 self.statistics.invalidations += 1
 
-    def invalidate_all(self) -> int:
-        """Drop every entry (e.g. after knowledge registration)."""
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self.statistics.invalidations += dropped
-            return dropped
-
     # ------------------------------------------------------------------
-    # validity
+    # validity and eviction (callers hold the lock)
     # ------------------------------------------------------------------
-    def _is_valid(self, entry: CachedPlan, database: Database,
-                  knowledge_version: int) -> bool:
+    def _valid(self, entry, database: Database,
+               knowledge_version: Optional[int] = None) -> bool:
+        """The one validity rule: False (the entry dropped) after a schema
+        change; else True, and given the *knowledge_version* (a plan
+        lookup, not a text's resolution) the entry's plan is dropped when
+        stale."""
+        if not entry.live:
+            return False
         versions = database.versions
         if entry.schema_version != versions.schema:
+            self._drop(entry)
             return False
-        if entry.index_version != versions.index:
-            return False
-        if entry.stats_version != versions.stats:
-            return False
-        if entry.knowledge_version != knowledge_version:
-            return False
-        drift = versions.data - entry.data_version
-        if drift > self.reoptimize_fraction * max(entry.object_count, 1):
-            return False
+        plan = entry.plan
+        if plan is not None and knowledge_version is not None and (
+                plan.index_version != versions.index
+                or plan.stats_version != versions.stats
+                or plan.knowledge_version != knowledge_version
+                or versions.data - plan.data_version
+                > self.reoptimize_fraction * max(plan.object_count, 1)):
+            entry.plan = None
+            self.statistics.invalidations += 1
         return True
+
+    def _insert(self, entry) -> None:
+        self._entries[entry.key] = entry
+        while len(self._entries) > self.capacity:
+            _, evicted = self._entries.popitem(last=False)
+            self._drop(evicted, evicted=True)
+
+    def _drop(self, entry, evicted: bool = False) -> None:
+        """Remove *entry* with all it holds: an eviction, or an
+        invalidation when it held a plan."""
+        entry.live = False
+        if self._entries.get(entry.key) is entry:
+            del self._entries[entry.key]
+        if evicted:
+            self.statistics.evictions += 1
+        elif entry.plan is not None:
+            self.statistics.invalidations += 1
+        if isinstance(entry, TextEntry):
+            self.texts -= 1
+            return
+        for key in list(entry.aliases):
+            self._unalias(key)
+        entry.plan = entry.replan = None
+
+    def _unalias(self, key: Hashable) -> None:
+        alias = self._aliases.pop(key, None)
+        if alias is not None:
+            alias.shape.aliases.remove(key)
+            self.texts -= isinstance(key, str)
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
-
     def entries(self) -> list[CachedPlan]:
+        """The cached plans, least recently used first."""
         with self._lock:
-            return list(self._entries.values())
+            return [entry.plan for entry in self._entries.values()
+                    if entry.plan is not None]
+
+    def __len__(self) -> int:
+        """The number of cached plans."""
+        return len(self.entries())
 
     def snapshot(self) -> dict[str, int]:
-        """Size, capacity and behaviour counters in one consistent read
-        (the feed behind the telemetry plan-cache gauges)."""
+        """Size (cached plans), capacity and behaviour counters in one
+        consistent read (the feed behind the telemetry plan-cache gauges)."""
         with self._lock:
-            return {"size": len(self._entries), "capacity": self.capacity,
-                    **self.statistics.as_dict()}
-
-    def __str__(self) -> str:
-        stats = self.statistics
-        return (f"PlanCache({len(self)}/{self.capacity} entries, "
-                f"{stats.hits} hits, {stats.misses} misses, "
-                f"{stats.invalidations} invalidations)")
+            size = sum(entry.plan is not None
+                       for entry in self._entries.values())
+            return {"size": size, "capacity": self.capacity,
+                    **asdict(self.statistics)}

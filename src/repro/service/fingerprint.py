@@ -1,4 +1,4 @@
-"""Statement shapes: what the plan cache keys on.
+"""Statement shapes: what the statement cache keys on.
 
 Two query texts that differ only in whitespace, comments, keyword case of
 hyphenated operators, or placeholder spelling (``?`` vs ``?1``) analyze to
@@ -26,19 +26,18 @@ those literally), it is NULL, a boolean or a collection, or it is an
 operand of an all-literal subexpression (``3 + 4``), which the compiler
 folds into one constant.
 
-A text the router has not seen verbatim is matched by its *token key*
-(:func:`repro.vql.lexer.token_key`) before it is parsed: a
-:class:`TokenShape`, written by the first full parse of a text with that
-key, holds the generic query and a rule for each literal slot — bind the
-slot to synthetic parameter ``$k``, or (a pattern constant, an operand of
-foldable arithmetic) repeat the first text's literal verbatim.  A text
-whose literals keep those rules generalizes to the same query, so it skips
-parse, analyze and generalize and reaches the plan cache with the shape's
-own key object.
+A text the statement cache has not seen verbatim is matched by its *token
+key* (:func:`repro.vql.lexer.token_key`) before it is parsed.  The first
+full parse of a text with that key derives a rule for each literal slot
+(:func:`slot_rules`) — bind the slot to synthetic parameter ``$k``, or (a
+pattern constant, an operand of foldable arithmetic) repeat the first
+text's literal verbatim.  A text whose literals keep those rules
+(:func:`slot_values`) generalizes to the same query, so it skips parse,
+analyze and generalize and reaches its shape's cache entry directly.
 
-The plan cache keys on the generic query itself — its expression subtrees
-carry cached structural hashes, so hashing the key is a few integer mixes,
-not a tree walk.  :func:`query_fingerprint` additionally renders a short,
+The statement cache keys shapes on the generic query itself — its
+expression subtrees carry cached structural hashes, so hashing the key is
+a few integer mixes, not a tree walk.  :func:`query_fingerprint` additionally renders a short,
 deterministic hex digest of the canonical generic text for logging and
 metrics (Python's ``hash()`` is salted per process and unsuitable for
 reporting): one fingerprint per shape, whatever its literals.
@@ -47,8 +46,7 @@ reporting): one fingerprint per shape, whatever its literals.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Any, Hashable, Optional
+from typing import Any, Optional
 
 from repro.algebra.expressions import (
     BinaryOp,
@@ -64,8 +62,8 @@ from repro.algebra.expressions import (
 from repro.vql.analyzer import AnalyzedQuery
 from repro.vql.ast import Query, RangeDeclaration
 
-__all__ = ["AUTO_PARAMETER_MARK", "TokenShape", "cache_key", "generalize",
-           "priced", "query_fingerprint", "slot_rules"]
+__all__ = ["AUTO_PARAMETER_MARK", "cache_key", "generalize", "priced",
+           "query_fingerprint", "slot_rules", "slot_values"]
 
 #: first character of a synthetic parameter key: no VQL parameter name
 #: starts with it, so synthetic keys never collide with a client's
@@ -194,43 +192,23 @@ def _read(token_key: tuple, literals: dict[int, str], index: int,
     return -value if sign < 0 else value
 
 
-@dataclass(frozen=True)
-class TokenShape:
-    """What the first full parse of a query text learned for every text
-    with its token key: the generic query they all generalize to and how
-    each literal slot reaches it (:func:`slot_rules`).
-
-    ``keep`` is the set of literal values :func:`generalize` kept, ``key``
-    the plan-cache key object the shape is planned under (held by the plan
-    cache, so a lookup with it is an identity match), ``optimize`` the flag
-    it was prepared with."""
-
-    generic: AnalyzedQuery
-    fingerprint: str
-    key: Hashable
-    optimize: bool
-    keep: frozenset
-    bound: tuple[tuple[str, int, int], ...]
-    kept: tuple[tuple[int, str], ...]
-
-    def values(self, token_key: tuple, literals: dict[int, str],
-               keep: frozenset) -> Optional[dict[str, Any]]:
-        """The synthetic parameters' values of a text with this token key
-        and *literals*, generalized with *keep*; None when its full parse
-        would generalize to another query — the keep-set changed, a kept
-        literal differs, or a bound one equals a kept value."""
-        if keep != self.keep:
+def slot_values(bound: tuple, kept: tuple, token_key: tuple,
+                literals: dict[int, str], keep: frozenset
+                ) -> Optional[dict[str, Any]]:
+    """The synthetic parameters' values of a text with *token_key* and
+    *literals*, by the slot rules *bound* and *kept* (:func:`slot_rules`);
+    None when the text's full parse would generalize with *keep* to
+    another query — a kept literal differs, or a bound one is in *keep*."""
+    for index, text in kept:
+        if literals[index] != text:
             return None
-        for index, text in self.kept:
-            if literals[index] != text:
-                return None
-        values = {}
-        for key, index, sign in self.bound:
-            value = _read(token_key, literals, index, sign)
-            if value in keep:
-                return None
-            values[key] = value
-        return values
+    values = {}
+    for key, index, sign in bound:
+        value = _read(token_key, literals, index, sign)
+        if value in keep:
+            return None
+        values[key] = value
+    return values
 
 
 def _all_literal(expression: Expression) -> bool:
@@ -240,7 +218,8 @@ def _all_literal(expression: Expression) -> bool:
 
 
 def cache_key(analyzed: AnalyzedQuery, optimize: bool) -> tuple[Query, bool]:
-    """The plan-cache key: the (generic) query plus the optimize flag.
+    """The key of a shape's cache entry: the (generic) query plus the
+    optimize flag.
 
     Keying on the :class:`Query` value (structural equality) makes textually
     different but shape-identical queries share one cached plan.
@@ -250,7 +229,7 @@ def cache_key(analyzed: AnalyzedQuery, optimize: bool) -> tuple[Query, bool]:
 
 def query_fingerprint(analyzed: AnalyzedQuery, optimize: bool = True) -> str:
     """A short deterministic digest of the normalized query shape."""
-    canonical = str(analyzed.query)
+    text = str(analyzed.query)
     if not optimize:
-        canonical += "\n-- naive"
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+        text += "\n-- naive"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]

@@ -1,32 +1,33 @@
 """The multi-client query service.
 
 :class:`QueryService` is the production front end over one database: it
-owns the schema-specific optimizer, a statement cache (query text, or a
-query's token key, → analyzed shape), the plan cache (query shape → optimized + compiled plan)
-and a reader/writer lock that lets many clients execute concurrently while
-service-mediated DDL and knowledge registration drain in-flight queries
-before invalidating.
+owns the schema-specific optimizer, the statement cache (one entry per
+query shape, reached by a text or a token key, holding the shape's plan;
+:mod:`repro.service.cache`) and a reader/writer lock that lets many
+clients execute concurrently while service-mediated DDL and knowledge
+registration drain in-flight queries before invalidating.
 
 The request lifecycle::
 
     run_statement(text, params)     (execute, stream and the cursor)
-      ├─ StatementRouter: text ──→ AnalyzedStatement (parse+analyze once;
-      │     DDL/DML dispatch to the datamodel, queries continue below)
-      │   or, for a query text it has not seen, token key ──→ the generic
-      │     query of a known shape, the text's literals bound to it (no
-      │     parse, analyze or generalize; fingerprint.TokenShape)
-      ├─ auto-parameterize: literals ──→ synthetic parameters (once per
-      │     analyzed statement; repro.service.fingerprint.generalize)
+      ├─ statement cache: text ──→ its analysis (a query: its shape and
+      │     values; anything else goes to the StatementRouter)
+      │   or, for a query text it has not seen, token key ──→ a known
+      │     shape, the text's literals bound to it (no parse, analyze or
+      │     generalize)
+      │   or parse + analyze + auto-parameterize (literals ──→ synthetic
+      │     parameters, repro.service.fingerprint.generalize), which
+      │     writes the text's alias and its token key's
       ├─ resolve bindings (validates arity/names up front) + the
       │     statement's own literal values
-      ├─ plan cache: generic shape ──→ CachedPlan (translate+optimize+
-      │                                 compile once per shape, versioned)
+      ├─ the shape's plan: CachedPlan (translate+optimize+compile once per
+      │     shape, versioned; admitted for the first values, then shared)
       └─ RowStream over CachedPlan.executable (snapshot-pinned, lock-free):
             execute() drains it, a cursor fetches from it
 
 UPDATE/DELETE WHERE clauses come back through ``execute_analyzed`` as
 derived queries — drained streams too — so mutation predicates share the
-plan cache.
+statement cache.
 
 Every response carries :class:`QueryMetrics` (cache hit/miss, optimize vs
 execute time); the service aggregates them in :class:`ServiceMetrics`.
@@ -35,13 +36,12 @@ execute time); the service aggregates them in :class:`ServiceMetrics`.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Hashable, Iterable, Optional, Sequence, Union
+from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.algebra.expressions import Const
 from repro.api.router import StatementRouter
@@ -62,10 +62,10 @@ from repro.physical.plans import (Filter, HashJoin, IndexNestedLoopJoin,
 from repro.physical.profile import (ExplainReport, PlanProfile,
                                     divergent_operators, explain_analyze,
                                     misestimation, profile_summary)
-from repro.service.cache import CachedPlan, PlanCache
+from repro.service.cache import Alias, CachedPlan, Shape, StatementCache
 from repro.service.concurrency import ReadWriteLock
-from repro.service.fingerprint import (TokenShape, cache_key, generalize,
-                                       priced, query_fingerprint, slot_rules)
+from repro.service.fingerprint import (generalize, priced, slot_rules,
+                                       slot_values)
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.slowlog import SlowQueryLog
 from repro.telemetry.spans import (Tracer, activation, annotate_current,
@@ -82,19 +82,16 @@ __all__ = ["PreparedQuery", "QueryMetrics", "QueryService",
 class PreparedQuery:
     """A client-side handle to a prepared statement.
 
-    Holding the handle skips parse + analyze on execution; the plan itself
-    lives in the service's plan cache and is revalidated (and transparently
-    re-prepared) on every execution.  ``analyzed`` is the statement as
-    written; ``generic`` is what the plan cache plans and keys on — the
-    same query with its eligible literals auto-parameterized
-    (:func:`~repro.service.fingerprint.generalize`), and ``auto_values``
-    the statement's own values for those synthetic parameters (``None``
-    when it has none, in which case ``generic`` is ``analyzed``).  ``key``
-    is the plan-cache key of the shape.  A statement resolved by its token
-    key was never parsed: its ``analyzed`` is None and its ``generic`` the
-    one its :class:`~repro.service.fingerprint.TokenShape` holds, costing
-    hints of the text that wrote it included (a plan built for it is
-    priced with its own values, :func:`~repro.service.fingerprint.priced`).
+    Holding the handle skips parse + analyze on execution; the plan lives
+    in ``shape``, its statement-cache entry, and is revalidated (and
+    transparently re-prepared) on every execution.  ``analyzed`` is the
+    statement as written, ``generic`` the same query with its eligible
+    literals (all but those in ``keep``) auto-parameterized
+    (:func:`~repro.service.fingerprint.generalize`) and ``auto_values`` the
+    statement's values for them (``None``: it has none, and ``generic`` is
+    ``analyzed``).  A statement resolved by its token key was never parsed:
+    its ``analyzed`` is None and its ``generic`` the shape's (a plan built
+    for it is priced with its own values).
     """
 
     text: str
@@ -103,7 +100,8 @@ class PreparedQuery:
     fingerprint: str
     generic: AnalyzedQuery
     auto_values: Optional[dict[str, Any]] = None
-    key: Hashable = None
+    shape: Optional[Shape] = None
+    keep: frozenset = frozenset()
 
     @property
     def parameters(self) -> tuple[str, ...]:
@@ -173,7 +171,9 @@ class ServiceMetrics:
             "query texts found in the statement cache by their token key "
             "(not parsed, analyzed or generalized)")
         self._statements_prepared = reg.gauge(
-            "repro_cached_statements", "analyzed statements cached by text")
+            "repro_cached_statements",
+            "cached statement texts: query text aliases plus the entries "
+            "of other statements")
         self._analyze = reg.histogram(
             "repro_analyze_seconds", "statement parse + analyze latency")
         self._prepare = reg.histogram(
@@ -222,7 +222,7 @@ class ServiceMetrics:
         self._token_hits.inc()
 
     def set_statements_prepared(self, count: int) -> None:
-        """Locked setter for the statement-cache size gauge."""
+        """Locked setter for the cached-texts gauge."""
         self._statements_prepared.set(count)
 
     def record(self, metrics: QueryMetrics) -> None:
@@ -342,11 +342,6 @@ class QueryService:
         #: corrections would chase noise.
         self.adaptive_feedback = adaptive_feedback
         self.feedback_threshold = feedback_threshold
-        #: plan-cache keys evicted by feedback, awaiting their replan, each
-        #: with the statement whose execution triggered it — the replan is
-        #: priced with that statement's literal values (drained into the
-        #: ``plans_reoptimized`` counter by ``_prepare_entry``)
-        self._feedback_replans: dict[Any, PreparedQuery] = {}
         self.schema = database.schema
         self.knowledge = knowledge or SchemaKnowledge(self.schema)
         self._options = options
@@ -360,26 +355,21 @@ class QueryService:
         #: literal values auto-parameterization leaves alone: the semantic
         #: rules match them literally (recomputed with the optimizer)
         self._literal_constants = self.knowledge.pattern_constants()
-        self.cache = PlanCache(capacity=cache_capacity,
-                               reoptimize_fraction=reoptimize_fraction)
-        # single-flight guards: concurrent cold misses on one shape must not
-        # duplicate the (expensive) optimize + compile work
-        self._build_locks: dict[Any, threading.Lock] = {}
-        self._build_locks_guard = threading.Lock()
+        self.cache = StatementCache(capacity=cache_capacity,
+                                    reoptimize_fraction=reoptimize_fraction)
         self._gate = ReadWriteLock()
         self.metrics = ServiceMetrics(registry=self.registry)
         #: the shared statement front end: classification, DML and DDL live
-        #: in the router; queries come back through ``execute_analyzed`` so
-        #: they (and UPDATE/DELETE WHERE clauses) hit the plan cache.  The
-        #: router's text cache (schema-version-validated) is the single
-        #: statement cache — ``prepare`` resolves through it too.  The write
-        #: guard is the traced wrapper so gate waits show up as spans.
+        #: in the router; it resolves texts through the statement cache, and
+        #: queries come back through ``execute_analyzed`` so they (and
+        #: UPDATE/DELETE WHERE clauses) run the shape's cached plan.  The
+        #: write guard is the traced wrapper so gate waits show up as spans.
         self.router = StatementRouter(
             database,
             run_query=self.execute_analyzed,
             explain_query=self._explain_analyzed,
             write_guard=self._traced_write_guard,
-            statement_cache_size=4 * cache_capacity)
+            resolve=self._analyzed)
         self._register_gauges()
 
     def _register_gauges(self) -> None:
@@ -423,21 +413,16 @@ class QueryService:
     # statement preparation
     # ------------------------------------------------------------------
     def prepare(self, text: str, optimize: bool = True) -> PreparedQuery:
-        """Parse + analyze *text* once and warm the plan cache for it."""
-        statement = self._statement(text, optimize)
-        self._entry_for(statement)
-        return statement
-
-    def _statement(self, text: str, optimize: bool) -> PreparedQuery:
-        """Resolve query text to a prepared handle via the router's
-        statement cache (one cache, one invalidation discipline)."""
-        analyzed = self.router.analyze(text)
+        """Resolve query *text* through the statement cache (a parse on a
+        miss) and warm the cache with its plan."""
+        analyzed = self._analyzed(text, optimize)
         if not analyzed.is_query:
             raise ServiceError(
                 f"cannot prepare a {analyzed.kind.upper()} statement — "
                 "prepare() is for queries")
-        statement = self._prepared_for(analyzed.query, optimize)
-        self.metrics.set_statements_prepared(self.router.cached_statements)
+        statement = self._handle(analyzed, optimize)
+        self.metrics.set_statements_prepared(self.cache.texts)
+        self._plan_for(statement)
         return statement
 
     # ------------------------------------------------------------------
@@ -491,8 +476,7 @@ class QueryService:
                                      drain=not stream)
                 analyzed = self._resolve(query, optimize)
                 analyze_seconds = time.perf_counter() - started
-                self.metrics.set_statements_prepared(
-                    self.router.cached_statements)
+                self.metrics.set_statements_prepared(self.cache.texts)
                 if isinstance(analyzed, PreparedQuery):
                     return self._run(
                         analyzed, parameters, span,
@@ -517,111 +501,110 @@ class QueryService:
         self.tracer.finish(span)
         return result
 
-    def execute_analyzed(self, analyzed: AnalyzedQuery,
+    def execute_analyzed(self, statement: AnalyzedStatement,
                          parameters: ParameterValues = None,
                          optimize: bool = True,
                          at: Optional[int] = None) -> ServiceResult:
-        """Execute an already-analyzed query through the plan cache.
-
-        This is the router's query runner: the plan cache keys on the
-        analyzed query's structure, so statements that were analyzed by the
-        router (including the WHERE-queries derived from UPDATE/DELETE)
-        share cached plans exactly like text submitted to :meth:`execute`.
-        *at* pins the execution to an explicit snapshot timestamp (a
-        transaction's begin snapshot) instead of the latest published one.
-        A failure is counted by the statement that issued the query.
-        """
-        return self._run(self._prepared_for(analyzed, optimize), parameters,
+        """The router's query runner: execute the query of *statement* (a
+        query, or an UPDATE's/DELETE's WHERE-query) by its shape's cached
+        plan, at the snapshot *at* (default: the latest published one).  A
+        failure is counted by the statement that issued the query."""
+        return self._run(self._handle(statement, optimize), parameters,
                          self.tracer.begin_root("statement"), at=at,
                          drain=True)
 
+    # ------------------------------------------------------------------
+    # statement resolution: everything goes through the statement cache
+    # ------------------------------------------------------------------
     def _resolve(self, text: str, optimize: bool
                  ) -> Union[PreparedQuery, AnalyzedStatement]:
-        """Resolve statement *text* through the router's statement cache:
-        by the text; then, for a query, by its token key
-        (:func:`~repro.vql.lexer.token_key`); else by a full parse, which
-        writes both keys.  A query comes back as its prepared handle, any
-        other statement analyzed.
-
-        A token hit binds the text's literals to the generic query the
-        key's :class:`~repro.service.fingerprint.TokenShape` holds, exactly
-        as a full parse would have generalized them, or falls through to
-        the full parse when they break its slot rules, the keep-set or the
-        optimize flag differ, or the schema changed since it was written.
-        """
-        router = self.router
+        """Resolve statement *text* through the statement cache: by the
+        text; then by its token key (:func:`~repro.vql.lexer.token_key`),
+        whose alias binds the text's literals exactly as a full parse would
+        generalize them — unless they break its slot rules or the keep-set
+        or optimize flag differ; else by a full parse.  A query comes back
+        as its prepared handle, any other statement analyzed."""
+        cache = self.cache
+        database = self.database
         with child_span("analyze") as span:
-            analyzed = router.cached(text)
-            cached = analyzed is not None
+            found = cache.get(text, database)
+            cached = found is not None
             if cached:
                 self.metrics.record_text_hit()
+                analyzed = found.statement
             else:
-                schema_version = self.database.versions.schema
                 keep = self._literal_constants
                 tokens, literals = token_key(text)
-                shape = router.cached(tokens)
-                values = (None if shape is None or shape.optimize != optimize
-                          else shape.values(tokens, literals, keep))
+                alias = cache.get(tokens, database)
+                values = (None if alias is None or alias.keep != keep
+                          or alias.shape.optimize != optimize
+                          else slot_values(alias.bound, alias.kept, tokens,
+                                           literals, keep))
                 if values is not None:
                     self.metrics.record_token_hit()
                     if span is not None:
                         span.annotate(cached="tokens", kind="select")
+                    shape = alias.shape
                     return PreparedQuery(
                         text=text, analyzed=None, optimize=optimize,
                         fingerprint=shape.fingerprint, generic=shape.generic,
-                        auto_values=values or None, key=shape.key)
-                analyzed = router.parse(text)
-                if analyzed.is_query:
-                    statement = self._prepared_for(analyzed.query, optimize,
-                                                   keep)
-                    rules = slot_rules(tokens, literals, analyzed.query,
-                                       statement.generic,
-                                       statement.auto_values)
-                    if rules is not None:
-                        router.remember(tokens, schema_version, TokenShape(
-                            generic=statement.generic,
-                            fingerprint=statement.fingerprint,
-                            key=self.cache.canonical(statement.key),
-                            optimize=optimize, keep=keep,
-                            bound=rules[0], kept=rules[1]))
+                        auto_values=values or None, shape=shape, keep=keep)
+                analyzed = self._parsed(text, optimize, tokens, literals)
             if span is not None:
                 span.annotate(cached=cached, kind=analyzed.kind)
         if analyzed.is_query:
-            return self._prepared_for(analyzed.query, optimize)
+            return self._handle(analyzed, optimize)
         return analyzed
 
-    def _prepared_for(self, analyzed: AnalyzedQuery, optimize: bool,
-                      keep: Optional[frozenset] = None) -> PreparedQuery:
-        """The prepared handle for an analyzed query, memoized on it.
+    def _analyzed(self, text: str, optimize: bool = True) -> AnalyzedStatement:
+        """The router's resolver: *text* analyzed, from the statement cache
+        or by a full parse that caches it."""
+        found = self.cache.get(text, self.database)
+        return (found.statement if found is not None
+                else self._parsed(text, optimize))
 
-        Router-analyzed statements are reused across executions (and across
-        every row of an ``executemany`` batch), so auto-parameterization
-        (:func:`~repro.service.fingerprint.generalize`, one walk) and the
-        fingerprint — a serialization + hash of the whole query AST — are
-        computed once per analyzed statement, not once per call.  The memo
-        is keyed by the set of literals kept for the knowledge patterns, so
-        a knowledge registration that adds a pattern constant re-derives
-        the handle (*keep*, by default the service's current set, is that
-        set); sharing one analyzed query between owners is safe, and a
-        benign race may build the handle twice.
-        """
-        handles = getattr(analyzed, "prepared_handles", None)
-        if handles is None:
-            handles = {}
-            analyzed.prepared_handles = handles
-        if keep is None:
-            keep = self._literal_constants
-        memo_key = (optimize, keep)
-        statement = handles.get(memo_key)
-        if statement is None:
-            generic, auto_values = generalize(analyzed, keep)
-            statement = PreparedQuery(
-                text=str(analyzed.query), analyzed=analyzed,
-                optimize=optimize,
-                fingerprint=query_fingerprint(generic, optimize),
-                generic=generic, auto_values=auto_values,
-                key=cache_key(generic, optimize))
-            handles[memo_key] = statement
+    def _parsed(self, text: str, optimize: bool = True,
+                tokens: Optional[tuple] = None,
+                literals: Optional[dict] = None) -> AnalyzedStatement:
+        """Parse and analyze *text* and cache it: a query as an alias of its
+        shape, and so its token key when its literals map onto the shape's
+        parameters; any other text as an entry, an UPDATE/DELETE with its
+        WHERE-query's shape reached now."""
+        analyzed = self.router.parse(text)
+        if not analyzed.is_query:
+            if analyzed.query is not None:
+                self._handle(analyzed, optimize)
+            self.cache.add(text, analyzed, self.database.versions.schema)
+            return analyzed
+        statement = self._handle(analyzed, optimize)
+        self.cache.alias(text, Alias(statement.shape, statement=analyzed))
+        if tokens is not None:
+            rules = slot_rules(tokens, literals, analyzed.query,
+                               statement.generic, statement.auto_values)
+            if rules is not None:
+                self.cache.alias(tokens, Alias(
+                    statement.shape, keep=statement.keep,
+                    bound=rules[0], kept=rules[1]))
+        return analyzed
+
+    def _handle(self, analyzed: AnalyzedStatement,
+                optimize: bool) -> PreparedQuery:
+        """The prepared handle of *analyzed*'s query, kept in its scratch
+        space: made with its cache entry, made again for another optimize
+        flag or keep-set, or when its shape left the cache."""
+        keep = self._literal_constants
+        statement = analyzed.cache.get("prepared")
+        if statement is None or statement.optimize != optimize \
+                or statement.keep is not keep and statement.keep != keep \
+                or not statement.shape.live:
+            query = analyzed.query
+            generic, auto_values = generalize(query, keep)
+            shape = self.cache.shape(generic, optimize,
+                                     self.database.versions.schema)
+            statement = analyzed.cache["prepared"] = PreparedQuery(
+                text=str(query.query), analyzed=query, optimize=optimize,
+                fingerprint=shape.fingerprint, generic=generic,
+                auto_values=auto_values, shape=shape, keep=keep)
         return statement
 
     def _run(self, statement: PreparedQuery, parameters: ParameterValues,
@@ -643,7 +626,7 @@ class QueryService:
         try:
             with activation(span):
                 bindings = statement.bind(parameters)
-                entry, cache_hit = self._entry_for(statement)
+                shape, entry, cache_hit = self._plan_for(statement)
                 executable = (self._watched_executable(entry, statement)
                               if drain else entry.executable)
         except BaseException as exc:
@@ -672,7 +655,7 @@ class QueryService:
                     statement, entry, bindings, metrics, host, error=error,
                     profile=entry.feedback_profile if drain else None)
                 if drain:
-                    self._maybe_apply_feedback(entry, statement)
+                    self._maybe_apply_feedback(shape, entry, statement)
             self.tracer.finish(span, error=error)
 
         stream = RowStream(self.database, entry, bindings, on_finish=finish,
@@ -733,47 +716,46 @@ class QueryService:
             return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
-    # plan-cache plumbing
+    # plans
     # ------------------------------------------------------------------
-    def _entry_for(self, statement: PreparedQuery) -> tuple[CachedPlan, bool]:
-        key = statement.key
-        if statement.auto_values is not None:
-            key = self.cache.key_for(key,
-                                     tuple(statement.auto_values.values()))
+    def _plan_for(self, statement: PreparedQuery
+                  ) -> tuple[Shape, CachedPlan, bool]:
+        """*statement*'s shape entry (found again, or made, when the one it
+        holds left the cache), the shape's valid plan — built on a miss,
+        one build per shape at a time — and whether it was cached."""
+        cache = self.cache
+        database = self.database
+        shape = statement.shape
+        schema_version = database.versions.schema
+        if not shape.live or shape.schema_version != schema_version:
+            shape = cache.shape(statement.generic, statement.optimize,
+                                schema_version)
+        cache.admit(shape, statement.auto_values)
         with child_span("plan-cache") as lookup_span:
-            entry = self.cache.lookup(key, self.database,
-                                      self._knowledge_version)
+            entry = cache.lookup(shape, database, self._knowledge_version)
             if lookup_span is not None:
                 lookup_span.annotate(hit=entry is not None)
         if entry is not None:
-            return entry, True
-        with self._build_locks_guard:
-            build_lock = self._build_locks.setdefault(key, threading.Lock())
-        try:
-            with build_lock:
-                # Double-checked: another thread may have built this shape
-                # while we waited on its lock — that still counts as a hit.
-                entry = self.cache.lookup(key, self.database,
-                                          self._knowledge_version, record=False)
-                if entry is not None:
-                    return entry, True
-                # Builds read the live schema/index/statistics state, so
-                # they still drain behind DDL writers; plain executions no
-                # longer pass through the gate at all.  The commit path
-                # runs WHERE-queries while *holding* the write gate — the
-                # lock admits its owner's nested read without deadlock.
-                with self._gate.read_locked():
-                    entry = self._prepare_entry(key, statement)
-                self.cache.store(key, entry)
-        finally:
-            # The guard only needs to exist for the duration of one build;
-            # waiters already holding the lock object still serialize on it,
-            # and late arrivals are caught by the double-checked lookup.
-            with self._build_locks_guard:
-                self._build_locks.pop(key, None)
-        return entry, False
+            return shape, entry, True
+        with shape.lock:
+            # Double-checked: another thread may have built this shape
+            # while we waited on its lock — that still counts as a hit.
+            entry = cache.lookup(shape, database, self._knowledge_version,
+                                 record=False)
+            if entry is not None:
+                return shape, entry, True
+            # Builds read the live schema/index/statistics state, so they
+            # still drain behind DDL writers; plain executions no longer
+            # pass through the gate at all.  The commit path runs
+            # WHERE-queries while *holding* the write gate — the lock
+            # admits its owner's nested read without deadlock.
+            with self._gate.read_locked():
+                entry = self._prepare_entry(shape, statement)
+            cache.store(shape, entry)
+        return shape, entry, False
 
-    def _prepare_entry(self, key, statement: PreparedQuery) -> CachedPlan:
+    def _prepare_entry(self, shape: Shape,
+                       statement: PreparedQuery) -> CachedPlan:
         versions = self.database.versions
         schema_version = versions.schema
         index_version = versions.index
@@ -782,8 +764,8 @@ class QueryService:
         object_count = self.database.object_count()
 
         # A feedback replan is priced with the values of the statement that
-        # triggered it (same shape, so the same cache key).
-        trigger = self._feedback_replans.get(key)
+        # triggered it (the same shape).
+        trigger = shape.replan
         planned = statement if trigger is None else trigger
         generic = planned.generic
         if planned.auto_values:
@@ -798,14 +780,13 @@ class QueryService:
                             if optimization is not None else 0.0)
 
         if trigger is not None:
-            self._feedback_replans.pop(key, None)
+            shape.replan = None
             self.metrics.record_reoptimized()
 
         return CachedPlan(
             fingerprint=statement.fingerprint,
             analyzed=generic,
             hint_values=planned.auto_values,
-            key=key,
             output_ref=translation.output_ref,
             logical_plan=translation.plan,
             physical_plan=physical,
@@ -862,7 +843,7 @@ class QueryService:
             entry.feedback_values = values
         return entry.profiled_executable
 
-    def _maybe_apply_feedback(self, entry: CachedPlan,
+    def _maybe_apply_feedback(self, shape: Shape, entry: CachedPlan,
                               statement: PreparedQuery) -> None:
         """Consume one profiled execution: feed material estimate/actual
         divergences back into the statistics catalog and trigger a replan.
@@ -876,8 +857,9 @@ class QueryService:
         values (one plan serves every value of a shape), the estimates were
         not wrong, only priced for other values: if re-pricing a divergent
         operator with *statement*'s values brings it within the threshold,
-        the entry alone is evicted and replanned with those values — the
-        skewed value gets its own plan without a correction or a knob."""
+        *shape*'s plan alone is dropped and replanned with those values —
+        the skewed value gets its own plan without a correction or a
+        knob."""
         profile = entry.feedback_profile
         if profile is None or len(profile) == 0:
             return
@@ -895,7 +877,7 @@ class QueryService:
                                                  statement.auto_values,
                                                  cost_model)
                 if applied:
-                    self.cache.discard(entry.key)
+                    self.cache.discard(shape, entry)
             else:
                 applied = False
                 for record in divergences:
@@ -906,7 +888,7 @@ class QueryService:
             if span is not None:
                 span.annotate(divergences=len(divergences), applied=applied)
             if applied:
-                self._feedback_replans[entry.key] = statement
+                shape.replan = statement
                 self.metrics.record_feedback_eviction()
 
     def _priced_by_values(self, divergences: list[dict],
@@ -1137,10 +1119,9 @@ class QueryService:
         agree with its queries about which objects exist.
         """
         bindings = resolve_bindings(analyzed.parameters, parameters)
-        where = analyzed.query
-        sub_parameters = ({key: bindings[key] for key in where.parameters}
-                          or None)
-        result = self.execute_analyzed(where, sub_parameters, at=at)
+        sub_parameters = ({key: bindings[key]
+                           for key in analyzed.query.parameters} or None)
+        result = self.execute_analyzed(analyzed, sub_parameters, at=at)
         ref = result.output_ref
         targets = tuple(dict.fromkeys(row[ref] for row in result.rows))
         return bindings, targets
@@ -1162,11 +1143,11 @@ class QueryService:
         return self.router.explain(text, optimize=optimize, analyze=analyze,
                                    parameters=parameters)
 
-    def _explain_analyzed(self, analyzed: AnalyzedQuery,
+    def _explain_analyzed(self, analyzed: AnalyzedStatement,
                           optimize: bool = True, analyze: bool = False,
                           parameters: ParameterValues = None) -> str:
-        statement = self._prepared_for(analyzed, optimize)
-        entry, _ = self._entry_for(statement)
+        statement = self._handle(analyzed, optimize)
+        _, entry, _ = self._plan_for(statement)
         if entry.optimization is not None:
             report = entry.optimization.explain()
         else:

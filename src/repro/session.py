@@ -97,13 +97,16 @@ class Session:
         else:
             self.optimizer = self._generator.generate(
                 database=database, exclude_tags=exclude_tags, options=options)
-        #: shared statement front end: the session supplies its per-call
-        #: pipeline as the query runner, so DML WHERE clauses are planned by
-        #: this session's optimizer exactly like its queries
+        #: shared statement front end: the session parses every text and
+        #: supplies its per-call pipeline as the query runner, so DML WHERE
+        #: clauses are planned by this session's optimizer exactly like its
+        #: queries
         self.router = StatementRouter(
             database,
-            run_query=self._execute_analyzed,
-            explain_query=self._explain_analyzed)
+            run_query=lambda statement, parameters, optimize:
+                self._execute_analyzed(statement.query, parameters, optimize),
+            explain_query=lambda statement, optimize, **kwargs:
+                self._explain_analyzed(statement.query, optimize, **kwargs))
 
     # ------------------------------------------------------------------
     # pipeline stages

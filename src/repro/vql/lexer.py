@@ -21,7 +21,7 @@ somebody asks for them (an error message), so a text that lexes cleanly
 never pays for them.  :func:`token_key` builds, from the same matches, the
 statement's *token key*: its token stream with every literal replaced by a
 typed slot, under which the query service finds an earlier statement of
-the same shape without parsing (:class:`repro.service.fingerprint.TokenShape`).
+the same shape without parsing (:mod:`repro.service.cache`).
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ _MASTER = re.compile(r"""
       | (?P<END> \Z )
       | (?P<ILLEGAL> . )
     )""", re.VERBOSE | re.DOTALL)
-
-#: one piece of what ``_MASTER`` skips before a token
-_SKIPPED = re.compile(r"[ \t\r\n]+|/\*.*?\*/|--[^\n]*", re.DOTALL)
-
 
 @dataclass(slots=True)
 class Token:
@@ -185,24 +181,8 @@ def _fail(message: str, text: str, position: int):
 
 
 def line_and_column(text: str, position: int) -> tuple[int, int]:
-    """The 1-based line and column of *position* in *text*, as the lexer
-    has always reported them: a newline inside a string literal does not
-    start a line, and the end of input right after a ``--`` comment keeps
-    the comment's column."""
-    line, line_start = 1, 0
-    column_position = position
-    for match in _MASTER.finditer(text, 0, position):
-        skipped, start = match.start(), match.start(match.lastgroup)
-        newlines = text.count("\n", skipped, start)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", skipped, start) + 1
-        if match.lastgroup == "END":
-            if position == len(text):
-                last = None
-                for last in _SKIPPED.finditer(text, skipped, start):
-                    pass
-                if last is not None and last.group().startswith("--"):
-                    column_position = last.start()
-            break
-    return line, column_position - line_start + 1
+    """The 1-based line and column of *position* in *text*: one line per
+    newline before it, wherever that newline sits (a string literal, a
+    comment), and the column counted from the last of them."""
+    return (text.count("\n", 0, position) + 1,
+            position - text.rfind("\n", 0, position))

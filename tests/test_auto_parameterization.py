@@ -28,6 +28,7 @@ from repro.physical.evaluator import make_hashable
 from repro.physical.plans import describe_physical_tree, walk_physical
 from repro.service import QueryService
 from repro.service import service as service_module
+from repro.service.cache import Shape, TextEntry
 from repro.service.fingerprint import cache_key, generalize, query_fingerprint
 from repro.vql.analyzer import analyze_query
 from repro.vql.parser import parse_query
@@ -527,13 +528,13 @@ def test_literal_variants_parse_once_and_repeats_build_no_token_key(
     assert counters["repro_statement_text_hits_total"] == 1
     assert counters["repro_statement_token_hits_total"] == 49
     # every variant after the first two ran the shape's one generic plan,
-    # found by the very key object the token entry holds — also the entry
-    # of another token key of the shape, written by a later full parse
+    # held by the one shape entry its token key is an alias of — as is
+    # another token key of the shape, written by a later full parse
     connection.execute(NUMBER_QUERY.format("(1)")).fetchall()
-    (entry,) = connection.service.cache.entries()
+    cache = connection.service.cache
+    (entry,) = cache.entries()
     for text in (NUMBER_QUERY.format(7), NUMBER_QUERY.format("(1)")):
-        shape = connection.service.router.cached(real_key(text)[0])
-        assert entry.key is shape.key
+        assert cache.get(real_key(text)[0], doc_db).shape.plan is entry
 
 
 @pytest.mark.parametrize("valid, split", [
@@ -573,15 +574,16 @@ def test_a_token_hit_plans_with_its_own_values():
 def test_token_entries_under_concurrent_clients(doc_db):
     """Six workers on two cores resolve literal variants of three shapes
     through one service while they write, evict and read the shared
-    statement cache: every answer equals the session's, and the cache's
-    count of text entries stays exact."""
+    statement cache: every answer equals the session's, the cache's count
+    of cached texts stays exact, every alias belongs to a cached shape, and
+    no build lock is left held."""
     import sys
     shapes = [NUMBER_QUERY, PARAGRAPHS + "p.number <= {} AND p.number >= 2",
               DOCUMENTS + "d.title != 'x{}'"]
     texts = [shape.format(n) for n in range(40) for shape in shapes]
     session = open_session(doc_db)
     expected = [values(session.execute(text)) for text in texts]
-    service = QueryService(doc_db, cache_capacity=2)  # LRU of 8: evictions
+    service = QueryService(doc_db, cache_capacity=2)  # two entries: evictions
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -591,8 +593,13 @@ def test_token_entries_under_concurrent_clients(doc_db):
         sys.setswitchinterval(interval)
     assert [values(result) for result in results] == expected
     snapshot = service.metrics.snapshot()
-    router = service.router
-    parsed = sum(isinstance(key, str) for key in router._statements)
-    assert router.cached_statements == parsed
+    cache = service.cache
+    texts_cached = sum(isinstance(key, str) for key in cache._aliases) + sum(
+        isinstance(entry, TextEntry) for entry in cache._entries.values())
+    assert cache.texts == texts_cached
     assert snapshot["queries"] == len(texts)
     assert snapshot["statement_token_hits"] > 0
+    shapes = [entry for entry in cache._entries.values()
+              if isinstance(entry, Shape)]
+    assert all(alias.shape in shapes for alias in cache._aliases.values())
+    assert all(not shape.lock.locked() for shape in shapes)

@@ -15,7 +15,7 @@ from repro import connect
 from repro.errors import BindingError, IndexError_
 from repro.optimizer.knowledge import ConditionImplication
 from repro.physical.plans import IndexEqScan, walk_physical
-from repro.service import PlanCache, QueryService
+from repro.service import QueryService, StatementCache
 from repro.session import Session
 from repro.workloads import document_knowledge, generate_document_database
 from repro.workloads.documents import QUERY_TERM, TARGET_TITLE
@@ -238,7 +238,7 @@ def test_plan_cache_is_a_bounded_lru():
 
 def test_plan_cache_rejects_nonpositive_capacity():
     with pytest.raises(ValueError):
-        PlanCache(capacity=0)
+        StatementCache(capacity=0)
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +366,8 @@ def test_build_locks_do_not_accumulate():
     service = fresh_service(fresh_database())
     for n in range(5):
         service.execute(f"ACCESS p FROM p IN Paragraph WHERE p.number == {n}")
-    assert not service._build_locks
+    (shape,) = service.cache._entries.values()
+    assert not shape.lock.locked()
 
 
 # ----------------------------------------------------------------------

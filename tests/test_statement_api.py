@@ -668,8 +668,9 @@ class TestConnectionCursor:
         session = Session(database)
         victims = []
 
-        def run_query(analyzed, parameters, optimize=True):
-            result = session._execute_analyzed(analyzed, parameters, optimize)
+        def run_query(statement, parameters, optimize=True):
+            result = session._execute_analyzed(statement.query, parameters,
+                                               optimize)
             if result.rows:
                 victim = result.rows[0][result.output_ref]
                 database.delete(victim)

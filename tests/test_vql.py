@@ -114,44 +114,46 @@ def _ascii_digit(char: str) -> bool:
     return "0" <= char <= "9"
 
 
+def _line_column(text: str, position: int) -> tuple[int, int]:
+    """Line and column of *position*: newlines before it, and the
+    characters since the last of them."""
+    line_start = 0
+    line = 1
+    for index in range(position):
+        if text[index] == "\n":
+            line += 1
+            line_start = index + 1
+    return line, position - line_start + 1
+
+
 def reference_scan(text: str, digit=_ascii_digit):
     """The character-loop lexer the master-regex lexer replaced, kept as its
     oracle: ``(kind, text, position, line, column)`` per token.  *digit*
     is the one rule that changed — numbers are ASCII digits only; with
     ``str.isdigit`` the scanner reads ``²`` and ``٣`` as digits, as it
-    once did."""
+    once did.  Line and column count the newlines before a position,
+    inside a string literal or a comment too."""
     position = 0
-    line = 1
-    column = 1
     length = len(text)
     tokens = []
 
     def make(kind, token_text):
-        tokens.append((kind, token_text, position, line, column))
+        tokens.append((kind, token_text, position,
+                       *_line_column(text, position)))
+
+    def error(message):
+        return VQLSyntaxError(message, position,
+                              *_line_column(text, position), source=text)
 
     while position < length:
         char = text[position]
-        if char in " \t\r":
+        if char in " \t\r\n":
             position += 1
-            column += 1
-            continue
-        if char == "\n":
-            position += 1
-            line += 1
-            column = 1
             continue
         if text.startswith("/*", position):
             end = text.find("*/", position + 2)
             if end < 0:
-                raise VQLSyntaxError("unterminated comment", position, line,
-                                     column, source=text)
-            skipped = text[position:end + 2]
-            newlines = skipped.count("\n")
-            line += newlines
-            if newlines:
-                column = len(skipped) - skipped.rfind("\n")
-            else:
-                column += len(skipped)
+                raise error("unterminated comment")
             position = end + 2
             continue
         if text.startswith("--", position):
@@ -161,17 +163,14 @@ def reference_scan(text: str, digit=_ascii_digit):
         if char == "→":
             make("OP", "->")
             position += 1
-            column += 1
             continue
         if char in "'\"":
             end = position + 1
             while end < length and text[end] != char:
                 end += 1
             if end >= length:
-                raise VQLSyntaxError("unterminated string literal",
-                                     position, line, column, source=text)
+                raise error("unterminated string literal")
             make("STRING", text[position + 1:end])
-            column += end + 1 - position
             position = end + 1
             continue
         if digit(char):
@@ -184,7 +183,6 @@ def reference_scan(text: str, digit=_ascii_digit):
                     seen_dot = True
                 end += 1
             make("NUMBER", text[position:end])
-            column += end - position
             position = end
             continue
         if char.isalpha() or char == "_":
@@ -201,28 +199,23 @@ def reference_scan(text: str, digit=_ascii_digit):
                 rest = text[end + 1:rest_end].upper()
                 if rest in ("IN", "SUBSET"):
                     make("OP", f"IS-{rest}")
-                    column += rest_end - position
                     position = rest_end
                     continue
             make("KEYWORD" if upper in KEYWORDS else "IDENT",
                  upper if upper in KEYWORDS else word)
-            column += end - position
             position = end
             continue
         for op in ("==", "!=", "<=", ">=", "->"):
             if text.startswith(op, position):
                 make("OP", op)
                 position += len(op)
-                column += len(op)
                 break
         else:
             if char in "()[]{}.,:<>+-*/?=":
                 make("OP", char)
                 position += 1
-                column += 1
                 continue
-            raise VQLSyntaxError(f"illegal character {char!r}", position, line,
-                                 column, source=text)
+            raise error(f"illegal character {char!r}")
     make("EOF", "")
     return tokens
 
@@ -301,10 +294,20 @@ class TestLexerOracle:
         with pytest.raises(VQLSyntaxError):
             parse_statement(text.replace(digit, "1" + digit))
 
-    def test_trailing_line_comment_keeps_its_column_at_end_of_input(self):
+    def test_end_of_input_after_a_line_comment_is_at_the_end_column(self):
         with pytest.raises(VQLSyntaxError) as raised:
             parse_statement("ACCESS p FROM  -- no range")
-        assert (raised.value.line, raised.value.column) == (1, 16)
+        assert (raised.value.line, raised.value.column) == (1, 27)
+        assert tokenize("ACCESS x -- c")[-1].column == 14
+
+    def test_a_newline_inside_a_string_literal_starts_a_line(self):
+        with pytest.raises(VQLSyntaxError) as raised:
+            tokenize("ACCESS 'a\nb' §")
+        error = raised.value
+        assert (error.line, error.column) == (2, 4)
+        source_line, caret_line = str(error).splitlines()[-2:]
+        assert source_line == "  b' §"
+        assert caret_line.index("^") == source_line.index("§")
 
 
 class TestExpressionParser:
