@@ -186,7 +186,7 @@ class Connection:
         """Shorthand: ``connection.cursor().executemany(...)``."""
         return self.cursor().executemany(operation, parameter_sets)
 
-    def explain(self, operation: str, optimize: bool = True,
+    def explain(self, operation: str, *, optimize: bool = True,
                 analyze: bool = False,
                 parameters: ParameterValues = None) -> str:
         """Describe how *operation* would be evaluated (for UPDATE/DELETE:
@@ -530,7 +530,7 @@ class Cursor:
         self._finish(connection.router.executemany(analyzed, sets))
         return self
 
-    def explain(self, operation: str, optimize: bool = True,
+    def explain(self, operation: str, *, optimize: bool = True,
                 analyze: bool = False,
                 parameters: ParameterValues = None) -> str:
         """Describe (and with ``analyze=True`` profile) *operation* — see

@@ -182,7 +182,7 @@ class StatementRouter:
             f"executemany supports INSERT/UPDATE/DELETE, not "
             f"{analyzed.kind.upper()} statements")
 
-    def explain(self, statement: StatementInput, optimize: bool = True,
+    def explain(self, statement: StatementInput, *, optimize: bool = True,
                 analyze: bool = False,
                 parameters: ParameterValues = None) -> str:
         """Describe how *statement* would be evaluated.

@@ -17,10 +17,11 @@ from typing import Any, Iterable, Iterator, Optional
 from repro.datamodel.indexes import HashIndex, IndexRegistry, SortedIndex
 from repro.datamodel.ir import InvertedTextIndex
 from repro.datamodel.objects import DatabaseObject
-from repro.datamodel.oid import OID, OIDAllocator
+from repro.datamodel.oid import OID, OIDAllocator, is_collection
 from repro.datamodel.extension import CreationOrder
 from repro.datamodel.schema import (
     ClassDef,
+    InverseLink,
     MethodDef,
     PropertyDef,
     Schema,
@@ -52,6 +53,18 @@ _PRUNE_INTERVAL = 64
 _PRUNE_LOG_LIMIT = 4096
 #: "no stored value" (distinct from a stored NULL)
 _MISSING = object()
+
+
+def _members(value: Any) -> set:
+    """The objects a reference value points to: none for NULL, the OID
+    itself, or the OIDs of a collection."""
+    if isinstance(value, OID):
+        return {value}
+    if value is None or not is_collection(value):
+        return set()
+    members = set(value)  # typed reference sets hold OIDs and NULLs only
+    members.discard(None)
+    return members
 
 
 @dataclass
@@ -501,7 +514,8 @@ class Database:
 
         Values are validated against the declared property types; reference
         properties accept OIDs or sets of OIDs.  Indexes and text indexes on
-        the class are maintained eagerly.
+        the class are maintained eagerly, and so is the other side of every
+        inverse link the values set.
         """
         class_def = self.schema.get_class(class_name)
         unknown = [prop for prop in values if not self.schema.has_property(class_name, prop)]
@@ -532,6 +546,12 @@ class Database:
             scope.undo.append(lambda: self._unsettle_created(1))
             self._note_stats_mutation(class_name)
             self._index_new_object(class_name, oid, values)
+            links = self.schema.links_from(class_name)
+            if links:
+                for prop, value in values.items():
+                    link = links.get(prop)
+                    if link is not None:
+                        self._maintain_links(link, oid, None, value)
         del class_def  # looked up only for existence checking
         return oid
 
@@ -601,7 +621,9 @@ class Database:
         error mid-batch (possible on ANY-typed properties with uncomparable
         keys) undoes every row already landed, so the batch is atomic.  The
         data version advances by the number of created objects (same
-        plan-cache drift as individual creates).
+        plan-cache drift as individual creates).  Inverse-link upkeep
+        writes each set-valued other side once per target object, with all
+        of the batch's objects that reference it.
         """
         self.schema.get_class(class_name)  # existence check
         materialized = [dict(row) for row in rows]
@@ -676,7 +698,28 @@ class Database:
             self.versions.data += len(created)
             undo.append(lambda n=len(created): self._unsettle_created(n))
             self._note_stats_mutation(class_name, len(created))
+            links = self.schema.links_from(class_name)
+            if links:
+                self._link_created(links, created, materialized)
         return created
+
+    def _link_created(self, links, created: list[OID],
+                      rows: list[dict[str, Any]]) -> None:
+        """Inverse-link upkeep of a bulk create: one write per target of a
+        set-valued side; single-valued sides row by row, in creation
+        order, exactly as per-row creates would leave them."""
+        for prop, link in links.items():
+            if link.target_cardinality != "many":
+                for oid, row in zip(created, rows):
+                    if row.get(prop) is not None:
+                        self._maintain_links(link, oid, None, row[prop])
+                continue
+            referrers: dict[OID, list[OID]] = {}
+            for oid, row in zip(created, rows):
+                for target in _members(row.get(prop)):
+                    referrers.setdefault(target, []).append(oid)
+            for target, oids in referrers.items():
+                self._link_many(link, target, oids)
 
     def _note_stats_mutation(self, class_name: str, count: int = 1) -> None:
         """Record statistics churn for *class_name* and its ancestors.
@@ -711,7 +754,9 @@ class Database:
         per object, and the whole batch is one commit scope (one WAL
         record): an unknown OID or an index-maintenance error mid-batch
         undoes every object already removed.  The data version advances by
-        the number of deleted objects.
+        the number of deleted objects.  A deleted object leaves the other
+        side of each inverse link it takes part in: a set loses it, a
+        single reference to it becomes NULL.
         """
         maintenance: dict[str, tuple] = {}
 
@@ -783,6 +828,24 @@ class Database:
                 self._note_stats_mutation(class_name, count)
             settled = len(deleted)
             scope.undo.append(lambda: self._unsettle_deleted(settled))
+            self._unlink_deleted(deleted)
+
+    def _unlink_deleted(self, deleted: list[DatabaseObject]) -> None:
+        """Inverse-link upkeep of a delete: take each deleted object off
+        the other side of its links, one write per surviving target."""
+        removals: dict[tuple[OID, str], set[OID]] = {}
+        for obj in deleted:
+            links = self.schema.links_from(obj.class_name)
+            for prop, link in links.items():
+                for target in _members(obj.values.get(prop)):
+                    if link.target_cardinality == "many":
+                        removals.setdefault(
+                            (target, link.target_property), set()).add(obj.oid)
+                    else:
+                        self._unlink(target, link.target_property, "one",
+                                     obj.oid)
+        for (target, prop), oids in removals.items():
+            self._unlink_many(target, prop, oids)
 
     def _undo_deletes(self, deleted: list[DatabaseObject],
                       removed_entries: list[tuple[Any, Any, Any]]) -> None:
@@ -855,7 +918,9 @@ class Database:
         error); the data version ticks once per call, not once per
         property, so a multi-column ``UPDATE ... SET`` costs one plan-cache
         drift unit.  Index and text
-        index maintenance matches :meth:`set_value` per property.
+        index maintenance matches :meth:`set_value` per property.  A write
+        to one side of an inverse link updates the other side in the same
+        commit scope (:meth:`_maintain_links`).
         """
         if not values:
             return
@@ -867,62 +932,183 @@ class Database:
                 raise TypeMismatchError(
                     f"value {value!r} for {class_name}.{prop} does not "
                     f"conform to {prop_def.vml_type}")
+        links = self.schema.links_from(class_name)
         with self.commit_scope() as scope:
-            ts = scope.ts
-            previous = {prop: (obj.has(prop), obj.get_or_none(prop))
-                        for prop in values}
             if scope.ops is not None:
                 scope.ops.append(("update", class_name, oid.serial,
                                   dict(values)))
-            self._mlog.append((ts, class_name, oid))
-            # Version-chain discipline: append the pre-image, *then* flip
-            # ``begin_ts``, *then* mutate the values.  A snapshot reader
-            # that observes an unchanged ``begin_ts`` across its value read
-            # is guaranteed a consistent version; one that observes the
-            # flip finds the pre-image already in the chain.
-            old_begin = obj.begin_ts
-            pre_image = dict(obj.values)
-            self._history.setdefault(oid, []).append((old_begin, pre_image))
-            obj.begin_ts = ts
-            for prop, value in values.items():
-                obj.set(prop, value)
-                self.statistics.record_property_write()
-            # Index maintenance can fail part-way (ANY-typed properties
-            # with uncomparable keys on a sorted index), so the applied
-            # operations are collected as they happen and the undo inverts
-            # exactly those, then restores values and the version stamp.
-            applied_ops: list[tuple[str, Any, Any, Any]] = []
-            scope.undo.append(lambda: self._undo_update(
-                obj, old_begin, pre_image, values, applied_ops))
-            self.versions.data += 1
-            self._note_stats_mutation(class_name)
-            for owner in self._class_and_ancestors(class_name):
+            previous = self._write(obj, values, scope)
+            if links:
                 for prop, value in values.items():
-                    index = self.indexes.get(owner, prop)
-                    if index is not None:
-                        # None values are never indexed (see
-                        # _index_new_object), so transitions to/from None
-                        # are plain removes/inserts.
-                        had, old = previous[prop]
-                        if had and old is not None:
-                            if value is not None:
-                                index.update(old, value, oid)
-                                applied_ops.append(("update", index, old, value))
-                            else:
-                                index.remove(old, oid)
-                                applied_ops.append(("remove", index, old, None))
-                        elif value is not None:
-                            index.insert(value, oid)
-                            applied_ops.append(("insert", index, value, None))
-                    engine = self._text_indexes.get((owner, prop))
-                    if engine is not None:
-                        had, old = previous[prop]
-                        engine.index_text(oid, str(value))
-                        applied_ops.append(("text", engine, old if had else None, None))
+                    link = links.get(prop)
+                    old = previous[prop][1]
+                    if link is not None and old != value:
+                        self._maintain_links(link, oid, old, value)
+
+    def _write(self, obj: DatabaseObject, values: dict[str, Any],
+               scope: _CommitScope, upkeep: bool = False
+               ) -> dict[str, tuple[bool, Any]]:
+        """Apply validated *values* to the live *obj* inside *scope*:
+        version chain, indexes, counters and undo.  Returns each written
+        property's ``(had a value, previous value)``.  Logs nothing: the
+        caller records the operation (link upkeep is re-derived on
+        replay, see :meth:`_maintain_links`).  An *upkeep* write is part
+        of the write that caused it, so it does not tick the data
+        version a second time."""
+        oid = obj.oid
+        class_name = obj.class_name
+        ts = scope.ts
+        previous = {prop: (obj.has(prop), obj.get_or_none(prop))
+                    for prop in values}
+        self._mlog.append((ts, class_name, oid))
+        # Version-chain discipline: append the pre-image, *then* flip
+        # ``begin_ts``, *then* mutate the values.  A snapshot reader
+        # that observes an unchanged ``begin_ts`` across its value read
+        # is guaranteed a consistent version; one that observes the
+        # flip finds the pre-image already in the chain.
+        old_begin = obj.begin_ts
+        pre_image = dict(obj.values)
+        self._history.setdefault(oid, []).append((old_begin, pre_image))
+        obj.begin_ts = ts
+        for prop, value in values.items():
+            obj.set(prop, value)
+            self.statistics.record_property_write()
+        # Index maintenance can fail part-way (ANY-typed properties
+        # with uncomparable keys on a sorted index), so the applied
+        # operations are collected as they happen and the undo inverts
+        # exactly those, then restores values and the version stamp.
+        applied_ops: list[tuple[str, Any, Any, Any]] = []
+        ticks = 0 if upkeep else 1
+        scope.undo.append(lambda: self._undo_update(
+            obj, old_begin, pre_image, values, applied_ops, ticks))
+        self.versions.data += ticks
+        self._note_stats_mutation(class_name)
+        for owner in self._class_and_ancestors(class_name):
+            for prop, value in values.items():
+                index = self.indexes.get(owner, prop)
+                if index is not None:
+                    # None values are never indexed (see
+                    # _index_new_object), so transitions to/from None
+                    # are plain removes/inserts.
+                    had, old = previous[prop]
+                    if had and old is not None:
+                        if value is not None:
+                            index.update(old, value, oid)
+                            applied_ops.append(("update", index, old, value))
+                        else:
+                            index.remove(old, oid)
+                            applied_ops.append(("remove", index, old, None))
+                    elif value is not None:
+                        index.insert(value, oid)
+                        applied_ops.append(("insert", index, value, None))
+                engine = self._text_indexes.get((owner, prop))
+                if engine is not None:
+                    had, old = previous[prop]
+                    engine.index_text(oid, str(value))
+                    applied_ops.append(("text", engine, old if had else None, None))
+        return previous
+
+    # ------------------------------------------------------------------
+    # inverse-link upkeep
+    # ------------------------------------------------------------------
+    def _maintain_links(self, link: InverseLink, oid: OID, old: Any,
+                        new: Any) -> None:
+        """Make the other side of *link* agree with ``oid.<link side>``
+        having changed from *old* to *new*: *oid* leaves the objects it no
+        longer references and joins the ones it now references.
+
+        Runs inside the writer's commit scope, so the other side's writes
+        share its timestamp, undo log and WAL record: the record holds the
+        writer's own operation, and replaying it re-derives the same
+        writes from the same state.  A target that already agrees is not
+        written; a target that no longer exists is skipped.
+        """
+        old_members = _members(old)
+        new_members = _members(new)
+        for target in old_members - new_members:
+            self._unlink(target, link.target_property,
+                         link.target_cardinality, oid)
+        for target in new_members - old_members:
+            self._link(link, target, oid)
+
+    def _link(self, link: InverseLink, target: OID, oid: OID) -> None:
+        """Put *oid* on *target*'s side of *link*.  A single-valued side
+        that pointed elsewhere moves: its previous object loses *target*."""
+        obj = self._live_link_side(target, link.target_property)
+        if obj is None:
+            return
+        current = obj.values.get(link.target_property)
+        scope = self._scope
+        if link.target_cardinality == "many":
+            if is_collection(current) and oid in current:
+                return
+            members = set(current) if is_collection(current) else set()
+            members.add(oid)
+            self._write(obj, {link.target_property: members}, scope,
+                        upkeep=True)
+            return
+        if current == oid:
+            return
+        self._write(obj, {link.target_property: oid}, scope, upkeep=True)
+        if isinstance(current, OID):
+            self._unlink(current, link.source_property,
+                         link.source_cardinality, target)
+
+    def _unlink(self, target: OID, prop: str, cardinality: str,
+                oid: OID) -> None:
+        """Take *oid* off ``target.prop`` (one side of a link)."""
+        obj = self._live_link_side(target, prop)
+        if obj is None:
+            return
+        current = obj.values.get(prop)
+        if cardinality == "many":
+            if is_collection(current) and oid in current:
+                self._write(obj, {prop: set(current) - {oid}}, self._scope,
+                            upkeep=True)
+        elif current == oid:
+            self._write(obj, {prop: None}, self._scope, upkeep=True)
+
+    def _link_many(self, link: InverseLink, target: OID,
+                   oids: list[OID]) -> None:
+        """Add several *oids* to *target*'s set-valued side of *link* in
+        one write (bulk creates and deletes batch per target object)."""
+        obj = self._live_link_side(target, link.target_property)
+        if obj is None:
+            return
+        current = obj.values.get(link.target_property)
+        members = set(current) if is_collection(current) else set()
+        size = len(members)
+        members.update(oids)
+        if len(members) != size:
+            self._write(obj, {link.target_property: members}, self._scope,
+                        upkeep=True)
+
+    def _unlink_many(self, target: OID, prop: str, oids: set[OID]) -> None:
+        """Take several *oids* off *target*'s set-valued side in one write."""
+        obj = self._live_link_side(target, prop)
+        if obj is None:
+            return
+        current = obj.values.get(prop)
+        if is_collection(current) and not oids.isdisjoint(current):
+            self._write(obj, {prop: set(current) - oids}, self._scope,
+                        upkeep=True)
+
+    def _live_link_side(self, target: Any, prop: str
+                        ) -> Optional[DatabaseObject]:
+        """The live object *target* when it has the link property *prop*
+        (a dangling reference or an object of an unrelated class has no
+        side to maintain)."""
+        if not isinstance(target, OID):
+            return None
+        obj = self._objects.get(target)
+        if obj is None or prop not in self.schema.links_from(obj.class_name):
+            return None
+        return obj
 
     def _undo_update(self, obj: DatabaseObject, old_begin: int,
                      pre_image: dict[str, Any], values: dict[str, Any],
-                     applied_ops: list[tuple[str, Any, Any, Any]]) -> None:
+                     applied_ops: list[tuple[str, Any, Any, Any]],
+                     ticks: int) -> None:
         oid = obj.oid
         for op, target, old, new in reversed(applied_ops):
             if op == "update":
@@ -939,7 +1125,7 @@ class Database:
         obj.values.update(pre_image)
         obj.begin_ts = old_begin
         self.statistics.property_writes -= len(values)
-        self.versions.data -= 1
+        self.versions.data -= ticks
 
     # ------------------------------------------------------------------
     # extensions
@@ -1015,6 +1201,42 @@ class Database:
                 # serial restores the original extension order
                 visible.sort(key=lambda oid: oid.serial)
         return visible
+
+    def instance_checker(self, class_name: str):
+        """Return ``check(values) -> list[bool]``: is each value an object
+        of *class_name*'s deep extension?
+
+        The answers are exactly ``value in set(extension(class_name))``
+        (as of the calling thread's snapshot pin, resolved once per call)
+        without building the extension: an OID of a conforming class that
+        is live, or visible at the pin.  Nothing is charged — no
+        extension is scanned.
+        """
+        if not self.schema.has_class(class_name):
+            raise SchemaError(f"unknown class {class_name!r}")
+        conforming: dict[str, bool] = {}
+        objects = self._objects
+        database = self
+
+        def conforms(oid: OID) -> bool:
+            known = conforming.get(oid.class_name)
+            if known is None:
+                known = conforming[oid.class_name] = (
+                    oid.class_name == class_name
+                    or (database.schema.has_class(oid.class_name)
+                        and database._inherits_from(oid.class_name,
+                                                    class_name)))
+            return known
+
+        def check(values: list) -> list[bool]:
+            ts = database._pinned_ts()
+            if ts is None:
+                return [isinstance(value, OID) and conforms(value)
+                        and value in objects for value in values]
+            return [isinstance(value, OID) and conforms(value)
+                    and database.visible_at(value, ts) for value in values]
+
+        return check
 
     def _inherits_from(self, class_name: str, ancestor: str) -> bool:
         current: Optional[str] = class_name

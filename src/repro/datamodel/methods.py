@@ -17,7 +17,12 @@ implementation patterns the paper discusses:
   methods (``Paragraph.sameDocument``).
 
 Keeping these as factories means the example schemas read almost exactly like
-the VML class definitions printed in the paper.
+the VML class definitions printed in the paper.  The internal factories also
+record what they compute as the implementation's ``body`` attribute
+(``("path", props)``, ``("collect", (via, collect))`` or
+``("same", method)``), from which the optimizer derives each method's
+equivalence with the path it follows
+(:meth:`repro.optimizer.knowledge.SchemaKnowledge.derive_from_method_bodies`).
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ __all__ = [
     "text_contains_method",
     "same_path_target_method",
     "python_method",
+    "body_path",
 ]
 
 MethodImpl = Callable[..., Any]
@@ -58,6 +64,7 @@ def path_method(*path: str) -> MethodImpl:
         return current
 
     implementation.__name__ = "path_" + "_".join(path)
+    implementation.body = ("path", tuple(path))
     return implementation
 
 
@@ -87,6 +94,7 @@ def collect_over_property(via: str, collect: str) -> MethodImpl:
         return result
 
     implementation.__name__ = f"collect_{collect}_via_{via}"
+    implementation.body = ("collect", (via, collect))
     return implementation
 
 
@@ -179,7 +187,19 @@ def same_path_target_method(method_name: str) -> MethodImpl:
         return mine == theirs
 
     implementation.__name__ = f"same_{method_name}"
+    implementation.body = ("same", method_name)
     return implementation
+
+
+def body_path(implementation: Any) -> tuple[str, ...] | None:
+    """The property path whose objects a factory-built method returns — a
+    ``path_method``'s path, a ``collect_over_property``'s ``(via,
+    collect)`` — or None.  A range over the method's result ranges over
+    that path's objects (NULL and the empty set both yield none)."""
+    body = getattr(implementation, "body", None)
+    if body is None or body[0] not in ("path", "collect"):
+        return None
+    return tuple(body[1])
 
 
 def python_method(function: Callable[..., Any],

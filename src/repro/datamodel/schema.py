@@ -48,7 +48,9 @@ class PropertyDef:
     vml_type: VMLType
     #: when this property stores OIDs (or a set of OIDs), the target class
     target_class: Optional[str] = None
-    #: derived properties are maintained by the database (e.g. largeParagraphs)
+    #: a derived property holds what a query over other state would compute
+    #: (e.g. largeParagraphs); the database does not maintain it — whoever
+    #: writes the state it derives from must write it too
     derived: bool = False
     description: str = ""
 
@@ -170,6 +172,8 @@ class Schema:
         self.name = name
         self._classes: dict[str, ClassDef] = {}
         self._inverse_links: list[InverseLink] = []
+        #: class name -> {property: link oriented from that property}
+        self._links_from: dict[str, dict[str, InverseLink]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -178,6 +182,7 @@ class Schema:
         if class_def.name in self._classes:
             raise SchemaError(f"duplicate class {class_def.name!r}")
         self._classes[class_def.name] = class_def
+        self._links_from.clear()
         return class_def
 
     def define_class(self, name: str, superclass: str | None = None,
@@ -189,6 +194,7 @@ class Schema:
     def add_inverse_link(self, link: InverseLink) -> InverseLink:
         self._validate_link(link)
         self._inverse_links.append(link)
+        self._links_from.clear()
         return link
 
     def _validate_link(self, link: InverseLink) -> None:
@@ -287,6 +293,23 @@ class Schema:
             if rev.source_class == class_name and rev.source_property == prop:
                 return rev
         return None
+
+    def links_from(self, class_name: str) -> Mapping[str, InverseLink]:
+        """The inverse links an instance of *class_name* takes part in,
+        keyed by its own property and oriented from it (so the link's
+        ``target_*`` fields name the other side).  Inherited link
+        properties are included; the map is cached until a class or link
+        is added."""
+        links = self._links_from.get(class_name)
+        if links is None:
+            links = {}
+            chain = {class_def.name for class_def in self._class_chain(class_name)}
+            for link in self._inverse_links:
+                for side in (link, link.reversed()):
+                    if side.source_class in chain:
+                        links.setdefault(side.source_property, side)
+            self._links_from[class_name] = links
+        return links
 
     # ------------------------------------------------------------------
     # validation / introspection

@@ -250,7 +250,8 @@ class CostModel:
         if isinstance(plan, FlattenEval):
             inner = self.estimate(plan.input)
             per_tuple = self.expression_cost(plan.expression)
-            fanout = self.expression_fanout(plan.expression)
+            fanout = self.expression_fanout(plan.expression,
+                                            self._source_classes(plan.input))
             cardinality = inner.cardinality * fanout
             cost = (inner.cost + inner.cardinality * per_tuple
                     + cardinality * self.TUPLE_EMIT_COST)
@@ -481,6 +482,7 @@ class CostModel:
     def expression_cost(self, expression: Expression) -> float:
         """Cost of evaluating *expression* once (per input tuple)."""
         cost = 0.0
+        checked: Optional[set[int]] = None
         for node in walk(expression):
             if isinstance(node, MethodCall):
                 cost += self.method_cost(node.method)
@@ -490,8 +492,15 @@ class CostModel:
                 cost += self.PROPERTY_ACCESS_COST
             elif isinstance(node, (BinaryOp, UnaryOp)):
                 cost += self.COMPARISON_COST
+                if (isinstance(node, BinaryOp)
+                        and isinstance(node.right, ClassExtent)
+                        and node.op in ("IS-IN", "INTERSECT")):
+                    # a class check per object, not an extension scan
+                    checked = checked or set()
+                    checked.add(id(node.right))
             elif isinstance(node, ClassExtent):
-                cost += self.extension_size(node.class_name) * self.TUPLE_EMIT_COST
+                if checked is None or id(node) not in checked:
+                    cost += self.extension_size(node.class_name) * self.TUPLE_EMIT_COST
         return cost
 
     def expression_cardinality(self, expression: Expression) -> float:
@@ -499,12 +508,27 @@ class CostModel:
         cardinality, _ = self._cardinality_and_class(expression)
         return cardinality
 
-    def expression_fanout(self, expression: Expression) -> float:
-        """Estimated elements produced per input tuple when flattening."""
-        cardinality, _ = self._cardinality_and_class(expression)
+    def expression_fanout(self, expression: Expression,
+                          classes: Optional[dict[str, str]] = None) -> float:
+        """Estimated elements produced per input tuple when flattening;
+        *classes* gives the class of references the expression reads."""
+        cardinality, _ = self._cardinality_and_class(expression, classes)
         return max(cardinality, 1.0)
 
-    def _cardinality_and_class(self, expression: Expression
+    def _source_classes(self, plan: PhysicalOperator) -> dict[str, str]:
+        """The class of each reference a scan below *plan* introduces,
+        expression-set scans included (a flattening reads their objects'
+        properties, whose fan-outs are the class's)."""
+        classes = dict(self._ref_scope(plan)[0])
+        for node in walk_physical(plan):
+            if isinstance(node, ExpressionSetScan) and node.ref not in classes:
+                class_name = self._cardinality_and_class(node.expression)[1]
+                if class_name is not None:
+                    classes[node.ref] = class_name
+        return classes
+
+    def _cardinality_and_class(self, expression: Expression,
+                               classes: Optional[dict[str, str]] = None
                                ) -> tuple[float, Optional[str]]:
         if isinstance(expression, Const):
             value = expression.value
@@ -512,7 +536,7 @@ class CostModel:
                 return float(max(len(value), 1)), None
             return 1.0, None
         if isinstance(expression, Var):
-            return 1.0, None
+            return 1.0, (classes or {}).get(expression.name)
         if isinstance(expression, ClassExtent):
             return self.extension_size(expression.class_name), expression.class_name
         if isinstance(expression, ClassMethodCall):
@@ -522,13 +546,15 @@ class CostModel:
                 class_name = class_of_type(method.return_type)
             return self.method_result_cardinality(expression.method), class_name
         if isinstance(expression, MethodCall):
-            base_card, _ = self._cardinality_and_class(expression.receiver)
+            base_card, _ = self._cardinality_and_class(expression.receiver,
+                                                       classes)
             method = self.method_definition(expression.method)
             class_name = class_of_type(method.return_type) if method else None
             per_receiver = self.method_result_cardinality(expression.method)
             return max(base_card, 1.0) * per_receiver, class_name
         if isinstance(expression, PropertyAccess):
-            base_card, base_class = self._cardinality_and_class(expression.base)
+            base_card, base_class = self._cardinality_and_class(
+                expression.base, classes)
             if base_class is None:
                 return max(base_card, 1.0) * self.DEFAULT_FANOUT, None
             try:
@@ -541,8 +567,10 @@ class CostModel:
                 return max(base_card, 1.0) * fanout, target
             return max(base_card, 1.0), target
         if isinstance(expression, BinaryOp):
-            left, left_class = self._cardinality_and_class(expression.left)
-            right, right_class = self._cardinality_and_class(expression.right)
+            left, left_class = self._cardinality_and_class(expression.left,
+                                                           classes)
+            right, right_class = self._cardinality_and_class(expression.right,
+                                                             classes)
             if expression.op == "INTERSECT":
                 return min(left, right), left_class or right_class
             if expression.op == "UNION":

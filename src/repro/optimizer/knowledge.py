@@ -12,7 +12,13 @@ optimizer rules:
   apply-once rule adding the implied (cheaper) restriction;
 * :class:`QueryMethodEquivalence` — ``methcall == ACCESS … FROM … WHERE …``
   → an implementation rule mapping the query's algebraic form onto a direct
-  invocation of the (externally implemented) method.
+  invocation of the (externally implemented) method;
+* :class:`SourceEquivalence` — ``x IN C: FROM y IN expr1(x) ≡ FROM y IN
+  expr2(x)`` → an implementation rule flattening a dependent range's
+  source through the other expression;
+* :class:`RangeInversion` — the range-inversion rules of
+  :mod:`repro.optimizer.inversion`, which turn a navigation into a range
+  over the navigated-to objects' own source.
 
 All expressions may be given as VQL text or as already-parsed expression
 nodes.  Free variables other than the bound variable act as parameters and
@@ -22,7 +28,9 @@ paper's equivalence E3 where ``D`` must be a set of documents.
 :class:`SchemaKnowledge` aggregates the individual pieces and compiles the
 complete schema-specific rule set; it can also derive condition equivalences
 automatically from the schema's declared inverse links, which the paper
-mentions as a typical source of this knowledge.
+mentions as a typical source of this knowledge, and path equivalences from
+the bodies of internal methods built by the factories of
+:mod:`repro.datamodel.methods` (a path method *is* its path).
 """
 
 from __future__ import annotations
@@ -34,11 +42,13 @@ from repro.algebra.expressions import (
     BinaryOp,
     Const,
     Expression,
+    MethodCall,
     PropertyAccess,
     Var,
     conjuncts,
     free_vars,
     make_conjunction,
+    rename_vars,
     walk,
 )
 from repro.algebra.operators import (
@@ -50,9 +60,14 @@ from repro.algebra.operators import (
     Map,
     Select,
 )
-from repro.datamodel.schema import InverseLink, Schema
-from repro.datamodel.types import ANY
-from repro.errors import RuleDerivationError
+from repro.datamodel.schema import InverseLink, MethodKind, Schema
+from repro.datamodel.types import ANY, ObjectType, SetType
+from repro.errors import ReproError, RuleDerivationError
+from repro.optimizer.inversion import (
+    indexed_comparison,
+    invert_dependent_range,
+    invert_membership,
+)
 from repro.optimizer.patterns import (
     Binding,
     instantiate,
@@ -66,7 +81,12 @@ from repro.optimizer.rules import (
     RuleContext,
     RuleSet,
 )
-from repro.physical.plans import ExpressionSetScan, PhysicalOperator, SetProbeFilter
+from repro.physical.plans import (
+    ExpressionSetScan,
+    FlattenEval,
+    PhysicalOperator,
+    SetProbeFilter,
+)
 from repro.vql.analyzer import analyze_query, resolve_class_references
 from repro.vql.parser import parse_expression, parse_query
 
@@ -75,8 +95,11 @@ __all__ = [
     "ConditionEquivalence",
     "ConditionImplication",
     "QueryMethodEquivalence",
+    "SourceEquivalence",
+    "RangeInversion",
     "SchemaKnowledge",
     "equivalences_from_inverse_link",
+    "equivalences_from_method_bodies",
 ]
 
 ExpressionLike = TypingUnion[str, Expression]
@@ -253,6 +276,114 @@ class ConditionEquivalence(ExpressionEquivalence):
 
 
 @dataclass
+class SourceEquivalence(ExpressionEquivalence):
+    """``x IN C: FROM y IN expr1(x) ≡ FROM y IN expr2(x)`` — two sources of
+    a dependent range that yield the same objects.
+
+    Typical source: a collecting method, e.g. ``Document.paragraphs()``
+    and ``d.sections.paragraphs``.  They differ only where the path is
+    NULL, for which the method returns the empty set, and a range over
+    either is then empty — so the rule applies only to the whole source of
+    a ``flat`` (a dependent range), nowhere else.  It is an implementation
+    rule: the flattening may evaluate the right-hand side instead of the
+    left, priced by the cost model, without adding logical plans to the
+    search.
+    """
+
+    kind = "source-equivalence"
+
+    def derive_rules(self, schema: Schema) -> RuleSet:
+        rules = RuleSet(self.name)
+        left = resolve_class_references(self.left, schema, set())
+        right = resolve_class_references(self.right, schema, set())
+        variables = {name: None for name in (free_vars(left) | free_vars(right))}
+        pattern = pattern_from_template(left, variables)
+        template = pattern_from_template(right, variables)
+        variable = self.variable
+        class_name = self.class_name
+        parameter_classes = dict(self.parameter_classes)
+
+        def implement(plan: LogicalOperator,
+                      children: tuple[PhysicalOperator, ...],
+                      context: RuleContext
+                      ) -> Optional[Iterable[PhysicalOperator]]:
+            if not isinstance(plan, Flat):
+                return None
+            binding = match_expression(pattern, plan.expression)
+            guard = _binding_guard(context, plan.input, variable, class_name,
+                                   parameter_classes)
+            if binding is None or not guard(plan.expression, binding):
+                return None
+            return [FlattenEval(plan.ref, instantiate(template, binding),
+                                children[0])]
+
+        rules.add(CallableImplementationRule(
+            name=self.name,
+            description=f"{self.kind}: FROM {self.left} == FROM {self.right}",
+            tags=frozenset({"semantic", self.tag}),
+            function=implement))
+        return rules
+
+
+@dataclass
+class RangeInversion:
+    """The range-inversion rules (:mod:`repro.optimizer.inversion`).
+
+    The dependent-range form relies on the schema's inverse links, which
+    the database maintains at every write; the membership form is purely
+    algebraic.  Both add alternatives that the cost model prices.  The
+    dependent-range form is offered only where the inverted range has an
+    access path of its own — the method one of *knowledge*'s query↔method
+    equivalences (E5) names, or user-defined indexes on every conjunct —
+    since a range over the whole target class reads as much as the
+    navigation it replaces.
+    """
+
+    knowledge: Optional["SchemaKnowledge"] = None
+    name: str = "range-inversion"
+
+    kind = "range-inversion"
+    tag = "semantic:inversion"
+
+    def pattern_expressions(self) -> tuple[Expression, ...]:
+        return ()
+
+    def derive_rules(self, schema: Schema) -> RuleSet:
+        rules = RuleSet(self.name)
+        tags = frozenset({"semantic", self.tag})
+        matchers = ([item.select_matcher(schema)
+                     for item in self.knowledge.query_method_equivalences]
+                    if self.knowledge is not None else [])
+
+        def access_path(condition: Expression, target: Get,
+                        context: RuleContext) -> Optional[LogicalOperator]:
+            selection = Select(condition, target)
+            for match in matchers:
+                matched = match(selection, context)
+                if matched is not None and matched[0] == target.ref:
+                    return ExpressionSource(*matched)
+            if all(indexed_comparison(part, target, context)
+                   for part in conjuncts(condition)):
+                return selection
+            return None
+
+        rules.add(CallableTransformationRule(
+            name=f"{self.name} [dependent range]",
+            description="select<c(p)>(flat<p, d.a.b>(get<d, C>)) => "
+                        "flat<d, p.b'.a' INTERSECT C>(source of p meeting c)",
+            tags=tags, shape=(Select, Flat, Get),
+            function=lambda plan, context: invert_dependent_range(
+                plan, context, access_path)))
+        rules.add(CallableTransformationRule(
+            name=f"{self.name} [membership]",
+            description="select<p IS-IN p.x.S>(get<p, P>) => "
+                        "project<p>(select<p.x == y>(flat<p, y.S INTERSECT P>"
+                        "(get<y, Y>)))",
+            tags=tags, shape=(Select, Get), function=invert_membership))
+        return rules
+
+
+@dataclass
 class ConditionImplication:
     """``x IN C: cond1(x) ⇒ cond2(x)`` — implied (redundant) condition.
 
@@ -380,34 +511,54 @@ class QueryMethodEquivalence:
 
     def derive_rules(self, schema: Schema) -> RuleSet:
         rules = RuleSet(self.name)
-        query = self._parsed_query()
-        # Free variables of the query that are not range variables are the
-        # equivalence's parameters; pre-bind them so the analyzer accepts the
-        # parametrized query.
-        range_variables = {decl.variable for decl in query.ranges}
-        parameter_names = set()
-        if query.where is not None:
-            parameter_names = {
-                name for name in free_vars(query.where)
-                if name not in range_variables and not schema.has_class(name)}
-        analyzed = analyze_query(query, schema,
-                                 parameters={name: ANY for name in parameter_names})
-        ranges = analyzed.query.ranges
-        if len(ranges) != 1 or not ranges[0].is_class_range():
-            raise RuleDerivationError(
-                f"{self.kind} {self.name!r}: the query must range over a "
-                "single class extension")
-        if analyzed.query.where is None:
-            raise RuleDerivationError(
-                f"{self.kind} {self.name!r}: the query must have a WHERE clause")
-        range_variable = ranges[0].variable
-        access = analyzed.query.access
-        if access != Var(range_variable):
-            raise RuleDerivationError(
-                f"{self.kind} {self.name!r}: the query must return the range "
-                f"variable itself (ACCESS {range_variable})")
-        class_name = ranges[0].source.class_name
+        _match_select = self.select_matcher(schema)
 
+        def transform(plan: LogicalOperator, context: RuleContext
+                      ) -> Optional[Iterable[LogicalOperator]]:
+            matched = _match_select(plan, context)
+            if matched is None:
+                return None
+            ref, method_call = matched
+            if isinstance(plan, Select) and isinstance(plan.input, Get) \
+                    and plan.input.ref == ref:
+                return [ExpressionSource(ref, method_call)]
+            return None
+
+        def implement(plan: LogicalOperator,
+                      children: tuple[PhysicalOperator, ...],
+                      context: RuleContext
+                      ) -> Optional[Iterable[PhysicalOperator]]:
+            matched = _match_select(plan, context)
+            if matched is None:
+                return None
+            ref, method_call = matched
+            alternatives: list[PhysicalOperator] = [
+                SetProbeFilter(ref, method_call, children[0])]
+            if isinstance(plan, Select) and isinstance(plan.input, Get) \
+                    and plan.input.ref == ref:
+                alternatives.append(ExpressionSetScan(ref, method_call))
+            return alternatives
+
+        class_name = _match_select.class_name
+        rules.add(CallableTransformationRule(
+            name=f"{self.name} [logical]",
+            description=f"{self.kind}: σ over {class_name} == {self.method_call}",
+            tags=frozenset({"semantic", self.tag}),
+            function=transform))
+        rules.add(CallableImplementationRule(
+            name=f"{self.name} [impl]",
+            description=f"{self.kind}: σ over {class_name} == {self.method_call}",
+            tags=frozenset({"semantic", self.tag}),
+            function=implement))
+        return rules
+
+    def select_matcher(self, schema: Schema):
+        """``match(plan, context)``: for ``select<W>(P)`` whose condition
+        is this equivalence's query condition over a reference of its class,
+        ``(reference, method call)`` with the call's parameters bound from
+        the match; None otherwise."""
+        analyzed, class_name = self._analyzed(schema)
+        range_variable = analyzed.query.ranges[0].variable
         method_call = resolve_class_references(self.method_call, schema, set())
         unbound = (free_vars(method_call)
                    - free_vars(analyzed.query.where) - {range_variable})
@@ -442,43 +593,39 @@ class QueryMethodEquivalence:
                 return None  # parameters must be reference-free
             return ref, method_call
 
-        def transform(plan: LogicalOperator, context: RuleContext
-                      ) -> Optional[Iterable[LogicalOperator]]:
-            matched = _match_select(plan, context)
-            if matched is None:
-                return None
-            ref, method_call = matched
-            if isinstance(plan, Select) and isinstance(plan.input, Get) \
-                    and plan.input.ref == ref:
-                return [ExpressionSource(ref, method_call)]
-            return None
+        _match_select.class_name = class_name
+        return _match_select
 
-        def implement(plan: LogicalOperator,
-                      children: tuple[PhysicalOperator, ...],
-                      context: RuleContext
-                      ) -> Optional[Iterable[PhysicalOperator]]:
-            matched = _match_select(plan, context)
-            if matched is None:
-                return None
-            ref, method_call = matched
-            alternatives: list[PhysicalOperator] = [
-                SetProbeFilter(ref, method_call, children[0])]
-            if isinstance(plan, Select) and isinstance(plan.input, Get) \
-                    and plan.input.ref == ref:
-                alternatives.append(ExpressionSetScan(ref, method_call))
-            return alternatives
-
-        rules.add(CallableTransformationRule(
-            name=f"{self.name} [logical]",
-            description=f"{self.kind}: σ over {class_name} == {self.method_call}",
-            tags=frozenset({"semantic", self.tag}),
-            function=transform))
-        rules.add(CallableImplementationRule(
-            name=f"{self.name} [impl]",
-            description=f"{self.kind}: σ over {class_name} == {self.method_call}",
-            tags=frozenset({"semantic", self.tag}),
-            function=implement))
-        return rules
+    def _analyzed(self, schema: Schema):
+        """The analyzed query and the class it ranges over (validated)."""
+        query = self._parsed_query()
+        # Free variables of the query that are not range variables are the
+        # equivalence's parameters; pre-bind them so the analyzer accepts the
+        # parametrized query.
+        range_variables = {decl.variable for decl in query.ranges}
+        parameter_names = set()
+        if query.where is not None:
+            parameter_names = {
+                name for name in free_vars(query.where)
+                if name not in range_variables and not schema.has_class(name)}
+        analyzed = analyze_query(query, schema,
+                                 parameters={name: ANY for name in parameter_names})
+        ranges = analyzed.query.ranges
+        if len(ranges) != 1 or not ranges[0].is_class_range():
+            raise RuleDerivationError(
+                f"{self.kind} {self.name!r}: the query must range over a "
+                "single class extension")
+        if analyzed.query.where is None:
+            raise RuleDerivationError(
+                f"{self.kind} {self.name!r}: the query must have a WHERE clause")
+        range_variable = ranges[0].variable
+        access = analyzed.query.access
+        if access != Var(range_variable):
+            raise RuleDerivationError(
+                f"{self.kind} {self.name!r}: the query must return the range "
+                f"variable itself (ACCESS {range_variable})")
+        class_name = ranges[0].source.class_name
+        return analyzed, class_name
 
 
 def equivalences_from_inverse_link(link: InverseLink) -> list[ConditionEquivalence]:
@@ -517,6 +664,99 @@ def equivalences_from_inverse_link(link: InverseLink) -> list[ConditionEquivalen
     return equivalences
 
 
+def _reference_path(schema: Schema, class_name: str,
+                    props: Sequence[str]) -> Optional[str]:
+    """The class a path of single-valued reference hops from *class_name*
+    reaches, or None when a hop is unknown, set-valued or not a reference."""
+    for prop in props:
+        try:
+            prop_def = schema.resolve_property(class_name, prop)
+        except ReproError:
+            return None
+        if prop_def.target_class is None or isinstance(prop_def.vml_type,
+                                                       SetType):
+            return None
+        class_name = prop_def.target_class
+    return class_name
+
+
+def _path_expression(base: Expression, props: Sequence[str]) -> Expression:
+    for prop in props:
+        base = PropertyAccess(base, prop)
+    return base
+
+
+def equivalences_from_method_bodies(schema: Schema) -> list:
+    """Derive the equivalence each factory-built internal method declares.
+
+    * ``path_method(a, b)`` on class C: ``x->m() == x.a.b`` (an
+      :class:`ExpressionEquivalence`; every hop but the last must be a
+      single-valued reference, where a path method and a path agree);
+    * ``collect_over_property(via, collect)``: a range over ``x->m()``
+      equals a range over ``x.via.collect`` (a :class:`SourceEquivalence`;
+      *collect* must be set-valued);
+    * ``same_path_target_method(n)``: ``x->m(y) ⇔ x->n() == y->n()`` (a
+      :class:`ConditionEquivalence`, ``y`` of the parameter's class).
+    """
+    items: list = []
+    for class_name, class_def in schema.classes.items():
+        for method in class_def.instance_methods.values():
+            body = getattr(method.implementation, "body", None)
+            if body is None or method.kind != MethodKind.INTERNAL:
+                continue
+            form, spec = body
+            name = f"method-body[{class_name}.{method.name}]"
+            call = MethodCall(Var("x"), method.name)
+            if form == "path" and method.arity == 0:
+                if _reference_path(schema, class_name, spec[:-1]) is None:
+                    continue
+                items.append(ExpressionEquivalence(
+                    class_name, "x", call, _path_expression(Var("x"), spec),
+                    name=name))
+            elif form == "collect" and method.arity == 0:
+                via, collect = spec
+                try:
+                    via_def = schema.resolve_property(class_name, via)
+                    collect_def = (schema.resolve_property(
+                        via_def.target_class, collect)
+                        if via_def.target_class is not None else None)
+                except ReproError:
+                    continue
+                if collect_def is None or not isinstance(collect_def.vml_type,
+                                                         SetType):
+                    continue
+                items.append(SourceEquivalence(
+                    class_name, "x", call,
+                    _path_expression(Var("x"), (via, collect)), name=name))
+            elif form == "same" and method.arity == 1:
+                parameter_type = method.params[0][1]
+                if not (isinstance(parameter_type, ObjectType)
+                        and parameter_type.class_name is not None):
+                    continue
+                items.append(ConditionEquivalence(
+                    class_name, "x",
+                    MethodCall(Var("x"), method.name, (Var("y"),)),
+                    BinaryOp("==", MethodCall(Var("x"), spec),
+                             MethodCall(Var("y"), spec)),
+                    name=name,
+                    parameter_classes={"y": parameter_type.class_name}))
+    return items
+
+
+def _canonical(item) -> tuple:
+    """A declaration's class and sides with its variables renamed by first
+    appearance — equal for two declarations of the same equivalence."""
+    sides = (item.left, item.right)
+    order = [item.variable]
+    for side in sides:
+        for node in walk(side):
+            if isinstance(node, Var) and node.name not in order:
+                order.append(node.name)
+    renaming = {name: f"${index}" for index, name in enumerate(order)}
+    left, right = (rename_vars(side, renaming) for side in sides)
+    return (item.class_name, frozenset({left, right}))
+
+
 class SchemaKnowledge:
     """The collection of semantic knowledge attached to one schema."""
 
@@ -526,6 +766,7 @@ class SchemaKnowledge:
         self.condition_equivalences: list[ConditionEquivalence] = []
         self.condition_implications: list[ConditionImplication] = []
         self.query_method_equivalences: list[QueryMethodEquivalence] = []
+        self.range_inversions: list[RangeInversion] = []
 
     # ------------------------------------------------------------------
     # registration
@@ -540,6 +781,8 @@ class SchemaKnowledge:
             self.condition_implications.append(item)
         elif isinstance(item, QueryMethodEquivalence):
             self.query_method_equivalences.append(item)
+        elif isinstance(item, RangeInversion):
+            self.range_inversions.append(item)
         else:
             raise TypeError(f"not a knowledge item: {item!r}")
         return self
@@ -555,12 +798,29 @@ class SchemaKnowledge:
             self.add_all(equivalences_from_inverse_link(link))
         return self
 
+    def derive_from_method_bodies(self) -> "SchemaKnowledge":
+        """Add the equivalence every factory-built internal method declares
+        (:func:`equivalences_from_method_bodies`), skipping one already
+        registered under another name (E1 is ``Paragraph.document()``'s)."""
+        known = {_canonical(item) for item in self.expression_equivalences
+                 + self.condition_equivalences}
+        for item in equivalences_from_method_bodies(self.schema):
+            if _canonical(item) not in known:
+                self.add(item)
+        return self
+
+    def derive_range_inversions(self) -> "SchemaKnowledge":
+        """Add the range-inversion rules (:class:`RangeInversion`); they
+        read this knowledge's query↔method equivalences when derived."""
+        return self.add(RangeInversion(knowledge=self))
+
     # ------------------------------------------------------------------
     # compilation
     # ------------------------------------------------------------------
     def items(self) -> list:
         return [*self.expression_equivalences, *self.condition_equivalences,
-                *self.condition_implications, *self.query_method_equivalences]
+                *self.condition_implications, *self.query_method_equivalences,
+                *self.range_inversions]
 
     def derive_rule_set(self) -> RuleSet:
         """Compile all knowledge into one schema-specific rule set."""

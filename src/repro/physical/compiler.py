@@ -53,7 +53,7 @@ from repro.algebra.expressions import (
 )
 from repro.datamodel.database import Database
 from repro.datamodel.oid import OID, is_collection
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, ObjectNotFoundError
 from repro.physical.batch import UNIT, Batch
 from repro.physical.evaluator import (
     EMPTY_ROW,
@@ -301,14 +301,9 @@ class ExpressionCompiler:
         database = self._database
         read_oids = database.property_batch_reader(prop)
 
-        def read_property(batch: Batch) -> list:
-            objs = base(batch)
-            try:
-                return read_oids(objs)
-            except TypeError:
-                pass  # not all OIDs (the reader charged nothing)
-            # Mixed column: NULL receivers read NULL, collections lift the
-            # read over their members, OIDs still read as one batch.
+        def read_mixed(objs: list) -> list:
+            # NULL receivers read NULL, collections lift the read over
+            # their members one by one, OIDs still read as one batch.
             values: list = [None] * len(objs)
             positions: list[int] = []
             oids: list[OID] = []
@@ -327,6 +322,59 @@ class ExpressionCompiler:
             for row, value in zip(positions, read_oids(oids)):
                 values[row] = value
             return values
+
+        def read_lifted(objs: list) -> list:
+            # As read_mixed, but the members of every collection holding
+            # OIDs only join the one batch read and are regrouped after
+            # it: the same values and the same property_reads.
+            values: list = [None] * len(objs)
+            oids: list[OID] = []
+            spans: list[tuple[int, int, int]] = []  # row, first, end
+            for row, obj in enumerate(objs):
+                if isinstance(obj, OID):
+                    spans.append((row, len(oids), -1))
+                    oids.append(obj)
+                elif obj is None:
+                    continue
+                elif is_collection(obj):
+                    members = list(obj)
+                    if all(type(member) is OID for member in members):
+                        spans.append((row, len(oids), len(oids) + len(members)))
+                        oids.extend(members)
+                    else:  # NULL or non-object members: one by one
+                        values[row] = _access_property(obj, prop, database)
+                else:
+                    raise ExecutionError(
+                        f"cannot access property {prop!r} on non-object "
+                        f"value {obj!r}")
+            read = read_oids(oids)
+            for row, first, end in spans:
+                if end < 0:
+                    values[row] = read[first]
+                    continue
+                collected: set = set()
+                for value in read[first:end]:
+                    if value is None:
+                        continue
+                    if is_collection(value):
+                        collected.update(value)
+                    else:
+                        collected.add(value)
+                values[row] = collected
+            return values
+
+        def read_property(batch: Batch) -> list:
+            objs = base(batch)
+            try:
+                return read_oids(objs)
+            except TypeError:
+                pass  # not all OIDs (the reader charged nothing)
+            try:
+                return read_lifted(objs)
+            except ObjectNotFoundError:
+                # A dangling reference: the member-by-member read raises
+                # for the one it meets first, as the interpreter does.
+                return read_mixed(objs)
 
         return read_property
 
@@ -405,6 +453,10 @@ class ExpressionCompiler:
             return self._compile_connective(expression)
 
         left = self._column(expression.left)
+        if isinstance(expression.right, ClassExtent) and op in ("IS-IN",
+                                                                "INTERSECT"):
+            return self._compile_class_check(left, op,
+                                             expression.right.class_name)
         right_is_const, right_value = self._const_value(expression.right)
         right = self._column(expression.right)
 
@@ -450,6 +502,25 @@ class ExpressionCompiler:
             raise ExecutionError(f"unknown binary operator {op!r}")
 
         return unknown
+
+    def _compile_class_check(self, left: CompiledExpr, op: str,
+                             class_name: str) -> CompiledExpr:
+        """``x IS-IN C`` / ``xs INTERSECT C`` against a class extension:
+        one :meth:`Database.instance_checker` call per batch, no extension
+        built (the interpreter answers alike, see its ``_class_check``)."""
+        check = self._database.instance_checker(class_name)
+        if op == "IS-IN":
+            return lambda batch: check(left(batch))
+
+        def intersect(batch: Batch) -> list:
+            values = []
+            for value in left(batch):
+                members = list(_as_set(value))
+                values.append({member for member, kept
+                               in zip(members, check(members)) if kept})
+            return values
+
+        return intersect
 
     def _compile_connective(self, expression: BinaryOp) -> CompiledExpr:
         """``AND`` / ``OR``: the right operand runs only on the rows whose

@@ -143,6 +143,9 @@ def _invoke_method(receiver: Any, method: str, args: list[Any],
 def _evaluate_binary(expression: BinaryOp, row: Mapping[str, Any],
                      database: Database) -> Any:
     op = expression.op
+    if isinstance(expression.right, ClassExtent) and op in ("IS-IN",
+                                                            "INTERSECT"):
+        return _class_check(expression, row, database)
     if op == "AND":
         return (_truthy(evaluate(expression.left, row, database))
                 and _truthy(evaluate(expression.right, row, database)))
@@ -197,6 +200,19 @@ def _evaluate_binary(expression: BinaryOp, row: Mapping[str, Any],
             return left * right
         return left / right
     raise ExecutionError(f"unknown binary operator {op!r}")
+
+
+def _class_check(expression: BinaryOp, row: Mapping[str, Any],
+                 database: Database) -> Any:
+    """``x IS-IN C`` and ``xs INTERSECT C`` for a class extension ``C``:
+    the membership the extension's set would answer, checked per object
+    (:meth:`Database.instance_checker`) instead of building the set."""
+    check = database.instance_checker(expression.right.class_name)
+    left = evaluate(expression.left, row, database)
+    if expression.op == "IS-IN":
+        return check([left])[0]
+    members = list(_as_set(left))
+    return {member for member, kept in zip(members, check(members)) if kept}
 
 
 def _is_container(value: Any) -> bool:

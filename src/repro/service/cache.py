@@ -148,14 +148,16 @@ class TextEntry:
 @dataclass(eq=False)
 class Alias:
     """A text's way to its shape, with the text's ``statement`` (its
-    analysis), or a token key's, with the slot rules ``bound`` and ``kept``
-    derived under the set ``keep`` of literal values kept literal."""
+    analysis), or a token key's, with the slot rules ``bound``, ``kept``
+    and ``twins`` derived under the set ``keep`` of literal values kept
+    literal."""
 
     shape: Shape
     statement: Optional[AnalyzedStatement] = None
     keep: frozenset = frozenset()
     bound: tuple = ()
     kept: tuple = ()
+    twins: tuple = ()
 
 
 class StatementCache:

@@ -56,6 +56,7 @@ from repro.algebra.expressions import (
     SetConstructor,
     TupleConstructor,
     UnaryOp,
+    conjuncts,
     walk,
     with_hints,
 )
@@ -142,8 +143,8 @@ def priced(generic: AnalyzedQuery, values: dict[str, Any]) -> AnalyzedQuery:
 def slot_rules(token_key: tuple, literals: dict[int, str],
                analyzed: AnalyzedQuery, generic: AnalyzedQuery,
                values: Optional[dict[str, Any]]
-               ) -> Optional[tuple[tuple, tuple]]:
-    """The slot rules of a parsed query text: ``(bound, kept)``.
+               ) -> Optional[tuple[tuple, tuple, tuple]]:
+    """The slot rules of a parsed query text: ``(bound, kept, twins)``.
 
     *token_key* and *literals* are the text's token key and ``token index
     -> literal text`` (:func:`repro.vql.lexer.token_key`), *analyzed* its
@@ -155,15 +156,24 @@ def slot_rules(token_key: tuple, literals: dict[int, str],
     literal.  ``kept`` lists ``(token index, text)`` for every other slot,
     whose literal the generic query holds as it is.  None when a synthetic
     parameter's literal did not come from a slot of *literals*, or does
-    not read back from it as the very same value.
+    not read back from it as the very same value, or when a slot's literal
+    is not in *analyzed* at all: the analyzer drops a repeated conjunct,
+    so the query's shape then depends on two slots holding equal values.
+    ``twins`` lists the synthetic keys of each pair of WHERE conjuncts
+    that differ only in those keys: a text binding both alike would
+    repeat a conjunct, which its full parse drops.
     """
     values = values or {}
     sources: dict[str, tuple[int, int]] = {}
+    present: set[int] = set()
     for written, general in zip(_clauses(analyzed.query), _clauses(generic.query)):
         for literal, node in zip(walk(written), walk(general)):
-            if isinstance(node, Parameter) and node.key in values \
-                    and isinstance(literal, Const) and literal.token is not None:
-                sources[node.key] = literal.token
+            if isinstance(literal, Const) and literal.token is not None:
+                present.add(literal.token[0])
+                if isinstance(node, Parameter) and node.key in values:
+                    sources[node.key] = literal.token
+    if not present.issuperset(literals):
+        return None
     bound = []
     for key, value in values.items():
         index, sign = sources.get(key, (None, 1))
@@ -176,7 +186,33 @@ def slot_rules(token_key: tuple, literals: dict[int, str],
     used = {index for _, index, _ in bound}
     kept = tuple((index, text) for index, text in literals.items()
                  if index not in used)
-    return tuple(bound), kept
+    return tuple(bound), kept, _twins(generic.query.where, values)
+
+
+def _twins(where: Optional[Expression], values: dict[str, Any]) -> tuple:
+    """``((keys, keys), ...)``: the synthetic keys, in tree order, of every
+    pair of top-level conjuncts of *where* equal up to those keys."""
+    groups: dict[Expression, list[tuple[str, ...]]] = {}
+    for part in conjuncts(where):
+        keys = tuple(node.key for node in walk(part)
+                     if isinstance(node, Parameter) and node.key in values)
+        if keys:
+            groups.setdefault(_masked(part, values), []).append(keys)
+    return tuple((first, second) for members in groups.values()
+                 for position, first in enumerate(members)
+                 for second in members[position + 1:])
+
+
+def _masked(expression: Expression, values: dict[str, Any]) -> Expression:
+    """*expression* with every synthetic parameter replaced by one
+    placeholder (types dropped too: ``1`` and ``1.0`` are equal literals)."""
+    if isinstance(expression, Parameter):
+        return (Parameter(AUTO_PARAMETER_MARK) if expression.key in values
+                else expression)
+    children = expression.children()
+    if not children:
+        return expression
+    return expression.rebuild([_masked(child, values) for child in children])
 
 
 def _clauses(query: Query) -> list[Expression]:
@@ -192,13 +228,14 @@ def _read(token_key: tuple, literals: dict[int, str], index: int,
     return -value if sign < 0 else value
 
 
-def slot_values(bound: tuple, kept: tuple, token_key: tuple,
+def slot_values(bound: tuple, kept: tuple, twins: tuple, token_key: tuple,
                 literals: dict[int, str], keep: frozenset
                 ) -> Optional[dict[str, Any]]:
     """The synthetic parameters' values of a text with *token_key* and
-    *literals*, by the slot rules *bound* and *kept* (:func:`slot_rules`);
-    None when the text's full parse would generalize with *keep* to
-    another query — a kept literal differs, or a bound one is in *keep*."""
+    *literals*, by the slot rules *bound*, *kept* and *twins*
+    (:func:`slot_rules`); None when the text's full parse would generalize
+    with *keep* to another query — a kept literal differs, a bound one is
+    in *keep*, or twin conjuncts bind equal values (a repeat)."""
     for index, text in kept:
         if literals[index] != text:
             return None
@@ -208,6 +245,9 @@ def slot_values(bound: tuple, kept: tuple, token_key: tuple,
         if value in keep:
             return None
         values[key] = value
+    for first, second in twins:
+        if all(values[a] == values[b] for a, b in zip(first, second)):
+            return None
     return values
 
 

@@ -538,8 +538,9 @@ class QueryService:
                 alias = cache.get(tokens, database)
                 values = (None if alias is None or alias.keep != keep
                           or alias.shape.optimize != optimize
-                          else slot_values(alias.bound, alias.kept, tokens,
-                                           literals, keep))
+                          else slot_values(alias.bound, alias.kept,
+                                           alias.twins, tokens, literals,
+                                           keep))
                 if values is not None:
                     self.metrics.record_token_hit()
                     if span is not None:
@@ -584,7 +585,7 @@ class QueryService:
             if rules is not None:
                 self.cache.alias(tokens, Alias(
                     statement.shape, keep=statement.keep,
-                    bound=rules[0], kept=rules[1]))
+                    bound=rules[0], kept=rules[1], twins=rules[2]))
         return analyzed
 
     def _handle(self, analyzed: AnalyzedStatement,
@@ -1129,7 +1130,7 @@ class QueryService:
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
-    def explain(self, text: str, optimize: bool = True,
+    def explain(self, text: str, *, optimize: bool = True,
                 analyze: bool = False,
                 parameters: ParameterValues = None) -> str:
         """Describe how *text* would be evaluated (preparing it if needed).

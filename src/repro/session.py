@@ -201,7 +201,7 @@ class Session:
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
-    def explain(self, query: QueryLike, optimize: bool = True,
+    def explain(self, query: QueryLike, *, optimize: bool = True,
                 analyze: bool = False,
                 parameters: ParameterValues = None) -> str:
         """Describe how the statement would be evaluated (for

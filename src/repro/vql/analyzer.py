@@ -33,6 +33,8 @@ from repro.algebra.expressions import (
     TupleConstructor,
     UnaryOp,
     Var,
+    conjuncts,
+    make_conjunction,
     parameters_used,
 )
 from repro.datamodel.schema import PropertyDef, Schema
@@ -106,6 +108,19 @@ def analyze_query(query: Query, schema: Schema,
     side of a query↔method-call equivalence — are analyzed.
     """
     return Analyzer(schema, parameters=parameters).analyze(query)
+
+
+def _distinct_conjuncts(condition: Expression) -> Expression:
+    """*condition* without repeated top-level conjuncts (the first of equal
+    ones stays).  AND is idempotent — NULL included, since a conjunct that
+    is NULL fails the row either way — so this changes no answer, and k
+    copies of a conjunct plan like one instead of multiplying the search.
+    A condition without repeats is returned as it is."""
+    parts = conjuncts(condition)
+    distinct = list(dict.fromkeys(parts))
+    if len(distinct) == len(parts):
+        return condition
+    return make_conjunction(distinct)
 
 
 def resolve_class_references(expr: Expression, schema: Schema,
@@ -305,7 +320,8 @@ class Analyzer:
         access = resolve_class_references(query.access, self.schema, bound)
         where = None
         if query.where is not None:
-            where = resolve_class_references(query.where, self.schema, bound)
+            where = _distinct_conjuncts(
+                resolve_class_references(query.where, self.schema, bound))
 
         # Type-check the clauses (raises on unknown members / arity errors).
         infer_expression_type(access, variable_types, self.schema)

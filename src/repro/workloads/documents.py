@@ -14,7 +14,9 @@ documents; this generator produces a parameterised, reproducible stand-in:
   ``wordCount``/``largeParagraphs`` implication experiment has matches;
 * the ``Document.title`` hash index and the ``Paragraph.content`` text index
   (the substrates of ``select_by_index`` and ``retrieve_by_string``) are
-  created, and ``Document.largeParagraphs`` is populated consistently.
+  created; ``Document.sections`` and ``Section.paragraphs`` are filled by
+  the database's inverse-link upkeep and ``Document.largeParagraphs`` is
+  populated consistently by the loader.
 """
 
 from __future__ import annotations
@@ -141,7 +143,6 @@ def generate_document_database(config: DocumentWorkloadConfig | None = None,
         doc_oid = database.create("Document", title=title, author=author,
                                   sections=set(), largeParagraphs=set())
 
-        section_oids = set()
         doc_large_paragraphs = set()
         for sec_index in range(config.sections_per_document):
             sec_oid = database.create(
@@ -150,9 +151,7 @@ def generate_document_database(config: DocumentWorkloadConfig | None = None,
                 title=f"Section {sec_index + 1} of {title}",
                 document=doc_oid,
                 paragraphs=set())
-            section_oids.add(sec_oid)
 
-            paragraph_oids = set()
             for par_index in range(config.paragraphs_per_section):
                 word_count = config.words_per_paragraph
                 if paragraph_counter in large_paragraphs_set:
@@ -170,14 +169,13 @@ def generate_document_database(config: DocumentWorkloadConfig | None = None,
                     number=par_index + 1,
                     section=sec_oid,
                     content=content)
-                paragraph_oids.add(par_oid)
                 if len(content.split()) > config.large_paragraph_threshold:
                     doc_large_paragraphs.add(par_oid)
                 paragraph_counter += 1
 
-            database.set_value(sec_oid, "paragraphs", paragraph_oids)
-
-        database.set_value(doc_oid, "sections", section_oids)
+        # The inverse sides (Document.sections, Section.paragraphs) were
+        # filled by the database's link upkeep as each child was created;
+        # the derived largeParagraphs set is the loader's to write.
         database.set_value(doc_oid, "largeParagraphs", doc_large_paragraphs)
 
     # External substrates: the user-defined title index and the IR engine.

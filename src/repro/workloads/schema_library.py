@@ -186,9 +186,12 @@ def document_knowledge(schema: Schema,
     E5  σ[p->contains_string(s)](Paragraph) ≡ Paragraph->retrieve_by_string(s)
     I1  p->wordCount() > T  ⇒  p IS-IN p->document().largeParagraphs
     J1  p->sameDocument(q)  ⇔  p->document() == q->document()
+    M1  FROM p IN d->paragraphs()  ≡  FROM p IN d.sections.paragraphs
 
     E3 and E4 are derived automatically from the schema's inverse links, as
-    the paper suggests.
+    the paper suggests; M1 from the body of ``Document.paragraphs()``
+    (E1's and J1's method bodies declare E1 and J1 the same way).  The
+    range-inversion rules (:mod:`repro.optimizer.inversion`) complete it.
     """
     knowledge = SchemaKnowledge(schema)
 
@@ -224,4 +227,9 @@ def document_knowledge(schema: Schema,
         name="J1-same-document",
         parameter_classes={"q": "Paragraph"}))
 
+    # Each factory-built method declares its own path equivalence (E1 and
+    # J1 above are two of them; Document.paragraphs() adds the third), and
+    # the maintained inverse links make ranges invertible.
+    knowledge.derive_from_method_bodies()
+    knowledge.derive_range_inversions()
     return knowledge

@@ -144,6 +144,8 @@ def university_knowledge(schema: Schema) -> SchemaKnowledge:
         query="ACCESS d FROM d IN Department WHERE d.name == n",
         method_call="Department->find_by_name(n)",
         name="U3-find-by-name"))
+    knowledge.derive_from_method_bodies()
+    knowledge.derive_range_inversions()
     return knowledge
 
 
@@ -176,7 +178,6 @@ def generate_university_database(n_departments: int = 5,
                 participants=set())
             course_oids.append(course_oid)
 
-        student_oids = set()
         honours = set()
         for student_index in range(students_per_department):
             gpa = round(rng.uniform(1.0, 4.0), 2)
@@ -188,7 +189,6 @@ def generate_university_database(n_departments: int = 5,
                 gpa=gpa,
                 department=dep_oid,
                 courses=set(chosen))
-            student_oids.add(student_oid)
             if gpa >= HONOURS_GPA:
                 honours.add(student_oid)
             for course_oid in chosen:
@@ -196,8 +196,8 @@ def generate_university_database(n_departments: int = 5,
                 database.set_value(course_oid, "participants",
                                    participants | {student_oid})
 
-        database.set_value(dep_oid, "students", student_oids)
-        database.set_value(dep_oid, "courses", set(course_oids))
+        # Department.students and .courses were filled by the database's
+        # inverse-link upkeep; honoursStudents is derived, the loader's.
         database.set_value(dep_oid, "honoursStudents", honours)
 
     database.create_hash_index("Department", "name")

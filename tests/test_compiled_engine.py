@@ -14,8 +14,8 @@ from repro.algebra.expressions import (
 )
 from repro.datamodel.database import Database
 from repro.datamodel.schema import ClassDef, PropertyDef, Schema
-from repro.datamodel.types import INT, STRING
-from repro.errors import ExecutionError
+from repro.datamodel.types import ANY, INT, STRING, object_type, set_of
+from repro.errors import ExecutionError, ObjectNotFoundError
 from repro.physical.batch import Batch
 from repro.physical.compiler import ExpressionCompiler
 from repro.physical.evaluator import evaluate
@@ -121,6 +121,87 @@ class TestExpressionCompiler:
         compiled = doc_database.work_snapshot()
 
         assert compiled == interpreted
+
+
+def _column_outcome(database, expression, batch, engine):
+    """Values (or the error class) and work of one column evaluation."""
+    database.reset_statistics()
+    try:
+        if engine == "compiled":
+            values = ExpressionCompiler(database).compile(expression)(batch)
+        else:
+            values = [evaluate(expression, row, database) for row in batch.rows()]
+    except Exception as exc:  # noqa: BLE001 - the class is compared
+        # the work of a failed evaluation is not part of the contract
+        return type(exc), None
+    return values, database.work_snapshot()
+
+
+class TestSetValuedHops:
+    """A property read over a column of OID sets reads all their members
+    in one batch; the interpreter reads member by member.  Values, errors
+    and work counters must be the same, also for NULL receivers, NULL and
+    non-object members, and dangling members."""
+
+    @pytest.fixture()
+    def database(self):
+        schema = Schema("sets")
+        node = ClassDef("Node")
+        node.add_property(PropertyDef("n", INT))
+        node.add_property(PropertyDef("kids", set_of(object_type("Node")),
+                                      target_class="Node"))
+        node.add_property(PropertyDef("bag", set_of(ANY)))
+        schema.add_class(node)
+        database = Database(schema)
+        leaves = database.create_many("Node", [{"n": n} for n in range(6)])
+        database.create_many("Node", [
+            {"n": 10, "kids": set(leaves[:3]), "bag": {leaves[0], None}},
+            {"n": 11, "kids": set(leaves[2:]), "bag": {leaves[1], 7}},
+            {"n": 12, "kids": set(), "bag": set()},
+            {"n": 13}])
+        return database
+
+    @pytest.mark.parametrize("text", ["x.kids.n", "x.kids.kids", "x.bag.n",
+                                      "x.kids IS-IN x.kids"])
+    def test_values_and_work_match_the_interpreter(self, database, text):
+        expression = parse_expression(text)
+        objects = database.extension("Node")
+        columns = [
+            [{*objects[6:8]}, None, set(), objects[0]],   # OIDs, NULL, empty
+            [set(objects[:6])] * 3,                       # only sets
+        ]
+        if text.startswith("x.bag"):
+            columns.append([{objects[0], None}, {objects[1]}])
+        for column in columns:
+            batch = Batch(len(column), {"x": column})
+            assert _column_outcome(database, expression, batch, "compiled") \
+                == _column_outcome(database, expression, batch, "interpreted")
+
+    def test_a_dangling_member_fails_like_the_interpreter(self, database):
+        objects = database.extension("Node")
+        dangling = objects[0]
+        kept = set(objects[1:4]) | {dangling}
+        database.delete(dangling)
+        expression = parse_expression("x.n")
+        batch = Batch(2, {"x": [set(objects[4:6]), kept]})
+        compiled, _ = _column_outcome(database, expression, batch, "compiled")
+        interpreted, _ = _column_outcome(database, expression, batch,
+                                         "interpreted")
+        assert compiled is interpreted is ObjectNotFoundError
+
+    def test_class_checks_match_the_interpreter(self, database):
+        objects = database.extension("Node")
+        database.delete(objects[0])
+        column = [objects[0], objects[1], None, 3]
+        for text in ("x IS-IN Node", "x.kids INTERSECT Node"):
+            expression = BinaryOp(text.split()[1], parse_expression(
+                text.split()[0]), ClassExtent("Node"))
+            batch = Batch(4, {"x": column if "IS-IN" in text
+                              else [objects[6], objects[7], None, None]})
+            compiled = _column_outcome(database, expression, batch, "compiled")
+            assert compiled == _column_outcome(database, expression, batch,
+                                               "interpreted")
+            assert compiled[1]["extension_scans"] == 0
 
 
 # ----------------------------------------------------------------------

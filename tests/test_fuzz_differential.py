@@ -704,11 +704,23 @@ def eager_db():
 @pytest.fixture(scope="module")
 def dangling_db():
     """Three documents, analyzed after a section and a document are
-    deleted: the paragraphs and sections that referenced them keep
-    dangling references, which raise when a path reads through them."""
+    deleted and the paragraphs and sections that referenced them are
+    pointed back at the deleted objects: dangling references, which
+    raise when a path reads through them.  (A delete alone leaves none:
+    link upkeep sets the referrers' references to NULL, and a write of a
+    deleted object's OID has no other side to maintain.)"""
     database = generate_document_database(n_documents=3)
-    database.delete(database.extension("Section")[0])
-    database.delete(database.extension("Document")[-1])
+    section = database.extension("Section")[0]
+    document = database.extension("Document")[-1]
+    paragraphs = database.value(section, "paragraphs")
+    sections = database.value(document, "sections")
+    database.delete(section)
+    database.delete(document)
+    for oid in paragraphs:
+        database.update(oid, section=section)
+    for oid in sections:
+        if oid != section:
+            database.update(oid, document=document)
     database.analyze()
     return database
 
@@ -783,8 +795,9 @@ FUZZ_WORDS = TERMS + ("fuzz0001", "fuzz0002", "fuzz0003")
 
 class MutationFuzzer:
     """Drives seeded INSERT/UPDATE/DELETE batches through the statement API
-    while keeping the document schema's invariants (inverse links, derived
-    largeParagraphs) intact, so the engines must stay differential."""
+    while keeping the document schema's invariants intact — the database
+    maintains the inverse links, and fuzz content stays clear of the
+    derived largeParagraphs — so the engines must stay differential."""
 
     def __init__(self, connection, rng: random.Random):
         self.connection = connection
@@ -802,16 +815,6 @@ class MutationFuzzer:
     def _sections(self) -> list:
         return self.database.extension("Section")
 
-    def _link(self, section, oid) -> None:
-        paragraphs = set(self.database.value(section, "paragraphs") or set())
-        paragraphs.add(oid)
-        self.database.update(section, paragraphs=paragraphs)
-
-    def _unlink(self, section, oid) -> None:
-        paragraphs = set(self.database.value(section, "paragraphs") or set())
-        paragraphs.discard(oid)
-        self.database.update(section, paragraphs=paragraphs)
-
     def insert_batch(self) -> None:
         router = self.connection.router
         rows = [{"n": self.rng.choice(NUMBERS),
@@ -822,9 +825,7 @@ class MutationFuzzer:
             "INSERT INTO Paragraph (number, section, content) "
             "VALUES (:n, :s, :c)", rows)
         assert result.rowcount == len(rows)
-        for row, oid in zip(rows, result.oids):
-            self._link(row["s"], oid)  # maintain the inverse link
-            self.pool.append(oid)
+        self.pool.extend(result.oids)  # the database links each section
 
     def update_batch(self) -> None:
         cursor = self.connection.cursor()
@@ -845,7 +846,6 @@ class MutationFuzzer:
         live = [oid for oid in self.pool if self.database.exists(oid)]
         self.rng.shuffle(live)
         for oid in live[:self.rng.randint(0, 3)]:
-            self._unlink(self.database.value(oid, "section"), oid)
             result = self.connection.cursor().execute(
                 "DELETE FROM Paragraph p WHERE p == :oid", {"oid": oid})
             assert result.rowcount == 1

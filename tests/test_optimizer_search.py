@@ -337,3 +337,52 @@ class TestTraceAndStatistics:
         assert snapshot["logical_plans_explored"] == 5
         assert statistics.rule_application_counts["r1"] == 2
         assert "plans=5" in str(statistics)
+
+
+class TestRepeatedConjuncts:
+    """AND is idempotent — NULL included — so the analyzer drops repeated
+    conjuncts: k copies of one plan like one, through a session and
+    through the auto-parameterizing front end."""
+
+    ONE = "ACCESS p FROM p IN Paragraph WHERE p.number >= 1"
+
+    @staticmethod
+    def repeated(copies: int, values=None) -> str:
+        values = values or [1] * copies
+        return "ACCESS p FROM p IN Paragraph WHERE " + " AND ".join(
+            f"p.number >= {value}" for value in values)
+
+    @staticmethod
+    def explored(report: str) -> int:
+        return int(report.split("OptimizerStatistics(plans=")[1].split(",")[0])
+
+    @pytest.mark.parametrize("copies", (2, 3, 5))
+    def test_copies_explore_what_one_explores(self, doc_session, copies):
+        one = doc_session.optimize(self.ONE).statistics.logical_plans_explored
+        many = doc_session.optimize(self.repeated(copies))
+        assert many.statistics.logical_plans_explored == one == 1
+
+    @pytest.mark.parametrize("sequence", (
+        ((2, 2), (3, 2), (2, 3), (4, 4)),   # first text holds a repeat
+        ((3, 2), (2, 2), (4, 4), (2, 3)),   # later texts repeat
+        ((0.0, 0), (1, 2.5), (0, 0.0))))    # 0 == 0.0: a repeat too
+    def test_the_front_end_plans_copies_like_one(self, sequence,
+                                                 token_path_oracle):
+        """Through the auto-parameterizing front end: a repeated literal
+        conjunct plans like one, and a text matched by its token key
+        resolves to what its full parse does, repeat or not."""
+        from repro import connect
+        from repro.workloads import document_knowledge, generate_document_database
+
+        database = generate_document_database(n_documents=3)
+        connection = connect(database,
+                             knowledge=document_knowledge(database.schema))
+        one = self.explored(connection.explain(self.ONE))
+        assert self.explored(connection.explain(self.repeated(5))) == one
+        naive = Session(database)
+        for values in sequence:
+            text = self.repeated(2, values)
+            token_path_oracle(connection.service, text)
+            assert sorted(connection.execute(text).fetchall()) == \
+                sorted(naive.execute_naive(text).values), text
+        connection.close()

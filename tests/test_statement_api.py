@@ -457,6 +457,19 @@ class TestDDL:
 class TestConnectionCursor:
     QUERY = "ACCESS p.number FROM p IN Paragraph WHERE p.number <= :n"
 
+    def test_explain_options_are_keyword_only(self, database, connection):
+        """``explain(sql, params)`` used to bind the parameters to
+        ``optimize`` and fail deep inside the statement cache; it now fails
+        at the call, on every entry point."""
+        parameters = {"n": 2}
+        for explain in (connection.explain, connection.cursor().explain,
+                        Session(database).explain,
+                        QueryService(database).explain):
+            with pytest.raises(TypeError, match="positional argument"):
+                explain(self.QUERY, parameters)
+            assert "physical plan:" in explain(self.QUERY, analyze=True,
+                                               parameters=parameters)
+
     def test_cursor_streams_lazily(self, connection):
         cursor = connection.execute(self.QUERY, {"n": 3})
         assert cursor.rowcount == -1  # streaming: unknown up front
