@@ -27,7 +27,7 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import connect, open_session
+from repro import Session, connect
 from repro.workloads import (
     document_knowledge,
     generate_document_database,
@@ -59,7 +59,7 @@ def main() -> None:
 
     # The naive baseline (the paper's "straightforward evaluation") is
     # still available through a session; compare the logical work.
-    session = open_session(database, knowledge=knowledge)
+    session = Session(database, knowledge=knowledge)
     naive = session.execute_naive(query)
     optimized = session.execute(query)
     assert naive.value_set() == optimized.value_set()

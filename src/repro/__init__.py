@@ -28,7 +28,6 @@ Quickstart (the unified statement API)::
     connection.execute("INSERT INTO Document (title) VALUES (?)", ["new"])
 """
 
-from repro.engine import open_service, open_session
 from repro.errors import ReproError
 from repro.service.service import QueryService
 from repro.session import QueryResult, Session
@@ -36,7 +35,7 @@ from repro.api.connection import Connection, Cursor, connect
 from repro.api.router import StatementResult
 from repro.storage import FileStorageAdapter, MemoryAdapter, StorageAdapter
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "connect",
@@ -45,8 +44,6 @@ __all__ = [
     "StorageAdapter",
     "MemoryAdapter",
     "FileStorageAdapter",
-    "open_session",
-    "open_service",
     "Session",
     "QueryService",
     "QueryResult",

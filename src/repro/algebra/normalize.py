@@ -58,6 +58,11 @@ __all__ = ["Normalizer", "normalize"]
 
 #: comparison operators usable directly in select_cmp / join_cmp
 _ATOMIC_COMPARISONS = ("==", "!=", "<", "<=", ">", ">=", "IS-IN", "IS-SUBSET")
+#: the comparison that holds with its operands swapped (the set
+#: comparisons have none: a join on them with swapped sides is a cross
+#: product and a selection)
+_MIRRORED = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "==": "==",
+             "!=": "!="}
 
 
 def normalize(plan: LogicalOperator) -> LogicalOperator:
@@ -150,9 +155,10 @@ class Normalizer:
             if condition.left.name in left_refs and condition.right.name in right_refs:
                 return JoinCmp(condition.left.name, condition.op,
                                condition.right.name, left, right)
-            if condition.left.name in right_refs and condition.right.name in left_refs:
-                return JoinCmp(condition.right.name,
-                               _mirror_comparison(condition.op),
+            if (condition.left.name in right_refs
+                    and condition.right.name in left_refs
+                    and condition.op in _MIRRORED):
+                return JoinCmp(condition.right.name, _MIRRORED[condition.op],
                                condition.left.name, left, right)
         # Fall back to cross product followed by a compiled selection.
         return self._compile_condition(condition, CrossProduct(left, right))
@@ -249,12 +255,3 @@ class Normalizer:
             f"expression {expression} cannot be decomposed into restricted "
             "algebra operators (tuple/set constructors are not supported in "
             "the restricted normalization)")
-
-
-def _mirror_comparison(op: str) -> str:
-    """The comparison to use when the operands of θ are swapped."""
-    mirror = {"<": ">", ">": "<", "<=": ">=", ">=": "<=",
-              "==": "==", "!=": "!="}
-    if op in mirror:
-        return mirror[op]
-    raise AlgebraError(f"comparison {op!r} cannot be mirrored")

@@ -64,9 +64,6 @@ class LogicalOperator:
         """The expression parameters of the operator (may be empty)."""
         return ()
 
-    def arity(self) -> int:
-        return len(self.inputs())
-
     def describe(self) -> str:
         """One-line description: name plus parameters."""
         return self.name

@@ -56,9 +56,6 @@ class TranslationResult:
     plan: LogicalOperator
     output_ref: str
 
-    def refs(self) -> tuple[str, ...]:
-        return self.plan.refs()
-
 
 def translate_query(analyzed: "AnalyzedQuery") -> TranslationResult:
     """Translate an analyzed query into the general algebra."""
@@ -100,9 +97,7 @@ def translate_query(analyzed: "AnalyzedQuery") -> TranslationResult:
 
     access = query.access
     if isinstance(access, Var):
-        if access.name not in bound:
-            raise TranslationError(
-                f"ACCESS clause refers to unbound variable {access.name!r}")
+        # the analyzer resolved every variable the query reads
         output_ref = access.name
         plan = Project((output_ref,), plan)
     else:

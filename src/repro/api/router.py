@@ -291,8 +291,6 @@ class StatementRouter:
         return rows
 
     def _apply_insert(self, class_name: str, rows: list[dict]) -> list[OID]:
-        if len(rows) == 1:
-            return [self.database.create(class_name, **rows[0])]
         return self.database.create_many(class_name, rows)
 
     def _apply_update(self, analyzed: AnalyzedStatement, bindings,

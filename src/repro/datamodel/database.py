@@ -126,8 +126,8 @@ class InvocationContext:
     """The view of the database handed to method implementations.
 
     It exposes exactly what a VML method body may use: property access on any
-    object, invocation of other methods, class extensions, and the external
-    engines (indexes, text indexes) registered with the database.
+    object, invocation of other methods, and the external engines (indexes,
+    text indexes) registered with the database.
     """
 
     def __init__(self, database: "Database"):
@@ -138,12 +138,6 @@ class InvocationContext:
 
     def invoke(self, oid: OID, method: str, *args: Any) -> Any:
         return self.database.invoke(oid, method, *args)
-
-    def invoke_class_method(self, class_name: str, method: str, *args: Any) -> Any:
-        return self.database.invoke_class_method(class_name, method, *args)
-
-    def extension(self, class_name: str) -> list[OID]:
-        return self.database.extension(class_name)
 
     def index(self, class_name: str, prop: str) -> Optional[HashIndex | SortedIndex]:
         return self.database.indexes.get(class_name, prop)
@@ -515,45 +509,10 @@ class Database:
         Values are validated against the declared property types; reference
         properties accept OIDs or sets of OIDs.  Indexes and text indexes on
         the class are maintained eagerly, and so is the other side of every
-        inverse link the values set.
+        inverse link the values set.  This is :meth:`create_many` of one
+        row.
         """
-        class_def = self.schema.get_class(class_name)
-        unknown = [prop for prop in values if not self.schema.has_property(class_name, prop)]
-        if unknown:
-            raise SchemaError(
-                f"class {class_name!r} has no propert{'y' if len(unknown) == 1 else 'ies'} "
-                f"{', '.join(repr(p) for p in unknown)}")
-        for prop_name, value in values.items():
-            prop_def = self.schema.resolve_property(class_name, prop_name)
-            if value is not None and not prop_def.vml_type.validate(value):
-                raise TypeMismatchError(
-                    f"value {value!r} for {class_name}.{prop_name} does not "
-                    f"conform to {prop_def.vml_type}")
-        with self.commit_scope() as scope:
-            ts = scope.ts
-            oid = self._allocator.allocate(class_name)
-            if scope.ops is not None:
-                scope.ops.append(("create", class_name, oid.serial,
-                                  dict(values)))
-            self._mlog.append((ts, class_name, oid))
-            obj = DatabaseObject(oid=oid, values=dict(values),
-                                 begin_ts=ts, created_ts=ts)
-            self._objects[oid] = obj
-            self._extensions[class_name].append(oid)
-            scope.undo.append(lambda: self._undo_create(class_name, oid))
-            self.statistics.record_object_created()
-            self.versions.data += 1
-            scope.undo.append(lambda: self._unsettle_created(1))
-            self._note_stats_mutation(class_name)
-            self._index_new_object(class_name, oid, values)
-            links = self.schema.links_from(class_name)
-            if links:
-                for prop, value in values.items():
-                    link = links.get(prop)
-                    if link is not None:
-                        self._maintain_links(link, oid, None, value)
-        del class_def  # looked up only for existence checking
-        return oid
+        return self.create_many(class_name, [values])[0]
 
     def _undo_create(self, class_name: str, oid: OID) -> None:
         obj = self._objects.pop(oid, None)
@@ -591,23 +550,6 @@ class Database:
                 if engine is not None:
                     engine.remove(oid)
 
-    def _index_new_object(self, class_name: str, oid: OID,
-                          values: dict[str, Any]) -> None:
-        # Indexes created on a class cover the deep extension (subclasses
-        # included), so maintenance must notify the index of every ancestor
-        # class as well — otherwise instances of subclasses created after the
-        # index would silently be missing from it.  None values are not
-        # indexed: the evaluator treats None as matching no comparison, and
-        # None keys cannot be ordered by a sorted index.
-        for prop_name, value in values.items():
-            if value is None:
-                continue
-            for owner in self._class_and_ancestors(class_name):
-                self.indexes.notify_insert(owner, prop_name, value, oid)
-                engine = self._text_indexes.get((owner, prop_name))
-                if engine is not None:
-                    engine.index_text(oid, str(value))
-
     def create_many(self, class_name: str,
                     rows: Iterable[dict[str, Any]]) -> list[OID]:
         """Bulk create: one maintenance pass for a whole batch of objects.
@@ -625,44 +567,47 @@ class Database:
         writes each set-valued other side once per target object, with all
         of the batch's objects that reference it.
         """
-        self.schema.get_class(class_name)  # existence check
+        schema = self.schema
+        schema.get_class(class_name)  # existence check
         materialized = [dict(row) for row in rows]
-
         prop_defs: dict[str, Any] = {}
-
-        def prop_def_for(prop: str):
-            prop_def = prop_defs.get(prop)
-            if prop_def is None:
-                if not self.schema.has_property(class_name, prop):
-                    raise SchemaError(
-                        f"class {class_name!r} has no property {prop!r}")
-                prop_def = self.schema.resolve_property(class_name, prop)
-                prop_defs[prop] = prop_def
-            return prop_def
-
         for row in materialized:
+            if not prop_defs.keys() >= row.keys():
+                unknown = []
+                for prop in row:
+                    if prop not in prop_defs:
+                        try:
+                            prop_defs[prop] = schema.resolve_property(
+                                class_name, prop)
+                        except SchemaError:
+                            unknown.append(prop)
+                if unknown:
+                    raise SchemaError(
+                        f"class {class_name!r} has no "
+                        f"propert{'y' if len(unknown) == 1 else 'ies'} "
+                        f"{', '.join(repr(p) for p in unknown)}")
             for prop, value in row.items():
-                prop_def = prop_def_for(prop)
-                if value is not None and not prop_def.vml_type.validate(value):
+                if value is not None \
+                        and not prop_defs[prop].vml_type.validate(value):
                     raise TypeMismatchError(
                         f"value {value!r} for {class_name}.{prop} does not "
-                        f"conform to {prop_def.vml_type}")
+                        f"conform to {prop_defs[prop].vml_type}")
 
+        # Indexes created on a class cover the deep extension (subclasses
+        # included), so maintenance must reach the index of every ancestor
+        # class as well.  None values are not indexed: the evaluator treats
+        # None as matching no comparison, and None keys cannot be ordered
+        # by a sorted index.
         owners = list(self._class_and_ancestors(class_name))
         maintenance: dict[str, tuple[list, list]] = {}
-
-        def targets_for(prop: str) -> tuple[list, list]:
-            targets = maintenance.get(prop)
-            if targets is None:
-                indexes = [index for owner in owners
-                           if (index := self.indexes.get(owner, prop))
-                           is not None]
-                engines = [engine for owner in owners
-                           if (engine := self._text_indexes.get((owner, prop)))
-                           is not None]
-                targets = (indexes, engines)
-                maintenance[prop] = targets
-            return targets
+        for prop in prop_defs:
+            indexes = [index for owner in owners
+                       if (index := self.indexes.get(owner, prop)) is not None]
+            engines = [engine for owner in owners
+                       if (engine := self._text_indexes.get((owner, prop)))
+                       is not None]
+            if indexes or engines:
+                maintenance[prop] = (indexes, engines)
 
         objects = self._objects
         extension = self._extensions[class_name]
@@ -685,9 +630,10 @@ class Database:
                 undo.append(lambda oid=oid: undo_create(class_name, oid))
                 created.append(oid)
                 for prop, value in row.items():
-                    if value is None:
+                    targets = maintenance.get(prop)
+                    if targets is None or value is None:
                         continue
-                    indexes, engines = targets_for(prop)
+                    indexes, engines = targets
                     for index in indexes:
                         index.insert(value, oid)
                     if engines:
@@ -697,8 +643,11 @@ class Database:
             self.statistics.objects_created += len(created)
             self.versions.data += len(created)
             undo.append(lambda n=len(created): self._unsettle_created(n))
-            self._note_stats_mutation(class_name, len(created))
-            links = self.schema.links_from(class_name)
+            for owner in owners:
+                self.stats_catalog.note_mutation(owner, len(created))
+            links = [(prop, link) for prop, link
+                     in self.schema.links_from(class_name).items()
+                     if prop in prop_defs]
             if links:
                 self._link_created(links, created, materialized)
         return created
@@ -708,7 +657,7 @@ class Database:
         """Inverse-link upkeep of a bulk create: one write per target of a
         set-valued side; single-valued sides row by row, in creation
         order, exactly as per-row creates would leave them."""
-        for prop, link in links.items():
+        for prop, link in links:
             if link.target_cardinality != "many":
                 for oid, row in zip(created, rows):
                     if row.get(prop) is not None:
@@ -1300,12 +1249,6 @@ class Database:
         except Exception as exc:  # surface implementation bugs with context
             raise MethodInvocationError(
                 f"method {class_name}.{method.name} failed: {exc}") from exc
-
-    def method_def(self, class_name: str, method_name: str,
-                   class_level: bool = False) -> MethodDef:
-        if class_level:
-            return self.schema.resolve_class_method(class_name, method_name)
-        return self.schema.resolve_instance_method(class_name, method_name)
 
     # ------------------------------------------------------------------
     # pre-resolved dispatch (compiled execution engine)

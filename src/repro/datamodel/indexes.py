@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 from collections import defaultdict
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterable, Optional
 
 from repro.datamodel.oid import OID
 from repro.errors import IndexError_
@@ -67,9 +67,6 @@ class HashIndex:
         """Return the OIDs whose indexed property equals *key*."""
         self.lookup_count += 1
         return set(self._entries.get(self._normalize(key), ()))
-
-    def keys(self) -> Iterator[Any]:
-        return iter(self._entries.keys())
 
     def __len__(self) -> int:
         return self._size
@@ -312,12 +309,6 @@ class IndexRegistry:
         index = self.get(class_name, property_name)
         if index is not None:
             index.update(old_key, new_key, oid)
-
-    def notify_remove(self, class_name: str, property_name: str,
-                      key: Any, oid: OID) -> None:
-        index = self.get(class_name, property_name)
-        if index is not None:
-            index.remove(key, oid)
 
     def __len__(self) -> int:
         return len(self._indexes)

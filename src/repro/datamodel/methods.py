@@ -36,7 +36,6 @@ __all__ = [
     "path_method",
     "collect_over_property",
     "index_lookup_method",
-    "index_range_method",
     "text_retrieve_method",
     "text_contains_method",
     "same_path_target_method",
@@ -114,25 +113,6 @@ def index_lookup_method(class_name: str, property_name: str) -> MethodImpl:
         return index.lookup(key)
 
     implementation.__name__ = f"index_lookup_{class_name}_{property_name}"
-    return implementation
-
-
-def index_range_method(class_name: str, property_name: str,
-                       include_low: bool = False,
-                       include_high: bool = True) -> MethodImpl:
-    """External class-level method performing a range lookup on a sorted
-    index, used for precomputed predicates such as large-paragraph sets."""
-
-    def implementation(ctx, receiver: str, low: Any = None, high: Any = None) -> set[OID]:
-        index = ctx.index(class_name, property_name)
-        if index is None or not hasattr(index, "range"):
-            raise MethodInvocationError(
-                f"range lookup requires a sorted index on "
-                f"{class_name}.{property_name}")
-        return index.range(low, high, include_low=include_low,
-                           include_high=include_high)
-
-    implementation.__name__ = f"index_range_{class_name}_{property_name}"
     return implementation
 
 

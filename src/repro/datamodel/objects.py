@@ -9,7 +9,7 @@ TUPLE values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.datamodel.oid import OID
 from repro.errors import SchemaError
@@ -57,9 +57,6 @@ class DatabaseObject:
 
     def has(self, prop: str) -> bool:
         return prop in self.values
-
-    def items(self) -> Iterator[tuple[str, Any]]:
-        return iter(self.values.items())
 
     def snapshot(self) -> Mapping[str, Any]:
         """An immutable copy of the property values (for safe external use)."""

@@ -54,10 +54,6 @@ class PropertyDef:
     derived: bool = False
     description: str = ""
 
-    def is_reference(self) -> bool:
-        """True when the property stores OIDs of another class."""
-        return self.target_class is not None
-
     def __str__(self) -> str:
         return f"{self.name}: {self.vml_type}"
 
@@ -157,9 +153,6 @@ class ClassDef:
                 f"duplicate method {method.name!r} in class {self.name!r}")
         table[method.name] = method
         return self
-
-    def property_names(self) -> list[str]:
-        return list(self.properties)
 
     def __str__(self) -> str:
         return f"CLASS {self.name}"
@@ -269,20 +262,6 @@ class Schema:
                 return class_def.class_methods[method]
         raise MethodResolutionError(
             f"class {class_name!r} has no class method {method!r}")
-
-    def has_instance_method(self, class_name: str, method: str) -> bool:
-        try:
-            self.resolve_instance_method(class_name, method)
-            return True
-        except MethodResolutionError:
-            return False
-
-    def has_class_method(self, class_name: str, method: str) -> bool:
-        try:
-            self.resolve_class_method(class_name, method)
-            return True
-        except MethodResolutionError:
-            return False
 
     def find_inverse(self, class_name: str, prop: str) -> Optional[InverseLink]:
         """Return the inverse link whose source side is ``class_name.prop``."""

@@ -58,12 +58,6 @@ class DatabaseStatistics:
     def record_property_write(self) -> None:
         self.property_writes += 1
 
-    def record_object_created(self) -> None:
-        self.objects_created += 1
-
-    def record_object_deleted(self) -> None:
-        self.objects_deleted += 1
-
     def record_method_call(self, class_name: str, method_name: str,
                            external: bool, class_level: bool,
                            cost: float) -> None:
@@ -180,9 +174,8 @@ class EquiDepthHistogram:
         counts = []
         consumed = 0
         for i in range(1, buckets + 1):
+            # total >= buckets: each step advances by at least one row
             upto = round(i * total / buckets)
-            if upto <= consumed:
-                continue
             counts.append(upto - consumed)
             boundaries.append(ordered[upto - 1])
             consumed = upto
@@ -496,10 +489,6 @@ class StatisticsCatalog:
                 + sorted(self._predicate_corrections.values(),
                          key=lambda r: str(r.key)))
 
-    def clear_corrections(self) -> None:
-        self._join_corrections.clear()
-        self._predicate_corrections.clear()
-
     def method_statistics(self, method_name: str) -> Optional[MethodStatistics]:
         """Measured statistics for *method_name* (bare name, like the cost
         model's schema-wide method resolution)."""
@@ -617,13 +606,9 @@ class StatisticsCatalog:
         histogram = None
         min_value = max_value = None
         if orderable and len({type(v) is str for v in orderable}) == 1:
-            try:
-                min_value, max_value = min(orderable), max(orderable)
-            except TypeError:  # mixed incomparable scalars
-                min_value = max_value = None
-            else:
-                histogram = EquiDepthHistogram.build(orderable,
-                                                     histogram_buckets)
+            # all strings or all numbers: mutually comparable
+            min_value, max_value = min(orderable), max(orderable)
+            histogram = EquiDepthHistogram.build(orderable, histogram_buckets)
 
         return PropertyStatistics(
             name=prop, row_count=row_count, non_null=len(non_null),

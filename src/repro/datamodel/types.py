@@ -61,9 +61,6 @@ class VMLType:
     def is_set(self) -> bool:
         return isinstance(self, SetType)
 
-    def is_object(self) -> bool:
-        return isinstance(self, ObjectType)
-
     def element_type(self) -> "VMLType":
         """For bulk types, the type of the contained elements."""
         raise TypeMismatchError(f"{self} is not a bulk type")

@@ -54,6 +54,7 @@ from repro.datamodel.schema import MethodDef, Schema
 from repro.datamodel.types import SetType
 from repro.errors import ReproError
 from repro.datamodel.indexes import HashIndex
+from repro.optimizer.inversion import INVERSION_MARK
 from repro.physical.plans import (
     ClassScan,
     DiffOp,
@@ -407,10 +408,7 @@ class CostModel:
 
     def extension_size(self, class_name: str) -> float:
         if self.database is not None:
-            try:
-                return float(max(self.database.extension_size(class_name), 1))
-            except ReproError:
-                return self.DEFAULT_EXTENSION_SIZE
+            return float(max(self.database.extension_size(class_name), 1))
         return self.DEFAULT_EXTENSION_SIZE
 
     def method_definition(self, method_name: str) -> Optional[MethodDef]:
@@ -578,11 +576,9 @@ class CostModel:
             if expression.op == "DIFF":
                 return left, left_class
             return 1.0, None
-        if isinstance(expression, (SetConstructor,)):
+        if isinstance(expression, SetConstructor):
             return float(max(len(expression.elements), 1)), None
-        if isinstance(expression, (TupleConstructor, UnaryOp)):
-            return 1.0, None
-        return 1.0, None
+        return 1.0, None  # tuples, unary operators: one value
 
     # ------------------------------------------------------------------
     # join selectivity (shared by the strategy estimates and the join
@@ -869,13 +865,19 @@ class CostModel:
                 right = self.condition_selectivity(condition.right,
                                                    input_cardinality, source)
                 return min(1.0, left + right - left * right)
+            if op == "==" and any(
+                    isinstance(side, Var) and side.name.startswith(
+                        INVERSION_MARK)
+                    for side in (condition.left, condition.right)):
+                # the membership form's check against the owner it ranges
+                # over: the inverse set holds exactly the objects whose path
+                # leads back to it, so every row passes
+                return 1.0
             if op in ("==", "!=", "<", "<=", ">", ">="):
                 return self._comparison_selectivity(condition, op, source)
             if op == "IS-IN":
                 member_card = self.expression_cardinality(condition.right)
                 return min(1.0, member_card / max(input_cardinality, 1.0))
-            if op == "IS-SUBSET":
-                return self.DEFAULT_SELECTIVITY
         if isinstance(condition, UnaryOp) and condition.op == "NOT":
             return 1.0 - self.condition_selectivity(condition.operand,
                                                     input_cardinality, source)

@@ -108,8 +108,7 @@ class JoinOrder:
         return f"{steps} [{mode}]"
 
 
-def enumerate_join_order(plan: LogicalOperator, cost_model: CostModel,
-                         dp_limit: int = DP_RELATION_LIMIT
+def enumerate_join_order(plan: LogicalOperator, cost_model: CostModel
                          ) -> Optional[JoinOrder]:
     """Enumerate a join order for *plan*, or None when the plan has no
     reorderable join region of at least three class extensions (two-way
@@ -148,7 +147,7 @@ def enumerate_join_order(plan: LogicalOperator, cost_model: CostModel,
                 predicate, base, source)
         relation.cardinality = max(base * selectivity, 0.01)
 
-    if len(relations) <= dp_limit:
+    if len(relations) <= DP_RELATION_LIMIT:
         order, cost, cardinality = _selinger_dp(relations, edges)
         used_dp = True
     else:
@@ -276,16 +275,12 @@ def _selinger_dp(relations: list[JoinRelation], edges: list[JoinEdge]
             subset = frozenset(relation.ref for relation in combo)
             candidates: list[tuple[float, float, list[str], bool]] = []
             for ref in subset:
+                # every smaller subset has its best order already
                 rest = subset - {ref}
-                entry = best.get(rest)
-                if entry is None:
-                    continue
-                cost, cardinality, order = entry
+                cost, cardinality, order = best[rest]
                 selectivity, connected = _join_selectivity(rest, ref, edges)
                 out = cardinality * by_ref[ref].cardinality * selectivity
                 candidates.append((cost + out, out, order + [ref], connected))
-            if not candidates:
-                continue
             connected_only = [c for c in candidates if c[3]]
             pool = connected_only or candidates
             cost, out, order, _ = min(pool, key=lambda c: (c[0], c[2]))

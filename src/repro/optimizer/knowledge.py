@@ -195,10 +195,6 @@ class ExpressionEquivalence:
                     f"{self.kind} {self.name!r}: expression {side} does not "
                     f"mention the bound variable {self.variable!r}")
 
-    def pattern_variables(self) -> dict[str, None]:
-        names = (free_vars(self.left) | free_vars(self.right))
-        return {name: None for name in names}
-
     def pattern_expressions(self) -> tuple[Expression, ...]:
         """The expressions this declaration's rules match and instantiate."""
         return (self.left, self.right)

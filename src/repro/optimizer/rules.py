@@ -157,8 +157,6 @@ class CallableTransformationRule(TransformationRule):
 
     def apply(self, plan: LogicalOperator,
               context: RuleContext) -> Iterable[LogicalOperator]:
-        if self.function is None:
-            return ()
         result = self.function(plan, context)
         return () if result is None else list(result)
 
@@ -178,8 +176,6 @@ class CallableImplementationRule(ImplementationRule):
     def implement(self, plan: LogicalOperator,
                   child_plans: tuple[PhysicalOperator, ...],
                   context: RuleContext) -> Iterable[PhysicalOperator]:
-        if self.function is None:
-            return ()
         result = self.function(plan, child_plans, context)
         return () if result is None else list(result)
 

@@ -195,10 +195,7 @@ class Optimizer:
         attached or the plan is not reorderable."""
         if self.database is None:
             return None
-        try:
-            return enumerate_join_order(logical_plan, self.cost_model)
-        except OptimizerError:
-            return None
+        return enumerate_join_order(logical_plan, self.cost_model)
 
     # ------------------------------------------------------------------
     # logical exploration
@@ -244,7 +241,7 @@ class Optimizer:
                     try:
                         rewrites = list(rule.apply(node, context))
                     except OptimizerError:
-                        rewrites = []
+                        rewrites = []  # the rule declines this node
                     for rewritten in rewrites:
                         if rewritten == node:
                             continue
@@ -290,7 +287,7 @@ class Optimizer:
             try:
                 alternatives = list(rule.implement(plan, child_plans, context))
             except OptimizerError:
-                alternatives = []
+                alternatives = []  # the rule declines this operator
             for physical in alternatives:
                 statistics.implementation_alternatives += 1
                 cost = self.cost_model.estimate(physical)

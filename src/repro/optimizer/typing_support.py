@@ -13,19 +13,14 @@ from typing import Mapping, Optional
 
 from repro.algebra.expressions import Expression
 from repro.algebra.operators import (
-    Diff,
     ExpressionSource,
     Flat,
     Get,
-    Join,
     LogicalOperator,
     Map,
-    NaturalJoin,
     Project,
     Select,
-    Union,
 )
-from repro.algebra import restricted as r
 from repro.datamodel.schema import Schema
 from repro.datamodel.types import ANY, ObjectType, SetType, VMLType
 from repro.errors import ReproError
@@ -51,16 +46,11 @@ def infer_ref_types(plan: LogicalOperator, schema: Schema) -> dict[str, VMLType]
         return {plan.ref: ObjectType(plan.class_name)}
     if isinstance(plan, ExpressionSource):
         return {plan.ref: _safe_element(plan.expression, {}, schema)}
-    if isinstance(plan, (Select, r.SelectCmp)):
-        return infer_ref_types(plan.inputs()[0], schema)
+    if isinstance(plan, Select):
+        return infer_ref_types(plan.input, schema)
     if isinstance(plan, Project):
         inner = infer_ref_types(plan.input, schema)
         return {ref: inner.get(ref, ANY) for ref in plan.kept}
-    if isinstance(plan, (Join, NaturalJoin, Union, Diff, r.CrossProduct, r.JoinCmp)):
-        types: dict[str, VMLType] = {}
-        for child in plan.inputs():
-            types.update(infer_ref_types(child, schema))
-        return types
     if isinstance(plan, Map):
         types = infer_ref_types(plan.input, schema)
         types[plan.ref] = _safe_infer(plan.expression, types, schema)
@@ -69,27 +59,14 @@ def infer_ref_types(plan: LogicalOperator, schema: Schema) -> dict[str, VMLType]
         types = infer_ref_types(plan.input, schema)
         types[plan.ref] = _safe_element(plan.expression, types, schema)
         return types
-    # Restricted-algebra map/flat operators: resolve what we easily can and
-    # default the rest to ANY.
-    if isinstance(plan, r.MapProperty):
-        types = infer_ref_types(plan.input, schema)
-        types[plan.new_ref] = _property_type(types.get(plan.src_ref, ANY),
-                                             plan.prop, schema)
-        return types
-    if isinstance(plan, r.FlatProperty):
-        types = infer_ref_types(plan.input, schema)
-        types[plan.new_ref] = element_type(
-            _property_type(types.get(plan.src_ref, ANY), plan.prop, schema))
-        return types
-    if isinstance(plan, (r.MapMethod, r.FlatMethod, r.MapClassMethod,
-                         r.MapOperator, r.MapConst, r.MapExtent, r.FlatRef)):
-        types = infer_ref_types(plan.inputs()[0], schema)
-        new_ref = getattr(plan, "new_ref", None)
-        if new_ref is not None:
-            types.setdefault(new_ref, ANY)
-        return types
-    # Unknown operator kind: type every announced reference as ANY.
-    return {ref: ANY for ref in plan.refs()}
+    # joins, union, difference: the inputs' references; a reference no
+    # input types (an operator this module does not know) is ANY
+    types: dict[str, VMLType] = {}
+    for child in plan.inputs():
+        types.update(infer_ref_types(child, schema))
+    for ref in plan.refs():
+        types.setdefault(ref, ANY)
+    return types
 
 
 def ref_class(plan: LogicalOperator, ref: str,
@@ -117,13 +94,3 @@ def _safe_infer(expression: Expression, env: Mapping[str, VMLType],
 def _safe_element(expression: Expression, env: Mapping[str, VMLType],
                   schema: Schema) -> VMLType:
     return element_type(_safe_infer(expression, env, schema))
-
-
-def _property_type(base: VMLType, prop: str, schema: Schema) -> VMLType:
-    class_name = class_of_type(base)
-    if class_name is None:
-        return ANY
-    try:
-        return schema.resolve_property(class_name, prop).vml_type
-    except ReproError:
-        return ANY

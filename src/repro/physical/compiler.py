@@ -40,7 +40,6 @@ from repro.algebra.expressions import (
     BinaryOp,
     ClassExtent,
     ClassMethodCall,
-    Const,
     Expression,
     MethodCall,
     Parameter,
@@ -215,10 +214,7 @@ class ExpressionCompiler:
     def _column(self, expression: Expression) -> CompiledExpr:
         folded = self._fold(expression)
         if folded is not None:
-            return folded
-        if isinstance(expression, Const):
-            value = expression.value
-            return lambda batch: [value] * batch.length
+            return folded  # every constant folds
         if isinstance(expression, Var):
             return self._compile_var(expression)
         if isinstance(expression, Parameter):
@@ -245,8 +241,7 @@ class ExpressionCompiler:
                         for element in expression.elements]
 
             def build_sets(batch: Batch) -> list:
-                if not elements:
-                    return [set() for _ in range(batch.length)]
+                # an empty constructor is constant: it folded above
                 return [set(hashable_values(values))
                         for values in zip(*[fn(batch) for fn in elements])]
 
@@ -287,10 +282,9 @@ class ExpressionCompiler:
         values = [self._column(value) for _, value in expression.fields]
 
         def build_tuples(batch: Batch) -> list:
-            # one dict per row, zipping the field columns
+            # one dict per row, zipping the field columns (an empty
+            # constructor is constant: it never compiles here)
             columns = [fn(batch) for fn in values]
-            if not columns:
-                return [{} for _ in range(batch.length)]
             return [dict(zip(names, row)) for row in zip(*columns)]
 
         return build_tuples
@@ -301,32 +295,11 @@ class ExpressionCompiler:
         database = self._database
         read_oids = database.property_batch_reader(prop)
 
-        def read_mixed(objs: list) -> list:
-            # NULL receivers read NULL, collections lift the read over
-            # their members one by one, OIDs still read as one batch.
-            values: list = [None] * len(objs)
-            positions: list[int] = []
-            oids: list[OID] = []
-            for row, obj in enumerate(objs):
-                if isinstance(obj, OID):
-                    positions.append(row)
-                    oids.append(obj)
-                elif obj is None:
-                    continue
-                elif is_collection(obj):
-                    values[row] = _access_property(obj, prop, database)
-                else:
-                    raise ExecutionError(
-                        f"cannot access property {prop!r} on non-object "
-                        f"value {obj!r}")
-            for row, value in zip(positions, read_oids(oids)):
-                values[row] = value
-            return values
-
         def read_lifted(objs: list) -> list:
-            # As read_mixed, but the members of every collection holding
-            # OIDs only join the one batch read and are regrouped after
-            # it: the same values and the same property_reads.
+            # NULL receivers read NULL; OIDs, and the members of every
+            # collection holding OIDs only, join one batch read and are
+            # regrouped after it: the same values and the same
+            # property_reads as the interpreter's member-by-member read.
             values: list = [None] * len(objs)
             oids: list[OID] = []
             spans: list[tuple[int, int, int]] = []  # row, first, end
@@ -372,9 +345,9 @@ class ExpressionCompiler:
             try:
                 return read_lifted(objs)
             except ObjectNotFoundError:
-                # A dangling reference: the member-by-member read raises
-                # for the one it meets first, as the interpreter does.
-                return read_mixed(objs)
+                # A dangling reference: read row by row to raise for the one
+                # the interpreter meets first.
+                return [_access_property(obj, prop, database) for obj in objs]
 
         return read_property
 
@@ -396,12 +369,10 @@ class ExpressionCompiler:
 
         def call_method(batch: Batch) -> list:
             objs = receiver(batch)
-            if arg_fns is None:
+            if arg_fns is None:  # no arguments are constant arguments
                 arg_rows: Any = [const_args] * len(objs)
-            elif arg_fns:
-                arg_rows = list(zip(*[fn(batch) for fn in arg_fns]))
             else:
-                arg_rows = [()] * len(objs)
+                arg_rows = list(zip(*[fn(batch) for fn in arg_fns]))
             values = []
             append = values.append
             for obj, args in zip(objs, arg_rows):

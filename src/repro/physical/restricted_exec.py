@@ -8,6 +8,7 @@ expression evaluator for constants and the lifted access semantics.
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from typing import Any
 
@@ -173,21 +174,20 @@ def _execute_binary(plan: LogicalOperator, database: Database) -> list[Row]:
         right_keys = {make_hashable(row) for row in right_rows}
         return [row for row in _distinct(left_rows)
                 if make_hashable(row) not in right_keys]
-    if isinstance(plan, NaturalJoin):
-        common = plan.common_refs()
-        if not common:
-            return [{**l, **r} for l in left_rows for r in right_rows]
-        table: dict[Any, list[Row]] = defaultdict(list)
-        for right_row in right_rows:
-            key = tuple(make_hashable(right_row.get(ref)) for ref in common)
-            table[key].append(right_row)
-        result: list[Row] = []
-        for left_row in left_rows:
-            key = tuple(make_hashable(left_row.get(ref)) for ref in common)
-            for right_row in table.get(key, ()):
-                result.append({**left_row, **right_row})
-        return result
-    raise ExecutionError(f"unexpected binary operator {plan.describe()}")
+    # a natural join: equal values on the common references
+    common = plan.common_refs()
+    if not common:
+        return [{**l, **r} for l in left_rows for r in right_rows]
+    table: dict[Any, list[Row]] = defaultdict(list)
+    for right_row in right_rows:
+        key = tuple(make_hashable(right_row.get(ref)) for ref in common)
+        table[key].append(right_row)
+    result: list[Row] = []
+    for left_row in left_rows:
+        key = tuple(make_hashable(left_row.get(ref)) for ref in common)
+        for right_row in table.get(key, ()):
+            result.append({**left_row, **right_row})
+    return result
 
 
 def _operand_value(operand: Operand, row: Row) -> Any:
@@ -197,95 +197,87 @@ def _operand_value(operand: Operand, row: Row) -> Any:
 
 
 def _access(base: Any, prop: str, database: Database) -> Any:
-    if base is None:
-        return None
-    if isinstance(base, OID):
-        return database.value(base, prop)
-    if is_collection(base):
-        collected: set = set()
-        for member in base:
-            value = _access(member, prop, database)
-            if value is None:
-                continue
-            if is_collection(value):
-                collected.update(value)
-            else:
-                collected.add(value)
-        return collected
-    raise ExecutionError(f"cannot access property {prop!r} on {base!r}")
+    return _lifted(base, lambda oid: database.value(oid, prop),
+                   f"access property {prop!r} on")
 
 
 def _invoke(receiver: Any, method: str, args: list[Any],
             database: Database) -> Any:
-    if receiver is None:
+    return _lifted(receiver,
+                   lambda oid: database.invoke(oid, method, *args),
+                   f"invoke {method!r} on")
+
+
+def _lifted(base: Any, read, action: str) -> Any:
+    """*read* applied to the object *base*, or lifted over a collection of
+    objects: the union of the members' values (sets flattened, None
+    dropped).  None stays None."""
+    if base is None:
         return None
-    if isinstance(receiver, OID):
-        return database.invoke(receiver, method, *args)
-    if is_collection(receiver):
-        collected: set = set()
-        for member in receiver:
-            value = _invoke(member, method, args, database)
-            if value is None:
-                continue
-            if is_collection(value):
-                collected.update(value)
-            else:
-                collected.add(value)
-        return collected
-    raise ExecutionError(f"cannot invoke {method!r} on {receiver!r}")
+    if isinstance(base, OID):
+        return read(base)
+    if not is_collection(base):
+        raise ExecutionError(f"cannot {action} {base!r}")
+    collected: set = set()
+    for member in base:
+        value = _lifted(member, read, action)
+        if is_collection(value):
+            collected.update(value)
+        elif value is not None:
+            collected.add(value)
+    return collected
+
+
+def _ordered(compare):
+    """An order comparison: False when either side is None."""
+    return lambda left, right: (left is not None and right is not None
+                                and compare(left, right))
+
+
+def _as_set(value: Any) -> set:
+    return set(value) if isinstance(value, (set, frozenset)) else {value}
+
+
+def _set_operand(value: Any) -> set:
+    return set(value) if value is not None else set()
+
+
+_COMPARISONS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": _ordered(operator.lt),
+    "<=": _ordered(operator.le),
+    ">": _ordered(operator.gt),
+    ">=": _ordered(operator.ge),
+    "IS-IN": lambda left, right: right is not None and left in right,
+    "IS-SUBSET": lambda left, right: _as_set(left) <= _as_set(right),
+}
+
+_OPERATORS = {
+    "IDENTITY": lambda value: value,
+    "NOT": lambda value: not bool(value),
+    "AND": lambda *values: all(bool(v) for v in values),
+    "OR": lambda *values: any(bool(v) for v in values),
+    "+": operator.add,
+    "-": lambda *values: (values[0] - values[1] if len(values) == 2
+                          else -values[0]),
+    "*": operator.mul,
+    "/": operator.truediv,
+    "INTERSECT": lambda left, right: _set_operand(left) & _set_operand(right),
+    "UNION": lambda left, right: _set_operand(left) | _set_operand(right),
+    "DIFF": lambda left, right: _set_operand(left) - _set_operand(right),
+    **_COMPARISONS,
+}
 
 
 def _compare(op: str, left: Any, right: Any) -> bool:
-    if op == "==":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op in ("<", "<=", ">", ">="):
-        if left is None or right is None:
-            return False
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        return left >= right
-    if op == "IS-IN":
-        if right is None:
-            return False
-        return left in right
-    if op == "IS-SUBSET":
-        left_set = left if isinstance(left, (set, frozenset)) else {left}
-        right_set = right if isinstance(right, (set, frozenset)) else {right}
-        return set(left_set).issubset(set(right_set))
-    raise ExecutionError(f"unknown comparison {op!r}")
+    return _COMPARISONS[op](left, right)
 
 
 def _apply_operator(op: str, values: list[Any]) -> Any:
-    if op == "IDENTITY":
-        return values[0]
-    if op == "NOT":
-        return not bool(values[0])
-    if op == "AND":
-        return all(bool(v) for v in values)
-    if op == "OR":
-        return any(bool(v) for v in values)
-    if op in ("==", "!=", "<", "<=", ">", ">=", "IS-IN", "IS-SUBSET"):
-        return _compare(op, values[0], values[1])
-    if op == "+":
-        return values[0] + values[1]
-    if op == "-":
-        return values[0] - values[1] if len(values) == 2 else -values[0]
-    if op == "*":
-        return values[0] * values[1]
-    if op == "/":
-        return values[0] / values[1]
-    if op in ("INTERSECT", "UNION", "DIFF"):
-        left = set(values[0]) if values[0] is not None else set()
-        right = set(values[1]) if values[1] is not None else set()
-        if op == "INTERSECT":
-            return left & right
-        if op == "UNION":
-            return left | right
-        return left - right
-    raise ExecutionError(f"unknown map_operator operation {op!r}")
+    try:
+        apply = _OPERATORS[op]
+    except KeyError:
+        raise ExecutionError(
+            f"unknown map_operator operation {op!r}") from None
+    return apply(*values)

@@ -296,14 +296,20 @@ QueryInput = Union[str, PreparedQuery]
 class QueryService:
     """A concurrent, plan-caching query front end over one database."""
 
+    #: adaptive re-optimization: profile the first execution of every
+    #: cost-based plan (and the first after data drift), and when an
+    #: operator's estimate diverges from the measurement by more than this
+    #: factor, write a correction into the statistics catalog and replan.
+    #: Only armed once the database has ANALYZE statistics — without them
+    #: every estimate is a schema default and corrections would chase noise.
+    FEEDBACK_THRESHOLD = 10.0
+
     def __init__(self, database: Database,
                  knowledge: Optional[SchemaKnowledge] = None,
                  options: Optional[OptimizerOptions] = None,
                  exclude_tags: Sequence[str] = (),
                  cache_capacity: int = 256,
                  reoptimize_fraction: float = 0.25,
-                 adaptive_feedback: bool = True,
-                 feedback_threshold: float = 10.0,
                  tracing: Optional[bool] = None,
                  tracer: Optional[Tracer] = None,
                  registry: Optional[MetricsRegistry] = None,
@@ -333,15 +339,6 @@ class QueryService:
             storage.bind_telemetry(registry=self.registry,
                                    slow_log=self.slow_log,
                                    tracer=self.tracer)
-        #: adaptive re-optimization: profile the first execution of every
-        #: cost-based plan (and the first after data drift), and when an
-        #: operator's estimate diverges from the measurement by more than
-        #: ``feedback_threshold``×, write a correction into the statistics
-        #: catalog and replan.  Only armed once the database has ANALYZE
-        #: statistics — without them every estimate is a schema default and
-        #: corrections would chase noise.
-        self.adaptive_feedback = adaptive_feedback
-        self.feedback_threshold = feedback_threshold
         self.schema = database.schema
         self.knowledge = knowledge or SchemaKnowledge(self.schema)
         self._options = options
@@ -829,7 +826,7 @@ class QueryService:
             values = statement.auto_values
             if ((entry.feedback_data_version == data_version
                  and values == entry.feedback_values)
-                    or not entry.optimize or not self.adaptive_feedback):
+                    or not entry.optimize):
                 return entry.executable
             catalog = self._stats_catalog()
             if catalog is None or not catalog.analyzed_classes():
@@ -872,7 +869,7 @@ class QueryService:
             cost_model = self._optimizer.cost_model
             divergences = divergent_operators(
                 entry.physical_plan, profile, cost_model,
-                threshold=self.feedback_threshold)
+                threshold=self.FEEDBACK_THRESHOLD)
             if statement.auto_values != entry.hint_values:
                 applied = self._priced_by_values(divergences,
                                                  statement.auto_values,
@@ -901,7 +898,7 @@ class QueryService:
             repriced = cost_model.estimate(
                 with_plan_hints(record["operator"], values)).cardinality
             if misestimation(repriced, record["actual_rows"]) \
-                    <= self.feedback_threshold:
+                    <= self.FEEDBACK_THRESHOLD:
                 return True
         return False
 
@@ -1092,15 +1089,12 @@ class QueryService:
                             f"{len(stale)} object(s) (first: {stale[0]})")
                     total = self.router.apply_transaction(txn.operations)
                 annotate_current(operations=len(txn.operations), rows=total)
-        except TransactionConflictError:
+        except Exception as exc:
+            # the statement entry counts the failed COMMIT in ``errors``
             txn.state = "rolled back"
             txn.release()
-            self.metrics.record_txn_conflict()
-            raise
-        except Exception:
-            txn.state = "rolled back"
-            txn.release()
-            self.metrics.record_error()
+            if isinstance(exc, TransactionConflictError):
+                self.metrics.record_txn_conflict()
             raise
         txn.state = "committed"
         # apply_transaction ran in one commit scope, so the timestamp it

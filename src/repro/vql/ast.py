@@ -86,12 +86,6 @@ class Query:
     def range_variables(self) -> tuple[str, ...]:
         return tuple(decl.variable for decl in self.ranges)
 
-    def range_for(self, variable: str) -> RangeDeclaration:
-        for decl in self.ranges:
-            if decl.variable == variable:
-                return decl
-        raise KeyError(variable)
-
     def __str__(self) -> str:
         text = f"ACCESS {self.access}\nFROM " + ", ".join(str(r) for r in self.ranges)
         if self.where is not None:

@@ -226,3 +226,9 @@ class TestVisitors:
             plan,
             lambda node: node.input if isinstance(node, Project) else None)
         assert isinstance(result, Select)
+        # a rewritten leaf rebuilds every operator above it
+        retargeted = transform_top_down(
+            plan, lambda node: Get("p", "Section") if isinstance(node, Get)
+            else None)
+        assert node_at(retargeted, (0, 0)) == Get("p", "Section")
+        assert type(retargeted) is type(plan)

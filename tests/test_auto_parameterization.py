@@ -17,7 +17,7 @@ from collections import Counter
 
 import pytest
 
-from repro import connect, open_session
+from repro import Session, connect
 from repro.algebra.expressions import Const, Parameter, walk
 from repro.datamodel.database import Database
 from repro.datamodel.schema import ClassDef, PropertyDef, Schema
@@ -141,7 +141,7 @@ def test_a_statement_is_generalized_once(doc_db, monkeypatch):
 # ----------------------------------------------------------------------
 def test_literal_variants_share_one_plan_and_answer_like_the_session(doc_db):
     service = QueryService(doc_db, knowledge=document_knowledge(doc_db.schema))
-    session = open_session(doc_db, knowledge=document_knowledge(doc_db.schema))
+    session = Session(doc_db, knowledge=document_knowledge(doc_db.schema))
     results = [service.execute(NUMBER_QUERY.format(n)) for n in (1, 2, 3, 4)]
     # the first text plans for itself; the second, with other literals,
     # plans the shape's generic plan, which every later text reuses
@@ -155,7 +155,7 @@ def test_literal_variants_share_one_plan_and_answer_like_the_session(doc_db):
 
 def test_equal_values_of_other_types_never_share_a_plan(doc_db):
     service = QueryService(doc_db)
-    session = open_session(doc_db)
+    session = Session(doc_db)
     for literal in ("2", "2.0", "'2'", "2", "2.0"):
         text = NUMBER_QUERY.format(literal)
         result = service.execute(text)
@@ -251,7 +251,7 @@ def test_rule_firings_and_operators_equal_the_sessions(which, doc_db, uni_db):
     knowledge = knowledge(database.schema)
     connection = connect(database, knowledge=knowledge)
     connection.execute("ANALYZE")
-    session = open_session(database, knowledge=knowledge)
+    session = Session(database, knowledge=knowledge)
     for text in texts:
         result = connection.service.execute(text)
         assert result.plan.hint_values, text  # the plan is the generic one
@@ -440,7 +440,7 @@ def test_token_path_equals_the_full_parse(case, doc_db, token_path_oracle):
     knowledge = document_knowledge(doc_db.schema)
     connection = connect(doc_db, knowledge=knowledge)
     service = connection.service
-    session = open_session(doc_db, knowledge=knowledge)
+    session = Session(doc_db, knowledge=knowledge)
     first, later = TOKEN_CASES[case]
     parameters = [1, 2] if "?2" in first else None
     assert not token_path_oracle(service, first)
@@ -505,7 +505,7 @@ def test_literal_variants_parse_once_and_repeats_build_no_token_key(
     ``connect()`` parse one text; a verbatim repeat of a parsed text is a
     text hit and builds no token key."""
     from repro.api import router as router_module
-    session = open_session(doc_db)
+    session = Session(doc_db)
     texts = [NUMBER_QUERY.format(n) for n in range(50)]
     expected = [values(session.execute(text)) for text in texts]
     parses, keys = [], []
@@ -581,7 +581,7 @@ def test_token_entries_under_concurrent_clients(doc_db):
     shapes = [NUMBER_QUERY, PARAGRAPHS + "p.number <= {} AND p.number >= 2",
               DOCUMENTS + "d.title != 'x{}'"]
     texts = [shape.format(n) for n in range(40) for shape in shapes]
-    session = open_session(doc_db)
+    session = Session(doc_db)
     expected = [values(session.execute(text)) for text in texts]
     service = QueryService(doc_db, cache_capacity=2)  # two entries: evictions
     interval = sys.getswitchinterval()

@@ -8,12 +8,15 @@ import pytest
 from repro.algebra.expressions import (
     BinaryOp,
     ClassExtent,
+    ClassMethodCall,
     Const,
     Parameter,
+    PatternVar,
+    UnaryOp,
     Var,
 )
 from repro.datamodel.database import Database
-from repro.datamodel.schema import ClassDef, PropertyDef, Schema
+from repro.datamodel.schema import ClassDef, MethodDef, PropertyDef, Schema
 from repro.datamodel.types import ANY, INT, STRING, object_type, set_of
 from repro.errors import ExecutionError, ObjectNotFoundError
 from repro.physical.batch import Batch
@@ -24,12 +27,19 @@ from repro.physical.interpreter import execute_plan_interpreted
 from repro.physical.naive import naive_implementation
 from repro.physical.plans import (
     ClassScan,
+    DiffOp,
+    ExpressionSetScan,
     Filter,
     IndexEqScan,
     IndexRangeScan,
+    MapEval,
+    NaturalMergeJoin,
+    ProjectOp,
+    UnionOp,
     walk_physical,
 )
 from repro.session import Session
+from repro.telemetry.spans import Tracer
 from repro.vql.parser import parse_expression
 from repro.workloads import (
     TARGET_TITLE,
@@ -107,6 +117,39 @@ class TestExpressionCompiler:
         with pytest.raises(ExecutionError):
             on_row(compiled, {})
 
+    @pytest.mark.parametrize("expression,row", [
+        # unknown operators and unbound parameters fail at evaluation, not
+        # at compile time, like the interpreter
+        (BinaryOp("%", Var("x"), Const(2)), {"x": 5}),
+        (UnaryOp("~", Var("x")), {"x": 5}),
+        (Parameter("k"), {}),
+        (PatternVar("?a"), {}),
+        # IS-IN a constant list: unhashable members, unhashable probes
+        (BinaryOp("IS-IN", Var("x"), Const([[1], 2])), {"x": [1]}),
+        (BinaryOp("IS-IN", Var("x"), Const([1, 2])), {"x": [1]}),
+        (BinaryOp("IS-IN", Var("x"), Const([1, 2])), {"x": 2}),
+    ], ids=["binary", "unary", "parameter", "pattern-var", "unhashable-list",
+            "unhashable-probe", "hashable-probe"])
+    def test_failures_and_fallbacks_match_interpreter(self, doc_database,
+                                                      expression, row):
+        batch = Batch(1, {name: [value] for name, value in row.items()})
+        assert _column_outcome(doc_database, expression, batch, "compiled") \
+            == _column_outcome(doc_database, expression, batch, "interpreted")
+
+    def test_a_class_method_without_arguments(self):
+        schema = Schema("one")
+        node = ClassDef("Node")
+        node.add_method(MethodDef(name="count", return_type=INT,
+                                  class_level=True,
+                                  implementation=lambda ctx, receiver: 13))
+        schema.add_class(node)
+        database = Database(schema)
+        expression = ClassMethodCall("Node", "count", ())
+        batch = Batch(3, {"x": [1, 2, 3]})
+        assert _column_outcome(database, expression, batch, "compiled") \
+            == _column_outcome(database, expression, batch, "interpreted") \
+            == ([13, 13, 13], database.work_snapshot())
+
     def test_compiled_work_counters_match_interpreter(self, doc_database):
         expression = parse_expression("(p->document()).title")
         paragraph = doc_database.extension("Paragraph")[0]
@@ -151,6 +194,10 @@ class TestSetValuedHops:
         node.add_property(PropertyDef("kids", set_of(object_type("Node")),
                                       target_class="Node"))
         node.add_property(PropertyDef("bag", set_of(ANY)))
+        node.add_method(MethodDef(
+            name="size", return_type=INT,
+            implementation=lambda ctx, receiver: len(
+                ctx.value(receiver, "kids") or ())))
         schema.add_class(node)
         database = Database(schema)
         leaves = database.create_many("Node", [{"n": n} for n in range(6)])
@@ -176,6 +223,41 @@ class TestSetValuedHops:
             batch = Batch(len(column), {"x": column})
             assert _column_outcome(database, expression, batch, "compiled") \
                 == _column_outcome(database, expression, batch, "interpreted")
+
+    @pytest.mark.parametrize("text", [
+        "x.kids UNION x.bag", "x.kids INTERSECTION x.bag",
+        "x.kids DIFFERENCE x.bag", "x.n", "x.kids.n", "x->size()",
+        "x.kids->size()"])
+    def test_rarer_shapes_match_the_interpreter(self, database, text):
+        """Set operators over columns, and reads and calls over columns
+        mixing objects, sets (with NULL members), NULL and non-objects."""
+        expression = parse_expression(text)
+        objects = database.extension("Node")
+        columns = [
+            [objects[6], objects[7], objects[9]],
+            [objects[0], {objects[1], None}, None, objects[6]],
+            [{objects[2], objects[3]}, None],
+            [objects[0], 5],
+            [None, "text"],
+        ]
+        for column in columns:
+            batch = Batch(len(column), {"x": column})
+            assert _column_outcome(database, expression, batch, "compiled") \
+                == _column_outcome(database, expression, batch, "interpreted")
+
+    def test_a_dangling_member_beside_objects_fails_like_the_interpreter(
+            self, database):
+        objects = database.extension("Node")
+        database.delete(objects[0])
+        expression = parse_expression("x.n")
+        for column in ([objects[1], None, {objects[0], objects[2]}],
+                       [objects[1], {objects[0], None}]):
+            batch = Batch(len(column), {"x": column})
+            compiled, _ = _column_outcome(database, expression, batch,
+                                          "compiled")
+            assert compiled is ObjectNotFoundError
+            assert _column_outcome(database, expression, batch,
+                                   "interpreted")[0] is compiled
 
     def test_a_dangling_member_fails_like_the_interpreter(self, database):
         objects = database.extension("Node")
@@ -234,6 +316,55 @@ class TestPipelinedExecutor:
             return database.work_snapshot()
 
         assert counted(execute_plan) == counted(execute_plan_interpreted)
+
+    @pytest.mark.parametrize("shape", [
+        "cross-natural-join", "no-columns", "union-no-columns",
+        "diff-no-columns", "diff-duplicates"])
+    def test_degenerate_shapes_agree_with_interpreter(self, doc_database,
+                                                      shape):
+        """Natural joins without a common reference, and projections,
+        unions and differences of rows without columns: both engines
+        return the same rows and charge the same work."""
+        sections = ClassScan("s", "Section")
+        documents = ClassScan("d", "Document")
+        nothing = ProjectOp((), sections)
+        none = ProjectOp((), Filter(Const(False), sections))
+        plan = {
+            "cross-natural-join": NaturalMergeJoin(documents, sections),
+            "no-columns": nothing,
+            "union-no-columns": UnionOp(nothing, none),
+            "diff-no-columns": DiffOp(nothing, none),
+            "diff-duplicates": DiffOp(
+                MapEval("n", parse_expression("s.number"), sections),
+                Filter(parse_expression("s.number == 1"),
+                       MapEval("n", parse_expression("s.number"),
+                               sections))),
+        }[shape]
+
+        def counted(engine):
+            doc_database.reset_statistics()
+            rows = engine(plan, doc_database)
+            return rows, doc_database.work_snapshot()
+
+        compiled = counted(execute_plan)
+        assert compiled[0]
+        assert compiled == counted(execute_plan_interpreted)
+
+    def test_a_scan_of_null_fails_in_both_engines(self, doc_database):
+        plan = ExpressionSetScan("x", Const(None))
+        with pytest.raises(ExecutionError, match="None instead of a set"):
+            execute_plan_interpreted(plan, doc_database)
+        with pytest.raises(ExecutionError, match="None instead of a set"):
+            execute_plan(plan, doc_database)
+
+    def test_a_traced_interpreter_run_annotates_its_span(self, doc_database):
+        tracer = Tracer(enabled=True)
+        with tracer.span("statement"):
+            rows = execute_plan_interpreted(ClassScan("d", "Document"),
+                                            doc_database)
+        (root,) = tracer.recent()
+        assert root.find("execute").attributes == {"engine": "interpreter",
+                                                   "rows": len(rows)}
 
     def test_unknown_operator_raises(self, doc_database):
         class Bogus:

@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from repro import connect, open_service, open_session
+from repro import QueryService, Session, connect
 from repro.errors import VQLSyntaxError
 from repro.physical.executor import execute_plan, prepare_plan
 from repro.physical.interpreter import execute_plan_interpreted
@@ -41,21 +41,21 @@ def indexed_db():
 # ----------------------------------------------------------------------
 class TestExplainRendering:
     def test_optimized_explain_names_the_index_path(self, indexed_db):
-        session = open_session(indexed_db)
+        session = Session(indexed_db)
         report = session.explain(INDEXED_QUERY)
         assert "physical plan:" in report
         assert "index_eq_scan<p, Paragraph.number == 3>" in report
         assert re.search(r"estimated cost=[\d.]+, card=[\d.]+", report)
 
     def test_naive_explain_shows_the_scan_pipeline(self, indexed_db):
-        session = open_session(indexed_db)
+        session = Session(indexed_db)
         report = session.explain(INDEXED_QUERY, optimize=False)
         assert "naive physical plan:" in report
         assert "class_scan<p, Paragraph>" in report
         assert "index_eq_scan" not in report
 
     def test_explain_statement_matches_the_method(self, indexed_db):
-        session = open_session(indexed_db)
+        session = Session(indexed_db)
         via_statement = session.execute("EXPLAIN " + INDEXED_QUERY)
         assert via_statement.kind == "explain"
         # two optimizer runs: everything but the wall-clock token repeats
@@ -80,7 +80,7 @@ class TestExplainRendering:
 # ----------------------------------------------------------------------
 class TestExplainAnalyze:
     def test_session_report_carries_actual_rows(self, indexed_db):
-        session = open_session(indexed_db)
+        session = Session(indexed_db)
         report = session.explain(INDEXED_QUERY, analyze=True)
         assert "runtime profile (16 rows):" in report
         assert re.search(
@@ -125,7 +125,7 @@ class TestExplainAnalyze:
         assert indexed_db.versions.data == before
 
     def test_parameters_bind_for_the_profiled_run(self, indexed_db):
-        session = open_session(indexed_db)
+        session = Session(indexed_db)
         report = session.explain(
             "ACCESS p FROM p IN Paragraph WHERE p.number == :n",
             analyze=True, parameters={"n": 3})
@@ -133,7 +133,7 @@ class TestExplainAnalyze:
 
     def test_naive_and_optimized_profiles(self, indexed_db):
         # Both plan families expose the same counter vocabulary.
-        session = open_session(indexed_db)
+        session = Session(indexed_db)
         naive = session.explain(INDEXED_QUERY, optimize=False, analyze=True)
         assert "class_scan<p, Paragraph>" in naive
         assert "[actual rows=80" in naive  # the full scan feeds the filter
@@ -158,7 +158,7 @@ class TestProfileEngines:
         return session.optimize(INDEXED_QUERY).best_plan
 
     def test_compiled_and_interpreter_agree_on_rows(self, indexed_db):
-        session = open_session(indexed_db)
+        session = Session(indexed_db)
         plan = self.query_plan(session)
         compiled, interpreted = PlanProfile(), PlanProfile()
         rows = execute_plan(plan, indexed_db, profile=compiled)
@@ -167,7 +167,7 @@ class TestProfileEngines:
         assert interpreted.actual_rows(plan) == len(rows)
 
     def test_prepared_executable_profiles_across_runs(self, indexed_db):
-        session = open_session(indexed_db)
+        session = Session(indexed_db)
         plan = self.query_plan(session)
         profile = PlanProfile()
         from repro.physical.executor import PreparedExecutable
@@ -179,13 +179,13 @@ class TestProfileEngines:
         assert counters.rows == 2 * len(first)
 
     def test_unprofiled_prepared_plan_is_unaffected(self, indexed_db):
-        session = open_session(indexed_db)
+        session = Session(indexed_db)
         plan = self.query_plan(session)
         assert prepare_plan(plan, indexed_db).run() == \
             execute_plan(plan, indexed_db)
 
     def test_estimated_vs_actual_records(self, indexed_db):
-        session = open_session(indexed_db)
+        session = Session(indexed_db)
         plan = self.query_plan(session)
         profile = PlanProfile()
         execute_plan(plan, indexed_db, profile=profile)
@@ -203,7 +203,7 @@ class TestProfileEngines:
 # ----------------------------------------------------------------------
 class TestStructuredRecords:
     def test_session_explain_carries_records(self, indexed_db):
-        session = open_session(indexed_db)
+        session = Session(indexed_db)
         report = session.explain(INDEXED_QUERY, analyze=True)
         assert isinstance(report, str)
         records = report.records
@@ -216,7 +216,7 @@ class TestStructuredRecords:
         assert session.explain(INDEXED_QUERY).records is None
 
     def test_service_explain_carries_records(self, indexed_db):
-        service = open_service(indexed_db)
+        service = QueryService(indexed_db)
         report = service.explain(INDEXED_QUERY, analyze=True)
         records = report.records
         assert records is not None
@@ -252,7 +252,7 @@ class TestStructuredRecords:
 # ----------------------------------------------------------------------
 class TestServiceExplainAnalyze:
     def test_service_profile_does_not_disturb_the_cache(self, indexed_db):
-        service = open_service(indexed_db)
+        service = QueryService(indexed_db)
         service.execute(INDEXED_QUERY)
         report = service.explain(INDEXED_QUERY, analyze=True)
         assert "runtime profile (16 rows):" in report

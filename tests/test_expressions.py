@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 from repro.algebra.expressions import (
+    BinaryOp,
     ClassExtent,
     ClassMethodCall,
     Const,
     MethodCall,
+    Parameter,
+    PropertyAccess,
     SetConstructor,
     TupleConstructor,
     Var,
+    bind_parameters,
     conjuncts,
     contains,
     free_vars,
@@ -151,3 +155,20 @@ class TestConstructors:
     def test_method_call_str(self):
         assert str(MethodCall(Var("p"), "m", (Const(1),))) == "p->m(1)"
         assert str(ClassMethodCall("C", "m", ())) == "C->m()"
+
+
+def test_replace_subexpression_keeps_untouched_trees_and_rebuilds_sets():
+    expression = parse_expression("{p.number, 2} == x")
+    # nothing to replace: the very same object comes back
+    assert replace_subexpression(expression, Var("q"), Var("r")) is expression
+    replaced = replace_subexpression(expression, Var("p"), Var("q"))
+    assert replaced == parse_expression("{q.number, 2} == x")
+    assert isinstance(replaced.left, SetConstructor)
+
+
+def test_bind_parameters_leaves_unbound_parameters():
+    expression = parse_expression("p.number == :a AND p.rank == :b")
+    bound = bind_parameters(expression, {"a": 3})
+    assert bound == BinaryOp("AND", parse_expression("p.number == 3"),
+                             BinaryOp("==", PropertyAccess(Var("p"), "rank"),
+                                      Parameter("b")))

@@ -465,16 +465,17 @@ def test_fuzz_multijoin_differential_batch(seed, fuzz_db, multijoin_session):
     assert non_empty >= 2  # join edges must keep producing matches
 
 
-def test_multijoin_feedback_drift_oracle():
+def test_multijoin_feedback_drift_oracle(monkeypatch):
     """Replanning after adaptive feedback never changes results: under
     drift, every service execution of a multi-join query must equal a
     from-scratch naive evaluation of the same query at that moment."""
     from repro.service.service import QueryService
 
+    # eager corrections
+    monkeypatch.setattr(QueryService, "FEEDBACK_THRESHOLD", 3.0)
     database = generate_document_database(n_documents=2)
     knowledge = document_knowledge(database.schema)
-    service = QueryService(database, knowledge=knowledge,
-                           feedback_threshold=3.0)  # eager corrections
+    service = QueryService(database, knowledge=knowledge)
     service.execute("ANALYZE")
 
     generator = QueryGenerator(random.Random(211))

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datamodel.database import Database
 from repro.datamodel.indexes import HashIndex, IndexRegistry, SortedIndex
 from repro.datamodel.ir import InvertedTextIndex, tokenize
 from repro.datamodel.oid import OID
+from repro.datamodel.schema import ClassDef, PropertyDef, Schema
+from repro.datamodel.types import INT
 from repro.errors import IndexError_
 
 
@@ -224,13 +227,13 @@ class TestRetrieveAgreesWithScan:
         assert engine.retrieve("\u212aEY") == {oid(1)}
 
     def test_e5_rewrite_returns_what_the_naive_plan_returns(self):
-        from repro import open_session
+        from repro import Session
         from repro.workloads import (document_knowledge,
                                      generate_document_database)
         database = generate_document_database(n_documents=2)
         (first, *_) = database.extension("Paragraph")
         database.update(first, content="the \u212aey word")
-        session = open_session(database,
+        session = Session(database,
                                knowledge=document_knowledge(database.schema))
         query = "ACCESS p FROM p IN Paragraph WHERE p->contains_string('key')"
         optimized = session.execute(query)
@@ -249,3 +252,35 @@ class TestRetrieveAgreesWithScan:
         scanned = {oid(serial) for serial in range(len(texts))
                    if engine.scan_contains(oid(serial), needle)}
         assert engine.retrieve(needle) == scanned
+
+
+def test_a_pinned_range_probe_answers_as_of_its_snapshot():
+    """Under a snapshot pin, a sorted-index range probe keeps exactly the
+    objects whose value *at the snapshot* lies in the range, whatever the
+    live index holds after later writes — with both bounds inclusive or
+    exclusive, and for values that were NULL."""
+    schema = Schema("ranked")
+    item = ClassDef("Item")
+    item.add_property(PropertyDef("rank", INT))
+    schema.add_class(item)
+    database = Database(schema)
+    database.create_sorted_index("Item", "rank")
+    before = [None, 1, 3, 5, 7, 10, 20]
+    oids = database.create_many("Item", [{"rank": r} for r in before])
+    with database.snapshot_scope() as ts:
+        for oid in oids:  # every live rank moves into the range
+            database.update(oid, rank=6)
+        view = database.index_view(database.indexes.get("Item", "rank"))
+
+        def at_snapshot(low, high, include_low, include_high):
+            return {database.value_at(oid, "rank", ts)
+                    for oid in view.range(low, high, include_low=include_low,
+                                          include_high=include_high)}
+
+        assert at_snapshot(3, 10, True, True) == {3, 5, 7, 10}
+        assert at_snapshot(3, 10, False, False) == {5, 7}
+        assert at_snapshot(None, 5, True, False) == {1, 3}
+        assert at_snapshot(7, None, False, True) == {10, 20}
+    # the live index answers for the live values
+    live = database.indexes.get("Item", "rank")
+    assert live.range(6, 6, include_low=True, include_high=True) == set(oids)

@@ -18,12 +18,34 @@ import pytest
 
 from repro import connect
 from repro.datamodel.database import Database
+from repro.datamodel.methods import (
+    collect_over_property,
+    path_method,
+    same_path_target_method,
+)
+from repro.datamodel.schema import MethodDef
+from repro.datamodel.types import BOOL, INT
 from repro.datamodel.oid import is_collection
 from repro.errors import TypeMismatchError
 from repro.optimizer.knowledge import SchemaKnowledge
 from repro.physical.evaluator import make_hashable
-from repro.physical.plans import ExpressionSetScan, HashJoin, walk_physical
+from repro.algebra.expressions import ClassExtent
+from repro.algebra.operators import Flat, Get, Select
+from repro.optimizer.inversion import (
+    INVERSION_MARK,
+    invert_dependent_range,
+    invert_membership,
+)
+from repro.optimizer.rules import RuleContext
+from repro.physical.plans import (
+    ExpressionSetScan,
+    Filter,
+    HashJoin,
+    describe_physical_tree,
+    walk_physical,
+)
 from repro.session import Session
+from repro.vql.parser import parse_expression
 from repro.workloads import (
     document_knowledge,
     document_schema,
@@ -462,6 +484,32 @@ def test_large_paragraphs_range_over_the_precomputed_sets(analyzed_documents):
     assert optimized.work["method_calls"] < naive.work["method_calls"]
 
 
+def test_the_membership_check_is_priced_to_pass_every_row(
+        analyzed_documents):
+    """The membership form's check ``p.section.document ==
+    @p_section_document`` passes every row the inverse set yields: its
+    Filter estimates as many rows as its input, and the plan stays the
+    one the flat equality selectivity chose."""
+    database, knowledge = analyzed_documents
+    session = Session(database, knowledge=knowledge)
+    plan = session.optimize(large_paragraph_query().text).best_plan
+    assert describe_physical_tree(plan) == "\n".join([
+        "project_impl<p>",
+        "  filter<(p->wordCount() > 40)>",
+        "    project_impl<p>",
+        "      filter<(p.section.document == @p_section_document)>",
+        "        flatten_eval<p, (@p_section_document.largeParagraphs "
+        "INTERSECT Paragraph)>",
+        "          class_scan<@p_section_document, Document>"])
+    checks = [node for node in walk_physical(plan)
+              if isinstance(node, Filter)
+              and INVERSION_MARK in str(node.condition)]
+    assert len(checks) == 1
+    estimate = session.optimizer.cost_model.estimate
+    assert estimate(checks[0]).cardinality == \
+        estimate(checks[0].input).cardinality == 40
+
+
 def test_a_deleted_large_paragraph_is_dropped_before_it_is_read():
     """largeParagraphs is derived and not maintained: a deleted paragraph
     stays in it.  The membership form's class check drops it before
@@ -487,3 +535,72 @@ def test_same_document_keeps_its_hash_join(analyzed_documents):
     text = same_document_join_query().text + " AND p.number == 2"
     plan = session.execute(text).physical_plan
     assert any(isinstance(node, HashJoin) for node in walk_physical(plan))
+
+
+def test_method_bodies_that_declare_no_equivalence():
+    """A body declares an equivalence only where method and path agree:
+    not through a set-valued or unknown hop, not for a collection over a
+    single value or an unknown property, not for a comparison with a
+    parameter that is not an object."""
+    schema = document_schema()
+    document = schema.get_class("Document")
+    paragraph = schema.get_class("Paragraph")
+    for name, implementation in [
+            ("via_sets", path_method("sections", "title")),
+            ("via_unknown", path_method("nope", "title")),
+            ("collect_one", collect_over_property("sections", "title")),
+            ("collect_unknown", collect_over_property("nope", "title"))]:
+        document.add_method(MethodDef(name=name,
+                                      implementation=implementation))
+    paragraph.add_method(MethodDef(
+        name="same_number", params=(("n", INT),), return_type=BOOL,
+        implementation=same_path_target_method("document")))
+    derived = SchemaKnowledge(schema).derive_from_method_bodies()
+    assert {item.name for item in derived.items()} == {
+        "method-body[Document.paragraphs]",
+        "method-body[Paragraph.document]",
+        "method-body[Paragraph.sameDocument]"}
+
+
+GET_P = Get("p", "Paragraph")
+GET_D = Get("d", "Document")
+
+
+@pytest.mark.parametrize("condition", [
+    "p IS-IN p.number",                   # the members are not a set
+    "p IS-IN p.section.paragraphs",       # the set is reached, but ...
+    "p IS-IN p.content.paragraphs",       # ... a hop that is no reference
+    "p IS-IN p.section.document.nope",    # an unknown property
+    "p IS-IN p.section.paragraphs.x",     # a path the members leave
+    "p.number == 1",                      # not a membership
+])
+def test_membership_inversion_needs_a_path_of_references(condition):
+    context = RuleContext(document_schema(), None)
+    plan = Select(parse_expression(condition), GET_P)
+    inverted = invert_membership(plan, context)
+    if condition == "p IS-IN p.section.paragraphs":
+        assert inverted is not None
+    else:
+        assert inverted is None
+
+
+@pytest.mark.parametrize("plan", [
+    # the condition reads the outer reference too
+    Select(parse_expression("p.number == d.title"),
+           Flat("p", parse_expression("d->paragraphs()"), GET_D)),
+    # a range over a method without a path body
+    Select(parse_expression("p.number == 1"),
+           Flat("p", parse_expression("d->select_by_index('x')"), GET_D)),
+    # a range over a set-valued link's reverse: Section.paragraphs is
+    # the many side of Paragraph.section, reversed it is not single-valued
+    Select(parse_expression("d.title == 'x'"),
+           Flat("d", parse_expression("s.document"), Get("s", "Section"))),
+    # a range that is no path of the scanned reference
+    Select(parse_expression("p.number == 1"),
+           Flat("p", ClassExtent("Paragraph"), GET_D)),
+])
+def test_dependent_range_inversion_needs_a_reversible_path(plan):
+    context = RuleContext(document_schema(), None)
+    calls = []
+    assert invert_dependent_range(
+        plan, context, lambda *args: calls.append(args)) is None

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datamodel.database import Database
 from repro.datamodel.methods import (
+    body_path,
     collect_over_property,
     index_lookup_method,
     path_method,
@@ -13,7 +15,9 @@ from repro.datamodel.methods import (
     text_retrieve_method,
 )
 from repro.errors import MethodInvocationError
-from repro.workloads import TARGET_TITLE
+from repro.optimizer.generator import OptimizerGenerator
+from repro.optimizer.rules import CallableTransformationRule
+from repro.workloads import TARGET_TITLE, document_schema
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +145,33 @@ class TestWordCount:
             for paragraph in db.invoke(document, "paragraphs"):
                 expected = db.invoke(paragraph, "wordCount") > threshold
                 assert (paragraph in large) == expected
+
+
+def test_collect_over_property_skips_missing_links():
+    """A document without sections, or whose section has no paragraph set
+    yet, collects the empty set; a single reference collects like a set of
+    one."""
+    schema = document_schema()
+    database = Database(schema)
+    lonely = database.create("Document", title="lonely")
+    assert database.invoke(lonely, "paragraphs") == set()
+    section = database.create("Section", number=1, document=lonely)
+    assert database.value(lonely, "sections") == {section}
+    assert database.invoke(lonely, "paragraphs") == set()
+
+
+def test_only_path_and_collect_bodies_have_a_path():
+    assert body_path(path_method("section", "document")) == \
+        ("section", "document")
+    assert body_path(collect_over_property("sections", "paragraphs")) == \
+        ("sections", "paragraphs")
+    assert body_path(same_path_target_method("document")) is None
+    assert body_path(lambda ctx, receiver: None) is None
+
+
+def test_extra_rules_join_the_generated_rule_set(doc_database):
+    rule = CallableTransformationRule(name="extra-noop",
+                                      function=lambda plan, ctx: None)
+    optimizer = OptimizerGenerator(doc_database.schema).generate(
+        database=doc_database, extra_rules=[rule])
+    assert "extra-noop" in optimizer.rule_set.rule_names()

@@ -7,14 +7,20 @@ import pytest
 
 from repro.algebra.expressions import (
     BinaryOp,
+    ClassExtent,
+    ClassMethodCall,
     Const,
     MethodCall,
+    Parameter,
     PatternVar,
     PropertyAccess,
+    SetConstructor,
     TupleConstructor,
+    UnaryOp,
     Var,
 )
 from repro.algebra.operators import Flat, Get, Join, Map, Project, Select
+from repro.datamodel.schema import ClassDef, Schema
 from repro.optimizer.builtin_rules import (
     standard_implementations,
     standard_rules,
@@ -80,6 +86,42 @@ class TestPatternMatching:
         assert match_expression(pattern, parse_expression("p->document()")) is not None
         assert match_expression(pattern, parse_expression("p->paragraphs()")) is None
         assert match_expression(pattern, parse_expression("p->document(1)")) is None
+
+    @pytest.mark.parametrize("pattern,matching,other", [
+        # unary operators: the operator and the operand must match
+        (UnaryOp("-", PatternVar("x")), "-p.number", "NOT p.number"),
+        (UnaryOp("NOT", PropertyAccess(PatternVar("x"), "ok")), "NOT p.ok",
+         "NOT p.bad"),
+        # tuples: field names in order, then field values
+        (TupleConstructor((("a", PatternVar("x")), ("b", Const(1)))),
+         "[a: p.title, b: 1]", "[b: p.title, a: 1]"),
+        (TupleConstructor((("a", PatternVar("x")), ("b", Const(1)))),
+         "[a: p.title, b: 1]", "[a: p.title, b: 2]"),
+        (TupleConstructor((("a", PatternVar("x")),)), "[a: p.title]",
+         "[a: p.title, b: 1]"),
+        # set constructors: element count, then elements
+        (SetConstructor((PatternVar("x"), Const(2))), "{p.number, 2}",
+         "{p.number, 3}"),
+        (SetConstructor((PatternVar("x"),)), "{p.number}",
+         "{p.number, 2}"),
+        # class methods: class, method and arity
+        (ClassMethodCall("Document", "select_by_index", (PatternVar("x"),)),
+         ClassMethodCall("Document", "select_by_index", (Const("t"),)),
+         ClassMethodCall("Section", "select_by_index", (Const("t"),))),
+        # class extents by name
+        (ClassExtent("Document"), ClassExtent("Document"),
+         ClassExtent("Section")),
+    ])
+    def test_structure_must_match(self, pattern, matching, other):
+        def expression(value):
+            return parse_expression(value) if isinstance(value, str) \
+                else value
+
+        assert match_expression(pattern, expression(matching)) is not None
+        assert match_expression(pattern, expression(other)) is None
+
+    def test_a_pattern_of_no_known_kind_matches_nothing(self):
+        assert match_expression(Parameter("k"), Parameter("k")) is None
 
     def test_find_matches_locates_nested_occurrences(self):
         pattern = MethodCall(PatternVar("x"), "document", ())
@@ -394,3 +436,17 @@ class TestBuiltinImplementations:
         assert _impl("impl-map").implement(mapped, (scan,), context)
         flat = Flat("s", parse_expression("d.sections"), GET_D)
         assert _impl("impl-flat").implement(flat, (ClassScan("d", "Document"),), context)
+
+
+def test_rule_context_class_conformance():
+    schema = Schema("staff")
+    for name, parent in (("Person", None), ("Employee", "Person"),
+                         ("Manager", "Employee")):
+        schema.add_class(ClassDef(name, superclass=parent))
+    context = RuleContext(schema, None)
+    plan = Get("m", "Manager")
+    for ancestor in ("Manager", "Employee", "Person"):
+        assert context.conforms_to_class(plan, "m", ancestor)
+    assert not context.conforms_to_class(Get("p", "Person"), "p", "Manager")
+    # a reference the plan does not bind conforms to nothing
+    assert not context.conforms_to_class(plan, "x", "Person")

@@ -5,23 +5,43 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algebra.expressions import Const
-from repro.algebra.operators import Get, Join, Project, Select
+from repro.algebra.expressions import BinaryOp, ClassExtent, Const, Var
+from repro.algebra.operators import (
+    Diff,
+    Get,
+    Join,
+    NaturalJoin,
+    Project,
+    Select,
+    Union,
+)
+from repro.datamodel.database import Database
+from repro.datamodel.schema import ClassDef, PropertyDef, Schema
+from repro.datamodel.types import INT
 from repro.errors import OptimizerError
 from repro.optimizer.builtin_rules import standard_rules
 from repro.optimizer.cost import CostModel
 from repro.optimizer.generator import OptimizerGenerator
+from repro.optimizer.joingraph import DP_RELATION_LIMIT
 from repro.optimizer.knowledge import SchemaKnowledge
-from repro.optimizer.rules import RuleSet
+from repro.optimizer.rules import (
+    CallableImplementationRule,
+    CallableTransformationRule,
+    RuleSet,
+)
 from repro.optimizer.search import Optimizer, OptimizerOptions
 from repro.optimizer.statistics import OptimizerStatistics
 from repro.optimizer.trace import OptimizationTrace
+from repro.physical.evaluator import make_hashable
 from repro.physical.executor import execute_plan
+from repro.physical.naive import naive_implementation
 from repro.physical.plans import (
     ClassScan,
     ExpressionSetScan,
     Filter,
     HashJoin,
+    IndexEqScan,
+    IndexRangeScan,
     NestedLoopJoin,
     SetProbeFilter,
     walk_physical,
@@ -29,6 +49,7 @@ from repro.physical.plans import (
 from repro.session import Session
 from repro.vql.analyzer import resolve_class_references
 from repro.vql.parser import parse_expression
+from repro.workloads import document_knowledge, generate_document_database
 
 GET_P = Get("p", "Paragraph")
 GET_D = Get("d", "Document")
@@ -262,6 +283,88 @@ class TestJoinOrderEnumeration:
         assert cross_work <= 1.1 * hub_work
 
 
+    @staticmethod
+    def _chain_database(n_classes: int):
+        """Classes ``C0``..``C{n-1}``, three objects each, ``Ci.link``
+        equal to the ``key`` of one object of ``C{i+1}``."""
+        schema = Schema("chain")
+        for i in range(n_classes):
+            class_def = ClassDef(name=f"C{i}")
+            class_def.add_property(PropertyDef("key", INT))
+            class_def.add_property(PropertyDef("link", INT))
+            schema.add_class(class_def)
+        database = Database(schema, name=f"chain[{n_classes}]")
+        for i in range(n_classes):
+            database.create_many(f"C{i}", [{"key": key, "link": (key + i) % 3}
+                                           for key in range(3)])
+        return database
+
+    @staticmethod
+    def _chain_query(n_classes: int) -> str:
+        ranges = ", ".join(f"c{i} IN C{i}" for i in range(n_classes))
+        links = " AND ".join(f"c{i}.link == c{i + 1}.key"
+                             for i in range(n_classes - 1))
+        return (f"ACCESS [first: c0.key, last: c{n_classes - 1}.key] "
+                f"FROM {ranges} WHERE {links} AND c3.key == 1")
+
+    def test_more_relations_than_the_dp_limit_are_ordered_greedily(self):
+        """Beyond DP_RELATION_LIMIT relations the enumerator orders the joins
+        greedily: it starts from the smallest relation (the one with a
+        local predicate), joins a connected neighbour at each step, and the
+        plan answers like the naive evaluation."""
+        n_classes = DP_RELATION_LIMIT + 1
+        database = self._chain_database(n_classes)
+        # the join-order verdict does not depend on how far the rules explore
+        options = OptimizerOptions(max_logical_plans=20)
+        session = Session(database, options=options)
+        text = self._chain_query(n_classes)
+        result = session.optimize(text)
+        join_order = result.join_order
+        assert join_order is not None and not join_order.used_dp
+        assert f"join order: {join_order.describe()}" in result.explain()
+        assert join_order.order[0] == "c3"
+        assert join_order.describe() == \
+            " ⋈ ".join(join_order.order) + " [greedy]"
+        for step in range(1, n_classes):
+            joined = set(join_order.order[:step])
+            neighbours = {f"c{i}" for i in range(n_classes)
+                          if f"c{i - 1}" in joined or f"c{i + 1}" in joined}
+            assert join_order.order[step] in neighbours - joined
+        rows = session.execute(text).rows
+        assert rows and make_hashable_rows(rows) == make_hashable_rows(
+            session.execute_naive(text).rows)
+        # one relation fewer is within the limit: the DP orders it
+        smaller = self._chain_database(DP_RELATION_LIMIT)
+        assert Session(smaller, options=options).optimize(
+            self._chain_query(DP_RELATION_LIMIT)).join_order.used_dp
+
+
+    @pytest.mark.parametrize("where,indexed,strategies", [
+        # an equi edge onto an unfiltered, indexed key: probe the index
+        ("c0.link == c1.key AND c1.link == c2.key AND c0.key == 1", True,
+         ("c1:index-nested-loop", "c2:index-nested-loop")),
+        ("c0.link == c1.key AND c1.link == c2.key AND c0.key == 1", False,
+         ("c1:hash", "c2:hash")),
+        # a theta edge: nested loop; no edge at all: a cross product
+        ("c0.link < c1.key AND c0.key == 1 AND c1.key == 2", False,
+         ("c2:cross", "c1:nested-loop")),
+    ])
+    def test_strategy_hints(self, where, indexed, strategies):
+        database = self._chain_database(3)
+        if indexed:
+            for i in range(3):
+                database.create_hash_index(f"C{i}", "key")
+        text = ("ACCESS [a: c0.key, c: c2.key] "
+                f"FROM c0 IN C0, c1 IN C1, c2 IN C2 WHERE {where}")
+        join_order = Session(database, options=OptimizerOptions(
+            max_logical_plans=20)).optimize(text).join_order
+        assert join_order.order[0] == "c0"
+        assert join_order.strategies == strategies
+
+def make_hashable_rows(rows) -> list:
+    return sorted(make_hashable(row) for row in rows)
+
+
 class TestOptimizerGenerator:
     def test_generated_optimizer_includes_semantic_rules(self, doc_database,
                                                          doc_knowledge):
@@ -283,6 +386,65 @@ class TestOptimizerGenerator:
                                        SchemaKnowledge(doc_database.schema))
         optimizer = generator.generate(database=doc_database)
         assert len(optimizer.rule_set) == len(standard_rules())
+
+    @pytest.mark.parametrize("operator", ["union", "diff", "natural_join"])
+    def test_set_operators_and_natural_joins_are_implemented(
+            self, doc_database, doc_knowledge, operator):
+        """The general algebra's union, difference and natural join have an
+        implementation rule each, and the plan answers like the naive
+        lowering of the same logical plan."""
+        first = Select(parse_expression("p.number == 1"), GET_P)
+        second = Select(parse_expression("p.number <= 2"), GET_P)
+        plan = {"union": Union(first, second), "diff": Diff(second, first),
+                "natural_join": NaturalJoin(first, second)}[operator]
+        optimizer = OptimizerGenerator(doc_database.schema,
+                                       doc_knowledge).generate(
+            database=doc_database)
+        best = optimizer.optimize(plan).best_plan
+        assert best.name == f"{operator}_impl"
+        rows = execute_plan(best, doc_database)
+        assert rows and sorted(row["p"] for row in rows) == sorted(
+            row["p"] for row in execute_plan(naive_implementation(plan),
+                                             doc_database))
+
+    def test_an_optimizer_without_a_database_plans_from_the_schema(self):
+        """No database: no index access path and no join-order search;
+        the plan still answers the query."""
+        database = generate_document_database(n_documents=2)
+        database.create_hash_index("Paragraph", "number")
+        optimizer = OptimizerGenerator(
+            database.schema, document_knowledge(database.schema)).generate()
+        plan = Project(("p",), Select(
+            parse_expression("p.number == 1 AND p.number >= 1"), GET_P))
+        result = optimizer.optimize(plan)
+        assert result.join_order is None
+        assert not any(isinstance(node, (IndexEqScan, IndexRangeScan))
+                       for node in walk_physical(result.best_plan))
+        assert sorted(row["p"] for row in execute_plan(result.best_plan,
+                                                       database)) == \
+            sorted(row["p"] for row in execute_plan(
+                naive_implementation(plan), database))
+
+    def test_an_extra_rule_that_raises_declines(self, doc_database):
+        """An application-supplied rule may raise OptimizerError to decline
+        an operator: the search goes on without its alternatives."""
+        def decline(*args):
+            raise OptimizerError("not for this plan")
+
+        optimizer = OptimizerGenerator(doc_database.schema).generate(
+            database=doc_database, extra_rules=[
+                CallableTransformationRule(name="declines", function=decline),
+                CallableImplementationRule(name="declines-too",
+                                           function=decline)])
+        plan = Project(("p",), Select(parse_expression("p.number == 1"),
+                                      GET_P))
+        result = optimizer.optimize(plan)
+        assert sorted(row["p"] for row in execute_plan(result.best_plan,
+                                                       doc_database)) == \
+            sorted(row["p"] for row in execute_plan(
+                naive_implementation(plan), doc_database))
+        assert not {"declines", "declines-too"} & set(
+            result.statistics.rule_application_counts)
 
     def test_semantic_plan_uses_external_bulk_method(self, doc_database,
                                                      doc_knowledge):
@@ -386,3 +548,58 @@ class TestRepeatedConjuncts:
             assert sorted(connection.execute(text).fetchall()) == \
                 sorted(naive.execute_naive(text).values), text
         connection.close()
+
+
+class TestCostModelEdges:
+    """The flat defaults the cost model falls back to where the schema or
+    the statistics cannot say more."""
+
+    @pytest.mark.parametrize("text,expected", [
+        ("{1, 2, 3}", 3.0),
+        ("{}", 1.0),
+        ("-x", 1.0),
+        ("[a: 1]", 1.0),
+        ("d.sections UNION d.sections", 2 * 4.0),
+        ("d.sections DIFFERENCE d.sections", 4.0),
+        ("d.sections INTERSECTION d.sections", 4.0),
+        ("d.title + d.title", 1.0),
+        ("d.nope", 1.0),
+    ])
+    def test_expression_cardinality(self, cost_model, text, expected):
+        classes = {"d": "Document", "x": None}
+        fanout = cost_model.property_fanout("Document", "sections")
+        assert fanout == 4.0
+        assert cost_model._cardinality_and_class(
+            parse_expression(text), classes)[0] == expected
+
+    def test_unknown_classes_and_methods_get_defaults(self, cost_model):
+        # an unknown class has no objects; without a database nothing is
+        # known of any class
+        assert cost_model.extension_size("Ghost") == 1.0
+        assert CostModel(cost_model.schema).extension_size("Paragraph") == \
+            CostModel.DEFAULT_EXTENSION_SIZE
+        assert cost_model.method_result_cardinality("nope") == \
+            CostModel.DEFAULT_METHOD_RESULT_CARD
+        # an extension used as a value is built; a class check is not
+        assert cost_model.expression_cost(ClassExtent("Paragraph")) == \
+            cost_model.extension_size("Paragraph") * CostModel.TUPLE_EMIT_COST
+        assert cost_model.expression_cost(BinaryOp(
+            "IS-IN", Var("p"), ClassExtent("Paragraph"))) == \
+            CostModel.COMPARISON_COST
+
+    def test_set_comparisons_and_plain_values_get_the_default(self,
+                                                              cost_model):
+        for text in ("d.sections IS-SUBSET d.sections", "x"):
+            assert cost_model.condition_selectivity(
+                parse_expression(text), 10.0) == CostModel.DEFAULT_SELECTIVITY
+
+    def test_a_predicate_identity_needs_one_scanned_reference(self,
+                                                              cost_model):
+        scan = ClassScan("p", "Paragraph")
+        condition = parse_expression("p.number == 1")
+        assert cost_model.predicate_identity(condition, None) is None
+        assert cost_model.predicate_identity(
+            parse_expression("p.number == q.number"), scan) is None
+        assert cost_model.predicate_identity(
+            parse_expression("q.number == 1"), scan) is None
+        assert cost_model.predicate_identity(condition, scan) is not None

@@ -7,6 +7,7 @@ import pytest
 
 from repro.algebra.expressions import Const, Var
 from repro.algebra.operators import Get, Join, Map, Project, Select
+from repro.algebra.restricted import MapConst
 from repro.datamodel.oid import OID
 from repro.errors import AlgebraError, ExecutionError
 from repro.physical.evaluator import evaluate, evaluate_predicate, make_hashable
@@ -19,6 +20,7 @@ from repro.physical.plans import (
     Filter,
     FlattenEval,
     HashJoin,
+    IndexRangeScan,
     MapEval,
     NaturalMergeJoin,
     NestedLoopJoin,
@@ -280,3 +282,16 @@ class TestNaiveLowering:
         naive = doc_session.execute_naive(query)
         optimized = doc_session.execute(query)
         assert naive.value_set() == optimized.value_set()
+
+
+def test_physical_operators_validate_their_parameters():
+    with pytest.raises(AlgebraError, match="needs at least one bound"):
+        IndexRangeScan("p", "Paragraph", "number")
+    with pytest.raises(AlgebraError, match="must be reference-free"):
+        SetProbeFilter("p", parse_expression("p.section.paragraphs"),
+                       ClassScan("p", "Paragraph"))
+
+
+def test_naive_lowering_refuses_restricted_operators():
+    with pytest.raises(ExecutionError, match="no naive implementation"):
+        naive_implementation(MapConst("c", Const(1), Get("p", "Paragraph")))

@@ -169,8 +169,37 @@ class TestDatabase:
 
     def test_create_rejects_unknown_properties(self):
         db = Database(simple_schema())
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="has no property 'nickname'"):
             db.create("Person", nickname="A")
+        # every unknown property is named at once, even on a later row of
+        # a batch, and no row of the batch is created
+        with pytest.raises(SchemaError, match="Person' has no properties "
+                                              "'nickname', 'shoe'$"):
+            db.create_many("Person", [{"name": "Ada"},
+                                      {"nickname": "A", "name": "B",
+                                       "shoe": 3}])
+        assert db.object_count() == 0
+
+    def test_create_class_validates_before_touching_the_schema(self):
+        db = Database(simple_schema())
+        version = db.versions.schema
+        with pytest.raises(SchemaError, match="duplicate class 'Person'"):
+            db.create_class("Person")
+        with pytest.raises(SchemaError,
+                           match="inherits from unknown class 'Ghost'"):
+            db.create_class("Pet", superclass="Ghost")
+        with pytest.raises(SchemaError,
+                           match="Pet.owner refers to unknown class 'Ghost'"):
+            db.create_class("Pet", properties=[PropertyDef(
+                "owner", object_type("Ghost"), target_class="Ghost")])
+        assert not db.schema.has_class("Pet")
+        assert db.versions.schema == version
+        # a class may refer to itself
+        db.create_class("Node", properties=[PropertyDef(
+            "next", object_type("Node"), target_class="Node")])
+        assert db.schema.resolve_property("Node", "next").target_class \
+            == "Node"
+        assert db.versions.schema == version + 1
 
     def test_get_unknown_oid_raises(self):
         db = Database(simple_schema())
@@ -223,6 +252,36 @@ class TestDatabase:
         with pytest.raises(MethodInvocationError):
             db.invoke(oid, "greeting", "extra")
 
+    def test_deleted_receiver_is_invoked_only_where_a_snapshot_sees_it(self):
+        """A snapshot pinned before a delete still dispatches methods on
+        the deleted object, through ``invoke`` and through the compiled
+        engine's pre-resolved invoker; outside the pin it is gone."""
+        db = Database(simple_schema())
+        oid = db.create("Person", name="Ada")
+        invoker = db.instance_invoker("Person", "greeting")
+        with db.snapshot_scope() as ts:
+            db.delete(oid)
+            assert db.invoke(oid, "greeting") == "hello Ada"
+            assert invoker(oid, ()) == "hello Ada"
+        with pytest.raises(ObjectNotFoundError):
+            db.invoke(oid, "greeting")
+        with pytest.raises(ObjectNotFoundError):
+            invoker(oid, ())
+        # a pin taken after the delete does not see the object either
+        with db.snapshot_scope(), pytest.raises(ObjectNotFoundError):
+            invoker(oid, ())
+        assert ts < db.clock.published
+
+    def test_compiled_invoker_checks_arity(self):
+        db = Database(simple_schema())
+        oid = db.create("Person", name="Ada")
+        invoker = db.instance_invoker("Person", "greeting")
+        with pytest.raises(MethodInvocationError,
+                           match=r"Person.greeting expects 0 argument\(s\), "
+                                 r"got 1"):
+            invoker(oid, ("extra",))
+        assert invoker(oid, ()) == "hello Ada"
+
     def test_method_without_implementation_raises(self):
         schema = Schema()
         cls = schema.define_class("A")
@@ -260,6 +319,78 @@ class TestDatabase:
         b_oid = db.create("B", name="target")
         a_oid = db.create("A", b=b_oid)
         assert db.invoke(a_oid, "other_name") == "target"
+
+
+class TestDatabaseEdges:
+    """Outside-input checks and snapshot reads at the database's edges."""
+
+    def test_text_index_ddl_errors(self):
+        db = Database(simple_schema())
+        db.create_text_index("Person", "name")
+        with pytest.raises(SchemaError, match="already exists"):
+            db.create_text_index("Person", "name")
+        db.drop_text_index("Person", "name")
+        with pytest.raises(SchemaError, match="no text index on Person.name"):
+            db.drop_text_index("Person", "name")
+
+    def test_instance_checker_follows_subclasses(self):
+        db = Database(simple_schema())
+        ada = db.create("Person", name="Ada")
+        grace = db.create("Employee", name="Grace")
+        check = db.instance_checker("Person")
+        assert check([ada, grace, OID("Ghost", 1), None, 3]) == \
+            [True, True, False, False, False]
+        assert db.instance_checker("Employee")([ada, grace]) == [False, True]
+        with pytest.raises(SchemaError, match="unknown class 'Ghost'"):
+            db.instance_checker("Ghost")
+
+    def test_invokers_need_an_implementation_and_keep_data_errors(self):
+        schema = simple_schema()
+        person = schema.get_class("Person")
+        person.add_method(MethodDef(name="abstract"))
+        person.add_method(MethodDef(
+            name="friend_name",
+            implementation=lambda ctx, receiver: ctx.value(
+                OID("Person", 99), "name")))
+        db = Database(schema)
+        ada = db.create("Person", name="Ada")
+        with pytest.raises(MethodInvocationError, match="no implementation"):
+            db.instance_invoker("Person", "abstract")
+        # a data error inside a method is raised as it is, not wrapped
+        with pytest.raises(ObjectNotFoundError):
+            db.instance_invoker("Person", "friend_name")(ada, ())
+
+    def test_reads_of_unknown_properties_fail_pinned_or_not(self):
+        db = Database(simple_schema())
+        ada = db.create("Person", name="Ada")
+        read = db.property_batch_reader("nickname")
+        with pytest.raises(SchemaError, match="has no property 'nickname'"):
+            read([ada])
+        with db.snapshot_scope():
+            with pytest.raises(SchemaError,
+                               match="has no property 'nickname'"):
+                db.value(ada, "nickname")
+            with pytest.raises(SchemaError,
+                               match="has no property 'nickname'"):
+                read([ada])
+
+    def test_an_update_without_values_writes_nothing(self):
+        db = Database(simple_schema())
+        ada = db.create("Person", name="Ada")
+        version = db.versions.data
+        db.update(ada)
+        assert db.versions.data == version
+
+    def test_a_pinned_extension_keeps_what_its_snapshot_saw(self):
+        db = Database(simple_schema())
+        ada = db.create("Person", name="Ada")
+        grace = db.create("Employee", name="Grace")
+        with db.snapshot_scope():
+            db.delete(ada)
+            late = db.create("Employee", name="Late")
+            assert sorted(db.extension("Person")) == sorted([ada, grace])
+            assert db.extension("Person", deep=False) == [ada]
+        assert sorted(db.extension("Person")) == sorted([grace, late])
 
 
 class TestDelete:

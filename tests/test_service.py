@@ -12,11 +12,17 @@ from __future__ import annotations
 import pytest
 
 from repro import connect
-from repro.errors import BindingError, IndexError_
+from repro.errors import (
+    BindingError,
+    IndexError_,
+    ServiceError,
+    TransactionError,
+)
 from repro.optimizer.knowledge import ConditionImplication
 from repro.physical.plans import IndexEqScan, walk_physical
 from repro.service import QueryService, StatementCache
 from repro.session import Session
+from repro.telemetry.spans import Tracer
 from repro.workloads import document_knowledge, generate_document_database
 from repro.workloads.documents import QUERY_TERM, TARGET_TITLE
 
@@ -595,20 +601,6 @@ def test_a_cursor_stream_never_arms_the_profiled_twin():
     assert service.metrics.snapshot()["feedback_evictions"] >= 1
 
 
-def test_feedback_can_be_disabled():
-    database = _skewed_order_database()
-    service = QueryService(database, adaptive_feedback=False)
-    service.execute("ANALYZE")
-    service.execute(FEEDBACK_QUERY)
-    _drift_orders_to_urgent(database)
-    for _ in range(3):
-        service.execute(FEEDBACK_QUERY)
-    snapshot = service.metrics.snapshot()
-    assert snapshot["feedback_evictions"] == 0
-    assert snapshot["plans_reoptimized"] == 0
-    assert database.stats_catalog.correction_count() == 0
-
-
 def test_feedback_needs_analyzed_statistics():
     """Without ANALYZE every estimate is a schema default — feedback must
     not chase that noise with corrections."""
@@ -797,3 +789,56 @@ def test_explain_analyze_reports_the_parameterized_range_scan():
     assert (record["estimated_rows"], record["actual_rows"]) == (36.0, 1)
     divergent = divergent_operators(plan, profile, cost_model, threshold=10.0)
     assert scan in [d["operator"] for d in divergent]
+
+
+def test_only_queries_stream():
+    database = generate_document_database(n_documents=1)
+    service = QueryService(database)
+    count = database.object_count()
+    with pytest.raises(ServiceError, match="cannot stream a INSERT statement"):
+        service.stream("INSERT INTO Document (title) VALUES ('x')")
+    assert database.object_count() == count
+    assert service.metrics.snapshot()["errors"] == 1
+
+
+def test_register_knowledge_needs_an_item():
+    service = QueryService(generate_document_database(n_documents=1))
+    with pytest.raises(ServiceError, match="at least one item"):
+        service.register_knowledge()
+
+
+def test_explain_without_optimization_shows_the_naive_plan():
+    service = QueryService(generate_document_database(n_documents=1))
+    assert service.explain("ACCESS d FROM d IN Document WHERE d.title == 'x'",
+                           optimize=False) == "\n".join([
+        "naive plan:",
+        "  project_impl<d>",
+        "    filter<(d.title == :$1:str)>",
+        "      class_scan<d, Document>",
+        "auto-parameters: $1:str = 'x'"])
+
+
+def test_a_finished_transaction_cannot_commit():
+    service = QueryService(generate_document_database(n_documents=1))
+    txn = service.begin_transaction()
+    service.rollback_transaction(txn)
+    with pytest.raises(TransactionError,
+                       match="cannot COMMIT a transaction that is rolled back"):
+        service.commit_transaction(txn)
+
+
+def test_a_given_tracer_records_the_token_path():
+    """A tracer passed in is the service's: a literal variant matched by
+    its token key is annotated as such on its statement span."""
+    tracer = Tracer(enabled=True)
+    service = QueryService(generate_document_database(n_documents=1),
+                           tracer=tracer)
+    assert service.tracer is tracer
+    for number in (1, 2, 3):
+        service.execute(f"ACCESS p FROM p IN Paragraph WHERE p.number == {number}")
+    spans = tracer.recent()
+    assert [span.find("analyze").attributes["cached"] for span in spans] == \
+        [False, "tokens", "tokens"]
+    assert str(spans[-1]).startswith("TraceSpan(statement, ")
+    tracer.clear()
+    assert len(tracer) == 0

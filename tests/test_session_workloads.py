@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import open_service, open_session
-from repro.errors import WorkloadError
+from repro import QueryService, Session
+from repro.errors import TranslationError, WorkloadError
+from repro.vql.parser import parse_query
 from repro.workloads import (
     DocumentWorkloadConfig,
     QUERY_TERM,
@@ -69,9 +70,9 @@ class TestSession:
         assert "optimization trace" in text
 
     def test_engine_helpers(self, doc_database, doc_knowledge):
-        session = open_session(doc_database, knowledge=doc_knowledge)
+        session = Session(doc_database, knowledge=doc_knowledge)
         assert session.execute("ACCESS d.title FROM d IN Document").values
-        service = open_service(doc_database, knowledge=doc_knowledge)
+        service = QueryService(doc_database, knowledge=doc_knowledge)
         result = service.execute("ACCESS d.title FROM d IN Document")
         assert TARGET_TITLE in set(result.values)
 
@@ -193,3 +194,28 @@ class TestUniversityGenerator:
         for student in uni_database.extension("Student"):
             for course in uni_database.value(student, "courses"):
                 assert student in uni_database.value(course, "participants")
+
+
+class TestSessionEntryPoints:
+    TEXT = "ACCESS p FROM p IN Paragraph WHERE p.number == 2"
+
+    def test_a_parsed_query_runs_and_explains_like_its_text(self, doc_database):
+        session = Session(doc_database)
+        parsed = parse_query(self.TEXT)
+        assert session.execute(parsed).value_set() == \
+            session.execute(self.TEXT).value_set()
+        assert session.explain(parsed) == session.explain(self.TEXT)
+
+    def test_a_given_optimizer_is_used_as_is(self, doc_database, doc_session):
+        session = Session(doc_database, optimizer=doc_session.optimizer)
+        assert session.optimizer is doc_session.optimizer
+
+    def test_empty_parameters_for_a_parameterless_query(self, doc_database):
+        session = Session(doc_database)
+        assert session.execute(self.TEXT, parameters={}).value_set() == \
+            session.execute(self.TEXT).value_set()
+
+    def test_a_first_range_over_a_method_result_is_refused(self, doc_database):
+        with pytest.raises(TranslationError, match="first range declaration"):
+            Session(doc_database).execute(
+                "ACCESS p FROM p IN Paragraph->retrieve_by_string('x')")

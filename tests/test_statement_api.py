@@ -14,6 +14,7 @@ import pytest
 from repro import QueryService, Session, connect
 from repro.api.router import StatementResult, StatementRouter
 from repro.datamodel.database import Database
+from repro.datamodel.ddl import create_index
 from repro.datamodel.schema import Schema
 from repro.errors import (
     BindingError,
@@ -863,3 +864,91 @@ class TestBulkDatamodel:
     def test_create_many_unknown_property_rejected(self, database):
         with pytest.raises(SchemaError):
             database.create_many("Document", [{"nope": 1}])
+
+
+class TestStatementEdges:
+    def test_executemany_refuses_queries_and_ddl(self, connection):
+        for text in ("ACCESS d FROM d IN Document",
+                     "CREATE INDEX ON Document(author)"):
+            with pytest.raises(ServiceError,
+                               match="executemany supports INSERT/UPDATE/"
+                                     "DELETE, not"):
+                connection.service.router.executemany(text, [{}])
+
+    def test_a_statement_result_has_no_rows(self, connection):
+        result = connection.service.router.execute(
+            "INSERT INTO Document (title) VALUES ('r')")
+        assert result.rows == [] and result.rowcount == 1
+
+    def test_explain_of_ddl_is_its_text_and_queries_need_an_explainer(
+            self, database, connection):
+        assert connection.service.router.explain(
+            "CREATE INDEX ON Document(author)") == \
+            "CREATE HASH INDEX ON Document(author)"
+        router = StatementRouter(database, run_query=None)
+        with pytest.raises(ServiceError, match="no query explainer"):
+            router.explain("ACCESS d FROM d IN Document")
+
+    def test_an_analyzed_ast_is_accepted_as_is(self, database, connection):
+        statement = parse_statement("ACCESS d FROM d IN Document")
+        rows = connection.service.router.execute(statement).rows
+        assert len(rows) == len(database.extension("Document"))
+
+    def test_consecutive_deferred_inserts_of_one_statement_share_a_batch(
+            self, database):
+        connection = connect(database, autocommit=False)
+        insert = "INSERT INTO Document (title) VALUES (?)"
+        cursor = connection.cursor()
+        cursor.execute(insert, ["x1"])
+        cursor.execute(insert, ["x2"])
+        assert len(connection._pending) == 1
+        assert connection.commit() == 2
+
+    def test_a_cursor_closes_when_its_block_ends(self, connection):
+        with connection.cursor() as cursor:
+            cursor.execute("ACCESS d FROM d IN Document")
+        with pytest.raises(ServiceError):
+            cursor.fetchone()
+
+    def test_an_unknown_index_kind_is_refused(self, database):
+        with pytest.raises(SchemaError, match="unknown index kind 'bitmap'"):
+            create_index(database, "bitmap", "Document", "title")
+
+
+class TestStatementEdgesMore:
+    def test_executemany_deletes_once_per_parameter_set(self, connection,
+                                                        database):
+        doomed = [p for p in database.extension("Paragraph")
+                  if database.value(p, "number") in (1, 2)]
+        assert connection.service.router.executemany(
+            "DELETE FROM Paragraph p WHERE p.number == ?",
+            [[1], [2]]).rowcount == len(doomed) > 0
+        remaining = {database.value(p, "number")
+                     for p in database.extension("Paragraph")}
+        assert remaining and not remaining & {1, 2}
+
+    def test_an_insert_value_may_be_an_expression(self, connection, database):
+        result = connection.service.router.execute(
+            "INSERT INTO Section (number, title) VALUES (? + 40, 'x')", [2])
+        (oid,) = result.oids
+        assert database.value(oid, "number") == 42
+
+    def test_explain_analyze_alone_explains_the_analyze_statement(self):
+        statement = parse_statement("EXPLAIN ANALYZE")
+        assert str(statement) == "EXPLAIN ANALYZE"
+
+    def test_a_missing_statement_word_is_a_syntax_error(self):
+        with pytest.raises(VQLSyntaxError, match="expected INTO"):
+            parse_statement("INSERT Document (title) VALUES ('x')")
+
+    @pytest.mark.parametrize("parameters,message", [
+        ({"a": 1}, "missing value"),
+        ("ab", "not a single string"),
+    ])
+    def test_bindings_are_checked(self, connection, parameters, message):
+        with pytest.raises(BindingError, match=message):
+            connection.execute(
+                "ACCESS p FROM p IN Paragraph WHERE p.number == :a "
+                "AND p.number == :b" if isinstance(parameters, dict)
+                else "ACCESS p FROM p IN Paragraph WHERE p.number == ?",
+                parameters)

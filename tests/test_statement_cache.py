@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from repro import connect, open_session
+from repro import Session, connect
 from repro.datamodel.database import Database
 from repro.datamodel.schema import ClassDef, PropertyDef, Schema
 from repro.datamodel.types import INT, STRING
@@ -39,7 +39,7 @@ def test_ad_hoc_texts_stay_within_a_bound_of_the_capacity():
     conjuncts of four comparisons): entries and aliases stay bounded by the
     capacity, and every answer equals the session's."""
     database = generate_document_database(n_documents=4)
-    session = open_session(database)
+    session = Session(database)
     capacity = 2
     service = QueryService(database, cache_capacity=capacity)
     keys = 4 * capacity + 3

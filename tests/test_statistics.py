@@ -19,12 +19,13 @@ import time
 
 import pytest
 
-from repro import connect, open_session
+from repro import Session, connect
 from repro.datamodel.database import Database
 from repro.datamodel.schema import ClassDef, MethodDef, MethodKind, PropertyDef, Schema
 from repro.datamodel.statistics import (
     ColumnIdentity,
     EquiDepthHistogram,
+    StatisticsCatalog,
 )
 from repro.datamodel.types import INT, STRING
 from repro.errors import SchemaError, VQLAnalysisError
@@ -103,6 +104,72 @@ class TestEquiDepthHistogram:
 # ----------------------------------------------------------------------
 # catalog collection
 # ----------------------------------------------------------------------
+class TestEstimateEdges:
+    """The estimators' answers at their edges: values a histogram cannot
+    order, NULLs, empty columns, unhashable values and correction inputs
+    that are not usable numbers."""
+
+    def test_histogram_of_strings_and_foreign_probes(self):
+        histogram = EquiDepthHistogram.build(list("abcdefgh"), buckets=4)
+        # a probe of another type cannot be placed: the midpoint
+        assert histogram.fraction_leq(5) == 0.5
+        # between string boundaries there is no interpolation: half a bucket
+        assert histogram.fraction_leq("c") == pytest.approx(3 / 8)
+        assert histogram.fraction_leq("a") == pytest.approx(1 / 8)
+
+    def test_equality_on_nulls_empty_columns_and_foreign_values(self):
+        collect = StatisticsCatalog._collect_property
+        numbers = collect("n", [1, 2, 2, None], 4, 5)
+        assert numbers.selectivity_eq(None) == 0.25
+        assert numbers.selectivity_eq(2) == 0.5
+        # outside [min, max]: half a row; a value of another type cannot
+        # be placed: the remaining rows over the remaining distinct values
+        assert numbers.selectivity_eq(9) == pytest.approx(0.5 / 4)
+        assert numbers.selectivity_eq("x") == pytest.approx(1 / 4)
+        assert collect("n", [], 4, 5).selectivity_eq(1) == 0.0
+
+    def test_unhashable_values_are_counted_by_content(self):
+        stats = StatisticsCatalog._collect_property(
+            "v", [[1, 2], [1, 2], {"a": [1]}, {"a": [1]}, {3}], 4, 5)
+        assert stats.distinct == 3
+        assert stats.selectivity_eq([1, 2]) == pytest.approx(2 / 5)
+        assert stats.selectivity_eq({"a": [1]}) == pytest.approx(2 / 5)
+
+    def test_corrections_keep_only_usable_and_material_observations(self):
+        catalog = StatisticsCatalog()
+        key = (("Paragraph", "number == 3"),)
+        for unusable in (None, "many", float("nan"), 0.0, -1.0):
+            assert not catalog.record_predicate_correction(key, unusable, 0.1)
+        assert catalog.correction_count() == 0
+        assert catalog.record_predicate_correction(key, 0.5, 0.1)
+        # within the material-change ratio: counted, not replaced
+        assert not catalog.record_predicate_correction(key, 0.55, 0.1)
+        assert catalog.predicate_correction(key) == 0.5
+        assert catalog.record_predicate_correction(key, 2.0, 0.1)
+        assert catalog.predicate_correction(key) == 1.0  # clamped
+        assert catalog.describe().splitlines()[1:] == [
+            "  correction[predicate] (('Paragraph', 'number == 3'),): "
+            "estimated=0.1 -> observed=1 (x3)"]
+
+    def test_a_full_correction_store_takes_no_new_key(self, monkeypatch):
+        catalog = StatisticsCatalog()
+        monkeypatch.setattr(StatisticsCatalog, "MAX_CORRECTIONS", 1)
+        assert catalog.record_predicate_correction((("A", "x"),), 0.5, 0.1)
+        assert not catalog.record_predicate_correction((("B", "x"),), 0.5, 0.1)
+        # a kept key still updates
+        assert catalog.record_predicate_correction((("A", "x"),), 0.1, 0.5)
+
+    def test_analyzing_a_class_drops_its_predicate_corrections(self):
+        database = generate_document_database(n_documents=2)
+        catalog = database.stats_catalog
+        key = (("Paragraph", "number == 3"),)
+        assert catalog.record_predicate_correction(key, 0.5, 0.1)
+        database.analyze("Section")
+        assert catalog.predicate_correction(key) == 0.5
+        database.analyze("Paragraph")
+        assert catalog.predicate_correction(key) is None
+
+
 class TestCatalogCollection:
     def test_analyze_collects_per_property_statistics(self):
         database = skewed_database(n=500)
@@ -253,7 +320,7 @@ class TestAnalyzeStatement:
 
     def test_analyze_through_session(self):
         database = skewed_database(n=30)
-        session = open_session(database)
+        session = Session(database)
         result = session.execute("ANALYZE Reading")
         assert result.kind == "analyze"
         assert database.stats_catalog.fresh("Reading") is not None
@@ -301,7 +368,7 @@ class TestInformedCostModel:
         database = skewed_database(n=2000)
         database.create_hash_index("Reading", "category")
         database.create_sorted_index("Reading", "score")
-        session = open_session(database)
+        session = Session(database)
         query = ("ACCESS r FROM r IN Reading "
                  "WHERE r.category == 'common' AND r.score >= 9900")
         flat_plan = session.optimize(query).best_plan
@@ -543,8 +610,8 @@ class TestEveryOperatorIsPriced:
 class TestServiceIndexDdl:
     def test_generic_entry_point_does_not_warn(self, recwarn):
         database = skewed_database(n=10)
-        from repro import open_service
-        service = open_service(database)
+        from repro import QueryService
+        service = QueryService(database)
         service.create_index("Reading", "category", kind="hash")
         deprecations = [w for w in recwarn.list
                         if issubclass(w.category, DeprecationWarning)]

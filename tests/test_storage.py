@@ -16,9 +16,11 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import struct
 import sys
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -26,7 +28,14 @@ from repro.api.connection import connect
 from repro.datamodel.database import Database
 from repro.datamodel.oid import OID
 from repro.datamodel.schema import ClassDef, PropertyDef, Schema
-from repro.datamodel.types import INT, STRING, ObjectType, SetType, set_of
+from repro.datamodel.types import (
+    INT,
+    STRING,
+    ObjectType,
+    SetType,
+    TupleType,
+    set_of,
+)
 from repro.errors import SchemaError, ServiceError
 from repro.storage import (
     FileStorageAdapter,
@@ -36,6 +45,7 @@ from repro.storage import (
     read_records,
 )
 from repro.storage import checkpoint as checkpoint_module
+from repro.storage.checkpoint import restore_checkpoint
 from repro.storage.encoding import (
     decode_type,
     decode_value,
@@ -107,6 +117,27 @@ def test_corrupt_checksum_stops_the_reader():
     second[-1] ^= 0xFF  # flip a payload byte under an intact header
     decoded = [payload for payload, _ in read_records(first + bytes(second))]
     assert decoded == [{"ts": 1}]
+
+
+@pytest.mark.parametrize("body", [b"{not json", b"\xff\xfe"])
+def test_a_checksummed_frame_that_is_not_json_stops_the_reader(body):
+    """A frame whose checksum holds but whose body does not decode (a
+    writer bug, never a torn write) ends the valid prefix like a torn
+    record does."""
+    first = encode_record({"ts": 1})
+    bad = struct.pack(">II", len(body), zlib.crc32(body)) + body
+    decoded = list(read_records(first + bad + encode_record({"ts": 2})))
+    assert [payload for payload, _ in decoded] == [{"ts": 1}]
+    assert decoded[-1][1] == len(first)
+
+
+def test_size_of_a_removed_log_is_zero(tmp_path):
+    wal = WriteAheadLog(str(tmp_path / "wal.log"), fsync="never")
+    wal.append({"ts": 1})
+    assert wal.size() > 0
+    os.remove(tmp_path / "wal.log")
+    assert wal.size() == 0
+    wal.close()
 
 
 def test_wal_append_read_truncate(tmp_path):
@@ -323,6 +354,18 @@ def test_value_codec_rejects_unknown_types():
         encode_value(object())
     with pytest.raises(ServiceError):
         decode_value({"$nope": 1})
+    # CREATE CLASS declares no tuple type, so no checkpoint holds one
+    with pytest.raises(ServiceError, match="cannot serialize property type"):
+        encode_type(TupleType((("a", INT),)))
+
+
+def test_an_unattached_adapter_recovers_nothing_and_closes_once(tmp_path):
+    adapter = FileStorageAdapter(str(tmp_path), fsync="never")
+    with pytest.raises(ServiceError, match="needs an attached database"):
+        adapter.recover()
+    assert adapter.checkpoint() is None
+    adapter.close()
+    adapter.close()  # idempotent
 
 
 def test_values_codec_scalar_rows_skip_the_per_value_pass():
@@ -401,6 +444,48 @@ def test_drop_index_survives_reopen(tmp_path):
     reopened = durable(tmp_path)
     assert reopened.database.indexes.get("Item", "value") is None
     reopened.close()
+
+
+def test_text_index_ddl_survives_reopen(tmp_path):
+    connection = durable(tmp_path)
+    seed_items(connection, 5)
+    connection.execute("CREATE TEXT INDEX ON Item(name)")
+    connection.close()
+
+    reopened = durable(tmp_path)
+    engine = reopened.database.text_index("Item", "name")
+    assert engine is not None
+    assert len(reopened.execute(
+        "ACCESS i FROM i IN Item WHERE i.name == 'item3'").fetchall()) == 1
+    reopened.execute("DROP TEXT INDEX ON Item(name)")
+    reopened.close()
+
+    third = durable(tmp_path)
+    assert third.database.text_index("Item", "name") is None
+    third.close()
+
+
+@pytest.mark.parametrize("record,message", [
+    ({"kind": "bogus"}, "unknown WAL record kind 'bogus'"),
+    ({"kind": "commit", "ts": 10 ** 6, "ops": [["bogus"]]},
+     "unknown WAL op 'bogus'"),
+    ({"kind": "commit", "ts": 10 ** 6,
+      "ops": [["create", "Item", 999, {"name": "x", "value": 1}]]},
+     "WAL replay drift: created Item:6, expected serial 999"),
+])
+def test_a_log_that_disagrees_with_the_store_is_refused(tmp_path, record,
+                                                        message):
+    """Recovery refuses a record it cannot replay exactly rather than
+    guess: a kind or an op it does not know, or a create whose serial
+    differs from the one the log recorded."""
+    connection = durable(tmp_path)
+    seed_items(connection, 5)
+    connection.close()
+    wal = WriteAheadLog(str(tmp_path / "wal.log"), fsync="never")
+    wal.append(record)
+    wal.close()
+    with pytest.raises(ServiceError, match=message):
+        durable(tmp_path)
 
 
 def test_object_references_and_sets_survive_reopen(tmp_path):
@@ -632,6 +717,35 @@ def test_corrupt_checkpoint_is_refused(tmp_path):
 
     with pytest.raises(ServiceError, match="corrupt checkpoint"):
         durable(tmp_path)
+
+
+def test_restoring_a_checkpoint_checks_what_it_restores_into(tmp_path):
+    connection = durable(tmp_path, static_database())
+    connection.execute("INSERT INTO Item (name, value) VALUES ('a', 1)")
+    connection.execute("CREATE CLASS Empty (note: STRING)")
+    connection.checkpoint()
+    connection.close()
+    state = json.loads((tmp_path / "checkpoint.json").read_text())
+    # a class without objects is declared, not listed among the objects
+    assert [name for name, _, _ in state["classes"]] == ["Empty"]
+    assert list(state["objects"]) == ["Item"]
+
+    restored = static_database()
+    restore_checkpoint(restored, state)
+    assert restored.object_count() == 1
+    assert restored.schema.has_class("Empty")
+    with pytest.raises(ServiceError, match="into a non-empty database"):
+        restore_checkpoint(restored, state)
+    with pytest.raises(ServiceError, match="unsupported checkpoint format 0"):
+        restore_checkpoint(static_database(), {**state, "format": 0})
+    with pytest.raises(ServiceError,
+                       match="objects of unknown class 'Item'"):
+        restore_checkpoint(empty_database(), state)
+    # a class the static schema already declares is not declared again
+    grown = static_database()
+    grown.create_class("Empty", properties=[PropertyDef("note", STRING)])
+    restore_checkpoint(grown, state)
+    assert grown.object_count() == 1
 
 
 def _format_1_state(database, base_classes=()) -> dict:

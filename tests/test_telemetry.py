@@ -538,3 +538,63 @@ def test_slowlog_for_dml_statements(caplog):
     assert len(records) == 1
     payload = json.loads(records[0].message.split(": ", 1)[1])
     assert payload["statement"].startswith("INSERT")
+
+
+class TestTelemetryEdges:
+    def test_histogram_rejects_bad_buckets_and_quantiles(self):
+        with pytest.raises(ValueError, match="sorted and non-empty"):
+            Histogram("h", buckets=(2.0, 1.0))
+        with pytest.raises(ValueError, match="sorted and non-empty"):
+            Histogram("h", buckets=())
+        histogram = Histogram("h", buckets=(1.0, 2.0))
+        with pytest.raises(ValueError, match="within"):
+            histogram.percentile(1.5)
+        for value in (0.5, 1.5, 7.0):
+            histogram.observe(value)
+        assert histogram.count == 3
+        # the overflow bucket reports the largest observation
+        assert histogram.percentile(1.0) == 7.0
+
+    def test_statement_table_evicts_the_coldest_fingerprint(self):
+        registry = MetricsRegistry(max_statements=2)
+        registry.record_statement("hot", 5.0)
+        registry.record_statement("cold", 1.0)
+        registry.record_statement("new", 2.0)
+        assert sorted(s["fingerprint"] for s in registry.top_statements(5)) \
+            == ["hot", "new"]
+
+    def test_sinks_clear_close_and_render(self, tmp_path):
+        memory = MemorySink()
+        tracer = Tracer(enabled=True, sinks=[memory])
+        with tracer.span("outer"):
+            with tracer.span("inner"):  # nests under the active span
+                pass
+        (root,) = memory.spans
+        assert root.names() == ["outer", "inner"]
+        memory.clear()
+        assert memory.spans == []
+        path = tmp_path / "spans.jsonl"
+        sink = JsonlSink(str(path))
+        assert str(sink) == f"JsonlSink({str(path)!r})"
+        sink.emit(root)
+        sink.close()
+        sink.close()  # idempotent
+        assert json.loads(path.read_text())["name"] == "outer"
+
+    def test_slow_log_keeps_profiles_and_renders_disabled(self):
+        log = SlowQueryLog(threshold_ms=0)
+        payload = log.record(text="ACCESS d FROM d IN Document",
+                             seconds=0.5, profile=[{"operator": "scan"}])
+        assert payload["estimated_vs_actual"] == [{"operator": "scan"}]
+        disabled = SlowQueryLog(threshold_ms=None)
+        assert disabled.record(text="x", seconds=9.0) is None
+        assert str(disabled) == "SlowQueryLog(disabled, redact=True)"
+
+    def test_dump_accepts_a_bare_registry_or_tracer(self):
+        registry = MetricsRegistry()
+        registry.counter("repro_things_total", "things").inc()
+        assert "repro_things_total 1" in dump(registry)
+        tracer = Tracer(enabled=True)
+        with tracer.span("alone"):
+            pass
+        assert "alone" in dump(tracer)

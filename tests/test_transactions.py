@@ -19,6 +19,7 @@ from repro.errors import (
     ServiceError,
     TransactionConflictError,
     TransactionError,
+    TypeMismatchError,
 )
 from repro.service.concurrency import ReadWriteLock
 from repro.workloads import generate_document_database
@@ -229,6 +230,29 @@ class TestTransactions:
         assert connection.execute(
             "ACCESS d.author FROM d IN Document WHERE d.title == 'txn doc'"
             ).fetchall() == [None]
+
+    def test_a_commit_that_fails_to_apply_rolls_everything_back(
+            self, database):
+        """A buffered INSERT whose bound value has the wrong type fails
+        only when COMMIT applies it: the rows applied before it in the same
+        commit scope are undone, the transaction ends rolled back, and the
+        failed COMMIT counts once as an error and never as a commit."""
+        connection = connect(database)
+        before = state_snapshot(database)
+        connection.execute("BEGIN")
+        connection.execute("INSERT INTO Document (title) VALUES ('kept?')")
+        connection.execute("INSERT INTO Document (title) VALUES (?)", [5])
+        with pytest.raises(TypeMismatchError, match="Document.title"):
+            connection.execute("COMMIT")
+        assert state_snapshot(database) == before
+        assert not connection.in_transaction
+        snapshot = connection.service.metrics.snapshot()
+        assert (snapshot["errors"], snapshot["txn_commits"],
+                snapshot["txn_conflicts"]) == (1, 0, 0)
+        # the connection is usable again
+        connection.execute("BEGIN")
+        connection.execute("INSERT INTO Document (title) VALUES ('kept')")
+        assert connection.execute("COMMIT").rowcount == 1
 
     def test_interleaved_transactions_first_writer_wins(self, database):
         service = QueryService(database)

@@ -11,14 +11,28 @@ from repro.algebra.expressions import (
     ClassMethodCall,
     Const,
     MethodCall,
+    PatternVar,
     PropertyAccess,
     TupleConstructor,
     UnaryOp,
     Var,
 )
-from repro.datamodel.types import ANY, BOOL, INT, ObjectType, SetType
+from repro.datamodel.types import (
+    ANY,
+    BOOL,
+    INT,
+    REAL,
+    STRING,
+    ObjectType,
+    SetType,
+)
 from repro.errors import VQLAnalysisError, VQLSyntaxError
-from repro.vql.analyzer import analyze_query, infer_expression_type
+from repro.vql.analyzer import (
+    _assignable,
+    analyze_query,
+    analyze_statement,
+    infer_expression_type,
+)
 from repro.vql.lexer import KEYWORDS, token_key, tokenize
 from repro.vql.parser import parse_expression, parse_query, parse_statement
 
@@ -538,3 +552,89 @@ def _walk(expr):
     yield expr
     for child in expr.children():
         yield from _walk(child)
+
+
+class TestExpressionTypes:
+    """Static types of the rarer expression shapes, and the analysis errors
+    that guard the query and statement entry points."""
+
+    DOCUMENT = ObjectType("Document")
+
+    @pytest.mark.parametrize("text,expected", [
+        ("{}", SetType(ANY)),
+        ("{1, 2}", SetType(INT)),
+        ("{1, 'a'}", SetType(ANY)),
+        ("'a' + 'b'", STRING),
+        ("TRUE + 1", ANY),
+        ("d.sections.title", SetType(STRING)),
+        ("d.sections.paragraphs", SetType(ObjectType("Paragraph"))),
+        ("d.sections.paragraphs->document()", SetType(DOCUMENT)),
+        ("d->paragraphs()", SetType(ObjectType("Paragraph"))),
+        ("x->anything()", ANY),
+        ("x.anything", ANY),
+    ])
+    def test_inferred_type(self, doc_schema, text, expected):
+        env = {"d": self.DOCUMENT, "x": ANY}
+        assert infer_expression_type(parse_expression(text), env,
+                                     doc_schema) == expected
+
+    def test_unknown_expression_node_is_any(self, doc_schema):
+        assert infer_expression_type(PatternVar("?a"), {}, doc_schema) == ANY
+
+    @pytest.mark.parametrize("expression,message", [
+        (ClassMethodCall("Ghost", "m", ()), "unknown class 'Ghost'"),
+        (ClassMethodCall("Document", "nope", ()), "no class method 'nope'"),
+        (ClassMethodCall("Document", "select_by_index", ()),
+         r"Document.select_by_index expects 1 argument\(s\), got 0"),
+        (ClassExtent("Ghost"), "unknown class 'Ghost'"),
+    ])
+    def test_class_level_errors(self, doc_schema, expression, message):
+        with pytest.raises(VQLAnalysisError, match=message):
+            infer_expression_type(expression, {}, doc_schema)
+
+    @pytest.mark.parametrize("text,message", [
+        ("ACCESS d FROM d IN Document WHERE d.title",
+         "WHERE clause must be boolean"),
+        ("ACCESS t FROM d IN Document, t IN d.title",
+         "range source for 't' is not set-valued"),
+        ("CREATE CLASS Memo ISA Ghost (text: STRING)",
+         "unknown superclass 'Ghost'"),
+        ("CREATE CLASS Memo (text: STRING, text: INT)",
+         "declares property 'text' twice"),
+    ])
+    def test_statement_errors(self, doc_schema, text, message):
+        with pytest.raises(VQLAnalysisError, match=message):
+            analyze_statement(parse_statement(text), doc_schema)
+
+    def test_unsupported_statement(self, doc_schema):
+        with pytest.raises(VQLAnalysisError, match="unsupported statement"):
+            analyze_statement(object(), doc_schema)
+
+    @pytest.mark.parametrize("expected,actual,assignable", [
+        (SetType(INT), SetType(INT), True),
+        (SetType(INT), SetType(STRING), False),
+        (ObjectType("Document"), ObjectType("Section"), True),
+        (REAL, INT, True),
+        (INT, REAL, False),
+        (STRING, ANY, True),
+    ])
+    def test_assignability(self, expected, actual, assignable):
+        assert _assignable(expected, actual) is assignable
+
+
+class TestSyntaxErrorRendering:
+    def test_without_a_position_or_a_source_only_the_message(self):
+        assert str(VQLSyntaxError("bad")) == "bad"
+        located = VQLSyntaxError("bad", line=1, column=3)
+        assert located.snippet() is None
+        assert str(located) == "bad (line 1, column 3)"
+
+    def test_a_line_outside_the_source_has_no_snippet(self):
+        error = VQLSyntaxError("bad", line=5, column=1, source="ACCESS p")
+        assert error.snippet() is None
+        assert str(error) == "bad (line 5, column 1)"
+
+    def test_the_snippet_points_at_the_column(self):
+        error = VQLSyntaxError("bad", line=2, column=3,
+                               source="ACCESS p\nFROM ?")
+        assert str(error) == "bad (line 2, column 3)\n  FROM ?\n    ^"
