@@ -250,9 +250,20 @@ class Connection:
         buffer: the whole batch applies under one commit scope, so a
         mid-flush failure undoes everything and leaves the buffer intact
         (fix the bindings and ``commit()`` again, or ``rollback()``).
-        With ``autocommit=True`` and no transaction it is a no-op.
+        With ``autocommit=True`` and no transaction it is a no-op.  A
+        failed commit counts once in the service's ``errors``, as a failed
+        ``COMMIT`` statement does.
         """
         self._check_open()
+        try:
+            return self._commit()
+        except Exception:
+            self.service.metrics.record_error()
+            raise
+
+    def _commit(self) -> int:
+        """:meth:`commit` without the error count (a ``COMMIT`` statement's
+        entry counts its own failure)."""
         if self._txn is not None:
             txn, self._txn = self._txn, None
             return self.service.commit_transaction(txn)
@@ -487,7 +498,7 @@ class Cursor:
         elif kind == "commit":
             if connection.transaction is None and not connection._pending:
                 raise TransactionError("COMMIT without an open transaction")
-            self.rowcount = connection.commit()
+            self.rowcount = connection._commit()
         else:
             if connection.transaction is None and not connection._pending:
                 raise TransactionError("ROLLBACK without an open transaction")

@@ -599,13 +599,19 @@ class Database:
         # None as matching no comparison, and None keys cannot be ordered
         # by a sorted index.
         owners = list(self._class_and_ancestors(class_name))
+        index_get = self.indexes.get
+        text_get = self._text_indexes.get
         maintenance: dict[str, tuple[list, list]] = {}
         for prop in prop_defs:
-            indexes = [index for owner in owners
-                       if (index := self.indexes.get(owner, prop)) is not None]
-            engines = [engine for owner in owners
-                       if (engine := self._text_indexes.get((owner, prop)))
-                       is not None]
+            indexes = []
+            engines = []
+            for owner in owners:
+                index = index_get(owner, prop)
+                if index is not None:
+                    indexes.append(index)
+                engine = text_get((owner, prop))
+                if engine is not None:
+                    engines.append(engine)
             if indexes or engines:
                 maintenance[prop] = (indexes, engines)
 
@@ -643,13 +649,13 @@ class Database:
             self.statistics.objects_created += len(created)
             self.versions.data += len(created)
             undo.append(lambda n=len(created): self._unsettle_created(n))
-            for owner in owners:
-                self.stats_catalog.note_mutation(owner, len(created))
-            links = [(prop, link) for prop, link
-                     in self.schema.links_from(class_name).items()
-                     if prop in prop_defs]
-            if links:
-                self._link_created(links, created, materialized)
+            self._note_stats_mutation(class_name, len(created))
+            links_from = schema.links_from(class_name)
+            if links_from:
+                links = [(prop, link) for prop, link in links_from.items()
+                         if prop in prop_defs]
+                if links:
+                    self._link_created(links, created, materialized)
         return created
 
     def _link_created(self, links, created: list[OID],

@@ -870,8 +870,9 @@ class CostModel:
                         INVERSION_MARK)
                     for side in (condition.left, condition.right)):
                 # the membership form's check against the owner it ranges
-                # over: the inverse set holds exactly the objects whose path
-                # leads back to it, so every row passes
+                # over, estimated to pass every row: exact for a maintained
+                # inverse link, and for a derived set (largeParagraphs)
+                # only while the set agrees with the path it inverts
                 return 1.0
             if op in ("==", "!=", "<", "<=", ">", ">="):
                 return self._comparison_selectivity(condition, op, source)

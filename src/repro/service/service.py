@@ -1090,7 +1090,8 @@ class QueryService:
                     total = self.router.apply_transaction(txn.operations)
                 annotate_current(operations=len(txn.operations), rows=total)
         except Exception as exc:
-            # the statement entry counts the failed COMMIT in ``errors``
+            # the caller counts the failed commit in ``errors``: a COMMIT
+            # statement's entry, or Connection.commit() called directly
             txn.state = "rolled back"
             txn.release()
             if isinstance(exc, TransactionConflictError):

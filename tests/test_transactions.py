@@ -254,6 +254,29 @@ class TestTransactions:
         connection.execute("INSERT INTO Document (title) VALUES ('kept')")
         assert connection.execute("COMMIT").rowcount == 1
 
+    def test_a_direct_commit_that_fails_to_apply_counts_once(self, database):
+        """The same failing apply through ``Connection.commit()`` — no
+        statement entry around it — and through the ``with`` exit: each
+        counts one error and rolls everything back."""
+        connection = connect(database)
+        before = state_snapshot(database)
+        connection.execute("BEGIN")
+        connection.execute("INSERT INTO Document (title) VALUES ('kept?')")
+        connection.execute("INSERT INTO Document (title) VALUES (?)", [5])
+        with pytest.raises(TypeMismatchError, match="Document.title"):
+            connection.commit()
+        assert state_snapshot(database) == before
+        assert not connection.in_transaction
+        snapshot = connection.service.metrics.snapshot()
+        assert (snapshot["errors"], snapshot["txn_commits"]) == (1, 0)
+        with pytest.raises(TypeMismatchError, match="Document.title"):
+            with connection:
+                connection.execute("BEGIN")
+                connection.execute(
+                    "INSERT INTO Document (title) VALUES (?)", [5])
+        assert state_snapshot(database) == before
+        assert connection.service.metrics.snapshot()["errors"] == 2
+
     def test_interleaved_transactions_first_writer_wins(self, database):
         service = QueryService(database)
         first = connect(database, service=service)

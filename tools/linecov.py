@@ -2,14 +2,13 @@
 
 A line-coverage tool that needs nothing beyond the standard library.  It
 runs pytest in this process under a line tracer and prints, for every file
-under the measured directory (default: ``src``), the executable lines that
-never ran, and then every function with unreached lines, marking those that
+under ``src/``, the executable lines that never ran, and then every function with unreached lines, marking those that
 were never entered at all.
 
 Usage (from anywhere; the tool runs pytest from the repository root, with
 ``src`` on the import path, like the tier-1 command)::
 
-    python tools/linecov.py [--src DIR] [--json FILE] [-- PYTEST_ARGS ...]
+    python tools/linecov.py [-- PYTEST_ARGS ...]
 
 Arguments after ``--`` go to pytest unchanged (default: ``-q``).  Traced,
 the tier-1 suite runs several times slower than untraced.
@@ -39,7 +38,6 @@ from __future__ import annotations
 import argparse
 import ast
 import io
-import json
 import os
 import sys
 import threading
@@ -292,13 +290,10 @@ def main(argv: list[str]) -> int:
         pytest_args = ["-q"]
     parser = argparse.ArgumentParser(
         description="Run pytest under a line tracer and report the lines "
-                    "under --src that never ran.  Lines that run only in a "
-                    "child process count as unreached.")
-    parser.add_argument("--src", default="src",
-                        help="directory to measure, relative to the "
-                             "repository root (default: src)")
-    parser.add_argument("--json", help="also write the report to this file")
-    args = parser.parse_args(argv)
+                    "under src/ that never ran.  Lines that run only in a "
+                    "child process count as unreached.  Arguments after "
+                    "-- go to pytest (default: -q).")
+    parser.parse_args(argv)
     os.chdir(ROOT)
     source_root = os.path.join(ROOT, "src")
     # what ``PYTHONPATH=src python -m pytest`` puts first on the path: the
@@ -306,19 +301,14 @@ def main(argv: list[str]) -> int:
     sys.path[:0] = [source_root, ROOT]
     os.environ["PYTHONPATH"] = os.pathsep.join(
         filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-    measured = os.path.join(ROOT, args.src)
-    tracer = LineTracer([measured])
+    tracer = LineTracer([source_root])
     tracer.start()
     try:
         import pytest
         status = pytest.main(pytest_args)
     finally:
         tracer.stop()
-    result = report(measured, tracer.reached())
-    print_report(result)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(result, handle, indent=1)
+    print_report(report(source_root, tracer.reached()))
     return int(status)
 
 
