@@ -2,8 +2,9 @@
 
 A line-coverage tool that needs nothing beyond the standard library.  It
 runs pytest in this process under a line tracer and prints, for every file
-under ``src/``, the executable lines that never ran, and then every function with unreached lines, marking those that
-were never entered at all.
+under ``src/``, the executable lines that never ran, and then every
+function with unreached lines, marking those that were never entered at
+all.
 
 Usage (from anywhere; the tool runs pytest from the repository root, with
 ``src`` on the import path, like the tier-1 command)::
